@@ -9,6 +9,7 @@ Student's t-tests against a baseline, and fit timings.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import json
 import platform
@@ -375,7 +376,7 @@ def lambda_sweep(config: BenchmarkConfig, method: str, grid1, grid2, dataset=Non
             hp = dict(template.hyperparams)
             hp.update({"lambda1": l1, "lambda2": l2})
             cell_spec = MethodSpec(method, template.label, pca=template.pca, hyperparams=hp)
-            cell_config = _replace_methods(config, (cell_spec,))
+            cell_config = dataclasses.replace(config, methods=(cell_spec,))
             report = run_benchmark(cell_config, dataset=data)
             entry = report["methods"][cell_spec.label]
             if not entry["complete"] and not any(
@@ -406,12 +407,6 @@ def measure_fit_time(spec: MethodSpec, train: PairedMultimodalDataset, metric_mo
 
 # ---------------------------------------------------------------------------
 # config / report plumbing
-
-
-def _replace_methods(config: BenchmarkConfig, methods: tuple[MethodSpec, ...]) -> BenchmarkConfig:
-    import dataclasses
-
-    return dataclasses.replace(config, methods=methods)
 
 
 def method_spec_from_dict(entry: dict) -> MethodSpec:

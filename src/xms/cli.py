@@ -43,13 +43,7 @@ def cmd_fit(args) -> int:
         value = getattr(args, key)
         if value is not None:
             hyper[key] = value
-    if args.seed is not None:
-        hyper_note = {"seed": args.seed}
-    else:
-        hyper_note = {}
     model = fit_method(dataset, args.method, dim=args.dim, pca=_pca_arg(args), hyperparams=hyper)
-    if hyper_note:
-        model.hyperparams.update(hyper_note)
     save_model(model, args.out)
     print(f"fitted {model.method} (d={model.d}) on {dataset.n} pairs in {model.fit_seconds:.3f}s -> {args.out}")
     return 0
@@ -163,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--alpha", type=float, default=None)
     fit.add_argument("--beta", type=float, default=None)
     fit.add_argument("--ridge", type=float, default=None)
-    fit.add_argument("--seed", type=int, default=None)
     fit.set_defaults(func=cmd_fit)
 
     ev = sub.add_parser("eval", help="evaluate a saved model on a dataset directory")

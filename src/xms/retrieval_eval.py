@@ -16,6 +16,11 @@ from .dataset_io import FeatureMatrix
 from .errors import ConfigError, DataError
 
 
+# Query rows ranked at once by evaluate_direction; bounds its working memory to
+# a few _ROW_BLOCK x gallery arrays.
+_ROW_BLOCK = 128
+
+
 class ZeroNormWarning(UserWarning):
     """A query or gallery vector had zero norm; its similarities default to -1."""
 
@@ -24,7 +29,7 @@ _zero_norm_count = 0
 
 
 def zero_norm_count() -> int:
-    """Total zero-norm vectors seen by rank_by_cosine since the last reset."""
+    """Total zero-norm vectors seen by cosine_similarities since the last reset."""
     return _zero_norm_count
 
 
@@ -79,13 +84,29 @@ def cosine_similarities(queries: FeatureMatrix, gallery: FeatureMatrix) -> np.nd
     return sims
 
 
+def _order_rows(sims: np.ndarray) -> np.ndarray:
+    """Each row's column order by descending similarity, ties by ascending column.
+
+    The default sort is exact for rows whose values are all distinct (they have
+    one sorting permutation); rows holding an equal pair (``==``, so +0.0 and
+    -0.0 tie) are re-sorted stably.
+    """
+    order = np.argsort(-sims, axis=1)
+    ranked = np.take_along_axis(sims, order, axis=1)
+    tied = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
+    if tied.size:
+        order[tied] = np.argsort(-sims[tied], axis=1, kind="stable")
+    return order
+
+
 def rank_by_cosine(queries: FeatureMatrix, gallery: FeatureMatrix) -> list[RankedList]:
     sims = cosine_similarities(queries, gallery)
-    ranked = []
-    for qi in range(sims.shape[0]):
-        order = np.argsort(-sims[qi], kind="stable")  # ties fall back to gallery index
-        ranked.append(RankedList(query_index=qi, gallery_order=order, similarities=sims[qi, order]))
-    return ranked
+    order = _order_rows(sims)
+    ranked_sims = np.take_along_axis(sims, order, axis=1)
+    return [
+        RankedList(query_index=qi, gallery_order=order[qi], similarities=ranked_sims[qi])
+        for qi in range(sims.shape[0])
+    ]
 
 
 def average_precision(ranked: RankedList, relevant) -> float:
@@ -157,31 +178,52 @@ def evaluate_direction(
     ``true_match`` maps query index to gallery index; identity when None
     (aligned pair subsets).  ``ap_cutoff`` optionally truncates the ranked
     lists before AP, for MAP@R-style evaluation.
+
+    Works on the query x gallery similarity matrix ``_ROW_BLOCK`` query rows
+    at a time and gives bit-for-bit the results of ``rank_by_cosine`` +
+    ``average_precision`` + ``cmc_curve``.
     """
     query_labels = np.asarray(query_labels).ravel()
     gallery_labels = np.asarray(gallery_labels).ravel()
-    ranked = rank_by_cosine(queries, gallery)
-    aps = []
-    for ranked_list in ranked:
-        relevant = np.flatnonzero(gallery_labels == query_labels[ranked_list.query_index])
-        use = ranked_list
-        if ap_cutoff is not None:
-            use = RankedList(
-                ranked_list.query_index,
-                ranked_list.gallery_order[:ap_cutoff],
-                ranked_list.similarities[:ap_cutoff],
-            )
-            relevant = np.intersect1d(relevant, use.gallery_order)
-            if relevant.size == 0:
-                aps.append(0.0)
-                continue
-        aps.append(average_precision(use, relevant))
-    per_query_ap = np.asarray(aps)
-    if true_match is None:
-        true_match = np.arange(len(ranked))
+    sims = cosine_similarities(queries, gallery)
+    nq, ng = sims.shape
+    if query_labels.size != nq or gallery_labels.size != ng:
+        raise DataError(
+            "index_range",
+            f"{query_labels.size} query / {gallery_labels.size} gallery labels for a {nq} x {ng} evaluation",
+        )
+    if ap_cutoff is None:
+        lonely = np.flatnonzero(~np.isin(query_labels, gallery_labels))
+        if lonely.size:
+            raise ConfigError("empty_relevant", f"query {lonely[0]} has no same-label gallery item")
+    elif ap_cutoff < 1:
+        raise ConfigError("bad_k", f"ap_cutoff must be at least 1, got {ap_cutoff}")
+    true_match = np.arange(nq) if true_match is None else np.asarray(true_match, dtype=np.int64).ravel()
+    if true_match.size != nq:
+        raise DataError("missing_match", f"{true_match.size} true matches for {nq} queries")
+    outside = np.flatnonzero((true_match < 0) | (true_match >= ng))
+    if outside.size:
+        qi = outside[0]
+        raise DataError("missing_match", f"true match {true_match[qi]} of query {qi} not in gallery")
+
+    per_query_ap = np.empty(nq)
+    match_counts = np.zeros(ng + 1, dtype=np.int64)
+    for start in range(0, nq, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        order = _order_rows(sims[rows])
+        rel = gallery_labels[order[:, :ap_cutoff]] == query_labels[rows, None]
+        hits = np.cumsum(rel, axis=1)
+        precision = np.where(rel, hits / np.arange(1, rel.shape[1] + 1), 0.0)
+        # cumsum adds left to right like the per-query loop; np.sum's pairwise
+        # summation would change the last bits
+        total = np.cumsum(precision, axis=1)[:, -1]
+        n_hits = hits[:, -1]
+        per_query_ap[rows] = np.divide(total, n_hits, out=np.zeros(len(total)), where=n_hits > 0)
+        match_ranks = np.argmax(order == true_match[rows, None], axis=1) + 1
+        match_counts += np.bincount(match_ranks, minlength=ng + 1)
     return RetrievalEvaluation(
         direction=direction,
         map=float(per_query_ap.mean()),
         per_query_ap=per_query_ap,
-        acc_at_k=cmc_curve(ranked, true_match),
+        acc_at_k=np.cumsum(match_counts[1:]) / nq,
     )

@@ -1,14 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xms.dataset_io import FeatureMatrix
 from xms.errors import ConfigError, DataError
 from xms.retrieval_eval import (
+    _ROW_BLOCK,
     RankedList,
     ZeroNormWarning,
+    _order_rows,
     acc_at_k,
     average_precision,
     cmc_curve,
+    cosine_similarities,
     evaluate_direction,
     mean_average_precision,
     rank_by_cosine,
@@ -230,3 +237,147 @@ def test_evaluate_direction_ap_cutoff(rng):
     cut = evaluate_direction(fm(queries), fm(gallery), labels, labels, "a2b", ap_cutoff=2)
     assert cut.per_query_ap.shape == full.per_query_ap.shape
     assert np.all(cut.per_query_ap <= 1.0)
+    for bad in (0, -1):
+        with pytest.raises(ConfigError) as info:
+            evaluate_direction(fm(queries), fm(gallery), labels, labels, "a2b", ap_cutoff=bad)
+        assert info.value.code == "bad_k"
+
+
+def test_evaluate_direction_true_match_out_of_range_errors(rng):
+    x = fm(rng.standard_normal((3, 5)))
+    labels = np.array([1, 1, 2, 2, 2])
+    for bad in (-1, 5):
+        true_match = np.arange(5)
+        true_match[2] = bad
+        with pytest.raises(DataError) as info:
+            evaluate_direction(x, x, labels, labels, "a2b", true_match=true_match)
+        assert info.value.code == "missing_match"
+
+
+def test_evaluate_direction_length_mismatch_errors(rng):
+    x = fm(rng.standard_normal((3, 4)))
+    labels = np.array([1, 1, 2, 2])
+    with pytest.raises(DataError) as info:
+        evaluate_direction(x, x, labels[:3], labels, "a2b")
+    assert info.value.code == "index_range"
+    with pytest.raises(DataError) as info:
+        evaluate_direction(x, x, labels, labels, "a2b", true_match=[0, 1, 2])
+    assert info.value.code == "missing_match"
+
+
+def test_evaluate_direction_query_label_absent_from_gallery_errors(rng):
+    queries = fm(rng.standard_normal((3, 4)))
+    gallery = fm(rng.standard_normal((3, 4)))
+    with pytest.raises(ConfigError) as info:
+        evaluate_direction(queries, gallery, [1, 2, 3, 1], [1, 1, 2, 2], "a2b")
+    assert info.value.code == "empty_relevant"
+
+
+def test_evaluate_direction_absent_label_scores_zero_with_cutoff(rng):
+    queries = fm(rng.standard_normal((3, 4)))
+    gallery = fm(rng.standard_normal((3, 4)))
+    result = evaluate_direction(queries, gallery, [1, 2, 3, 1], [1, 1, 2, 2], "a2b", ap_cutoff=3)
+    assert result.per_query_ap[2] == 0.0
+    assert np.all(result.per_query_ap[[0, 1, 3]] > 0.0)
+
+
+def test_order_rows_signed_zeros_and_equal_values_tie_by_index():
+    sims = np.array([[0.0, -0.0, 0.5, 0.0, -0.0], [-1.0, -1.0, -1.0, -1.0, -1.0], [0.1, 0.3, 0.2, 0.5, 0.4]])
+    assert _order_rows(sims).tolist() == [[2, 0, 1, 3, 4], [0, 1, 2, 3, 4], [3, 4, 1, 2, 0]]
+
+
+# ---------------------------------------------------------------------------
+# evaluate_direction against the per-query oracle
+
+ROW_COUNTS = [1, 2, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1]
+GALLERY_COUNTS = [1, 2, 7, _ROW_BLOCK - 1, _ROW_BLOCK + 1]
+
+
+def oracle_evaluation(queries, gallery, query_labels, gallery_labels, true_match, ap_cutoff):
+    """The per-query path: rank_by_cosine + average_precision + cmc_curve."""
+    ranked = rank_by_cosine(queries, gallery)
+    sims = cosine_similarities(queries, gallery)
+    aps = []
+    for rl in ranked:
+        assert np.array_equal(rl.gallery_order, np.argsort(-sims[rl.query_index], kind="stable"))
+        relevant = np.flatnonzero(gallery_labels == query_labels[rl.query_index])
+        if ap_cutoff is not None:
+            rl = RankedList(rl.query_index, rl.gallery_order[:ap_cutoff], rl.similarities[:ap_cutoff])
+            relevant = np.intersect1d(relevant, rl.gallery_order)
+            if relevant.size == 0:
+                aps.append(0.0)
+                continue
+        aps.append(average_precision(rl, relevant))
+    aps = np.asarray(aps)
+    return aps, float(aps.mean()), cmc_curve(ranked, true_match)
+
+
+@st.composite
+def retrieval_cases(draw):
+    nq = draw(st.sampled_from(ROW_COUNTS))
+    ng = draw(st.sampled_from(GALLERY_COUNTS))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # small integer entries, signed zeros included: many exactly equal similarities
+        values = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+        queries, gallery = values[rng.integers(0, 6, (d, nq))], values[rng.integers(0, 6, (d, ng))]
+    else:
+        queries, gallery = rng.standard_normal((d, nq)), rng.standard_normal((d, ng))
+    if ng > 1 and draw(st.booleans()):
+        gallery[:, rng.integers(0, ng, ng // 2 + 1)] = gallery[:, rng.integers(0, ng, ng // 2 + 1)]
+    if draw(st.booleans()):
+        queries[:, rng.integers(0, nq, nq // 3 + 1)] = 0.0
+    if draw(st.booleans()):
+        gallery[:, rng.integers(0, ng, ng // 3 + 1)] = 0.0
+    n_classes = draw(st.integers(1, 5))
+    gallery_labels = rng.integers(1, n_classes + 1, ng)
+    cutoff = draw(st.sampled_from([None, 1, "k", "beyond"]))
+    if cutoff is None:
+        query_labels = rng.choice(gallery_labels, nq)
+    else:
+        query_labels = rng.integers(1, n_classes + 2, nq)  # some labels absent from the gallery
+        cutoff = {"k": int(rng.integers(1, ng + 1)), "beyond": ng + 3}.get(cutoff, cutoff)
+    true_match = None  # identity, which needs nq <= ng
+    if nq > ng or draw(st.booleans()):
+        true_match = rng.permutation(ng)[:nq] if nq <= ng else rng.integers(0, ng, nq)
+    return queries, gallery, query_labels, gallery_labels, true_match, cutoff
+
+
+@settings(max_examples=80, deadline=None)
+@given(retrieval_cases())
+def test_evaluate_direction_equals_per_query_oracle(case):
+    queries, gallery, query_labels, gallery_labels, true_match, ap_cutoff = case
+    queries, gallery = fm(queries), fm(gallery)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroNormWarning)
+        result = evaluate_direction(
+            queries, gallery, query_labels, gallery_labels, "a2b", true_match=true_match, ap_cutoff=ap_cutoff
+        )
+        expected = np.arange(queries.n) if true_match is None else true_match
+        aps, mean_ap, cmc = oracle_evaluation(queries, gallery, query_labels, gallery_labels, expected, ap_cutoff)
+    reset_zero_norm_count()
+    assert np.array_equal(result.per_query_ap, aps)
+    assert result.map == mean_ap
+    assert np.array_equal(result.acc_at_k, cmc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(ROW_COUNTS),
+    st.sampled_from(GALLERY_COUNTS),
+    st.integers(0, 2**32 - 1),
+    st.floats(1e-3, 1e3),
+)
+def test_map_invariant_to_positive_gallery_scaling(nq, ng, seed, scale):
+    rng = np.random.default_rng(seed)
+    queries, gallery = rng.standard_normal((5, nq)), rng.standard_normal((5, ng))
+    gallery_labels = rng.integers(1, 4, ng)
+    query_labels = rng.choice(gallery_labels, nq)
+    true_match = rng.integers(0, ng, nq)
+    base = evaluate_direction(fm(queries), fm(gallery), query_labels, gallery_labels, "a2b", true_match=true_match)
+    scaled = evaluate_direction(
+        fm(queries), fm(scale * gallery), query_labels, gallery_labels, "a2b", true_match=true_match
+    )
+    assert scaled.map == base.map
+    assert np.array_equal(scaled.acc_at_k, base.acc_at_k)
