@@ -18,7 +18,6 @@ from .bench import (
     config_from_dict,
     default_method_specs,
     lambda_sweep,
-    measure_fit_time,
     run_benchmark,
     students_t_test,
     summary_stats,

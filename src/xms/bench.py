@@ -9,11 +9,9 @@ Student's t-tests against a baseline, and fit timings.
 
 from __future__ import annotations
 
-import dataclasses
 import datetime
 import json
 import platform
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +21,7 @@ import scipy.stats
 from ._version import __version__
 from .dataset_io import FeatureMatrix, PairedMultimodalDataset, load_dataset, random_split, stratified_split, subset
 from .errors import ConfigError, XmsError
-from .methods import fit_method, normalize_method_name, project
+from .methods import SplitContext, fit_method, normalize_method_name, project
 from .retrieval_eval import evaluate_direction
 from .synthetic import make_synthetic_dataset
 
@@ -226,81 +224,112 @@ def _evaluate_split(model, test: PairedMultimodalDataset, config: BenchmarkConfi
     return out
 
 
-def run_benchmark(config: BenchmarkConfig, dataset: PairedMultimodalDataset | None = None) -> dict:
-    """Execute the full repeated-split protocol and return the report dict."""
+def _prepared_data(config: BenchmarkConfig, dataset) -> PairedMultimodalDataset:
     data = dataset if dataset is not None else resolve_dataset(config.dataset)
     if config.l2_normalize:
         data = _l2_normalize(data)
     if not 0 < config.n_train < data.n:
         raise ConfigError("bad_config", f"n_train must lie in 1..{data.n - 1}, got {config.n_train}")
-    labels = [spec.label for spec in config.methods]
-    if len(set(labels)) != len(labels):
-        raise ConfigError("bad_config", f"duplicate method labels: {labels}")
+    return data
 
-    runs = {
-        spec.label: {
-            direction: {"metric": [], "cmc": []} for direction in DIRECTIONS
-        }
-        for spec in config.methods
-    }
-    fit_times = {spec.label: [] for spec in config.methods}
-    failures = {spec.label: [] for spec in config.methods}
 
+def _splits(data: PairedMultimodalDataset, config: BenchmarkConfig):
+    """Yield (repetition, train, test); repetition r splits with seed base_seed + r."""
     for r in range(config.repetitions):
         seed = config.base_seed + r
         if config.stratified:
             plan = stratified_split(data.labels, config.n_train, seed)
         else:
             plan = random_split(data.n, config.n_train, seed)
-        train = subset(data, plan.train_indices)
-        test = subset(data, plan.test_indices)
-        for spec in config.methods:
-            try:
-                t0 = time.perf_counter()
-                model = fit_method(
-                    train,
-                    spec.name,
-                    dim=spec.dim,
-                    pca=spec.pca,
-                    hyperparams=spec.resolved_hyperparams(config.metric_mode),
-                )
-                wall = time.perf_counter() - t0
-                evaluated = _evaluate_split(model, test, config)
-            except XmsError as exc:
-                failures[spec.label].append({"repetition": r, "code": exc.code, "message": str(exc)})
-                continue
-            fit_times[spec.label].append(wall if config.include_pca_in_timing else model.fit_seconds)
-            for direction in DIRECTIONS:
-                runs[spec.label][direction]["metric"].append(evaluated[direction]["metric"])
-                runs[spec.label][direction]["cmc"].append(evaluated[direction]["cmc"])
+        yield r, subset(data, plan.train_indices), subset(data, plan.test_indices)
 
-    metric_name = "map" if config.metric_mode == "map" else f"acc@{config.acc_k}"
-    methods_out = {}
-    box_out = {}
-    for spec in config.methods:
-        directions_out = {}
-        box_out[spec.label] = {}
+
+@dataclass
+class _Runs:
+    """Per-repetition outcomes of one method spec: metrics, CMC curves, fit times, failures."""
+
+    metric: dict = field(default_factory=lambda: {d: [] for d in DIRECTIONS})
+    cmc: dict = field(default_factory=lambda: {d: [] for d in DIRECTIONS})
+    fit_seconds: list = field(default_factory=list)
+    failures: list = field(default_factory=list)
+
+    def record(self, spec: MethodSpec, context: SplitContext, test, config: BenchmarkConfig, r: int) -> None:
+        """Fit ``spec`` on the context's split and evaluate it on ``test``; a typed error is a failure."""
+        try:
+            model = fit_method(
+                context.train,
+                spec.name,
+                dim=spec.dim,
+                pca=spec.pca,
+                hyperparams=spec.resolved_hyperparams(config.metric_mode),
+                context=context,
+            )
+            evaluated = _evaluate_split(model, test, config)
+        except XmsError as exc:
+            self.failures.append({"repetition": r, "code": exc.code, "message": str(exc)})
+            return
+        seconds = model.fit_seconds
+        if config.include_pca_in_timing:
+            seconds += context.pca(spec.pca).seconds
+        self.fit_seconds.append(seconds)
         for direction in DIRECTIONS:
-            metric_runs = runs[spec.label][direction]["metric"]
-            cmc_runs = runs[spec.label][direction]["cmc"]
+            self.metric[direction].append(evaluated[direction]["metric"])
+            self.cmc[direction].append(evaluated[direction]["cmc"])
+
+    def entry(self, spec: MethodSpec, metric_name: str) -> dict:
+        """The report's ``methods`` entry for these runs."""
+        directions_out = {}
+        for direction in DIRECTIONS:
+            metric_runs = self.metric[direction]
             if metric_runs:
                 directions_out[direction] = {
                     "metric": metric_name,
                     "map_runs": [float(v) for v in metric_runs],
                     "summary": summary_stats(metric_runs),
-                    "cmc_mean": np.mean(np.stack(cmc_runs), axis=0).tolist(),
+                    "cmc_mean": np.mean(np.stack(self.cmc[direction]), axis=0).tolist(),
                 }
-                box_out[spec.label][direction] = box_stats(metric_runs).to_dict()
             else:
                 directions_out[direction] = {"metric": metric_name, "map_runs": [], "summary": None, "cmc_mean": []}
-        times = fit_times[spec.label]
-        methods_out[spec.label] = {
+        times = self.fit_seconds
+        return {
             "method": normalize_method_name(spec.name),
             "directions": directions_out,
             "fit_seconds_mean": float(np.mean(times)) if times else None,
             "fit_seconds_var": float(np.var(times, ddof=1)) if len(times) > 1 else 0.0,
-            "failures": failures[spec.label],
-            "complete": not failures[spec.label],
+            "failures": self.failures,
+            "complete": not self.failures,
+        }
+
+
+def _metric_name(config: BenchmarkConfig) -> str:
+    return "map" if config.metric_mode == "map" else f"acc@{config.acc_k}"
+
+
+def run_benchmark(config: BenchmarkConfig, dataset: PairedMultimodalDataset | None = None) -> dict:
+    """Execute the full repeated-split protocol and return the report dict.
+
+    All methods fitted on one split share its ``SplitContext``, so each PCA
+    spec is fitted once per split.
+    """
+    data = _prepared_data(config, dataset)
+    labels = [spec.label for spec in config.methods]
+    if len(set(labels)) != len(labels):
+        raise ConfigError("bad_config", f"duplicate method labels: {labels}")
+
+    runs = {spec.label: _Runs() for spec in config.methods}
+    for r, train, test in _splits(data, config):
+        context = SplitContext(train)
+        for spec in config.methods:
+            runs[spec.label].record(spec, context, test, config, r)
+
+    methods_out = {}
+    box_out = {}
+    for spec in config.methods:
+        methods_out[spec.label] = runs[spec.label].entry(spec, _metric_name(config))
+        box_out[spec.label] = {
+            direction: box_stats(metric_runs).to_dict()
+            for direction, metric_runs in runs[spec.label].metric.items()
+            if metric_runs
         }
 
     return {
@@ -348,8 +377,12 @@ def compute_ttests(report: dict, baseline: str, welch: bool = False) -> list[dic
 def lambda_sweep(config: BenchmarkConfig, method: str, grid1, grid2, dataset=None) -> dict:
     """Mean-metric surface over a (lambda1, lambda2) grid for lcfs or jfssl.
 
-    Every cell reruns the full repeated protocol with identical splits, so
-    cells are comparable across methods and grids.
+    Every cell runs the repeated protocol on the same splits, so cells are
+    comparable across methods and grids, and each cell's numbers equal a
+    ``run_benchmark`` of that cell alone.  The sweep runs split by split: all
+    cells are fitted against one ``SplitContext``, which is dropped before the
+    next split, so the PCA, Grams, least-squares start and graph are built once
+    per split and only one split's state is alive at a time.
     """
     method = normalize_method_name(method)
     if method not in ("lcfs", "jfssl"):
@@ -358,35 +391,32 @@ def lambda_sweep(config: BenchmarkConfig, method: str, grid1, grid2, dataset=Non
     grid2 = [float(v) for v in grid2]
     if any(v < 0 for v in grid1 + grid2):
         raise ConfigError("bad_config", "lambda grid values must be >= 0")
-    template = None
-    for spec in config.methods:
-        if normalize_method_name(spec.name) == method:
-            template = spec
-            break
-    if template is None:
-        template = MethodSpec(method, method)
-    data = dataset if dataset is not None else resolve_dataset(config.dataset)
-    if config.l2_normalize:
-        data = _l2_normalize(data)
+    template = next(
+        (spec for spec in config.methods if normalize_method_name(spec.name) == method), MethodSpec(method, method)
+    )
+    data = _prepared_data(config, dataset)
+
+    base = template.resolved_hyperparams(config.metric_mode)
+    cells = []
+    for i, l1 in enumerate(grid1):
+        for j, l2 in enumerate(grid2):
+            hp = {**base, "lambda1": l1, "lambda2": l2}
+            cells.append((i, j, MethodSpec(method, template.label, pca=template.pca, hyperparams=hp), _Runs()))
+    for r, train, test in _splits(data, config):
+        context = SplitContext(train)  # replaces, and so frees, the previous split's context
+        for _, _, spec, runs in cells:
+            runs.record(spec, context, test, config, r)
 
     surfaces = {d: [[None] * len(grid2) for _ in grid1] for d in DIRECTIONS}
     failed_cells = []
-    for i, l1 in enumerate(grid1):
-        for j, l2 in enumerate(grid2):
-            hp = dict(template.hyperparams)
-            hp.update({"lambda1": l1, "lambda2": l2})
-            cell_spec = MethodSpec(method, template.label, pca=template.pca, hyperparams=hp)
-            cell_config = dataclasses.replace(config, methods=(cell_spec,))
-            report = run_benchmark(cell_config, dataset=data)
-            entry = report["methods"][cell_spec.label]
-            if not entry["complete"] and not any(
-                entry["directions"][d]["map_runs"] for d in DIRECTIONS
-            ):
-                failed_cells.append({"lambda1": l1, "lambda2": l2, "failures": entry["failures"]})
-                continue
-            for d in DIRECTIONS:
-                summary = entry["directions"][d]["summary"]
-                surfaces[d][i][j] = summary["mean"] if summary else None
+    for i, j, spec, runs in cells:
+        entry = runs.entry(spec, _metric_name(config))
+        if not entry["complete"] and not any(entry["directions"][d]["map_runs"] for d in DIRECTIONS):
+            failed_cells.append({"lambda1": grid1[i], "lambda2": grid2[j], "failures": entry["failures"]})
+            continue
+        for d in DIRECTIONS:
+            summary = entry["directions"][d]["summary"]
+            surfaces[d][i][j] = summary["mean"] if summary else None
     return {
         "method": method,
         "lambda1_grid": grid1,
@@ -395,14 +425,6 @@ def lambda_sweep(config: BenchmarkConfig, method: str, grid1, grid2, dataset=Non
         "failed_cells": failed_cells,
         "config": config_to_dict(config),
     }
-
-
-def measure_fit_time(spec: MethodSpec, train: PairedMultimodalDataset, metric_mode: str = "map", include_pca: bool = False) -> float:
-    """Wall-clock seconds of one fit; excludes PCA unless asked."""
-    t0 = time.perf_counter()
-    model = fit_method(train, spec.name, dim=spec.dim, pca=spec.pca, hyperparams=spec.resolved_hyperparams(metric_mode))
-    wall = time.perf_counter() - t0
-    return wall if include_pca else model.fit_seconds
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+import time
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from ..dataset_io import PairedMultimodalDataset
 from ..errors import ConfigError
@@ -38,8 +40,6 @@ __all__ = [
     "save_model",
 ]
 
-_GEV_DIM_METHODS = {"cca", "pls", "blm", "gmlda", "gmmfa", "cdfe", "cca3v"}
-
 
 def normalize_method_name(name: str) -> str:
     canonical = name.strip().lower().replace("-", "").replace("_", "")
@@ -48,19 +48,19 @@ def normalize_method_name(name: str) -> str:
     return canonical
 
 
-def _apply_pca(train: PairedMultimodalDataset, pca: dict | None):
-    """Fit per-modality PCA on the training views; returns (reduced dataset, models)."""
-    if not pca:
-        return train, None, None
+def _pca_options(pca: dict) -> dict:
     kind = pca.get("mode")
     if kind == "energy":
-        kwargs = {"energy": float(pca["value"])}
-    elif kind == "dim":
-        kwargs = {"k": int(pca["value"])}
-    else:
-        raise ConfigError("bad_pca", f"pca mode must be 'energy' or 'dim', got {kind!r}")
-    pca_a = pca_fit(train.xa, **kwargs)
-    pca_b = pca_fit(train.xb, **kwargs)
+        return {"energy": float(pca["value"])}
+    if kind == "dim":
+        return {"k": int(pca["value"])}
+    raise ConfigError("bad_pca", f"pca mode must be 'energy' or 'dim', got {kind!r}")
+
+
+def _apply_pca(train: PairedMultimodalDataset, options: dict):
+    """Fit per-modality PCA on the training views; returns (reduced dataset, models)."""
+    pca_a = pca_fit(train.xa, **options)
+    pca_b = pca_fit(train.xb, **options)
     reduced = PairedMultimodalDataset(
         pca_apply(pca_a, train.xa),
         pca_apply(pca_b, train.xb),
@@ -72,60 +72,121 @@ def _apply_pca(train: PairedMultimodalDataset, pca: dict | None):
     return reduced, pca_a, pca_b
 
 
+class PcaView(NamedTuple):
+    """One PCA spec applied to a split: the reduced split's context, the models, the fit time."""
+
+    context: SplitContext
+    pca_a: object
+    pca_b: object
+    seconds: float
+
+
+class SplitContext:
+    """State of one training split that every fit on it shares.
+
+    Each piece is computed on first use and then kept: the PCA of each spec,
+    and whatever a fitter derives from the split alone (``memo``), never from
+    its hyperparameters.  Holding the context keeps that state alive;
+    dropping it frees the split.
+    """
+
+    def __init__(self, train: PairedMultimodalDataset):
+        self.train = train
+        self._memo = {}
+
+    def memo(self, key, build):
+        """``build()`` on the first request for ``key``, the kept value after that."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def pca(self, pca: dict | None) -> PcaView:
+        """The split reduced by one PCA spec (``self`` itself when ``pca`` is None)."""
+        if not pca:
+            return PcaView(self, None, None, 0.0)
+        options = _pca_options(pca)
+
+        def build():
+            t0 = time.perf_counter()
+            reduced, pca_a, pca_b = _apply_pca(self.train, options)
+            return PcaView(SplitContext(reduced), pca_a, pca_b, time.perf_counter() - t0)
+
+        return self.memo(("pca", *options.items()), build)
+
+
+@dataclass(frozen=True)
+class _RidgeConfig:
+    ridge: float | None = None
+
+
+@dataclass(frozen=True)
+class _NoConfig:
+    pass
+
+
+def _gma_config(variant: str):
+    return lambda **hp: GmaConfig(variant=variant, **hp)
+
+
+def _fit_gma(context, dim, config):
+    return fit_gma(context.train, d=dim, config=config)
+
+
+# name -> (config class, fitter(context, dim, config), whether ``dim`` may be set);
+# the fitters are looked up when called, so patching a module attribute reaches them.
+_METHODS = {
+    "cca": (_RidgeConfig, lambda ctx, dim, cfg: fit_cca(ctx.train, d=dim, ridge=cfg.ridge), True),
+    "pls": (_NoConfig, lambda ctx, dim, cfg: fit_pls(ctx.train, d=dim)[0], True),
+    "blm": (_gma_config("blm"), _fit_gma, True),
+    "gmlda": (_gma_config("gmlda"), _fit_gma, True),
+    "gmmfa": (_gma_config("gmmfa"), _fit_gma, True),
+    "cdfe": (CdfeConfig, lambda ctx, dim, cfg: fit_cdfe(ctx.train, d=dim, config=cfg), True),
+    "cca3v": (_RidgeConfig, lambda ctx, dim, cfg: fit_cca3v(ctx.train, d=dim, ridge=cfg.ridge), True),
+    "lcfs": (SparseCoupledConfig, lambda ctx, dim, cfg: fit_lcfs(ctx.train, config=cfg, context=ctx), False),
+    "jfssl": (SparseCoupledConfig, lambda ctx, dim, cfg: fit_jfssl(ctx.train, config=cfg, context=ctx), False),
+}
+
+
 def fit_method(
     train: PairedMultimodalDataset,
     method: str,
     dim: int | None = None,
     pca: dict | None = None,
     hyperparams: dict | None = None,
+    context: SplitContext | None = None,
 ) -> SubspaceModel:
     """Fit one named method, optionally behind per-modality PCA.
 
     ``pca`` is ``{"mode": "energy"|"dim", "value": ...}`` or None.  PCA is fit
     on the training views only and folded into the returned model so that
     ``project`` accepts raw-space features.  ``fit_seconds`` covers only the
-    method fit, not the PCA.
+    method fit, not the PCA.  ``context``, a ``SplitContext`` of ``train``,
+    lets several fits on one split share its PCA and derived state; without
+    one, nothing outlives the call.
     """
     method = normalize_method_name(method)
-    hp = dict(hyperparams or {})
-    if method in ("lcfs", "jfssl") and dim is not None:
+    config_cls, fitter, takes_dim = _METHODS[method]
+    if not takes_dim and dim is not None:
         raise ConfigError("bad_dim", f"{method} projects into the label space; its dimension is fixed at c")
+    try:
+        config = config_cls(**(hyperparams or {}))
+    except TypeError as exc:
+        raise ConfigError("bad_hyperparam", f"{method}: {exc}") from exc
+    if context is None:
+        context = SplitContext(train)
+    elif context.train is not train:
+        raise ConfigError("bad_config", "the context belongs to another training split")
 
-    def build(cls, **fixed):
-        try:
-            return cls(**fixed, **hp)
-        except TypeError as exc:
-            raise ConfigError("bad_hyperparam", f"{method}: {exc}") from exc
-
-    reduced, pca_a, pca_b = _apply_pca(train, pca)
-
-    if method == "cca":
-        model = fit_cca(reduced, d=dim, ridge=hp.pop("ridge", None))
-    elif method == "pls":
-        model, _ = fit_pls(reduced, d=dim)
-    elif method in ("blm", "gmlda", "gmmfa"):
-        model = fit_gma(reduced, d=dim, config=build(GmaConfig, variant=method))
-        hp = {}
-    elif method == "cdfe":
-        model = fit_cdfe(reduced, d=dim, config=build(CdfeConfig))
-        hp = {}
-    elif method == "cca3v":
-        model = fit_cca3v(reduced, d=dim, ridge=hp.pop("ridge", None))
-    else:
-        fitter = fit_lcfs if method == "lcfs" else fit_jfssl
-        model = fitter(reduced, config=build(SparseCoupledConfig))
-        hp = {}
-    if hp:
-        raise ConfigError("bad_hyperparam", f"unused hyperparameters for {method}: {sorted(hp)}")
-
-    if pca_a is not None:
+    view = context.pca(pca)
+    model = fitter(view.context, dim, config)
+    if view.pca_a is not None:
         model = replace(
             model,
             preprocessing=Preprocessing(
                 center_a=model.preprocessing.center_a,
                 center_b=model.preprocessing.center_b,
-                pca_a=pca_a,
-                pca_b=pca_b,
+                pca_a=view.pca_a,
+                pca_b=view.pca_b,
             ),
         )
     return model

@@ -77,17 +77,39 @@ def _check_finite(j: float, iteration: int, method: str) -> None:
         raise NumericalError("divergence", f"{method}: non-finite objective at iteration {iteration}")
 
 
-def fit_lcfs(train: PairedMultimodalDataset, config: SparseCoupledConfig | None = None) -> SubspaceModel:
+def _shared(train: PairedMultimodalDataset, context, key, build):
+    """``build()``, kept in the split's context when there is one."""
+    if context is None:
+        return build()
+    if context.train is not train:
+        raise ConfigError("bad_config", "the context belongs to another training split")
+    return context.memo(key, build)
+
+
+def _regression_start(train: PairedMultimodalDataset, context):
+    """What LCFS and JFSSL derive from the split alone: xs, y, Grams, x y and the
+    least-squares start."""
+
+    def build():
+        xs = (train.xa.values, train.xb.values)
+        y = encode_labels(train.labels, train.c)
+        return xs, y, [x @ x.T for x in xs], [x @ y for x in xs], [least_squares_solution(x, y) for x in xs]
+
+    return _shared(train, context, "regression_start", build)
+
+
+def fit_lcfs(
+    train: PairedMultimodalDataset, config: SparseCoupledConfig | None = None, *, context=None
+) -> SubspaceModel:
     """Coupled regression onto one-hot labels with l21 row sparsity and a
-    trace-norm coupling of the two projected blocks."""
+    trace-norm coupling of the two projected blocks.
+
+    ``context`` (a ``SplitContext`` of ``train``) shares the λ-free start
+    with other fits on the same split.
+    """
     t0 = time.perf_counter()
     config = config or SparseCoupledConfig()
-    xa, xb = train.xa.values, train.xb.values
-    y = encode_labels(train.labels, train.c)
-    xs = (xa, xb)
-    grams = [x @ x.T for x in xs]
-    rhs0 = [x @ y for x in xs]
-    ws = [least_squares_solution(x, y) for x in xs]
+    xs, y, grams, rhs0, ws = _regression_start(train, context)
 
     def objective(ws):
         m = np.hstack([x.T @ w for x, w in zip(xs, ws)])
@@ -136,28 +158,43 @@ def fit_lcfs(train: PairedMultimodalDataset, config: SparseCoupledConfig | None 
     )
 
 
-def fit_jfssl(train: PairedMultimodalDataset, config: SparseCoupledConfig | None = None) -> SubspaceModel:
+def _graph_state(train: PairedMultimodalDataset, k: int, context):
+    """The multimodal Laplacian for ``k`` neighbours and the λ-free x L_pp x' terms."""
+
+    def build():
+        n = train.n
+        lap = multimodal_graph(train, k).laplacian
+        lpp = [lap[:n, :n], lap[n:, n:]]
+        xs = (train.xa.values, train.xb.values)
+        return lap, [x @ lpp[p] @ x.T for p, x in enumerate(xs)]
+
+    return _shared(train, context, ("multimodal_graph", k), build)
+
+
+def fit_jfssl(
+    train: PairedMultimodalDataset, config: SparseCoupledConfig | None = None, *, context=None
+) -> SubspaceModel:
     """Label-space regression with l21 row sparsity and a multimodal graph
-    penalty tying projected neighbours and true pairs together."""
+    penalty tying projected neighbours and true pairs together.
+
+    ``context`` (a ``SplitContext`` of ``train``) shares the λ-free start and
+    the graph with other fits on the same split.
+    """
     t0 = time.perf_counter()
     config = config or SparseCoupledConfig()
-    xa, xb = train.xa.values, train.xb.values
     n = train.n
-    y = encode_labels(train.labels, train.c)
-    xs = (xa, xb)
-    grams = [x @ x.T for x in xs]
-    rhs0 = [x @ y for x in xs]
-    ws = [least_squares_solution(x, y) for x in xs]
+    xs, y, grams, rhs0, ws = _regression_start(train, context)
+    xa, xb = xs
+    ws = list(ws)
 
     if config.lambda2 > 0:
-        lap = multimodal_graph(train, min(config.graph_k, max(n - 1, 1))).laplacian
-        lpp = [lap[:n, :n], lap[n:, n:]]
+        lap, graph_products = _graph_state(train, min(config.graph_k, max(n - 1, 1)), context)
         lab = lap[:n, n:]
         cross_ops = [
             lambda wb_: xa @ (lab @ (xb.T @ wb_)),
             lambda wa_: xb @ (lab.T @ (xa.T @ wa_)),
         ]
-        graph_terms = [config.lambda2 * (x @ lpp[p] @ x.T) for p, x in enumerate(xs)]
+        graph_terms = [config.lambda2 * product for product in graph_products]
     else:
         lap = None
 

@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,12 +17,14 @@ from xms.bench import (
     config_to_dict,
     default_method_specs,
     lambda_sweep,
-    measure_fit_time,
     run_benchmark,
     students_t_test,
     summary_stats,
 )
-from xms.errors import ConfigError
+import xms.bench
+import xms.methods
+from xms.dataset_io import random_split, subset
+from xms.errors import ConfigError, NumericalError
 from xms.synthetic import make_synthetic_dataset
 
 
@@ -218,7 +222,7 @@ def test_lambda_sweep_degenerate_grid_equals_benchmark():
     surface = lambda_sweep(config, "lcfs", [0.0], [0.0])
     report = run_benchmark(config)
     expected = report["methods"]["lcfs"]["directions"]["a2b"]["summary"]["mean"]
-    assert surface["directions"]["a2b"][0][0] == pytest.approx(expected, abs=1e-12)
+    assert surface["directions"]["a2b"][0][0] == expected
 
 
 def test_lambda_sweep_zero_cell_lcfs_equals_jfssl():
@@ -229,14 +233,129 @@ def test_lambda_sweep_zero_cell_lcfs_equals_jfssl():
         assert s_lcfs["directions"][d][0][0] == pytest.approx(s_jfssl["directions"][d][0][0], abs=1e-6)
 
 
-def test_measure_fit_time_positive():
-    ds = small_dataset()
-    seconds = measure_fit_time(MethodSpec("cca", "cca", dim=2), ds)
-    assert 0 < seconds < 60
-    with_pca = measure_fit_time(
-        MethodSpec("cca", "cca", pca={"mode": "energy", "value": 0.9}, dim=2), ds, include_pca=True
+def without_timing(report):
+    report = copy.deepcopy(report)
+    report.pop("environment")
+    for entry in report["methods"].values():
+        entry.pop("fit_seconds_mean")
+        entry.pop("fit_seconds_var")
+    return report
+
+
+def cell_by_cell_sweep(config, method, grid1, grid2):
+    """The sweep as one run_benchmark per grid cell: the oracle of the split-major sweep."""
+    template = next((s for s in config.methods if s.name == method), MethodSpec(method, method))
+    surfaces = {d: [[None] * len(grid2) for _ in grid1] for d in ("a2b", "b2a")}
+    failed_cells = []
+    for i, l1 in enumerate(grid1):
+        for j, l2 in enumerate(grid2):
+            hp = {**template.resolved_hyperparams(config.metric_mode), "lambda1": l1, "lambda2": l2}
+            spec = MethodSpec(method, template.label, pca=template.pca, hyperparams=hp)
+            entry = run_benchmark(dataclasses.replace(config, methods=(spec,)))["methods"][spec.label]
+            if not any(entry["directions"][d]["map_runs"] for d in ("a2b", "b2a")):
+                failed_cells.append({"lambda1": l1, "lambda2": l2, "failures": entry["failures"]})
+                continue
+            for d in ("a2b", "b2a"):
+                surfaces[d][i][j] = entry["directions"][d]["summary"]["mean"]
+    return {"directions": surfaces, "failed_cells": failed_cells}
+
+
+SWEEP_GRID1 = [0.0, 0.1]
+SWEEP_GRID2 = [0.0, 0.01, 1.0]
+
+
+@pytest.mark.parametrize(
+    "method, template, options",
+    [
+        ("jfssl", MethodSpec("jfssl", "jfssl", hyperparams={"graph_k": 3}), {}),
+        ("lcfs", MethodSpec("lcfs", "lcfs"), {}),
+        ("jfssl", MethodSpec("jfssl", "jfssl"), {"stratified": True}),
+        ("lcfs", MethodSpec("lcfs", "pca+lcfs", pca={"mode": "energy", "value": 0.9}), {}),
+        ("jfssl", MethodSpec("jfssl", "pca+jfssl", pca={"mode": "dim", "value": 4}), {"stratified": True}),
+    ],
+)
+def test_lambda_sweep_equals_cell_by_cell(method, template, options):
+    config = small_config((MethodSpec("cca", "cca", dim=2), template), reps=3, **options)
+    surface = lambda_sweep(config, method, SWEEP_GRID1, SWEEP_GRID2)
+    oracle = cell_by_cell_sweep(config, method, SWEEP_GRID1, SWEEP_GRID2)
+    assert surface["directions"] == oracle["directions"]
+    assert surface["failed_cells"] == oracle["failed_cells"] == []
+
+
+def test_lambda_sweep_failures_equal_cell_by_cell(monkeypatch):
+    config = small_config((MethodSpec("jfssl", "jfssl"),), reps=3)
+    data = small_dataset()
+    rep1_train = subset(data, random_split(data.n, config.n_train, config.base_seed + 1).train_indices)
+    real_fit = xms.bench.fit_method
+
+    def flaky_fit(train, name, **kwargs):
+        cell = (kwargs["hyperparams"]["lambda1"], kwargs["hyperparams"]["lambda2"])
+        on_rep1 = np.array_equal(train.xa.values, rep1_train.xa.values)
+        if cell in ((0.0, 0.01), (0.1, 0.01)) or (cell == (0.0, 1.0) and on_rep1):
+            raise NumericalError("divergence", f"injected at {cell}")
+        return real_fit(train, name, **kwargs)
+
+    monkeypatch.setattr(xms.bench, "fit_method", flaky_fit)
+    surface = lambda_sweep(config, "jfssl", SWEEP_GRID1, SWEEP_GRID2)
+    oracle = cell_by_cell_sweep(config, "jfssl", SWEEP_GRID1, SWEEP_GRID2)
+    assert surface["directions"] == oracle["directions"]
+    assert surface["failed_cells"] == oracle["failed_cells"]
+    assert [(c["lambda1"], c["lambda2"]) for c in surface["failed_cells"]] == [(0.0, 0.01), (0.1, 0.01)]
+    assert [f["repetition"] for f in surface["failed_cells"][0]["failures"]] == [0, 1, 2]
+    assert surface["directions"]["a2b"][0][2] is not None  # failed on repetition 1 only
+
+
+def test_lambda_sweep_uses_hyperparams_by_metric():
+    by_metric = {"acc_at_k": {"graph_k": 2, "max_iters": 2}}
+    template = MethodSpec("jfssl", "jfssl", hyperparams={"graph_k": 6}, hyperparams_by_metric=by_metric)
+    config = small_config((template,), reps=2, metric_mode="acc_at_k", acc_k=3)
+    surface = lambda_sweep(config, "jfssl", [0.5], [2.0])
+    lambdas = {"lambda1": 0.5, "lambda2": 2.0}
+
+    def bench_mean(spec):
+        report = run_benchmark(dataclasses.replace(config, methods=(spec,)))
+        return [report["methods"]["jfssl"]["directions"][d]["summary"]["mean"] for d in ("a2b", "b2a")]
+
+    expected = bench_mean(dataclasses.replace(template, hyperparams={"graph_k": 6, **lambdas}))
+    assert [surface["directions"][d][0][0] for d in ("a2b", "b2a")] == expected
+    # the by-metric block matters here: without it the cell reads differently
+    assert bench_mean(MethodSpec("jfssl", "jfssl", hyperparams={"graph_k": 6, **lambdas})) != expected
+
+
+def test_shared_pca_equals_fitting_each_method_alone():
+    specs = default_method_specs() + (
+        MethodSpec("cca", "pca90+cca", pca={"mode": "energy", "value": 0.9}),
+        MethodSpec("lcfs", "pca+lcfs", pca={"mode": "energy", "value": 0.98}),
     )
-    assert with_pca > 0
+    config = small_config(specs, reps=2)
+    shared = without_timing(run_benchmark(config))
+    for spec in specs:
+        alone = without_timing(run_benchmark(dataclasses.replace(config, methods=(spec,))))
+        assert shared["methods"][spec.label] == alone["methods"][spec.label]
+        assert shared["box_stats"][spec.label] == alone["box_stats"][spec.label]
+
+
+def test_include_pca_in_timing_charges_every_pca_method(monkeypatch):
+    real_pca_fit = xms.methods.pca_fit
+
+    def slow_pca_fit(*args, **kwargs):
+        time.sleep(0.1)
+        return real_pca_fit(*args, **kwargs)
+
+    monkeypatch.setattr(xms.methods, "pca_fit", slow_pca_fit)
+    pca = {"mode": "energy", "value": 0.9}
+    specs = (
+        MethodSpec("cca", "pca+cca", pca=pca, dim=2),
+        MethodSpec("pls", "pca+pls", pca=pca, dim=2),
+        MethodSpec("lcfs", "lcfs"),
+    )
+    for include in (True, False):
+        report = run_benchmark(small_config(specs, reps=2, include_pca_in_timing=include))
+        seconds = {label: entry["fit_seconds_mean"] for label, entry in report["methods"].items()}
+        # two PCA fits per split, 0.1 s each
+        assert (seconds["pca+cca"] >= 0.2) == include
+        assert (seconds["pca+pls"] >= 0.2) == include
+        assert seconds["lcfs"] < 0.2
 
 
 def test_report_schema_keys():

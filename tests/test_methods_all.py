@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from xms.methods import METHOD_NAMES, fit_method, normalize_method_name, project
+from xms.methods import METHOD_NAMES, SplitContext, fit_method, normalize_method_name, project
 from xms.errors import ConfigError
 from tests.conftest import random_paired_dataset
 
@@ -76,3 +76,14 @@ def test_unused_hyperparameters_rejected(rng):
         fit_method(ds, "cca", hyperparams={"lambda1": 0.1})
     with pytest.raises(ConfigError):
         fit_method(ds, "gmlda", hyperparams={"ridge": 0.1})
+    with pytest.raises(ConfigError):
+        fit_method(ds, "gmlda", hyperparams={"variant": "blm"})
+    with pytest.raises(ConfigError):
+        fit_method(ds, "pls", hyperparams={"ridge": 0.1})
+
+
+def test_fit_method_rejects_context_of_another_split(rng):
+    ds = random_paired_dataset(rng, n=30, d_a=5, d_b=4, c=2)
+    other = random_paired_dataset(rng, n=30, d_a=5, d_b=4, c=2)
+    with pytest.raises(ConfigError):
+        fit_method(ds, "cca", context=SplitContext(other))

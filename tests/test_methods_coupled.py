@@ -1,7 +1,10 @@
 import numpy as np
 
 from xms.dataset_io import encode_labels
-from xms.methods import SparseCoupledConfig, fit_jfssl, fit_lcfs
+from xms.errors import ConfigError
+import pytest
+
+from xms.methods import SparseCoupledConfig, SplitContext, fit_jfssl, fit_lcfs
 from tests.conftest import paired_dataset, random_paired_dataset
 
 
@@ -94,3 +97,30 @@ def test_iterations_recorded(rng):
     trace = model.metadata["objective_trace"]
     assert model.hyperparams["iterations"] == len(trace) - 1
     assert model.hyperparams["iterations"] >= 1
+
+
+@pytest.mark.parametrize("fitter", [fit_lcfs, fit_jfssl])
+def test_fit_through_used_context_equals_fresh_fit(rng, fitter):
+    # the context has already served both fitters at other lambdas and graph sizes
+    ds = random_paired_dataset(rng, n=45, d_a=7, d_b=6, c=3)
+    context = SplitContext(ds)
+    for l1, l2, k in ((1.0, 0.5, 3), (0.0, 0.0, 5), (0.02, 2.0, 5)):
+        fit_lcfs(ds, SparseCoupledConfig(lambda1=l1, lambda2=l2, graph_k=k), context=context)
+        fit_jfssl(ds, SparseCoupledConfig(lambda1=l1, lambda2=l2, graph_k=k), context=context)
+    for l1, l2, k in ((0.05, 0.1, 3), (0.0, 0.3, 5), (0.1, 0.0, 4), (0.02, 2.0, 5)):
+        cfg = SparseCoupledConfig(lambda1=l1, lambda2=l2, graph_k=k)
+        shared = fitter(ds, cfg, context=context)
+        fresh = fitter(ds, cfg)
+        assert np.array_equal(shared.wa, fresh.wa)
+        assert np.array_equal(shared.wb, fresh.wb)
+        assert shared.metadata["objective_trace"] == fresh.metadata["objective_trace"]
+        assert shared.hyperparams["iterations"] == fresh.hyperparams["iterations"]
+
+
+def test_context_of_another_split_rejected(rng):
+    ds = random_paired_dataset(rng, n=30, d_a=5, d_b=4, c=2)
+    other = SplitContext(random_paired_dataset(rng, n=30, d_a=5, d_b=4, c=2))
+    for fitter in (fit_lcfs, fit_jfssl):
+        with pytest.raises(ConfigError):
+            fitter(ds, SparseCoupledConfig(), context=other)
+
