@@ -37,7 +37,6 @@ from .errors import ConfigError, DataError, NumericalError, XmsError
 from .methods import (
     CdfeConfig,
     GmaConfig,
-    PlsDecomposition,
     SparseCoupledConfig,
     SubspaceModel,
     fit_blm,

@@ -64,6 +64,8 @@ class BenchmarkConfig:
             raise ConfigError("bad_config", "repetitions must be >= 1")
         if self.metric_mode not in ("map", "acc_at_k"):
             raise ConfigError("bad_config", f"metric_mode must be 'map' or 'acc_at_k', got {self.metric_mode!r}")
+        if self.acc_k < 1:
+            raise ConfigError("bad_config", f"acc_k must be >= 1, got {self.acc_k}")
         if not self.methods:
             raise ConfigError("bad_config", "at least one method is required")
 

@@ -14,13 +14,12 @@ from .cdfe import CdfeConfig, fit_cdfe
 from .coupled import SparseCoupledConfig, fit_jfssl, fit_lcfs
 from .gma import GmaConfig, fit_blm, fit_gma, fit_gmlda, fit_gmmfa
 from .model import METHOD_NAMES, Preprocessing, SubspaceModel, load_model, project, save_model
-from .pls import PlsDecomposition, fit_pls
+from .pls import fit_pls
 
 __all__ = [
     "METHOD_NAMES",
     "CdfeConfig",
     "GmaConfig",
-    "PlsDecomposition",
     "Preprocessing",
     "SparseCoupledConfig",
     "SubspaceModel",
@@ -136,7 +135,7 @@ def _fit_gma(context, dim, config):
 # the fitters are looked up when called, so patching a module attribute reaches them.
 _METHODS = {
     "cca": (_RidgeConfig, lambda ctx, dim, cfg: fit_cca(ctx.train, d=dim, ridge=cfg.ridge), True),
-    "pls": (_NoConfig, lambda ctx, dim, cfg: fit_pls(ctx.train, d=dim)[0], True),
+    "pls": (_NoConfig, lambda ctx, dim, cfg: fit_pls(ctx.train, d=dim), True),
     "blm": (_gma_config("blm"), _fit_gma, True),
     "gmlda": (_gma_config("gmlda"), _fit_gma, True),
     "gmmfa": (_gma_config("gmmfa"), _fit_gma, True),

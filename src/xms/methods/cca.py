@@ -93,8 +93,7 @@ def fit_cca3v(train: PairedMultimodalDataset, d: int | None = None, ridge: float
     xa, xb, mean_a, mean_b = centered_views(train)
     mean_c, xc = center_fit(label_view(train))
     d_max = min(train.d_a, train.d_b, train.n - 1)
-    d = min(train.c - 1, 30, d_max) if d is None else d
-    d = max(d, 1)
+    d = max(min(train.c - 1, 30, d_max), 1) if d is None else d
     if not 1 <= d <= d_max:
         raise ConfigError("bad_dim", f"d must lie in 1..{d_max}, got {d}")
 

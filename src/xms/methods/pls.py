@@ -1,72 +1,32 @@
-"""Partial least squares on the cross-covariance, NIPALS-style.
+"""Partial least squares: the top-d singular vector pairs of the cross-covariance.
 
-Each component's weight pair maximizes the squared covariance of the
-projected scores under unit-norm weights; successive components repeat the
-maximization on the rank-one-deflated cross-covariance, which makes the
-weight vectors mutually orthogonal.
+Each component's weight pair maximizes the covariance of the projected scores
+under unit-norm weights, orthogonal to the earlier pairs.  Deflating the
+cross-covariance by its own leading singular triple each time (PLS-SVD in
+Wegelin's survey of two-block PLS, 2000) yields exactly its singular value
+decomposition, so one truncated SVD gives all d pairs at once.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..dataset_io import PairedMultimodalDataset
 from ..errors import ConfigError, NumericalError
+from ..preprocess import column_signs
 from .cca import centered_views
 from .model import Preprocessing, SubspaceModel
 
-_POWER_TOL = 1e-14
-_POWER_MAX_ITER = 5000
 
+def fit_pls(train: PairedMultimodalDataset, d: int | None = None) -> SubspaceModel:
+    """Top-d singular pairs of the cross-covariance, one unit weight pair per column.
 
-@dataclass(frozen=True)
-class PlsDecomposition:
-    """Score matrices T, U, loadings P, Q, and the diagonal inner relation D."""
-
-    scores_t: np.ndarray
-    scores_u: np.ndarray
-    loadings_p: np.ndarray
-    loadings_q: np.ndarray
-    inner_d: np.ndarray
-
-
-def _leading_pair(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Leading singular triple of c by power iteration (deterministic init)."""
-    col = int(np.argmax(np.linalg.norm(c, axis=0)))
-    u = c[:, col]
-    norm = np.linalg.norm(u)
-    if norm < 1e-300:
-        # degenerate residual: any unit pair attains the (zero) optimum
-        u = np.zeros(c.shape[0])
-        u[0] = 1.0
-        v = np.zeros(c.shape[1])
-        v[0] = 1.0
-        return u, v, 0.0
-    u = u / norm
-    for _ in range(_POWER_MAX_ITER):
-        v = c.T @ u
-        v /= max(np.linalg.norm(v), 1e-300)
-        u_new = c @ v
-        sigma = np.linalg.norm(u_new)
-        u_new /= max(sigma, 1e-300)
-        if np.linalg.norm(u_new - u) < _POWER_TOL:
-            u = u_new
-            break
-        u = u_new
-    v = c.T @ u
-    sigma = np.linalg.norm(v)
-    v /= max(sigma, 1e-300)
-    # sign convention: largest-magnitude entry of u positive, v flipped with it
-    i = int(np.argmax(np.abs(u)))
-    if u[i] < 0:
-        u, v = -u, -v
-    return u, v, float(sigma)
-
-
-def fit_pls(train: PairedMultimodalDataset, d: int | None = None) -> tuple[SubspaceModel, PlsDecomposition]:
+    The largest-magnitude entry of each ``wa`` column is positive and ``wb``
+    is flipped with it; the singular values end up in
+    ``metadata["score_covariances"]``.
+    """
     t0 = time.perf_counter()
     xa, xb, mean_a, mean_b = centered_views(train)
     d_max = min(train.d_a, train.d_b)
@@ -75,34 +35,16 @@ def fit_pls(train: PairedMultimodalDataset, d: int | None = None) -> tuple[Subsp
         raise ConfigError("bad_dim", f"d must lie in 1..{d_max}, got {d}")
 
     c = xa.values @ xb.values.T / (train.n - 1)
-    wa = np.zeros((train.d_a, d))
-    wb = np.zeros((train.d_b, d))
-    sigmas = np.zeros(d)
-    for j in range(d):
-        u, v, sigma = _leading_pair(c)
-        if j == 0 and sigma < 1e-12:
-            raise NumericalError("no_covariance", "cross-covariance has no structure (all singular values < 1e-12)")
-        wa[:, j], wb[:, j], sigmas[j] = u, v, sigma
-        c = c - sigma * np.outer(u, v)
-
-    scores_t = xa.values.T @ wa
-    scores_u = xb.values.T @ wb
-    t_sq = np.maximum(np.einsum("ij,ij->j", scores_t, scores_t), 1e-300)
-    u_sq = np.maximum(np.einsum("ij,ij->j", scores_u, scores_u), 1e-300)
-    decomposition = PlsDecomposition(
-        scores_t=scores_t,
-        scores_u=scores_u,
-        loadings_p=xa.values @ scores_t / t_sq,
-        loadings_q=xb.values @ scores_u / u_sq,
-        inner_d=np.diag(np.einsum("ij,ij->j", scores_u, scores_t) / t_sq),
-    )
-    model = SubspaceModel(
-        wa=wa,
-        wb=wb,
+    u, sigmas, vt = np.linalg.svd(c, full_matrices=False)
+    if sigmas[0] < 1e-12:
+        raise NumericalError("no_covariance", "cross-covariance has no structure (all singular values < 1e-12)")
+    signs = column_signs(u[:, :d])
+    return SubspaceModel(
+        wa=u[:, :d] * signs,
+        wb=vt[:d].T * signs,
         method="pls",
         d=d,
         preprocessing=Preprocessing(center_a=mean_a, center_b=mean_b),
-        metadata={"score_covariances": sigmas.tolist()},
+        metadata={"score_covariances": sigmas[:d].tolist()},
         fit_seconds=time.perf_counter() - t0,
     )
-    return model, decomposition

@@ -32,14 +32,15 @@ class PcaModel:
         return self.basis.shape[1]
 
 
+def column_signs(basis: np.ndarray) -> np.ndarray:
+    """-1 for each column whose largest-magnitude entry is negative, else +1."""
+    rows = np.argmax(np.abs(basis), axis=0)
+    return np.where(basis[rows, np.arange(basis.shape[1])] < 0, -1.0, 1.0)
+
+
 def fix_signs(basis: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive."""
-    basis = np.array(basis)
-    for j in range(basis.shape[1]):
-        i = np.argmax(np.abs(basis[:, j]))
-        if basis[i, j] < 0:
-            basis[:, j] = -basis[:, j]
-    return basis
+    return basis * column_signs(basis)
 
 
 def center_fit(x: FeatureMatrix) -> tuple[np.ndarray, FeatureMatrix]:

@@ -25,19 +25,6 @@ class ZeroNormWarning(UserWarning):
     """A query or gallery vector had zero norm; its similarities default to -1."""
 
 
-_zero_norm_count = 0
-
-
-def zero_norm_count() -> int:
-    """Total zero-norm vectors seen by cosine_similarities since the last reset."""
-    return _zero_norm_count
-
-
-def reset_zero_norm_count() -> None:
-    global _zero_norm_count
-    _zero_norm_count = 0
-
-
 @dataclass(frozen=True)
 class RankedList:
     """Gallery permutation for one query, most similar first."""
@@ -67,7 +54,6 @@ class RetrievalEvaluation:
 
 def cosine_similarities(queries: FeatureMatrix, gallery: FeatureMatrix) -> np.ndarray:
     """Query x gallery cosine similarity matrix; zero-norm vectors give -1."""
-    global _zero_norm_count
     if queries.d != gallery.d:
         raise ConfigError("dim_mismatch", f"query dim {queries.d} != gallery dim {gallery.d}")
     qn = np.linalg.norm(queries.values, axis=0)
@@ -76,7 +62,6 @@ def cosine_similarities(queries: FeatureMatrix, gallery: FeatureMatrix) -> np.nd
     dead_g = gn == 0
     n_dead = int(dead_q.sum() + dead_g.sum())
     if n_dead:
-        _zero_norm_count += n_dead
         warnings.warn(ZeroNormWarning(f"{n_dead} zero-norm vectors ranked last (similarity -1)"))
     sims = (queries.values / np.where(dead_q, 1.0, qn)).T @ (gallery.values / np.where(dead_g, 1.0, gn))
     sims[dead_q, :] = -1.0

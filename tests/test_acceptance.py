@@ -69,7 +69,7 @@ def test_criterion_2_pls_oracle():
             ds = paired_dataset(
                 rng.standard_normal((d_a, n)), rng.standard_normal((d_b, n)), np.ones(n, dtype=int)
             )
-            model, _ = fit_pls(ds, d=1)
+            model = fit_pls(ds, d=1)
             xac = ds.xa.values - ds.xa.values.mean(axis=1, keepdims=True)
             xbc = ds.xb.values - ds.xb.values.mean(axis=1, keepdims=True)
             u, _, vt = np.linalg.svd(xac @ xbc.T, full_matrices=False)

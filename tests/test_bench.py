@@ -168,14 +168,19 @@ def test_benchmark_deterministic_modulo_environment():
 
 
 def test_benchmark_records_failures_and_flags_incomplete():
-    # dim far beyond the rank bound makes the fitter reject every repetition
-    specs = (MethodSpec("cca", "cca-bad", dim=500), MethodSpec("pls", "pls", dim=2))
-    report = run_benchmark(small_config(specs, reps=2))
-    bad = report["methods"]["cca-bad"]
-    assert not bad["complete"]
-    assert len(bad["failures"]) == 2
-    assert bad["failures"][0]["code"] == "bad_dim"
-    assert bad["directions"]["a2b"]["summary"] is None
+    # a dim beyond the rank bound, or below 1, makes the fitter reject every repetition
+    bad_specs = (
+        MethodSpec("cca", "cca-bad", dim=500),
+        MethodSpec("cca3v", "cca3v-zero", dim=0),
+        MethodSpec("cca3v", "cca3v-negative", dim=-2),
+    )
+    report = run_benchmark(small_config((*bad_specs, MethodSpec("pls", "pls", dim=2)), reps=2))
+    for spec in bad_specs:
+        bad = report["methods"][spec.label]
+        assert not bad["complete"]
+        assert len(bad["failures"]) == 2
+        assert bad["failures"][0]["code"] == "bad_dim"
+        assert bad["directions"]["a2b"]["summary"] is None
     good = report["methods"]["pls"]
     assert good["complete"] and len(good["directions"]["a2b"]["map_runs"]) == 2
 
@@ -388,6 +393,19 @@ def test_config_round_trip():
     echoed = config_to_dict(config)
     assert echoed["n_train"] == 30
     assert config_from_dict(copy.deepcopy(echoed)) == config
+
+
+def test_config_rejects_acc_k_below_one():
+    spec = (MethodSpec("pls", "pls", dim=2),)
+    for acc_k in (0, -1):
+        with pytest.raises(ConfigError) as err:
+            small_config(spec, metric_mode="acc_at_k", acc_k=acc_k)
+        assert err.value.code == "bad_config"
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(
+                {"dataset": "x", "n_train": 3, "metric_mode": "acc_at_k", "acc_k": acc_k, "methods": [{"name": "pls"}]}
+            )
+        assert err.value.code == "bad_config"
 
 
 def test_config_rejects_unknown_keys():

@@ -19,8 +19,6 @@ from xms.retrieval_eval import (
     evaluate_direction,
     mean_average_precision,
     rank_by_cosine,
-    reset_zero_norm_count,
-    zero_norm_count,
 )
 
 
@@ -73,15 +71,16 @@ def test_similarities_non_increasing(rng):
 
 
 def test_zero_norm_vectors_ranked_last_and_counted(rng):
-    reset_zero_norm_count()
     gallery = np.ones((2, 4))
     gallery[:, 2] = 0.0
-    with pytest.warns(ZeroNormWarning):
+    with pytest.warns(ZeroNormWarning, match=r"^1 zero-norm vectors ranked last"):
         (ranked,) = rank_by_cosine(fm([[1.0], [1.0]]), fm(gallery))
     assert ranked.gallery_order[-1] == 2
     assert ranked.similarities[-1] == -1.0
-    assert zero_norm_count() == 1
-    reset_zero_norm_count()
+    queries = np.zeros((2, 3))
+    queries[:, 1] = 1.0
+    with pytest.warns(ZeroNormWarning, match=r"^3 zero-norm vectors ranked last"):
+        cosine_similarities(fm(queries), fm(gallery))
 
 
 def test_scale_invariance_of_order(rng):
@@ -356,7 +355,6 @@ def test_evaluate_direction_equals_per_query_oracle(case):
         )
         expected = np.arange(queries.n) if true_match is None else true_match
         aps, mean_ap, cmc = oracle_evaluation(queries, gallery, query_labels, gallery_labels, expected, ap_cutoff)
-    reset_zero_norm_count()
     assert np.array_equal(result.per_query_ap, aps)
     assert result.map == mean_ap
     assert np.array_equal(result.acc_at_k, cmc)
