@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import platform
 from dataclasses import dataclass, field
 
@@ -391,8 +392,8 @@ def lambda_sweep(config: BenchmarkConfig, method: str, grid1, grid2, dataset=Non
         raise ConfigError("bad_config", f"lambda_sweep supports lcfs and jfssl, got {method}")
     grid1 = [float(v) for v in grid1]
     grid2 = [float(v) for v in grid2]
-    if any(v < 0 for v in grid1 + grid2):
-        raise ConfigError("bad_config", "lambda grid values must be >= 0")
+    if not all(math.isfinite(v) and v >= 0 for v in grid1 + grid2):
+        raise ConfigError("bad_config", "lambda grid values must be finite and >= 0")
     template = next(
         (spec for spec in config.methods if normalize_method_name(spec.name) == method), MethodSpec(method, method)
     )
@@ -453,6 +454,14 @@ def method_spec_from_dict(entry: dict) -> MethodSpec:
     )
 
 
+def _typed(raw: dict, key: str, kind: type, default=None):
+    """``raw[key]`` (or ``default``), which must be a ``kind``: a bool is not an int here."""
+    value = raw.get(key, default)
+    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+        raise ConfigError("bad_config", f"{key} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 def config_from_dict(raw: dict) -> BenchmarkConfig:
     if "dataset" not in raw or "n_train" not in raw:
         raise ConfigError("bad_config", "config needs 'dataset' and 'n_train'")
@@ -470,16 +479,16 @@ def config_from_dict(raw: dict) -> BenchmarkConfig:
         raise ConfigError("bad_config", f"unknown config keys: {sorted(unknown)}")
     return BenchmarkConfig(
         dataset=raw["dataset"],
-        n_train=int(raw["n_train"]),
+        n_train=_typed(raw, "n_train", int),
         methods=methods,
-        repetitions=int(raw.get("repetitions", 50)),
-        base_seed=int(raw.get("base_seed", 0)),
+        repetitions=_typed(raw, "repetitions", int, 50),
+        base_seed=_typed(raw, "base_seed", int, 0),
         metric_mode=raw.get("metric_mode", "map"),
-        acc_k=int(raw.get("acc_k", 1)),
+        acc_k=_typed(raw, "acc_k", int, 1),
         ap_cutoff=raw.get("ap_cutoff"),
-        stratified=bool(raw.get("stratified", False)),
-        l2_normalize=bool(raw.get("l2_normalize", False)),
-        include_pca_in_timing=bool(raw.get("include_pca_in_timing", False)),
+        stratified=_typed(raw, "stratified", bool, False),
+        l2_normalize=_typed(raw, "l2_normalize", bool, False),
+        include_pca_in_timing=_typed(raw, "include_pca_in_timing", bool, False),
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -116,6 +117,10 @@ class SplitContext:
 @dataclass(frozen=True)
 class _RidgeConfig:
     ridge: float | None = None
+
+    def __post_init__(self):
+        if self.ridge is not None and not (math.isfinite(self.ridge) and self.ridge >= 0):
+            raise ConfigError("bad_hyperparam", f"ridge must be finite and non-negative, got {self.ridge}")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ eigenbasis of the assembled matrix.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -29,10 +31,10 @@ class CdfeConfig:
     knn_k: int = 5
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigError("bad_hyperparam", "alpha and beta must be non-negative")
-        if self.knn_k < 1:
-            raise ConfigError("bad_k", "knn_k must be positive")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.alpha, self.beta)):
+            raise ConfigError("bad_hyperparam", "alpha and beta must be finite and non-negative")
+        if not (isinstance(self.knn_k, numbers.Integral) and self.knn_k >= 1):
+            raise ConfigError("bad_k", "knn_k must be a positive integer")
 
 
 def pair_weights(labels, alpha: float) -> np.ndarray:
@@ -68,14 +70,12 @@ def fit_cdfe(train: PairedMultimodalDataset, d: int | None = None, config: CdfeC
         # local consistency: per-edge-average Laplacian smoothness, so its
         # scale matches the pair-normalized separability terms
         k = min(config.knn_k, train.n - 1)
-        for x, acc in ((xa, "a"), (xb, "b")):
-            graph = knn_graph(x, k)
-            lap = graph.laplacian / max(graph.affinity.sum(), 1e-300)
-            term = config.beta * (x.values @ lap @ x.values.T)
-            if acc == "a":
-                qaa = qaa + term
-            else:
-                qbb = qbb + term
+
+        def smoothness(x):
+            return config.beta * (x.values @ knn_graph(x, k).laplacian_per_weight @ x.values.T)
+
+        qaa = qaa + smoothness(xa)
+        qbb = qbb + smoothness(xb)
     qab = -(xa.values @ s @ xb.values.T)
     q = np.block([[qaa, qab], [qab.T, qbb]])
 

@@ -8,6 +8,8 @@ provably decrease; each recorded trace is therefore non-increasing.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -32,14 +34,14 @@ class SparseCoupledConfig:
     graph_k: int = 5
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ConfigError("bad_hyperparam", "lambda1 and lambda2 must be non-negative")
-        if self.max_iters < 1:
-            raise ConfigError("bad_hyperparam", "max_iters must be >= 1")
-        if self.tol <= 0:
-            raise ConfigError("bad_hyperparam", "tol must be positive")
-        if self.graph_k < 1:
-            raise ConfigError("bad_k", "graph_k must be positive")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.lambda1, self.lambda2)):
+            raise ConfigError("bad_hyperparam", "lambda1 and lambda2 must be finite and non-negative")
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+            raise ConfigError("bad_hyperparam", "max_iters must be an integer >= 1")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError("bad_hyperparam", "tol must be finite and positive")
+        if not (isinstance(self.graph_k, numbers.Integral) and self.graph_k >= 1):
+            raise ConfigError("bad_k", "graph_k must be a positive integer")
 
 
 def smoothed_l21(w: np.ndarray, eps: float = EPS_L21) -> float:

@@ -13,6 +13,8 @@ come from its own GEV.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -40,10 +42,12 @@ class GmaConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError("bad_variant", f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.mu <= 0 or self.alpha <= 0:
-            raise ConfigError("bad_hyperparam", "mu and alpha must be positive")
-        if self.beta < 0:
-            raise ConfigError("bad_hyperparam", "beta must be non-negative")
+        if not all(math.isfinite(v) and v > 0 for v in (self.mu, self.alpha)):
+            raise ConfigError("bad_hyperparam", "mu and alpha must be finite and positive")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ConfigError("bad_hyperparam", "beta must be finite and non-negative")
+        if not all(isinstance(k, numbers.Integral) and k >= 1 for k in (self.mfa_k_intrinsic, self.mfa_k_penalty)):
+            raise ConfigError("bad_k", "mfa_k_intrinsic and mfa_k_penalty must be positive integers")
 
 
 def _variant_blocks(config: GmaConfig, views, labels, n):
@@ -64,8 +68,8 @@ def _variant_blocks(config: GmaConfig, views, labels, n):
             intrinsic, penalty = class_knn_graphs(
                 FeatureMatrix(x), labels, config.mfa_k_intrinsic, config.mfa_k_penalty
             )
-            lap_pen = penalty.laplacian / max(penalty.affinity.sum(), 1e-300)
-            lap_int = intrinsic.laplacian / max(intrinsic.affinity.sum(), 1e-300)
+            lap_pen = penalty.laplacian_per_weight
+            lap_int = intrinsic.laplacian_per_weight
             blocks.append((x @ lap_pen @ x.T, x @ lap_int @ x.T, x / np.sqrt(n)))
     return blocks
 

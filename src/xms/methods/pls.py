@@ -29,7 +29,7 @@ def fit_pls(train: PairedMultimodalDataset, d: int | None = None) -> SubspaceMod
     """
     t0 = time.perf_counter()
     xa, xb, mean_a, mean_b = centered_views(train)
-    d_max = min(train.d_a, train.d_b)
+    d_max = min(train.d_a, train.d_b, train.n - 1)  # rank(C) <= n - 1
     d = min(30, d_max) if d is None else d
     if not 1 <= d <= d_max:
         raise ConfigError("bad_dim", f"d must lie in 1..{d_max}, got {d}")

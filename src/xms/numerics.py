@@ -17,6 +17,7 @@ from .errors import ConfigError, NumericalError
 from .preprocess import fix_signs
 
 COND_LIMIT = 1e12
+_SIGMA_FLOOR = float(np.sqrt(np.finfo(float).tiny))  # sigma**2 stays a normal float
 
 
 @dataclass(frozen=True)
@@ -40,11 +41,19 @@ class ScatterSet:
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Symmetric non-negative affinity with its combinatorial Laplacian."""
+    """Symmetric non-negative affinity with a zero diagonal."""
 
     affinity: np.ndarray
-    laplacian: np.ndarray
-    kind: str
+
+    @property
+    def laplacian(self) -> np.ndarray:
+        """Combinatorial Laplacian D - W."""
+        return np.diag(self.affinity.sum(axis=1)) - self.affinity
+
+    @property
+    def laplacian_per_weight(self) -> np.ndarray:
+        """The Laplacian over the total edge weight, so its scale does not grow with the edge count."""
+        return self.laplacian / max(self.affinity.sum(), 1e-300)
 
 
 def covariances(xa: FeatureMatrix, xb: FeatureMatrix) -> CovarianceSet:
@@ -131,43 +140,36 @@ def _pairwise_sq_dists(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray
     return np.maximum(d2, 0.0)
 
 
-def _laplacian(affinity: np.ndarray) -> np.ndarray:
-    return np.diag(affinity.sum(axis=1)) - affinity
+def _knn_mask(d: np.ndarray, k: int) -> np.ndarray:
+    """Mask of each row's k smallest finite entries, ties to the lower column."""
+    take = np.argsort(d, axis=1, kind="stable")[:, :k]
+    mask = np.zeros(d.shape, dtype=bool)
+    np.put_along_axis(mask, take, np.isfinite(np.take_along_axis(d, take, axis=1)), axis=1)
+    return mask
 
 
-def knn_graph(x: FeatureMatrix, k: int, bandwidth="median") -> GraphSpec:
+def _symmetrized(weights: np.ndarray) -> GraphSpec:
+    """max(w, w'); the diagonal stays 0, as no k-NN mask selects it."""
+    return GraphSpec(affinity=np.maximum(weights, weights.T))
+
+
+def knn_graph(x: FeatureMatrix, k: int) -> GraphSpec:
     """Symmetrized k-NN graph with Gaussian edge weights exp(-dist^2/sigma^2).
 
-    ``bandwidth`` is sigma, or "median" for the median distance over the
-    selected k-NN edges.  Symmetrization keeps max(w_ij, w_ji).
+    sigma is the median distance over the selected k-NN edges, floored so that
+    duplicate samples (distance 0) get weight 1.  Symmetrization keeps
+    max(w_ij, w_ji).
     """
     if k <= 0:
         raise ConfigError("bad_k", f"k must be positive, got {k}")
-    n = x.n
-    if k >= n:
-        raise ConfigError("bad_k", f"k must be < n ({n})")
+    if k >= x.n:
+        raise ConfigError("bad_k", f"k must be < n ({x.n})")
     d2 = _pairwise_sq_dists(x.values)
     np.fill_diagonal(d2, np.inf)
-    # k nearest neighbours per node (ties broken by index via stable argsort)
-    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    mask = np.zeros((n, n), dtype=bool)
-    rows = np.repeat(np.arange(n), k)
-    mask[rows, neighbors.ravel()] = True
-
-    edge_d2 = d2[mask]
-    if bandwidth == "median":
-        sigma = float(np.sqrt(np.median(edge_d2)))
-    else:
-        sigma = float(bandwidth)
-        if sigma <= 0:
-            raise ConfigError("bad_bandwidth", f"bandwidth must be positive, got {bandwidth}")
-    sigma = max(sigma, 1e-300)
-
-    weights = np.zeros((n, n))
-    weights[mask] = np.exp(-d2[mask] / sigma**2)
-    affinity = np.maximum(weights, weights.T)
-    np.fill_diagonal(affinity, 0.0)
-    return GraphSpec(affinity=affinity, laplacian=_laplacian(affinity), kind="intra_modality_knn")
+    mask = _knn_mask(d2, k)
+    sigma = max(float(np.sqrt(np.median(d2[mask]))), _SIGMA_FLOOR)
+    with np.errstate(over="ignore"):  # with sigma at the floor, far pairs get weight exp(-inf) = 0
+        return _symmetrized(np.where(mask, np.exp(-d2 / sigma**2), 0.0))
 
 
 def class_knn_graphs(x: FeatureMatrix, labels, k_intrinsic: int, k_penalty: int) -> tuple[GraphSpec, GraphSpec]:
@@ -180,31 +182,12 @@ def class_knn_graphs(x: FeatureMatrix, labels, k_intrinsic: int, k_penalty: int)
     if k_intrinsic <= 0 or k_penalty <= 0:
         raise ConfigError("bad_k", "graph neighbour counts must be positive")
     labels = np.asarray(labels, dtype=np.int64).ravel()
-    n = x.n
     d2 = _pairwise_sq_dists(x.values)
     np.fill_diagonal(d2, np.inf)
     same = labels[:, None] == labels[None, :]
-
-    intrinsic = np.zeros((n, n))
-    penalty = np.zeros((n, n))
-    for i in range(n):
-        row = d2[i]
-        same_idx = np.flatnonzero(same[i])
-        diff_idx = np.flatnonzero(~same[i])
-        if same_idx.size:
-            take = same_idx[np.argsort(row[same_idx], kind="stable")[:k_intrinsic]]
-            intrinsic[i, take] = 1.0
-        if diff_idx.size:
-            take = diff_idx[np.argsort(row[diff_idx], kind="stable")[:k_penalty]]
-            penalty[i, take] = 1.0
-    intrinsic = np.maximum(intrinsic, intrinsic.T)
-    penalty = np.maximum(penalty, penalty.T)
-    np.fill_diagonal(intrinsic, 0.0)
-    np.fill_diagonal(penalty, 0.0)
-    return (
-        GraphSpec(affinity=intrinsic, laplacian=_laplacian(intrinsic), kind="same_class_intrinsic"),
-        GraphSpec(affinity=penalty, laplacian=_laplacian(penalty), kind="diff_class_penalty"),
-    )
+    intrinsic = _knn_mask(np.where(same, d2, np.inf), k_intrinsic)
+    penalty = _knn_mask(np.where(same, np.inf, d2), k_penalty)
+    return _symmetrized(intrinsic.astype(float)), _symmetrized(penalty.astype(float))
 
 
 def multimodal_graph(dataset: PairedMultimodalDataset, k: int) -> GraphSpec:
@@ -212,29 +195,20 @@ def multimodal_graph(dataset: PairedMultimodalDataset, k: int) -> GraphSpec:
 
     Intra-modality blocks are Gaussian k-NN graphs on each modality.  The
     inter-modality block links true pairs (affinity 1) and, when the feature
-    spaces are comparable (d_a == d_b), same-class cross-modal k-NN pairs.
+    spaces are comparable (d_a == d_b), the union of the a->b and b->a
+    same-class cross-modal k-NN pairs.
     """
     if k <= 0:
         raise ConfigError("bad_k", f"k must be positive, got {k}")
     n = dataset.n
     intra_a = knn_graph(dataset.xa, min(k, n - 1)).affinity
     intra_b = knn_graph(dataset.xb, min(k, n - 1)).affinity
-
-    inter = np.eye(n)  # rows index modality a, columns modality b
-    if dataset.d_a == dataset.d_b and n > 1:
+    inter = np.eye(n, dtype=bool)  # rows index modality a, columns modality b
+    if dataset.d_a == dataset.d_b:
         d2 = _pairwise_sq_dists(dataset.xa.values, dataset.xb.values)
-        same = dataset.labels[:, None] == dataset.labels[None, :]
-        d2 = np.where(same, d2, np.inf)
-        kk = min(k, n)
-        for rowwise in (d2, d2.T):  # a->b and b->a neighbourhoods, unioned
-            neighbors = np.argsort(rowwise, axis=1, kind="stable")[:, :kk]
-            hits = np.zeros((n, n))
-            for i in range(n):
-                take = neighbors[i][np.isfinite(rowwise[i, neighbors[i]])]
-                hits[i, take] = 1.0
-            inter = np.maximum(inter, hits if rowwise is d2 else hits.T)
-    affinity = np.block([[intra_a, inter], [inter.T, intra_b]])
-    return GraphSpec(affinity=affinity, laplacian=_laplacian(affinity), kind="multimodal_block")
+        d2 = np.where(dataset.labels[:, None] == dataset.labels[None, :], d2, np.inf)
+        inter |= _knn_mask(d2, k) | _knn_mask(d2.T, k).T
+    return _symmetrized(np.block([[intra_a, inter], [np.zeros((n, n)), intra_b]]))  # mirrors inter
 
 
 def l21_reweight(w: np.ndarray, eps: float = 1e-6) -> np.ndarray:

@@ -408,6 +408,33 @@ def test_config_rejects_acc_k_below_one():
         assert err.value.code == "bad_config"
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("stratified", "false"),
+        ("l2_normalize", 1),
+        ("include_pca_in_timing", None),
+        ("repetitions", 2.9),
+        ("n_train", "ten"),
+        ("base_seed", True),
+        ("acc_k", 1.0),
+    ],
+)
+def test_config_from_dict_requires_real_bools_and_integers(key, value):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"dataset": "x", "n_train": 3, key: value})
+    assert err.value.code == "bad_config"
+
+
+@pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
+def test_lambda_sweep_rejects_bad_grid_values(bad):
+    config = small_config((MethodSpec("jfssl", "jfssl"),))
+    for grid1, grid2 in (([bad], [0.0]), ([0.0], [bad])):
+        with pytest.raises(ConfigError) as err:
+            lambda_sweep(config, "jfssl", grid1, grid2)
+        assert err.value.code == "bad_config"
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         config_from_dict({"dataset": "x", "n_train": 3, "bogus": 1})

@@ -129,5 +129,6 @@ def test_bench_json_config(tmp_path, dataset_dir):
 
 def test_bench_bad_config_exit_2(tmp_path, capsys):
     config_path = tmp_path / "bad.yaml"
-    config_path.write_text(yaml.safe_dump({"dataset": "x"}))
-    assert main(["bench", "--config", str(config_path), "--out", str(tmp_path / "r.json")]) == 2
+    for bad in ({"dataset": "x"}, {"dataset": "x", "n_train": "ten"}):
+        config_path.write_text(yaml.safe_dump(bad))
+        assert main(["bench", "--config", str(config_path), "--out", str(tmp_path / "r.json")]) == 2

@@ -5,7 +5,7 @@ import pytest
 
 from xms.methods import METHOD_NAMES, SplitContext, fit_method, normalize_method_name, project
 from xms.errors import ConfigError
-from tests.conftest import random_paired_dataset
+from tests.conftest import paired_dataset, random_paired_dataset
 
 HYPERPARAMS = {
     "gmlda": {"beta": 2.0},
@@ -80,6 +80,27 @@ def test_unused_hyperparameters_rejected(rng):
         fit_method(ds, "gmlda", hyperparams={"variant": "blm"})
     with pytest.raises(ConfigError):
         fit_method(ds, "pls", hyperparams={"ridge": 0.1})
+
+
+@pytest.mark.parametrize("name", ["cca", "cca3v"])
+@pytest.mark.parametrize("ridge", [float("nan"), float("inf"), -1e-3])
+def test_ridge_must_be_finite_and_non_negative(rng, name, ridge):
+    ds = random_paired_dataset(rng, n=30, d_a=5, d_b=4, c=2)
+    with pytest.raises(ConfigError) as err:
+        fit_method(ds, name, hyperparams={"ridge": ridge})
+    assert err.value.code == "bad_hyperparam"
+
+
+@pytest.mark.parametrize("name", ["cdfe", "jfssl"])
+def test_graph_methods_fit_duplicated_samples(name):
+    # every pair appears 4 times and integer features make the duplicate
+    # distances exactly 0, so the median k-NN distance is 0
+    rng = np.random.default_rng(4)
+    xa, xb = (rng.integers(-3, 4, size=(6, 20)).astype(float) for _ in range(2))
+    labels = np.arange(20) % 2 + 1
+    ds = paired_dataset(np.repeat(xa, 4, axis=1), np.repeat(xb, 4, axis=1), np.repeat(labels, 4))
+    model = fit(ds, name)
+    assert np.isfinite(model.wa).all() and np.isfinite(model.wb).all()
 
 
 def test_fit_method_rejects_context_of_another_split(rng):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from xms.errors import ConfigError
 from xms.methods import CdfeConfig, fit_cdfe, project
 from xms.methods.cdfe import pair_weights
 from tests.conftest import paired_dataset, random_paired_dataset
@@ -90,3 +91,19 @@ def test_stacked_orthonormality(rng):
     model = fit_cdfe(ds, d=3)
     stacked = np.vstack([model.wa, model.wb])
     np.testing.assert_allclose(stacked.T @ stacked, np.eye(3), atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "field, value, code",
+    [
+        ("alpha", float("nan"), "bad_hyperparam"),
+        ("beta", float("nan"), "bad_hyperparam"),
+        ("beta", float("inf"), "bad_hyperparam"),
+        ("knn_k", float("nan"), "bad_k"),
+        ("knn_k", 2.5, "bad_k"),
+    ],
+)
+def test_config_rejects_non_finite_and_non_integer_values(field, value, code):
+    with pytest.raises(ConfigError) as err:
+        CdfeConfig(**{field: value})
+    assert err.value.code == code

@@ -8,6 +8,27 @@ from xms.methods import SparseCoupledConfig, SplitContext, fit_jfssl, fit_lcfs
 from tests.conftest import paired_dataset, random_paired_dataset
 
 
+@pytest.mark.parametrize(
+    "field, value, code",
+    [
+        ("lambda1", float("nan"), "bad_hyperparam"),
+        ("lambda2", float("nan"), "bad_hyperparam"),
+        ("lambda2", float("inf"), "bad_hyperparam"),
+        ("lambda1", -0.1, "bad_hyperparam"),
+        ("tol", float("nan"), "bad_hyperparam"),
+        ("tol", float("inf"), "bad_hyperparam"),
+        ("max_iters", float("nan"), "bad_hyperparam"),
+        ("max_iters", 2.5, "bad_hyperparam"),
+        ("graph_k", float("nan"), "bad_k"),
+        ("graph_k", float("inf"), "bad_k"),
+    ],
+)
+def test_config_rejects_non_finite_and_non_integer_values(field, value, code):
+    with pytest.raises(ConfigError) as err:
+        SparseCoupledConfig(**{field: value})
+    assert err.value.code == code
+
+
 def direct_least_squares(x, y):
     return np.linalg.lstsq(x.T, y, rcond=None)[0]
 

@@ -59,6 +59,24 @@ def test_gma_variant_validation():
         GmaConfig(beta=-1.0)
 
 
+@pytest.mark.parametrize(
+    "field, value, code",
+    [
+        ("mu", float("nan"), "bad_hyperparam"),
+        ("mu", float("inf"), "bad_hyperparam"),
+        ("alpha", float("nan"), "bad_hyperparam"),
+        ("beta", float("nan"), "bad_hyperparam"),
+        ("beta", float("inf"), "bad_hyperparam"),
+        ("mfa_k_intrinsic", float("nan"), "bad_k"),
+        ("mfa_k_penalty", 0, "bad_k"),
+    ],
+)
+def test_gma_config_rejects_non_finite_and_non_integer_values(field, value, code):
+    with pytest.raises(ConfigError) as err:
+        GmaConfig(**{field: value})
+    assert err.value.code == code
+
+
 def test_gma_deterministic_and_finite(rng):
     ds = random_paired_dataset(rng, n=40, d_a=6, d_b=5, c=2)
     for variant in ("blm", "gmlda", "gmmfa"):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xms.dataset_io import random_split, subset
-from xms.errors import NumericalError
+from xms.errors import ConfigError, NumericalError
 from xms.methods import SplitContext, fit_method, fit_pls
 from xms.synthetic import make_synthetic_dataset
 from tests.conftest import paired_dataset
@@ -90,10 +90,10 @@ def test_zero_cross_covariance_errors():
     st.integers(0, 2**32 - 1),
 )
 def test_weights_are_the_top_singular_pairs(d_a, d_b, n, d_frac, seed):
-    # n - 1 may fall below min(d_a, d_b), and d may exceed the rank of C
+    # n - 1 may fall below min(d_a, d_b); d is drawn up to the cap min(d_a, d_b, n - 1)
     rng = np.random.default_rng(seed)
     ds = paired_dataset(rng.standard_normal((d_a, n)), rng.standard_normal((d_b, n)), np.ones(n, dtype=int))
-    d = 1 + int(d_frac * (min(d_a, d_b) - 1))
+    d = 1 + int(d_frac * (min(d_a, d_b, n - 1) - 1))
     model = fit_pls(ds, d=d)
     c = cross_covariance(ds)
     s = np.linalg.svd(c, compute_uv=False)
@@ -107,6 +107,15 @@ def test_weights_are_the_top_singular_pairs(d_a, d_b, n, d_frac, seed):
     assert np.all(np.diff(sigma) <= 0)
     for j in range(d):
         assert model.wa[np.argmax(np.abs(model.wa[:, j])), j] > 0
+
+
+def test_dim_above_the_rank_bound_rejected(rng):
+    # rank(C) <= n - 1 = 4 although both views have 12 features
+    ds = paired_dataset(rng.standard_normal((12, 5)), rng.standard_normal((12, 5)), np.ones(5, dtype=int))
+    assert fit_pls(ds, d=4).d == 4
+    with pytest.raises(ConfigError) as err:
+        fit_pls(ds, d=5)
+    assert err.value.code == "bad_dim"
 
 
 def test_protocol_split_weights_solve_the_singular_pair_equations():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xms.dataset_io import FeatureMatrix
 from xms.errors import ConfigError, NumericalError
@@ -174,13 +176,22 @@ def test_knn_graph_laplacian_annihilates_ones(rng):
 
 
 def test_knn_graph_three_collinear_points_hand_oracle():
-    g = knn_graph(fm([[0.0, 1.0, 3.0]]), k=2, bandwidth=2.0)
-    # distances: 0-1: 1, 0-2: 3, 1-2: 2; every pair is a kNN edge at k=2
+    g = knn_graph(fm([[0.0, 1.0, 3.0]]), k=2)
+    # distances: 0-1: 1, 0-2: 3, 1-2: 2; every pair is a kNN edge at k=2,
+    # so the median edge distance, the bandwidth, is 2
     expect = lambda dist: np.exp(-(dist**2) / 4.0)
     assert g.affinity[0, 1] == pytest.approx(expect(1.0))
     assert g.affinity[1, 2] == pytest.approx(expect(2.0))
     assert g.affinity[0, 2] == pytest.approx(expect(3.0))
     assert np.all(np.diag(g.affinity) == 0.0)
+
+
+def test_knn_graph_duplicate_samples_get_unit_weight():
+    # the median k-NN distance is 0; the far point's only edge underflows to 0
+    g = knn_graph(fm([[0.0, 0.0, 0.0, 1.0]]), k=1)
+    expect = np.zeros((4, 4))
+    expect[0, 1:3] = expect[1:3, 0] = 1.0
+    assert np.array_equal(g.affinity, expect)
 
 
 def test_knn_graph_invalid_k(rng):
@@ -228,6 +239,96 @@ def test_multimodal_graph_laplacian_psd(rng):
         assert eigs.min() >= -1e-8
         np.testing.assert_allclose(g.laplacian, g.laplacian.T, atol=1e-12)
         assert np.abs(g.laplacian.sum(axis=1)).max() < 1e-10
+
+
+# Per-row loop oracles: a row's k nearest are the first k of its candidates
+# sorted by (squared distance, column), so ties go to the lower column.
+
+
+def _sq_dists(x, y):
+    return ((x[:, :, None] - y[:, None, :]) ** 2).sum(axis=0)  # exact for small-integer coordinates
+
+
+def _nearest(row, candidates, k):
+    return [j for _, j in sorted((row[j], j) for j in candidates)[:k]]
+
+
+def _symmetrized_oracle(w):
+    n = w.shape[0]
+    return np.array([[max(w[i, j], w[j, i]) if i != j else 0.0 for j in range(n)] for i in range(n)])
+
+
+def _laplacian_oracle(a):
+    lap = -a.copy()
+    for i in range(a.shape[0]):
+        lap[i, i] = np.sum(a[i]) - a[i, i]
+    return lap
+
+
+def _knn_graph_oracle(x, k):
+    n = x.shape[1]
+    d2 = _sq_dists(x, x)
+    mask = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        mask[i, _nearest(d2[i], [j for j in range(n) if j != i], k)] = True
+    sigma = max(np.sqrt(np.median(d2[mask])), np.sqrt(np.finfo(float).tiny))
+    w = np.zeros((n, n))
+    with np.errstate(over="ignore"):
+        w[mask] = np.exp(-d2[mask] / sigma**2)
+    return _symmetrized_oracle(w)
+
+
+def _class_knn_oracle(x, labels, k_intrinsic, k_penalty):
+    n = x.shape[1]
+    d2 = _sq_dists(x, x)
+    intrinsic, penalty = np.zeros((n, n)), np.zeros((n, n))
+    for i in range(n):
+        same = [j for j in range(n) if j != i and labels[j] == labels[i]]
+        other = [j for j in range(n) if labels[j] != labels[i]]
+        intrinsic[i, _nearest(d2[i], same, k_intrinsic)] = 1.0
+        penalty[i, _nearest(d2[i], other, k_penalty)] = 1.0
+    return _symmetrized_oracle(intrinsic), _symmetrized_oracle(penalty)
+
+
+def _multimodal_oracle(xa, xb, labels, k):
+    n = xa.shape[1]
+    inter = np.eye(n)
+    if xa.shape[0] == xb.shape[0]:
+        d2 = _sq_dists(xa, xb)
+        for i in range(n):
+            same = [j for j in range(n) if labels[j] == labels[i]]
+            inter[i, _nearest(d2[i], same, k)] = 1.0  # a -> b
+            inter[_nearest(d2[:, i], same, k), i] = 1.0  # b -> a
+    intra_a, intra_b = (_knn_graph_oracle(x, min(k, n - 1)) for x in (xa, xb))
+    return np.block([[intra_a, inter], [inter.T, intra_b]])
+
+
+@st.composite
+def graph_inputs(draw):
+    n = draw(st.integers(2, 9))
+    d_a, d_b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def matrix(d):
+        values = draw(st.lists(st.integers(-2, 2), min_size=d * n, max_size=d * n))
+        return np.array(values, dtype=float).reshape(d, n)
+
+    labels = np.array(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    return matrix(d_a), matrix(d_b), labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_inputs(), st.integers(1, 11), st.integers(1, 11), st.integers(1, 11))
+def test_graph_builders_equal_per_row_oracles(inputs, k, k_intrinsic, k_penalty):
+    # tied distances, classes smaller than k, k above n, one class, n = 2 and d_a != d_b
+    xa, xb, labels = inputs
+    n = xa.shape[1]
+    graphs = [(knn_graph(fm(xa), min(k, n - 1)), _knn_graph_oracle(xa, min(k, n - 1)))]
+    class_graphs = class_knn_graphs(fm(xa), labels, k_intrinsic, k_penalty)
+    graphs += zip(class_graphs, _class_knn_oracle(xa, labels, k_intrinsic, k_penalty))
+    graphs.append((multimodal_graph(paired_dataset(xa, xb, labels), k), _multimodal_oracle(xa, xb, labels, k)))
+    for graph, affinity in graphs:
+        assert np.array_equal(graph.affinity, affinity)
+        assert np.array_equal(graph.laplacian, _laplacian_oracle(affinity))
 
 
 # ---------------------------------------------------------------------------
