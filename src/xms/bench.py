@@ -12,26 +12,33 @@ from __future__ import annotations
 import datetime
 import json
 import math
+import numbers
+import os
 import platform
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 import scipy
-import scipy.stats
+import scipy.special
 
 from ._version import __version__
 from .dataset_io import FeatureMatrix, PairedMultimodalDataset, load_dataset, random_split, stratified_split, subset
 from .errors import ConfigError, XmsError
-from .methods import SplitContext, fit_method, normalize_method_name, project
+from .methods import SplitContext, _pca_options, fit_method, normalize_method_name, project
 from .retrieval_eval import evaluate_direction
 from .synthetic import make_synthetic_dataset
 
 DIRECTIONS = ("a2b", "b2a")
 
 
+def _is_int(value) -> bool:
+    """Whether a config value is an integer: ``numbers.Integral`` and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MethodSpec:
-    """One benchmark entry: a method, its hyperparameters, and PCA setting."""
+    """One benchmark entry: a method, its hyperparameters and PCA setting, type-checked at construction."""
 
     name: str
     label: str
@@ -39,6 +46,22 @@ class MethodSpec:
     dim: int | None = None
     hyperparams: dict = field(default_factory=dict)
     hyperparams_by_metric: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not (isinstance(self.name, str) and isinstance(self.label, str)):
+            raise ConfigError("bad_config", f"method name and label must be strings, got {self.name!r}, {self.label!r}")
+        if not (self.dim is None or _is_int(self.dim)):
+            raise ConfigError("bad_config", f"{self.label}: dim must be an integer or None, got {self.dim!r}")
+        by_metric = self.hyperparams_by_metric
+        if not (
+            isinstance(self.hyperparams, dict)
+            and isinstance(by_metric, dict)
+            and all(isinstance(block, dict) for block in by_metric.values())
+        ):
+            raise ConfigError(
+                "bad_config", f"{self.label}: hyperparams and hyperparams_by_metric and its blocks must be mappings"
+            )
+        _pca_options(self.pca)
 
     def resolved_hyperparams(self, metric_mode: str) -> dict:
         merged = dict(self.hyperparams)
@@ -48,7 +71,9 @@ class MethodSpec:
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    dataset: str | dict
+    """A benchmark run, checked at construction apart from ``n_train < n``, which needs the data."""
+
+    dataset: str | os.PathLike | dict
     n_train: int
     methods: tuple[MethodSpec, ...]
     repetitions: int = 50
@@ -61,14 +86,31 @@ class BenchmarkConfig:
     include_pca_in_timing: bool = False
 
     def __post_init__(self):
+        for name in ("n_train", "repetitions", "base_seed", "acc_k"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError("bad_config", f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("stratified", "l2_normalize", "include_pca_in_timing"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError("bad_config", f"{name} must be true or false, got {getattr(self, name)!r}")
+        if not isinstance(self.dataset, (str, os.PathLike, dict)):
+            raise ConfigError("bad_config", f"dataset must be a directory path or a mapping, got {self.dataset!r}")
+        if not (isinstance(self.methods, tuple) and all(isinstance(spec, MethodSpec) for spec in self.methods)):
+            raise ConfigError("bad_config", f"methods must be a tuple of MethodSpec, got {self.methods!r}")
+        if not self.methods:
+            raise ConfigError("bad_config", "at least one method is required")
+        labels = [spec.label for spec in self.methods]
+        if len(set(labels)) != len(labels):
+            raise ConfigError("bad_config", f"duplicate method labels: {labels}")
         if self.repetitions < 1:
             raise ConfigError("bad_config", "repetitions must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigError("bad_config", f"base_seed must be >= 0, got {self.base_seed}")
         if self.metric_mode not in ("map", "acc_at_k"):
             raise ConfigError("bad_config", f"metric_mode must be 'map' or 'acc_at_k', got {self.metric_mode!r}")
         if self.acc_k < 1:
             raise ConfigError("bad_config", f"acc_k must be >= 1, got {self.acc_k}")
-        if not self.methods:
-            raise ConfigError("bad_config", "at least one method is required")
+        if not (self.ap_cutoff is None or (_is_int(self.ap_cutoff) and self.ap_cutoff >= 1)):
+            raise ConfigError("bad_config", f"ap_cutoff must be None or an integer >= 1, got {self.ap_cutoff!r}")
 
 
 @dataclass(frozen=True)
@@ -139,8 +181,9 @@ def summary_stats(values) -> dict:
 def students_t_test(sample_a, sample_b, method_pair=("a", "b"), direction="", welch=False) -> TTestResult:
     """Two-sample t-test, pooled-variance Student form by default.
 
-    Degenerate convention when the pooled variance is zero: p = 1 for equal
-    means, p = 0 otherwise.
+    The two-sided p-value is ``2 * stdtr(dof, -|t|)`` from the Student t CDF.
+    Degenerate convention when both samples have zero variance: p = 1 for
+    equal means, p = 0 otherwise.
     """
     a = np.asarray(sample_a, dtype=np.float64)
     b = np.asarray(sample_b, dtype=np.float64)
@@ -148,21 +191,18 @@ def students_t_test(sample_a, sample_b, method_pair=("a", "b"), direction="", we
         raise ConfigError("bad_config", "t-test needs at least 2 values per sample")
     var_a, var_b = a.var(ddof=1), b.var(ddof=1)
     diff = a.mean() - b.mean()
-    if welch:
-        if var_a == 0.0 and var_b == 0.0:
-            t, p = (0.0, 1.0) if diff == 0.0 else (np.inf * np.sign(diff), 0.0)
-        else:
-            se = np.sqrt(var_a / a.size + var_b / b.size)
-            t = diff / se
-            dof = se**4 / ((var_a / a.size) ** 2 / (a.size - 1) + (var_b / b.size) ** 2 / (b.size - 1))
-            p = 2.0 * scipy.stats.t.sf(abs(t), dof)
+    if var_a == 0.0 and var_b == 0.0:
+        t, p = (0.0, 1.0) if diff == 0.0 else (np.inf * np.sign(diff), 0.0)
     else:
-        pooled = ((a.size - 1) * var_a + (b.size - 1) * var_b) / (a.size + b.size - 2)
-        if pooled == 0.0:
-            t, p = (0.0, 1.0) if diff == 0.0 else (np.inf * np.sign(diff), 0.0)
+        if welch:
+            se = np.sqrt(var_a / a.size + var_b / b.size)
+            dof = se**4 / ((var_a / a.size) ** 2 / (a.size - 1) + (var_b / b.size) ** 2 / (b.size - 1))
         else:
-            t = diff / np.sqrt(pooled * (1.0 / a.size + 1.0 / b.size))
-            p = 2.0 * scipy.stats.t.sf(abs(t), a.size + b.size - 2)
+            pooled = ((a.size - 1) * var_a + (b.size - 1) * var_b) / (a.size + b.size - 2)
+            se = np.sqrt(pooled * (1.0 / a.size + 1.0 / b.size))
+            dof = a.size + b.size - 2
+        t = diff / se
+        p = 2.0 * scipy.special.stdtr(dof, -abs(t))
     p = float(min(max(p, 0.0), 1.0))
     return TTestResult(tuple(method_pair), direction, float(t), p, p < 0.05)
 
@@ -315,10 +355,6 @@ def run_benchmark(config: BenchmarkConfig, dataset: PairedMultimodalDataset | No
     spec is fitted once per split.
     """
     data = _prepared_data(config, dataset)
-    labels = [spec.label for spec in config.methods]
-    if len(set(labels)) != len(labels):
-        raise ConfigError("bad_config", f"duplicate method labels: {labels}")
-
     runs = {spec.label: _Runs() for spec in config.methods}
     for r, train, test in _splits(data, config):
         context = SplitContext(train)
@@ -434,88 +470,42 @@ def lambda_sweep(config: BenchmarkConfig, method: str, grid1, grid2, dataset=Non
 # config / report plumbing
 
 
-def method_spec_from_dict(entry: dict) -> MethodSpec:
-    try:
-        name = normalize_method_name(entry["name"])
-    except KeyError:
-        raise ConfigError("bad_config", "method entry needs a 'name'") from None
-    pca = entry.get("pca")
-    label = entry.get("label") or (f"pca+{name}" if pca else name)
-    unknown = set(entry) - {"name", "label", "pca", "dim", "hyperparams", "hyperparams_by_metric"}
+def _field_mapping(raw, cls, what: str, defaulted=()) -> dict:
+    """``raw``, checked to be a mapping from ``cls``'s field names that holds
+    every field without a default, apart from those named in ``defaulted``."""
+    if not isinstance(raw, dict):
+        raise ConfigError("bad_config", f"{what} must be a mapping, got {raw!r}")
+    unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigError("bad_config", f"unknown method entry keys: {sorted(unknown)}")
-    return MethodSpec(
-        name=name,
-        label=label,
-        pca=pca,
-        dim=entry.get("dim"),
-        hyperparams=dict(entry.get("hyperparams", {})),
-        hyperparams_by_metric=dict(entry.get("hyperparams_by_metric", {})),
-    )
+        raise ConfigError("bad_config", f"unknown {what} keys: {sorted(map(str, unknown))}")
+    required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+    missing = required - set(defaulted) - set(raw)
+    if missing:
+        raise ConfigError("bad_config", f"{what} needs {sorted(missing)}")
+    return raw
 
 
-def _typed(raw: dict, key: str, kind: type, default=None):
-    """``raw[key]`` (or ``default``), which must be a ``kind``: a bool is not an int here."""
-    value = raw.get(key, default)
-    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
-        raise ConfigError("bad_config", f"{key} must be of type {kind.__name__}, got {value!r}")
-    return value
+def method_spec_from_dict(entry: dict) -> MethodSpec:
+    """A config's method entry; the name is made canonical, and the label
+    defaults to it, with ``pca+`` in front when the entry sets a PCA."""
+    entry = _field_mapping(entry, MethodSpec, "method entry", defaulted=("label",))
+    spec = MethodSpec(**{**entry, "label": ""})
+    name = normalize_method_name(spec.name)
+    return replace(spec, name=name, label=entry.get("label") or (f"pca+{name}" if spec.pca else name))
 
 
 def config_from_dict(raw: dict) -> BenchmarkConfig:
-    if "dataset" not in raw or "n_train" not in raw:
-        raise ConfigError("bad_config", "config needs 'dataset' and 'n_train'")
+    """A config file's mapping; without ``methods``, the default nine-method lineup runs."""
+    raw = _field_mapping(raw, BenchmarkConfig, "config", defaulted=("methods",))
     entries = raw.get("methods")
-    if entries:
-        methods = tuple(method_spec_from_dict(e) for e in entries)
-    else:
-        methods = default_method_specs()
-    known = {
-        "dataset", "n_train", "methods", "repetitions", "base_seed", "metric_mode",
-        "acc_k", "ap_cutoff", "stratified", "l2_normalize", "include_pca_in_timing",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError("bad_config", f"unknown config keys: {sorted(unknown)}")
-    return BenchmarkConfig(
-        dataset=raw["dataset"],
-        n_train=_typed(raw, "n_train", int),
-        methods=methods,
-        repetitions=_typed(raw, "repetitions", int, 50),
-        base_seed=_typed(raw, "base_seed", int, 0),
-        metric_mode=raw.get("metric_mode", "map"),
-        acc_k=_typed(raw, "acc_k", int, 1),
-        ap_cutoff=raw.get("ap_cutoff"),
-        stratified=_typed(raw, "stratified", bool, False),
-        l2_normalize=_typed(raw, "l2_normalize", bool, False),
-        include_pca_in_timing=_typed(raw, "include_pca_in_timing", bool, False),
-    )
+    if entries is not None and not isinstance(entries, (list, tuple)):
+        raise ConfigError("bad_config", f"methods must be a list of method entries, got {entries!r}")
+    methods = tuple(method_spec_from_dict(entry) for entry in entries or ()) or default_method_specs()
+    return BenchmarkConfig(**{**raw, "methods": methods})
 
 
 def config_to_dict(config: BenchmarkConfig) -> dict:
-    return {
-        "dataset": config.dataset,
-        "n_train": config.n_train,
-        "repetitions": config.repetitions,
-        "base_seed": config.base_seed,
-        "metric_mode": config.metric_mode,
-        "acc_k": config.acc_k,
-        "ap_cutoff": config.ap_cutoff,
-        "stratified": config.stratified,
-        "l2_normalize": config.l2_normalize,
-        "include_pca_in_timing": config.include_pca_in_timing,
-        "methods": [
-            {
-                "name": spec.name,
-                "label": spec.label,
-                "pca": spec.pca,
-                "dim": spec.dim,
-                "hyperparams": spec.hyperparams,
-                "hyperparams_by_metric": spec.hyperparams_by_metric,
-            }
-            for spec in config.methods
-        ],
-    }
+    return asdict(config)
 
 
 def _json_float(value: float):

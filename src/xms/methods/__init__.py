@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -48,13 +49,20 @@ def normalize_method_name(name: str) -> str:
     return canonical
 
 
-def _pca_options(pca: dict) -> dict:
-    kind = pca.get("mode")
-    if kind == "energy":
-        return {"energy": float(pca["value"])}
-    if kind == "dim":
-        return {"k": int(pca["value"])}
-    raise ConfigError("bad_pca", f"pca mode must be 'energy' or 'dim', got {kind!r}")
+def _pca_options(pca: dict | None) -> dict:
+    """``pca_fit``'s keyword arguments for a PCA spec; ``{}`` for no PCA (None or an empty mapping).
+
+    A spec is ``{"mode": "energy", "value": <number>}`` or ``{"mode": "dim",
+    "value": <integer>}`` (not a bool); anything else raises ``bad_pca``.
+    """
+    if pca is None or pca == {}:
+        return {}
+    kind, value = (pca.get("mode"), pca.get("value")) if isinstance(pca, dict) else (None, None)
+    if kind == "energy" and isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return {"energy": float(value)}
+    if kind == "dim" and isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return {"k": int(value)}
+    raise ConfigError("bad_pca", f"pca must be {{'mode': 'energy' or 'dim', 'value': <number>}}, got {pca!r}")
 
 
 def _apply_pca(train: PairedMultimodalDataset, options: dict):
@@ -101,10 +109,10 @@ class SplitContext:
         return self._memo[key]
 
     def pca(self, pca: dict | None) -> PcaView:
-        """The split reduced by one PCA spec (``self`` itself when ``pca`` is None)."""
-        if not pca:
-            return PcaView(self, None, None, 0.0)
+        """The split reduced by one PCA spec (``self`` itself when there is none)."""
         options = _pca_options(pca)
+        if not options:
+            return PcaView(self, None, None, 0.0)
 
         def build():
             t0 = time.perf_counter()

@@ -43,14 +43,6 @@ class RetrievalEvaluation:
     per_query_ap: np.ndarray
     acc_at_k: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "direction": self.direction,
-            "map": self.map,
-            "per_query_ap": self.per_query_ap.tolist(),
-            "cmc": self.acc_at_k.tolist(),
-        }
-
 
 def cosine_similarities(queries: FeatureMatrix, gallery: FeatureMatrix) -> np.ndarray:
     """Query x gallery cosine similarity matrix; zero-norm vectors give -1."""

@@ -99,6 +99,22 @@ def test_students_t_pooled_formula(rng):
     assert students_t_test(a, b).t_statistic == pytest.approx(expected_t)
 
 
+def test_welch_matches_integration_oracle():
+    rng = np.random.default_rng(12)
+    for case in range(60):
+        n_a = int(rng.integers(3, 51))
+        n_b = int(rng.integers(3, 51))
+        a = rng.normal(0.0, rng.uniform(0.1, 3.0), size=n_a)
+        b = rng.normal(0.5, rng.uniform(0.1, 3.0), size=n_b)
+        result = students_t_test(a, b, welch=True)
+        se2_a, se2_b = a.var(ddof=1) / n_a, b.var(ddof=1) / n_b
+        # Welch-Satterthwaite degrees of freedom
+        dof = (se2_a + se2_b) ** 2 / (se2_a**2 / (n_a - 1) + se2_b**2 / (n_b - 1))
+        t = (a.mean() - b.mean()) / math.sqrt(se2_a + se2_b)
+        assert result.t_statistic == pytest.approx(t, rel=1e-12)
+        assert result.p_value == pytest.approx(t_cdf_oracle(t, dof), abs=1e-6)
+
+
 def test_welch_variant_differs_under_unequal_variance():
     rng = np.random.default_rng(9)
     a = rng.normal(0, 0.1, size=10)
@@ -394,6 +410,35 @@ def test_config_round_trip():
     assert echoed["n_train"] == 30
     assert config_from_dict(copy.deepcopy(echoed)) == config
 
+    # every field away from its default, through the report's JSON as well
+    spec = MethodSpec(
+        "cca",
+        "tuned",
+        pca={"mode": "energy", "value": 0.9},
+        dim=3,
+        hyperparams={"ridge": 0.1},
+        hyperparams_by_metric={"acc_at_k": {"ridge": 0.2}},
+    )
+    full = BenchmarkConfig(
+        dataset={"synthetic": {"n": 60, "seed": 3}},
+        n_train=30,
+        methods=(spec, MethodSpec("lcfs", "lcfs", hyperparams={"lambda1": 0.1})),
+        repetitions=4,
+        base_seed=7,
+        metric_mode="acc_at_k",
+        acc_k=3,
+        ap_cutoff=10,
+        stratified=True,
+        l2_normalize=True,
+        include_pca_in_timing=True,
+    )
+    for cls, instance in ((BenchmarkConfig, full), (MethodSpec, spec)):
+        for f in dataclasses.fields(cls):
+            default = f.default_factory() if f.default_factory is not dataclasses.MISSING else f.default
+            assert getattr(instance, f.name) != default, f.name
+    assert config_from_dict(copy.deepcopy(config_to_dict(full))) == full
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(full)))) == full
+
 
 def test_config_rejects_acc_k_below_one():
     spec = (MethodSpec("pls", "pls", dim=2),)
@@ -426,6 +471,49 @@ def test_config_from_dict_requires_real_bools_and_integers(key, value):
     assert err.value.code == "bad_config"
 
 
+@pytest.mark.parametrize(
+    "config_fields, spec_fields, code",
+    [
+        pytest.param({}, {"dim": "3"}, "bad_config", id="dim-str"),
+        pytest.param({}, {"dim": 2.0}, "bad_config", id="dim-float"),
+        pytest.param({}, {"dim": True}, "bad_config", id="dim-bool"),
+        pytest.param({}, {"pca": {"mode": "energy", "value": "x"}}, "bad_pca", id="pca-value-str"),
+        pytest.param({}, {"pca": {"mode": "dim", "value": 2.5}}, "bad_pca", id="pca-dim-float"),
+        pytest.param({}, {"pca": {"mode": "variance", "value": 0.9}}, "bad_pca", id="pca-mode"),
+        pytest.param({}, {"pca": 0.98}, "bad_pca", id="pca-not-mapping"),
+        pytest.param({"ap_cutoff": 2.5}, {}, "bad_config", id="ap_cutoff-float"),
+        pytest.param({"ap_cutoff": True}, {}, "bad_config", id="ap_cutoff-bool"),
+        pytest.param({"ap_cutoff": 0}, {}, "bad_config", id="ap_cutoff-zero"),
+        pytest.param({}, {"hyperparams": [1, 2]}, "bad_config", id="hyperparams-list"),
+        pytest.param({}, {"hyperparams_by_metric": {"map": 3}}, "bad_config", id="by_metric-block"),
+        pytest.param({}, {"hyperparams_by_metric": [("map", {})]}, "bad_config", id="by_metric-list"),
+        pytest.param({}, {"name": 3}, "bad_config", id="name-int"),
+        pytest.param({}, {"label": 3}, "bad_config", id="label-int"),
+        pytest.param({"methods": "cca"}, {}, "bad_config", id="methods-str"),
+        pytest.param({"n_train": "ten"}, {}, "bad_config", id="n_train-str"),
+        pytest.param({"base_seed": -1}, {}, "bad_config", id="base_seed-negative"),
+        pytest.param({"dataset": 3}, {}, "bad_config", id="dataset-int"),
+    ],
+)
+def test_mistyped_config_fields_raise_config_error(config_fields, spec_fields, code):
+    dataset = {"synthetic": {"n": 60, "c": 3, "d_a": 10, "d_b": 9, "seed": 3}}
+    entry = {"name": "cca", "label": "cca", "dim": 2, **spec_fields}
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"dataset": dataset, "n_train": 40, "methods": [entry], **config_fields})
+    assert err.value.code == code
+    with pytest.raises(ConfigError) as err:
+        methods = (MethodSpec(**entry),)
+        BenchmarkConfig(**{"dataset": dataset, "n_train": 40, "methods": methods, **config_fields})
+    assert err.value.code == code
+
+
+@pytest.mark.parametrize("raw", [None, [], {"dataset": "x", "n_train": 3, "methods": [["cca"]]}], ids=["none", "list", "entry-list"])
+def test_config_from_dict_requires_mappings(raw):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert err.value.code == "bad_config"
+
+
 @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
 def test_lambda_sweep_rejects_bad_grid_values(bad):
     config = small_config((MethodSpec("jfssl", "jfssl"),))
@@ -433,6 +521,15 @@ def test_lambda_sweep_rejects_bad_grid_values(bad):
         with pytest.raises(ConfigError) as err:
             lambda_sweep(config, "jfssl", grid1, grid2)
         assert err.value.code == "bad_config"
+
+
+def test_config_rejects_duplicate_labels():
+    with pytest.raises(ConfigError) as err:
+        small_config((MethodSpec("cca", "cca", dim=2), MethodSpec("pls", "cca")))
+    assert err.value.code == "bad_config"
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"dataset": "x", "n_train": 3, "methods": [{"name": "cca"}, {"name": "CCA"}]})
+    assert err.value.code == "bad_config"
 
 
 def test_config_rejects_unknown_keys():

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import xms
 from xms.cli import main
 from xms.dataset_io import save_dataset
 from xms.synthetic import make_synthetic_dataset
@@ -129,6 +134,19 @@ def test_bench_json_config(tmp_path, dataset_dir):
 
 def test_bench_bad_config_exit_2(tmp_path, capsys):
     config_path = tmp_path / "bad.yaml"
-    for bad in ({"dataset": "x"}, {"dataset": "x", "n_train": "ten"}):
-        config_path.write_text(yaml.safe_dump(bad))
+    bad_configs = (
+        {"dataset": "x"},
+        {"dataset": "x", "n_train": "ten"},
+        {"dataset": "x", "n_train": 3, "methods": [{"name": "cca", "dim": "3"}]},
+    )
+    for text in [yaml.safe_dump(bad) for bad in bad_configs] + [""]:
+        config_path.write_text(text)
         assert main(["bench", "--config", str(config_path), "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err.startswith("error [bad_config]")
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of the import time; p-values come from scipy.special.stdtr
+    src = str(Path(xms.__file__).resolve().parents[1])
+    code = "import sys, xms.cli; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
