@@ -10,9 +10,9 @@ Student's t-tests against a baseline, and fit timings.
 from __future__ import annotations
 
 import datetime
+import inspect
 import json
 import math
-import numbers
 import os
 import platform
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -23,17 +23,12 @@ import scipy.special
 
 from ._version import __version__
 from .dataset_io import FeatureMatrix, PairedMultimodalDataset, load_dataset, random_split, stratified_split, subset
-from .errors import ConfigError, XmsError
+from .errors import ConfigError, XmsError, is_int
 from .methods import SplitContext, _pca_options, fit_method, normalize_method_name, project
 from .retrieval_eval import evaluate_direction
 from .synthetic import make_synthetic_dataset
 
 DIRECTIONS = ("a2b", "b2a")
-
-
-def _is_int(value) -> bool:
-    """Whether a config value is an integer: ``numbers.Integral`` and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -50,7 +45,7 @@ class MethodSpec:
     def __post_init__(self):
         if not (isinstance(self.name, str) and isinstance(self.label, str)):
             raise ConfigError("bad_config", f"method name and label must be strings, got {self.name!r}, {self.label!r}")
-        if not (self.dim is None or _is_int(self.dim)):
+        if not (self.dim is None or is_int(self.dim)):
             raise ConfigError("bad_config", f"{self.label}: dim must be an integer or None, got {self.dim!r}")
         by_metric = self.hyperparams_by_metric
         if not (
@@ -87,7 +82,7 @@ class BenchmarkConfig:
 
     def __post_init__(self):
         for name in ("n_train", "repetitions", "base_seed", "acc_k"):
-            if not _is_int(getattr(self, name)):
+            if not is_int(getattr(self, name)):
                 raise ConfigError("bad_config", f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("stratified", "l2_normalize", "include_pca_in_timing"):
             if not isinstance(getattr(self, name), bool):
@@ -109,7 +104,7 @@ class BenchmarkConfig:
             raise ConfigError("bad_config", f"metric_mode must be 'map' or 'acc_at_k', got {self.metric_mode!r}")
         if self.acc_k < 1:
             raise ConfigError("bad_config", f"acc_k must be >= 1, got {self.acc_k}")
-        if not (self.ap_cutoff is None or (_is_int(self.ap_cutoff) and self.ap_cutoff >= 1)):
+        if not (self.ap_cutoff is None or (is_int(self.ap_cutoff) and self.ap_cutoff >= 1)):
             raise ConfigError("bad_config", f"ap_cutoff must be None or an integer >= 1, got {self.ap_cutoff!r}")
 
 
@@ -235,7 +230,11 @@ def resolve_dataset(spec) -> PairedMultimodalDataset:
     if isinstance(spec, (str,)) or hasattr(spec, "__fspath__"):
         return load_dataset(spec)
     if isinstance(spec, dict) and "synthetic" in spec:
-        return make_synthetic_dataset(**spec["synthetic"])
+        params = spec["synthetic"]
+        known = inspect.signature(make_synthetic_dataset).parameters
+        if not (isinstance(params, dict) and params.keys() <= known.keys()):
+            raise ConfigError("bad_config", f"synthetic must map {sorted(known)} to values, got {params!r}")
+        return make_synthetic_dataset(**params)
     raise ConfigError("bad_config", "dataset must be a directory path or {'synthetic': {...}}")
 
 

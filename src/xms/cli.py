@@ -104,7 +104,10 @@ def cmd_bench(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = bench_mod.config_from_dict(_load_config_file(args.config))
-    grid = [float(v) for v in args.grid.split(",") if v.strip() != ""]
+    try:
+        grid = [float(v) for v in args.grid.split(",") if v.strip() != ""]
+    except ValueError:
+        raise ConfigError("bad_config", f"--grid must be comma-separated numbers, got {args.grid!r}") from None
     if not grid:
         raise ConfigError("bad_config", "--grid must list at least one value")
     surface = bench_mod.lambda_sweep(config, args.method, grid, grid)

@@ -1,9 +1,16 @@
-"""Exception hierarchy shared by all xms modules.
+"""Exception hierarchy shared by all xms modules, and the config integer rule.
 
 Each exception carries a short machine-readable ``code`` so callers (and the
 CLI) can map failures to exit codes and distinguish error classes without
 parsing messages.
 """
+
+import numbers
+
+
+def is_int(value) -> bool:
+    """Whether a config value is an integer: ``numbers.Integral`` and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class XmsError(Exception):

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from ..dataset_io import PairedMultimodalDataset
-from ..errors import ConfigError
+from ..errors import ConfigError, is_int
 from ..preprocess import pca_apply, pca_fit
 from .cca import fit_cca, fit_cca3v
 from .cdfe import CdfeConfig, fit_cdfe
@@ -60,7 +60,7 @@ def _pca_options(pca: dict | None) -> dict:
     kind, value = (pca.get("mode"), pca.get("value")) if isinstance(pca, dict) else (None, None)
     if kind == "energy" and isinstance(value, numbers.Real) and not isinstance(value, bool):
         return {"energy": float(value)}
-    if kind == "dim" and isinstance(value, numbers.Integral) and not isinstance(value, bool):
+    if kind == "dim" and is_int(value):
         return {"k": int(value)}
     raise ConfigError("bad_pca", f"pca must be {{'mode': 'energy' or 'dim', 'value': <number>}}, got {pca!r}")
 

@@ -11,14 +11,13 @@ eigenbasis of the assembled matrix.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..dataset_io import PairedMultimodalDataset
-from ..errors import ConfigError, NumericalError
+from ..errors import ConfigError, NumericalError, is_int
 from ..numerics import knn_graph, solve_gev
 from .cca import centered_views
 from .model import Preprocessing, SubspaceModel
@@ -33,7 +32,7 @@ class CdfeConfig:
     def __post_init__(self):
         if not all(math.isfinite(v) and v >= 0 for v in (self.alpha, self.beta)):
             raise ConfigError("bad_hyperparam", "alpha and beta must be finite and non-negative")
-        if not (isinstance(self.knn_k, numbers.Integral) and self.knn_k >= 1):
+        if not (is_int(self.knn_k) and self.knn_k >= 1):
             raise ConfigError("bad_k", "knn_k must be a positive integer")
 
 

@@ -9,7 +9,6 @@ provably decrease; each recorded trace is therefore non-increasing.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -17,7 +16,7 @@ import numpy as np
 import scipy.linalg as la
 
 from ..dataset_io import PairedMultimodalDataset, encode_labels
-from ..errors import ConfigError, NumericalError
+from ..errors import ConfigError, NumericalError, is_int
 from ..numerics import l21_reweight, multimodal_graph
 from .model import Preprocessing, SubspaceModel
 
@@ -36,11 +35,11 @@ class SparseCoupledConfig:
     def __post_init__(self):
         if not all(math.isfinite(v) and v >= 0 for v in (self.lambda1, self.lambda2)):
             raise ConfigError("bad_hyperparam", "lambda1 and lambda2 must be finite and non-negative")
-        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+        if not (is_int(self.max_iters) and self.max_iters >= 1):
             raise ConfigError("bad_hyperparam", "max_iters must be an integer >= 1")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ConfigError("bad_hyperparam", "tol must be finite and positive")
-        if not (isinstance(self.graph_k, numbers.Integral) and self.graph_k >= 1):
+        if not (is_int(self.graph_k) and self.graph_k >= 1):
             raise ConfigError("bad_k", "graph_k must be a positive integer")
 
 

@@ -14,7 +14,6 @@ come from its own GEV.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 import scipy.linalg as la
 
 from ..dataset_io import FeatureMatrix, PairedMultimodalDataset
-from ..errors import ConfigError
+from ..errors import ConfigError, is_int
 from ..numerics import class_knn_graphs, default_ridge, scatter, solve_gev
 from .cca import centered_views
 from .model import Preprocessing, SubspaceModel
@@ -46,7 +45,7 @@ class GmaConfig:
             raise ConfigError("bad_hyperparam", "mu and alpha must be finite and positive")
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ConfigError("bad_hyperparam", "beta must be finite and non-negative")
-        if not all(isinstance(k, numbers.Integral) and k >= 1 for k in (self.mfa_k_intrinsic, self.mfa_k_penalty)):
+        if not all(is_int(k) and k >= 1 for k in (self.mfa_k_intrinsic, self.mfa_k_penalty)):
             raise ConfigError("bad_k", "mfa_k_intrinsic and mfa_k_penalty must be positive integers")
 
 

@@ -141,11 +141,24 @@ def _pairwise_sq_dists(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray
 
 
 def _knn_mask(d: np.ndarray, k: int) -> np.ndarray:
-    """Mask of each row's k smallest finite entries, ties to the lower column."""
-    take = np.argsort(d, axis=1, kind="stable")[:, :k]
-    mask = np.zeros(d.shape, dtype=bool)
-    np.put_along_axis(mask, take, np.isfinite(np.take_along_axis(d, take, axis=1)), axis=1)
-    return mask
+    """Mask of each row's k smallest finite entries, ties to the lower column.
+
+    For k >= 1 this is the first k columns of a stable ascending sort of each
+    row (NaN last), less the non-finite ones.  A partition finds each row's
+    k-th smallest value; rows with more than k entries at or below it have a
+    tie there, and fill their last slots with the tied entries in column order.
+    """
+    if k >= d.shape[1]:
+        return np.isfinite(d)
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1 : k]  # NaN: fewer than k non-NaN entries, keep them all
+    mask = d <= kth
+    tied = np.flatnonzero(np.count_nonzero(mask, axis=1) > k)
+    if tied.size:
+        sub, sub_kth = d[tied], kth[tied]
+        below, at = sub < sub_kth, sub == sub_kth
+        slots = k - np.count_nonzero(below, axis=1, keepdims=True)
+        mask[tied] = below | (at & (np.cumsum(at, axis=1) <= slots))
+    return (mask | np.isnan(kth)) & np.isfinite(d)
 
 
 def _symmetrized(weights: np.ndarray) -> GraphSpec:

@@ -138,11 +138,21 @@ def test_bench_bad_config_exit_2(tmp_path, capsys):
         {"dataset": "x"},
         {"dataset": "x", "n_train": "ten"},
         {"dataset": "x", "n_train": 3, "methods": [{"name": "cca", "dim": "3"}]},
+        {"dataset": {"synthetic": {"n": 60, "bogus": 1}}, "n_train": 30, "methods": [{"name": "cca"}]},
+        {"dataset": {"synthetic": [1]}, "n_train": 30, "methods": [{"name": "cca"}]},
     )
     for text in [yaml.safe_dump(bad) for bad in bad_configs] + [""]:
         config_path.write_text(text)
         assert main(["bench", "--config", str(config_path), "--out", str(tmp_path / "r.json")]) == 2
         assert capsys.readouterr().err.startswith("error [bad_config]")
+
+
+def test_sweep_bad_grid_exit_2(tmp_path, dataset_dir, capsys):
+    config_path = tmp_path / "sweep.yaml"
+    config_path.write_text(yaml.safe_dump({"dataset": str(dataset_dir), "n_train": 35, "methods": [{"name": "jfssl"}]}))
+    argv = ["sweep", "--config", str(config_path), "--method", "jfssl", "--out", str(tmp_path / "s.json")]
+    assert main(argv + ["--grid", "0,x"]) == 2
+    assert capsys.readouterr().err.startswith("error [bad_config]")
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

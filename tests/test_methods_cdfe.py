@@ -101,6 +101,7 @@ def test_stacked_orthonormality(rng):
         ("beta", float("inf"), "bad_hyperparam"),
         ("knn_k", float("nan"), "bad_k"),
         ("knn_k", 2.5, "bad_k"),
+        ("knn_k", True, "bad_k"),
     ],
 )
 def test_config_rejects_non_finite_and_non_integer_values(field, value, code):

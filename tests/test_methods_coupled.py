@@ -19,8 +19,10 @@ from tests.conftest import paired_dataset, random_paired_dataset
         ("tol", float("inf"), "bad_hyperparam"),
         ("max_iters", float("nan"), "bad_hyperparam"),
         ("max_iters", 2.5, "bad_hyperparam"),
+        ("max_iters", True, "bad_hyperparam"),
         ("graph_k", float("nan"), "bad_k"),
         ("graph_k", float("inf"), "bad_k"),
+        ("graph_k", True, "bad_k"),
     ],
 )
 def test_config_rejects_non_finite_and_non_integer_values(field, value, code):

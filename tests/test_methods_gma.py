@@ -69,6 +69,8 @@ def test_gma_variant_validation():
         ("beta", float("inf"), "bad_hyperparam"),
         ("mfa_k_intrinsic", float("nan"), "bad_k"),
         ("mfa_k_penalty", 0, "bad_k"),
+        ("mfa_k_intrinsic", True, "bad_k"),
+        ("mfa_k_penalty", True, "bad_k"),
     ],
 )
 def test_gma_config_rejects_non_finite_and_non_integer_values(field, value, code):

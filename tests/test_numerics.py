@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from xms.dataset_io import FeatureMatrix
 from xms.errors import ConfigError, NumericalError
 from xms.numerics import (
+    _knn_mask,
     class_knn_graphs,
     covariances,
     knn_graph,
@@ -329,6 +330,34 @@ def test_graph_builders_equal_per_row_oracles(inputs, k, k_intrinsic, k_penalty)
     for graph, affinity in graphs:
         assert np.array_equal(graph.affinity, affinity)
         assert np.array_equal(graph.laplacian, _laplacian_oracle(affinity))
+
+
+def _knn_mask_oracle(d, k):
+    # first k of each row stably sorted ascending with NaN last, less the non-finite entries
+    mask = np.zeros(d.shape, dtype=bool)
+    for i, row in enumerate(d):
+        order = sorted(range(row.size), key=lambda j: (np.isnan(row[j]), 0.0 if np.isnan(row[j]) else row[j], j))
+        mask[i, [j for j in order[:k] if np.isfinite(row[j])]] = True
+    return mask
+
+
+@st.composite
+def knn_mask_inputs(draw):
+    n, m = draw(st.integers(0, 6)), draw(st.integers(1, 40))
+    base = st.integers(0, 3).map(float) if draw(st.booleans()) else st.floats(0, 1)
+    special = st.sampled_from([np.inf, -np.inf, np.nan])
+    entry = st.one_of(*[base] * draw(st.integers(1, 4)), special)
+    values = np.array(draw(st.lists(entry, min_size=n * m, max_size=n * m)), dtype=float)
+    d = values.reshape(m, n).T if draw(st.booleans()) else values.reshape(n, m)  # transposed: as multimodal_graph
+    return d, draw(st.integers(1, m + 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(knn_mask_inputs())
+def test_knn_mask_equals_stable_sort_oracle(inputs):
+    # ties (small integers), tie-free rows, inf/-inf/NaN, rows with fewer than k finite entries, k >= m
+    d, k = inputs
+    assert np.array_equal(_knn_mask(d, k), _knn_mask_oracle(d, k))
 
 
 # ---------------------------------------------------------------------------
