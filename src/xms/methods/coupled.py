@@ -43,9 +43,9 @@ class SparseCoupledConfig:
             raise ConfigError("bad_k", "graph_k must be a positive integer")
 
 
-def smoothed_l21(w: np.ndarray, eps: float = EPS_L21) -> float:
-    """l21 norm with quadratic smoothing below eps (matches the clamped majorizer)."""
-    r = np.linalg.norm(np.atleast_2d(w), axis=1)
+def smoothed_l21(r: np.ndarray, eps: float = EPS_L21) -> float:
+    """l21 norm of W from its row norms r, with quadratic smoothing below eps
+    (matches the clamped majorizer)."""
     return float(np.where(r >= eps, r, (r**2 + eps**2) / (2 * eps)).sum())
 
 
@@ -57,15 +57,17 @@ def smoothed_trace_norm(m: np.ndarray, eps: float = EPS_TRACE) -> float:
 
 
 def _solve_psd(a: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
-    """Solve the symmetric PSD normal system a w = rhs; min-norm fallback if singular."""
-    try:
-        c, low = la.cho_factor(a)
-        return la.cho_solve((c, low), rhs)
-    except la.LinAlgError:
-        w, _, rank, _ = np.linalg.lstsq(a, rhs, rcond=None)
-        if not np.isfinite(w).all():
-            raise NumericalError("singular_system", f"{context}: singular system; use lambda1 > 0 or add ridge")
-        return w
+    """Solve the symmetric PSD normal system a w = rhs by Cholesky (LAPACK
+    potrf/potrs on the upper triangle); min-norm fallback if singular."""
+    if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
+        raise NumericalError("divergence", f"{context}: non-finite normal system")
+    c, info = la.lapack.dpotrf(a, lower=False, clean=False)
+    if info == 0:
+        return la.lapack.dpotrs(c, rhs, lower=False)[0]
+    w = np.linalg.lstsq(a, rhs, rcond=None)[0]
+    if not np.isfinite(w).all():
+        raise NumericalError("singular_system", f"{context}: singular system; use lambda1 > 0 or add ridge")
+    return w
 
 
 def least_squares_solution(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -112,31 +114,41 @@ def fit_lcfs(
     config = config or SparseCoupledConfig()
     xs, y, grams, rhs0, ws = _regression_start(train, context)
 
-    def objective(ws):
-        m = np.hstack([x.T @ w for x, w in zip(xs, ws)])
-        j = 0.5 * sum(np.sum((x.T @ w - y) ** 2) for x, w in zip(xs, ws))
-        j += config.lambda1 * sum(smoothed_l21(w) for w in ws)
-        if config.lambda2 > 0:
+    def iterate_state(ws):
+        """What the objective and the next reweighting share: the projections
+        x' w, their stack M (when the trace norm is on) and the row norms."""
+        projs = [x.T @ w for x, w in zip(xs, ws)]
+        m = np.hstack(projs) if config.lambda2 > 0 else None
+        return projs, m, [np.linalg.norm(w, axis=1) for w in ws]
+
+    def objective(projs, m, norms):
+        j = 0.5 * sum(np.sum((f - y) ** 2) for f in projs)
+        j += config.lambda1 * sum(smoothed_l21(r) for r in norms)
+        if m is not None:
             j += config.lambda2 * smoothed_trace_norm(m)
         return float(j)
 
-    trace = [objective(ws)]
+    projs, m, norms = iterate_state(ws)
+    trace = [objective(projs, m, norms)]
     _check_finite(trace[0], 0, "lcfs")
     for it in range(config.max_iters):
-        if config.lambda2 > 0:
-            m = np.hstack([x.T @ w for x, w in zip(xs, ws)])
+        if m is not None:
             mu, vec = la.eigh(m @ m.T)
-            inv_sqrt = vec @ np.diag(1.0 / np.sqrt(np.maximum(mu, 0.0) + EPS_TRACE**2)) @ vec.T
+            # vec diag(s) vec' without forming diag(s); C order keeps the BLAS path
+            # (and the rounding) of the explicit product, eigh's vec being Fortran-ordered
+            scaled = np.multiply(vec, 1.0 / np.sqrt(np.maximum(mu, 0.0) + EPS_TRACE**2), order="C")
+            inv_sqrt = scaled @ vec.T
         new_ws = []
         for p, x in enumerate(xs):
             a = grams[p].copy()
             if config.lambda1 > 0:
-                a[np.diag_indices_from(a)] += 2.0 * config.lambda1 * l21_reweight(ws[p]).diagonal()
-            if config.lambda2 > 0:
+                a.flat[:: a.shape[0] + 1] += 2.0 * config.lambda1 * l21_reweight(norms[p], EPS_L21)
+            if m is not None:
                 a += config.lambda2 * (x @ inv_sqrt @ x.T)
             new_ws.append(_solve_psd(a, rhs0[p], "lcfs"))
         ws = new_ws
-        trace.append(objective(ws))
+        projs, m, norms = iterate_state(ws)
+        trace.append(objective(projs, m, norms))
         _check_finite(trace[-1], it + 1, "lcfs")
         if abs(trace[-2] - trace[-1]) <= config.tol * max(abs(trace[-2]), 1.0):
             break
@@ -160,14 +172,15 @@ def fit_lcfs(
 
 
 def _graph_state(train: PairedMultimodalDataset, k: int, context):
-    """The multimodal Laplacian for ``k`` neighbours and the λ-free x L_pp x' terms."""
+    """For the multimodal Laplacian L on ``k`` neighbours: the cross block L_ab
+    (contiguous) and the λ-free x_p L_pp x_p' terms."""
 
     def build():
         n = train.n
         lap = multimodal_graph(train, k).laplacian
         lpp = [lap[:n, :n], lap[n:, n:]]
         xs = (train.xa.values, train.xb.values)
-        return lap, [x @ lpp[p] @ x.T for p, x in enumerate(xs)]
+        return np.ascontiguousarray(lap[:n, n:]), [x @ lpp[p] @ x.T for p, x in enumerate(xs)]
 
     return _shared(train, context, ("multimodal_graph", k), build)
 
@@ -178,6 +191,11 @@ def fit_jfssl(
     """Label-space regression with l21 row sparsity and a multimodal graph
     penalty tying projected neighbours and true pairs together.
 
+    The graph term tr(F L F') of the projected points F = [w_a' x_a, w_b' x_b]
+    is evaluated without L as sum_p tr(w_p' G_p w_p) + 2 tr(w_b' c_b), from the
+    λ-free G_p = x_p L_pp x_p' and the cross product c_b = x_b L_ba x_a' w_a
+    that the w_b update has just formed.
+
     ``context`` (a ``SplitContext`` of ``train``) shares the λ-free start and
     the graph with other fits on the same split.
     """
@@ -187,40 +205,44 @@ def fit_jfssl(
     xs, y, grams, rhs0, ws = _regression_start(train, context)
     xa, xb = xs
     ws = list(ws)
+    graph = config.lambda2 > 0
 
-    if config.lambda2 > 0:
-        lap, graph_products = _graph_state(train, min(config.graph_k, max(n - 1, 1)), context)
-        lab = lap[:n, n:]
+    if graph:
+        lab, graph_products = _graph_state(train, min(config.graph_k, max(n - 1, 1)), context)
         cross_ops = [
-            lambda wb_: xa @ (lab @ (xb.T @ wb_)),
-            lambda wa_: xb @ (lab.T @ (xa.T @ wa_)),
+            lambda proj_b: xa @ (lab @ proj_b),
+            lambda proj_a: xb @ (lab.T @ proj_a),
         ]
         graph_terms = [config.lambda2 * product for product in graph_products]
-    else:
-        lap = None
 
-    def objective(ws):
-        j = sum(np.sum((x.T @ w - y) ** 2) for x, w in zip(xs, ws))
-        j += config.lambda1 * sum(smoothed_l21(w) for w in ws)
-        if lap is not None:
-            f = np.hstack([(xs[p].T @ ws[p]).T for p in range(2)])  # d x 2n projected points
-            j += config.lambda2 * float(np.sum(f * (f @ lap)))
+    def objective(ws, projs, norms, cross_b):
+        j = sum(np.sum((f - y) ** 2) for f in projs)
+        j += config.lambda1 * sum(smoothed_l21(r) for r in norms)
+        if graph:
+            g = sum(np.sum(w * (product @ w)) for w, product in zip(ws, graph_products))
+            j += config.lambda2 * float(g + 2.0 * np.sum(ws[1] * cross_b))
         return float(j)
 
-    trace = [objective(ws)]
+    projs = [x.T @ w for x, w in zip(xs, ws)]
+    norms = [np.linalg.norm(w, axis=1) for w in ws]
+    cross = cross_ops[1](projs[0]) if graph else None
+    trace = [objective(ws, projs, norms, cross)]
     _check_finite(trace[0], 0, "jfssl")
     for it in range(config.max_iters):
-        diags = [l21_reweight(w).diagonal() if config.lambda1 > 0 else None for w in ws]
+        diags = [l21_reweight(r, EPS_L21) for r in norms] if config.lambda1 > 0 else None
         for p in range(2):
             a = grams[p].copy()
-            if diags[p] is not None:
-                a[np.diag_indices_from(a)] += config.lambda1 * diags[p]
-            rhs = rhs0[p].copy()
-            if lap is not None:
+            if diags is not None:
+                a.flat[:: a.shape[0] + 1] += config.lambda1 * diags[p]
+            rhs = rhs0[p]
+            if graph:
                 a += graph_terms[p]
-                rhs -= config.lambda2 * cross_ops[p](ws[1 - p])
+                cross = cross_ops[p](projs[1 - p])
+                rhs = rhs - config.lambda2 * cross
             ws[p] = _solve_psd(a, rhs, "jfssl")
-        trace.append(objective(ws))
+            projs[p] = xs[p].T @ ws[p]
+        norms = [np.linalg.norm(w, axis=1) for w in ws]
+        trace.append(objective(ws, projs, norms, cross))
         _check_finite(trace[-1], it + 1, "jfssl")
         if abs(trace[-2] - trace[-1]) <= config.tol * max(abs(trace[-2]), 1.0):
             break

@@ -224,12 +224,12 @@ def multimodal_graph(dataset: PairedMultimodalDataset, k: int) -> GraphSpec:
     return _symmetrized(np.block([[intra_a, inter], [np.zeros((n, n)), intra_b]]))  # mirrors inter
 
 
-def l21_reweight(w: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Half-quadratic majorizer diagonal of the l21 norm: D_ii = 1/(2 max(||row_i||, eps))."""
+def l21_reweight(row_norms: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    """Half-quadratic majorizer diagonal of the l21 norm of W, as a vector, from
+    W's row norms: D_ii = 1/(2 max(||row_i||, eps))."""
     if eps <= 0:
         raise ConfigError("bad_eps", f"eps must be positive, got {eps}")
-    row_norms = np.linalg.norm(np.atleast_2d(w), axis=1)
-    return np.diag(1.0 / (2.0 * np.maximum(row_norms, eps)))
+    return 1.0 / (2.0 * np.maximum(row_norms, eps))
 
 
 def singular_value_shrink(m: np.ndarray, tau: float) -> np.ndarray:

@@ -140,6 +140,10 @@ def test_bench_bad_config_exit_2(tmp_path, capsys):
         {"dataset": "x", "n_train": 3, "methods": [{"name": "cca", "dim": "3"}]},
         {"dataset": {"synthetic": {"n": 60, "bogus": 1}}, "n_train": 30, "methods": [{"name": "cca"}]},
         {"dataset": {"synthetic": [1]}, "n_train": 30, "methods": [{"name": "cca"}]},
+        *(
+            {"dataset": {"synthetic": synthetic}, "n_train": 30, "methods": [{"name": "cca"}]}
+            for synthetic in ({"n": "60"}, {"n": 60.5}, {"n": 60, "seed": -1}, {"noise_sd": "x"}, {"c": True})
+        ),
     )
     for text in [yaml.safe_dump(bad) for bad in bad_configs] + [""]:
         config_path.write_text(text)

@@ -1,10 +1,13 @@
 import numpy as np
+import scipy.linalg as la
 
 from xms.dataset_io import encode_labels
-from xms.errors import ConfigError
+from xms.errors import ConfigError, NumericalError
 import pytest
 
 from xms.methods import SparseCoupledConfig, SplitContext, fit_jfssl, fit_lcfs
+from xms.methods.coupled import EPS_L21, EPS_TRACE, _solve_psd, smoothed_trace_norm
+from xms.numerics import multimodal_graph
 from tests.conftest import paired_dataset, random_paired_dataset
 
 
@@ -147,3 +150,163 @@ def test_context_of_another_split_rejected(rng):
         with pytest.raises(ConfigError):
             fitter(ds, SparseCoupledConfig(), context=other)
 
+
+
+# ---------------------------------------------------------------------------
+# the iterations against their first, plainly written form
+
+
+def cho_solve(a, rhs):
+    return la.cho_solve(la.cho_factor(a), rhs)
+
+
+def dense_l21(w):
+    r = np.linalg.norm(w, axis=1)
+    return np.where(r >= EPS_L21, r, (r**2 + EPS_L21**2) / (2 * EPS_L21)).sum()
+
+
+def dense_jfssl_objective(ds, cfg, ws, lap):
+    """JFSSL's objective with the graph term read off the dense 2n x 2n Laplacian."""
+    xs, y = (ds.xa.values, ds.xb.values), encode_labels(ds.labels, ds.c)
+    j = sum(np.sum((x.T @ w - y) ** 2) for x, w in zip(xs, ws))
+    j += cfg.lambda1 * sum(dense_l21(w) for w in ws)
+    if lap is not None:
+        f = np.hstack([(x.T @ w).T for x, w in zip(xs, ws)])  # c x 2n projected points
+        j += cfg.lambda2 * float(np.sum(f * (f @ lap)))
+    return float(j)
+
+
+def jfssl_laplacian(ds, cfg):
+    return multimodal_graph(ds, min(cfg.graph_k, max(ds.n - 1, 1))).laplacian if cfg.lambda2 > 0 else None
+
+
+def reference_jfssl(ds, cfg):
+    """JFSSL with a dense-Laplacian objective and scipy's cho_factor/cho_solve."""
+    n, xs, y = ds.n, (ds.xa.values, ds.xb.values), encode_labels(ds.labels, ds.c)
+    grams, rhs0 = [x @ x.T for x in xs], [x @ y for x in xs]
+    ws = [cho_solve(g, r) for g, r in zip(grams, rhs0)]
+    lap = jfssl_laplacian(ds, cfg)
+    trace = [dense_jfssl_objective(ds, cfg, ws, lap)]
+    for _ in range(cfg.max_iters):
+        diags = [1.0 / (2.0 * np.maximum(np.linalg.norm(w, axis=1), EPS_L21)) for w in ws]
+        for p in range(2):
+            a = grams[p].copy()
+            if cfg.lambda1 > 0:
+                a[np.diag_indices_from(a)] += cfg.lambda1 * diags[p]
+            rhs = rhs0[p].copy()
+            if lap is not None:
+                lab = lap[:n, n:] if p == 0 else lap[:n, n:].T
+                a += cfg.lambda2 * (xs[p] @ lap[p * n : (p + 1) * n, p * n : (p + 1) * n] @ xs[p].T)
+                rhs -= cfg.lambda2 * (xs[p] @ (lab @ (xs[1 - p].T @ ws[1 - p])))
+            ws[p] = cho_solve(a, rhs)
+        trace.append(dense_jfssl_objective(ds, cfg, ws, lap))
+        if abs(trace[-2] - trace[-1]) <= cfg.tol * max(abs(trace[-2]), 1.0):
+            break
+    return ws, len(trace) - 1
+
+
+def reference_lcfs(ds, cfg):
+    """LCFS with explicit diagonal matrices and scipy's cho_factor/cho_solve."""
+    xs, y = (ds.xa.values, ds.xb.values), encode_labels(ds.labels, ds.c)
+    grams, rhs0 = [x @ x.T for x in xs], [x @ y for x in xs]
+    ws = [cho_solve(g, r) for g, r in zip(grams, rhs0)]
+
+    def objective(ws):
+        j = 0.5 * sum(np.sum((x.T @ w - y) ** 2) for x, w in zip(xs, ws))
+        j += cfg.lambda1 * sum(dense_l21(w) for w in ws)
+        if cfg.lambda2 > 0:
+            j += cfg.lambda2 * smoothed_trace_norm(np.hstack([x.T @ w for x, w in zip(xs, ws)]))
+        return float(j)
+
+    trace = [objective(ws)]
+    for _ in range(cfg.max_iters):
+        if cfg.lambda2 > 0:
+            m = np.hstack([x.T @ w for x, w in zip(xs, ws)])
+            mu, vec = la.eigh(m @ m.T)
+            inv_sqrt = vec @ np.diag(1.0 / np.sqrt(np.maximum(mu, 0.0) + EPS_TRACE**2)) @ vec.T
+        new_ws = []
+        for p, x in enumerate(xs):
+            a = grams[p].copy()
+            if cfg.lambda1 > 0:
+                diag = 1.0 / (2.0 * np.maximum(np.linalg.norm(ws[p], axis=1), EPS_L21))
+                a[np.diag_indices_from(a)] += 2.0 * cfg.lambda1 * diag
+            if cfg.lambda2 > 0:
+                a += cfg.lambda2 * (x @ inv_sqrt @ x.T)
+            new_ws.append(cho_solve(a, rhs0[p]))
+        ws = new_ws
+        trace.append(objective(ws))
+        if abs(trace[-2] - trace[-1]) <= cfg.tol * max(abs(trace[-2]), 1.0):
+            break
+    return ws, len(trace) - 1
+
+
+REFERENCE_CASES = [
+    # (n, d_a, d_b, c, lambda1, lambda2, graph_k): d_a == d_b adds cross-modal k-NN links
+    (40, 6, 6, 3, 0.05, 0.1, 3),
+    (50, 7, 5, 2, 0.5, 0.02, 5),
+    (30, 5, 5, 2, 0.0, 0.3, 4),
+    (30, 6, 4, 3, 0.2, 0.0, 5),
+    (12, 5, 5, 3, 0.1, 1.0, 50),
+    (35, 8, 8, 4, 1e-3, 2.0, 35),
+]
+
+
+@pytest.mark.parametrize("n, d_a, d_b, c, lambda1, lambda2, k", REFERENCE_CASES)
+@pytest.mark.parametrize("seed", range(3))
+def test_jfssl_equals_dense_laplacian_reference(seed, n, d_a, d_b, c, lambda1, lambda2, k):
+    ds = random_paired_dataset(np.random.default_rng(seed), n=n, d_a=d_a, d_b=d_b, c=c)
+    cfg = SparseCoupledConfig(lambda1=lambda1, lambda2=lambda2, graph_k=k, max_iters=60)
+    model = fit_jfssl(ds, cfg)
+    (wa, wb), iterations = reference_jfssl(ds, cfg)
+    assert np.array_equal(model.wa, wa) and np.array_equal(model.wb, wb)
+    assert model.hyperparams["iterations"] == iterations
+
+
+@pytest.mark.parametrize("n, d_a, d_b, c, lambda1, lambda2, k", REFERENCE_CASES)
+@pytest.mark.parametrize("seed", range(3))
+def test_lcfs_equals_explicit_diagonal_reference(seed, n, d_a, d_b, c, lambda1, lambda2, k):
+    ds = random_paired_dataset(np.random.default_rng(seed), n=n, d_a=d_a, d_b=d_b, c=c)
+    cfg = SparseCoupledConfig(lambda1=lambda1, lambda2=lambda2, max_iters=60)
+    model = fit_lcfs(ds, cfg)
+    (wa, wb), iterations = reference_lcfs(ds, cfg)
+    assert np.array_equal(model.wa, wa) and np.array_equal(model.wb, wb)
+    assert model.hyperparams["iterations"] == iterations
+
+
+@pytest.mark.parametrize("n, d_a, d_b, c, lambda1, lambda2, k", REFERENCE_CASES)
+def test_jfssl_trace_equals_dense_objective(rng, n, d_a, d_b, c, lambda1, lambda2, k):
+    ds = random_paired_dataset(rng, n=n, d_a=d_a, d_b=d_b, c=c)
+    for max_iters in (1, 2, 5, 60):
+        cfg = SparseCoupledConfig(lambda1=lambda1, lambda2=lambda2, graph_k=k, max_iters=max_iters)
+        model = fit_jfssl(ds, cfg)
+        dense = dense_jfssl_objective(ds, cfg, (model.wa, model.wb), jfssl_laplacian(ds, cfg))
+        assert model.metadata["objective_trace"][-1] == pytest.approx(dense, rel=1e-12)
+
+
+def test_solve_psd_equals_cho_solve(rng):
+    for d in (1, 3, 8, 40):
+        for _ in range(20):
+            x = rng.standard_normal((d, d + 5))
+            a, rhs = x @ x.T, rng.standard_normal((d, 3))
+            assert np.array_equal(_solve_psd(a, rhs, "test"), cho_solve(a, rhs))
+
+
+def test_solve_psd_singular_takes_min_norm_lstsq():
+    x = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 1.0]])  # rows 0 and 1 proportional: x x' has rank 2
+    a, rhs = x @ x.T, x @ np.array([[1.0, -1.0], [0.5, 2.0]])
+    with pytest.raises(la.LinAlgError):
+        la.cho_factor(a)
+    w = _solve_psd(a, rhs, "test")
+    np.testing.assert_array_equal(w, np.linalg.lstsq(a, rhs, rcond=None)[0])
+    np.testing.assert_allclose(a @ w, rhs, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["a", "rhs"])
+def test_solve_psd_non_finite_raises(rng, bad, where):
+    x = rng.standard_normal((4, 9))
+    system = {"a": x @ x.T, "rhs": rng.standard_normal((4, 2))}
+    system[where][1, 1] = bad
+    with pytest.raises(NumericalError) as err:
+        _solve_psd(system["a"], system["rhs"], "test")
+    assert err.value.code == "divergence"

@@ -366,14 +366,17 @@ def test_knn_mask_equals_stable_sort_oracle(inputs):
 
 def test_l21_reweight_formula():
     w = np.array([[1.0, 0.0], [0.0, 2.0]])
-    d = l21_reweight(w, eps=1e-12)
-    np.testing.assert_allclose(np.diag(d), [0.5, 0.25])
+    d = l21_reweight(np.linalg.norm(w, axis=1), eps=1e-12)
+    assert d.shape == (2,)
+    np.testing.assert_array_equal(d, 1.0 / (2.0 * np.maximum(np.linalg.norm(w, axis=1), 1e-12)))
+    np.testing.assert_allclose(d, [0.5, 0.25])
 
 
 def test_l21_reweight_clamps_zero_rows():
-    d = l21_reweight(np.array([[0.0, 0.0], [3.0, 4.0]]), eps=1e-6)
-    assert d[0, 0] == pytest.approx(5e5)
-    assert d[1, 1] == pytest.approx(0.1)
+    d = l21_reweight(np.linalg.norm(np.array([[0.0, 0.0], [3.0, 4.0]]), axis=1), eps=1e-6)
+    assert d.shape == (2,)
+    assert d[0] == pytest.approx(5e5)
+    assert d[1] == pytest.approx(0.1)
 
 
 def test_l21_majorization_inequality(rng):
@@ -381,11 +384,11 @@ def test_l21_majorization_inequality(rng):
     for _ in range(100):
         w0 = rng.standard_normal((6, 3))
         w = rng.standard_normal((6, 3))
-        d = l21_reweight(w0, eps=1e-12)
+        d = l21_reweight(np.linalg.norm(w0, axis=1), eps=1e-12)
         l21 = lambda m: np.linalg.norm(m, axis=1).sum()
-        surrogate = np.trace(w.T @ d @ w) + 0.5 * l21(w0)
+        surrogate = np.sum(d[:, None] * w * w) + 0.5 * l21(w0)
         assert surrogate >= l21(w) - 1e-9
-        at_w0 = np.trace(w0.T @ d @ w0) + 0.5 * l21(w0)
+        at_w0 = np.sum(d[:, None] * w0 * w0) + 0.5 * l21(w0)
         assert at_w0 == pytest.approx(l21(w0))
 
 
