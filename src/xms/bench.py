@@ -4,11 +4,13 @@ One benchmark run draws ``repetitions`` random train/test splits (repetition
 r uses seed ``base_seed + r``), fits every configured method on each training
 split, evaluates both query directions on the held-out pairs, and aggregates
 min/max/mean/var/std summaries, mean CMC curves, box-plot statistics,
-Student's t-tests against a baseline, and fit timings.
+Student's t-tests against a baseline, and fit timings.  The splits run in
+parallel, one forked worker process per usable CPU (``_all_runs``).
 """
 
 from __future__ import annotations
 
+import ctypes
 import datetime
 import inspect
 import json
@@ -275,17 +277,6 @@ def _prepared_data(config: BenchmarkConfig, dataset) -> PairedMultimodalDataset:
     return data
 
 
-def _splits(data: PairedMultimodalDataset, config: BenchmarkConfig):
-    """Yield (repetition, train, test); repetition r splits with seed base_seed + r."""
-    for r in range(config.repetitions):
-        seed = config.base_seed + r
-        if config.stratified:
-            plan = stratified_split(data.labels, config.n_train, seed)
-        else:
-            plan = random_split(data.n, config.n_train, seed)
-        yield r, subset(data, plan.train_indices), subset(data, plan.test_indices)
-
-
 @dataclass
 class _Runs:
     """Per-repetition outcomes of one method spec: metrics, CMC curves, fit times, failures."""
@@ -342,6 +333,116 @@ class _Runs:
             "complete": not self.failures,
         }
 
+    @classmethod
+    def concat(cls, parts) -> "_Runs":
+        """One spec's runs over several splits, in the order given."""
+        whole = cls()
+        for part in parts:
+            for direction in DIRECTIONS:
+                whole.metric[direction] += part.metric[direction]
+                whole.cmc[direction] += part.cmc[direction]
+            whole.fit_seconds += part.fit_seconds
+            whole.failures += part.failures
+        return whole
+
+
+def _split_runs(r: int, data: PairedMultimodalDataset, config: BenchmarkConfig, specs) -> list[_Runs]:
+    """Repetition r: split with seed base_seed + r, then fit and evaluate every spec against one
+    ``SplitContext``, which is dropped on return; the runs of each spec on this split."""
+    seed = config.base_seed + r
+    if config.stratified:
+        plan = stratified_split(data.labels, config.n_train, seed)
+    else:
+        plan = random_split(data.n, config.n_train, seed)
+    train, test = subset(data, plan.train_indices), subset(data, plan.test_indices)
+    context = SplitContext(train)
+    runs = [_Runs() for _ in specs]
+    for spec, spec_runs in zip(specs, runs):
+        spec_runs.record(spec, context, test, config, r)
+    return runs
+
+
+def _worker_count(repetitions: int) -> int:
+    """Processes to run the repetitions in: one per CPU in this process's affinity mask, at most one
+    per repetition.  1 runs them in this process; so do platforms without fork or an affinity mask,
+    and daemonic processes (pool workers), which may not start processes of their own."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    workers = min(len(os.sched_getaffinity(0)), repetitions)
+    if workers > 1:
+        import multiprocessing
+
+        if multiprocessing.current_process().daemon:
+            return 1
+    return workers
+
+
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _pin_blas_threads() -> None:
+    """Set every OpenBLAS loaded in this process to one thread.
+
+    numpy and scipy each load their own OpenBLAS, and ``scipy.linalg``'s
+    LAPACK runs on scipy's, so both are set.  A library without a known
+    setter, or a system without ``/proc/self/maps``, is left as it is.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        setter = next((getattr(handle, name) for name in _BLAS_THREAD_SETTERS if hasattr(handle, name)), None)
+        if setter is not None:
+            setter(1)
+
+
+_worker_args = None  # (data, config, specs), inherited from the parent when the pool forks
+
+
+def _start_worker(data, config, specs) -> None:
+    global _worker_args
+    _worker_args = (data, config, specs)
+    _pin_blas_threads()  # workers already share the CPUs; BLAS threads on top would oversubscribe them
+
+
+def _worker_split_runs(r: int) -> list[_Runs]:
+    return _split_runs(r, *_worker_args)
+
+
+def _all_runs(data: PairedMultimodalDataset, config: BenchmarkConfig, specs, workers: int) -> list[_Runs]:
+    """Every spec's runs over all repetitions, merged in repetition order.
+
+    With more than one worker, the repetitions run on a pool of that many
+    forked processes, started for this call.  The data, config and specs
+    reach them by inheritance; only repetition numbers go out and only runs
+    come back, in repetition order, so the merged runs equal a serial run's.
+    An error in a repetition is raised here once the workers have finished
+    the repetitions they hold; a worker that dies raises ``BrokenProcessPool``.
+    """
+    if workers == 1:
+        splits = [_split_runs(r, data, config, specs) for r in range(config.repetitions)]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _start_worker, (data, config, specs))
+        try:
+            splits = list(pool.map(_worker_split_runs, range(config.repetitions)))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return [_Runs.concat(parts) for parts in zip(*splits)]
+
 
 def _metric_name(config: BenchmarkConfig) -> str:
     return "map" if config.metric_mode == "map" else f"acc@{config.acc_k}"
@@ -351,22 +452,21 @@ def run_benchmark(config: BenchmarkConfig, dataset: PairedMultimodalDataset | No
     """Execute the full repeated-split protocol and return the report dict.
 
     All methods fitted on one split share its ``SplitContext``, so each PCA
-    spec is fitted once per split.
+    spec is fitted once per split.  Repetitions run in parallel, one forked
+    worker per usable CPU (see ``_all_runs``); the report is the same for any
+    worker count, apart from ``environment`` and the timing fields.
     """
     data = _prepared_data(config, dataset)
-    runs = {spec.label: _Runs() for spec in config.methods}
-    for r, train, test in _splits(data, config):
-        context = SplitContext(train)
-        for spec in config.methods:
-            runs[spec.label].record(spec, context, test, config, r)
+    workers = _worker_count(config.repetitions)
+    runs = _all_runs(data, config, config.methods, workers)
 
     methods_out = {}
     box_out = {}
-    for spec in config.methods:
-        methods_out[spec.label] = runs[spec.label].entry(spec, _metric_name(config))
+    for spec, spec_runs in zip(config.methods, runs):
+        methods_out[spec.label] = spec_runs.entry(spec, _metric_name(config))
         box_out[spec.label] = {
             direction: box_stats(metric_runs).to_dict()
-            for direction, metric_runs in runs[spec.label].metric.items()
+            for direction, metric_runs in spec_runs.metric.items()
             if metric_runs
         }
 
@@ -375,7 +475,7 @@ def run_benchmark(config: BenchmarkConfig, dataset: PairedMultimodalDataset | No
         "methods": methods_out,
         "ttests": [],
         "box_stats": box_out,
-        "environment": environment_stamp(),
+        "environment": environment_stamp(workers),
     }
 
 
@@ -420,7 +520,8 @@ def lambda_sweep(config: BenchmarkConfig, method: str, grid1, grid2, dataset=Non
     ``run_benchmark`` of that cell alone.  The sweep runs split by split: all
     cells are fitted against one ``SplitContext``, which is dropped before the
     next split, so the PCA, Grams, least-squares start and graph are built once
-    per split and only one split's state is alive at a time.
+    per split.  Splits run in parallel as in ``run_benchmark``, so one split's
+    state is alive per worker at a time.
     """
     method = normalize_method_name(method)
     if method not in ("lcfs", "jfssl"):
@@ -435,20 +536,19 @@ def lambda_sweep(config: BenchmarkConfig, method: str, grid1, grid2, dataset=Non
     data = _prepared_data(config, dataset)
 
     base = template.resolved_hyperparams(config.metric_mode)
-    cells = []
-    for i, l1 in enumerate(grid1):
-        for j, l2 in enumerate(grid2):
-            hp = {**base, "lambda1": l1, "lambda2": l2}
-            cells.append((i, j, MethodSpec(method, template.label, pca=template.pca, hyperparams=hp), _Runs()))
-    for r, train, test in _splits(data, config):
-        context = SplitContext(train)  # replaces, and so frees, the previous split's context
-        for _, _, spec, runs in cells:
-            runs.record(spec, context, test, config, r)
+    cells = [(i, j) for i in range(len(grid1)) for j in range(len(grid2))]
+    specs = [
+        MethodSpec(
+            method, template.label, pca=template.pca, hyperparams={**base, "lambda1": grid1[i], "lambda2": grid2[j]}
+        )
+        for i, j in cells
+    ]
+    runs = _all_runs(data, config, specs, _worker_count(config.repetitions))
 
     surfaces = {d: [[None] * len(grid2) for _ in grid1] for d in DIRECTIONS}
     failed_cells = []
-    for i, j, spec, runs in cells:
-        entry = runs.entry(spec, _metric_name(config))
+    for (i, j), spec, cell_runs in zip(cells, specs, runs):
+        entry = cell_runs.entry(spec, _metric_name(config))
         if not entry["complete"] and not any(entry["directions"][d]["map_runs"] for d in DIRECTIONS):
             failed_cells.append({"lambda1": grid1[i], "lambda2": grid2[j], "failures": entry["failures"]})
             continue
@@ -511,8 +611,10 @@ def _json_float(value: float):
     return float(value) if np.isfinite(value) else None
 
 
-def environment_stamp() -> dict:
+def environment_stamp(workers: int) -> dict:
+    """Versions, platform and time of a run, and the processes its repetitions ran in."""
     return {
+        "workers": workers,
         "xms_version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,

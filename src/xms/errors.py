@@ -22,6 +22,11 @@ class XmsError(Exception):
         super().__init__(message)
         self.code = code
 
+    def __reduce__(self):
+        # ``args`` holds only the message, so the default reduction cannot rebuild the error;
+        # a pickle round trip (say, from a worker process) keeps the class, code and message
+        return type(self), (self.code, str(self))
+
 
 class ConfigError(XmsError):
     """Invalid configuration, hyperparameters, or CLI arguments."""

@@ -2,7 +2,15 @@ import copy
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
+import pickle
+import signal
+import subprocess
+import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +30,13 @@ from xms.bench import (
     summary_stats,
 )
 import xms.bench
+import xms.cli
 import xms.methods
 from xms.dataset_io import random_split, subset
-from xms.errors import ConfigError, NumericalError
+from xms.errors import ConfigError, DataError, NumericalError, XmsError
 from xms.synthetic import make_synthetic_dataset
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def t_cdf_oracle(t, dof):
@@ -303,8 +314,8 @@ def test_lambda_sweep_equals_cell_by_cell(method, template, options):
     assert surface["failed_cells"] == oracle["failed_cells"] == []
 
 
-def test_lambda_sweep_failures_equal_cell_by_cell(monkeypatch):
-    config = small_config((MethodSpec("jfssl", "jfssl"),), reps=3)
+def inject_sweep_failures(monkeypatch, config):
+    """JFSSL fails in two grid cells on every split, and in a third on repetition 1 only."""
     data = small_dataset()
     rep1_train = subset(data, random_split(data.n, config.n_train, config.base_seed + 1).train_indices)
     real_fit = xms.bench.fit_method
@@ -317,6 +328,11 @@ def test_lambda_sweep_failures_equal_cell_by_cell(monkeypatch):
         return real_fit(train, name, **kwargs)
 
     monkeypatch.setattr(xms.bench, "fit_method", flaky_fit)
+
+
+def test_lambda_sweep_failures_equal_cell_by_cell(monkeypatch):
+    config = small_config((MethodSpec("jfssl", "jfssl"),), reps=3)
+    inject_sweep_failures(monkeypatch, config)
     surface = lambda_sweep(config, "jfssl", SWEEP_GRID1, SWEEP_GRID2)
     oracle = cell_by_cell_sweep(config, "jfssl", SWEEP_GRID1, SWEEP_GRID2)
     assert surface["directions"] == oracle["directions"]
@@ -389,7 +405,7 @@ def test_report_schema_keys():
     assert {"min", "max", "mean", "var", "std"} == set(block["summary"])
     box = report["box_stats"]["cca"]["a2b"]
     assert {"median", "q25", "q75", "whisker_low", "whisker_high", "outliers"} == set(box)
-    assert {"python", "numpy", "scipy", "platform", "timestamp", "xms_version"} == set(report["environment"])
+    assert {"python", "numpy", "scipy", "platform", "timestamp", "xms_version", "workers"} == set(report["environment"])
 
 
 def test_config_round_trip():
@@ -561,3 +577,151 @@ def test_hyperparams_by_metric_blocks():
     )
     assert spec.resolved_hyperparams("map") == {"lambda1": 0.0, "lambda2": 0.0}
     assert spec.resolved_hyperparams("acc_at_k") == {"lambda1": 0.5, "lambda2": 0.0}
+
+
+# ---------------------------------------------------------------------------
+# repetitions in worker processes
+
+
+def force_workers(monkeypatch, count):
+    monkeypatch.setattr(xms.bench, "_worker_count", lambda repetitions: min(count, repetitions))
+
+
+@pytest.mark.parametrize("cls", [XmsError, ConfigError, DataError, NumericalError])
+def test_errors_survive_pickle(cls):
+    error = cls("some_code", "what went wrong")
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is cls
+    assert (back.code, str(back), back.exit_code) == ("some_code", "what went wrong", cls.exit_code)
+
+
+def test_worker_count_follows_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    assert [xms.bench._worker_count(r) for r in (1, 2, 3, 50)] == [1, 2, 3, 3]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1})
+    assert xms.bench._worker_count(50) == 1
+
+
+def _workers_in_pool_worker():
+    return run_benchmark(small_config((MethodSpec("cca", "cca", dim=2),), reps=3))["environment"]["workers"]
+
+
+def test_daemonic_process_runs_in_process(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with multiprocessing.get_context("fork").Pool(1) as pool:  # a pool worker may not start processes
+        assert pool.apply(_workers_in_pool_worker) == 1
+
+
+@pytest.mark.parametrize(
+    "methods, options",
+    [
+        (default_method_specs(), {}),
+        (default_method_specs(), {"stratified": True, "include_pca_in_timing": True}),
+        ((MethodSpec("cca", "cca-bad", dim=500), MethodSpec("jfssl", "jfssl")), {"metric_mode": "acc_at_k"}),
+    ],
+)
+def test_benchmark_same_report_for_any_worker_count(monkeypatch, methods, options):
+    config = small_config(methods, reps=5, **options)  # 5 repetitions on 2 workers: uneven shares
+    reports = {}
+    for workers in (1, 2):
+        force_workers(monkeypatch, workers)
+        reports[workers] = run_benchmark(config)
+        assert reports[workers]["environment"]["workers"] == workers
+    assert without_timing(reports[1]) == without_timing(reports[2])
+
+
+def test_lambda_sweep_failures_same_for_any_worker_count(monkeypatch):
+    config = small_config((MethodSpec("jfssl", "jfssl"),), reps=3)
+    inject_sweep_failures(monkeypatch, config)
+    surfaces = []
+    for workers in (1, 2, 3):
+        force_workers(monkeypatch, workers)
+        surfaces.append(lambda_sweep(config, "jfssl", SWEEP_GRID1, SWEEP_GRID2))
+    assert surfaces[0]["failed_cells"]
+    assert surfaces[0] == surfaces[1] == surfaces[2]
+
+
+def subset_failing_in_workers(monkeypatch, fail=None):
+    parent, real_subset = os.getpid(), xms.bench.subset
+
+    def subset_outside_parent(*args, **kwargs):
+        if os.getpid() != parent:
+            if fail is not None:
+                fail()
+            raise DataError("bad_subset", "injected in a worker")
+        return real_subset(*args, **kwargs)
+
+    monkeypatch.setattr(xms.bench, "subset", subset_outside_parent)
+    force_workers(monkeypatch, 2)
+
+
+def test_worker_error_propagates_with_its_type(monkeypatch):
+    subset_failing_in_workers(monkeypatch)
+    with pytest.raises(DataError) as caught:
+        run_benchmark(small_config((MethodSpec("cca", "cca", dim=2),), reps=2))
+    assert (caught.value.code, str(caught.value)) == ("bad_subset", "injected in a worker")
+
+
+def test_bench_cli_exits_3_on_worker_data_error(monkeypatch, tmp_path, capsys):
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps(config_to_dict(small_config((MethodSpec("cca", "cca", dim=2),)))))
+    subset_failing_in_workers(monkeypatch)
+    assert xms.cli.main(["bench", "--config", str(config), "--out", str(tmp_path / "report.json")]) == 3
+    assert "error [bad_subset]: injected in a worker" in capsys.readouterr().err
+
+
+def test_dead_worker_raises_instead_of_hanging(monkeypatch):
+    subset_failing_in_workers(monkeypatch, fail=lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(BrokenProcessPool):
+        run_benchmark(small_config((MethodSpec("cca", "cca", dim=2),), reps=4))
+
+
+BLAS_PROBE = r"""
+import ctypes, json, sys
+import xms.bench
+from xms.bench import BenchmarkConfig, MethodSpec, run_benchmark
+from xms.errors import NumericalError
+
+GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+           "openblas_get_num_threads64_", "openblas_get_num_threads")
+
+
+def blas_threads():
+    with open("/proc/self/maps") as fh:
+        libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line})
+    counts = []
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        getter = next((getattr(handle, name) for name in GETTERS if hasattr(handle, name)), None)
+        if getter is not None:
+            counts.append(getter())
+    return counts
+
+
+def report_threads(train, name, **kwargs):
+    raise NumericalError("blas_threads", json.dumps(blas_threads()))
+
+
+xms.bench.fit_method = report_threads
+xms.bench._worker_count = lambda repetitions: 2
+config = BenchmarkConfig(dataset={"synthetic": json.loads(sys.argv[1])}, n_train=40,
+                         methods=(MethodSpec("cca", "cca", dim=2),), repetitions=2)
+failures = run_benchmark(config)["methods"]["cca"]["failures"]
+print(json.dumps({"parent": blas_threads(), "workers": [json.loads(f["message"]) for f in failures]}))
+"""
+
+
+def test_workers_pin_every_openblas_to_one_thread(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    script = tmp_path / "blas_probe.py"
+    script.write_text(BLAS_PROBE)
+    dataset = small_config((MethodSpec("cca", "cca"),)).dataset["synthetic"]
+    done = subprocess.run(
+        [sys.executable, str(script), json.dumps(dataset)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    if not seen["parent"]:
+        pytest.skip("no OpenBLAS get_num_threads symbol in the loaded libraries")
+    assert seen["workers"] == [[1] * len(seen["parent"])] * 2
