@@ -26,7 +26,7 @@ import scipy.special
 from ._version import __version__
 from .dataset_io import FeatureMatrix, PairedMultimodalDataset, load_dataset, random_split, stratified_split, subset
 from .errors import ConfigError, XmsError, is_int
-from .methods import SplitContext, _pca_options, fit_method, normalize_method_name, project
+from .methods import SplitContext, _pca_options, fit_method, method_config, normalize_method_name, project
 from .retrieval_eval import evaluate_direction
 from .synthetic import make_synthetic_dataset
 
@@ -35,7 +35,8 @@ DIRECTIONS = ("a2b", "b2a")
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One benchmark entry: a method, its hyperparameters and PCA setting, type-checked at construction."""
+    """One benchmark entry: a method, its hyperparameters and PCA setting, checked at construction
+    as far as they do not depend on the data (``dim`` is checked when the method is fitted)."""
 
     name: str
     label: str
@@ -59,6 +60,9 @@ class MethodSpec:
                 "bad_config", f"{self.label}: hyperparams and hyperparams_by_metric and its blocks must be mappings"
             )
         _pca_options(self.pca)
+        method_config(self.name, self.hyperparams)
+        for metric_mode in by_metric:
+            method_config(self.name, self.resolved_hyperparams(metric_mode))
 
     def resolved_hyperparams(self, metric_mode: str) -> dict:
         merged = dict(self.hyperparams)
@@ -139,7 +143,7 @@ class BoxStats:
         }
 
 
-def default_method_specs(sparse_hyperparams: dict | None = None) -> tuple[MethodSpec, ...]:
+def default_method_specs() -> tuple[MethodSpec, ...]:
     """The nine-method protocol lineup: PCA in front of everything except LCFS/JFSSL.
 
     The GMA variants get beta = 4 here: the benchmark needs the cross-modal
@@ -148,13 +152,12 @@ def default_method_specs(sparse_hyperparams: dict | None = None) -> tuple[Method
     are echoed into the report.
     """
     pca = {"mode": "energy", "value": 0.98}
-    sparse = dict(sparse_hyperparams or {})
     tuned = {"gmlda": {"beta": 4.0}, "gmmfa": {"beta": 4.0}}
     specs = [
         MethodSpec(name, f"pca+{name}", pca=pca, hyperparams=tuned.get(name, {}))
         for name in ("cca", "pls", "blm", "gmlda", "gmmfa", "cdfe", "cca3v")
     ]
-    specs += [MethodSpec(name, name, hyperparams=sparse) for name in ("lcfs", "jfssl")]
+    specs += [MethodSpec(name, name) for name in ("lcfs", "jfssl")]
     return tuple(specs)
 
 
@@ -303,7 +306,7 @@ class _Runs:
             return
         seconds = model.fit_seconds
         if config.include_pca_in_timing:
-            seconds += context.pca(spec.pca).seconds
+            seconds += context.pca(spec.pca).pca_seconds
         self.fit_seconds.append(seconds)
         for direction in DIRECTIONS:
             self.metric[direction].append(evaluated[direction]["metric"])
@@ -619,7 +622,8 @@ def environment_stamp(workers: int) -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "platform": platform.platform(),
+        # not platform.platform(), whose uname() processor field starts a `uname -p` process
+        "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
 

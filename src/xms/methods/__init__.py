@@ -6,7 +6,6 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 from ..dataset_io import PairedMultimodalDataset
 from ..errors import ConfigError, is_int
@@ -37,6 +36,7 @@ __all__ = [
     "fit_method",
     "fit_pls",
     "load_model",
+    "method_config",
     "project",
     "save_model",
 ]
@@ -65,41 +65,19 @@ def _pca_options(pca: dict | None) -> dict:
     raise ConfigError("bad_pca", f"pca must be {{'mode': 'energy' or 'dim', 'value': <number>}}, got {pca!r}")
 
 
-def _apply_pca(train: PairedMultimodalDataset, options: dict):
-    """Fit per-modality PCA on the training views; returns (reduced dataset, models)."""
-    pca_a = pca_fit(train.xa, **options)
-    pca_b = pca_fit(train.xb, **options)
-    reduced = PairedMultimodalDataset(
-        pca_apply(pca_a, train.xa),
-        pca_apply(pca_b, train.xb),
-        train.labels,
-        train.c,
-        sample_ids=train.sample_ids,
-        strict=False,
-    )
-    return reduced, pca_a, pca_b
-
-
-class PcaView(NamedTuple):
-    """One PCA spec applied to a split: the reduced split's context, the models, the fit time."""
-
-    context: SplitContext
-    pca_a: object
-    pca_b: object
-    seconds: float
-
-
 class SplitContext:
     """State of one training split that every fit on it shares.
 
     Each piece is computed on first use and then kept: the PCA of each spec,
     and whatever a fitter derives from the split alone (``memo``), never from
     its hyperparameters.  Holding the context keeps that state alive;
-    dropping it frees the split.
+    dropping it frees the split.  A context that ``pca`` made carries the
+    reduced split with its PCA models and their fit time.
     """
 
-    def __init__(self, train: PairedMultimodalDataset):
+    def __init__(self, train: PairedMultimodalDataset, pca_a=None, pca_b=None, pca_seconds: float = 0.0):
         self.train = train
+        self.pca_a, self.pca_b, self.pca_seconds = pca_a, pca_b, pca_seconds
         self._memo = {}
 
     def memo(self, key, build):
@@ -108,16 +86,26 @@ class SplitContext:
             self._memo[key] = build()
         return self._memo[key]
 
-    def pca(self, pca: dict | None) -> PcaView:
-        """The split reduced by one PCA spec (``self`` itself when there is none)."""
+    def pca(self, pca: dict | None) -> SplitContext:
+        """The split reduced by one PCA spec, fitted per modality on the
+        training views (``self`` itself when there is none)."""
         options = _pca_options(pca)
         if not options:
-            return PcaView(self, None, None, 0.0)
+            return self
 
         def build():
             t0 = time.perf_counter()
-            reduced, pca_a, pca_b = _apply_pca(self.train, options)
-            return PcaView(SplitContext(reduced), pca_a, pca_b, time.perf_counter() - t0)
+            train = self.train
+            pca_a, pca_b = pca_fit(train.xa, **options), pca_fit(train.xb, **options)
+            reduced = PairedMultimodalDataset(
+                pca_apply(pca_a, train.xa),
+                pca_apply(pca_b, train.xb),
+                train.labels,
+                train.c,
+                sample_ids=train.sample_ids,
+                strict=False,
+            )
+            return SplitContext(reduced, pca_a, pca_b, time.perf_counter() - t0)
 
         return self.memo(("pca", *options.items()), build)
 
@@ -159,6 +147,17 @@ _METHODS = {
 }
 
 
+def method_config(method: str, hyperparams: dict | None = None):
+    """The config of a named method built from ``hyperparams``; an unknown
+    name raises ``bad_method``, an unknown key or out-of-range value
+    ``bad_hyperparam``.  None of this depends on the data."""
+    method = normalize_method_name(method)
+    try:
+        return _METHODS[method][0](**(hyperparams or {}))
+    except TypeError as exc:
+        raise ConfigError("bad_hyperparam", f"{method}: {exc}") from exc
+
+
 def fit_method(
     train: PairedMultimodalDataset,
     method: str,
@@ -177,28 +176,25 @@ def fit_method(
     one, nothing outlives the call.
     """
     method = normalize_method_name(method)
-    config_cls, fitter, takes_dim = _METHODS[method]
+    _, fitter, takes_dim = _METHODS[method]
     if not takes_dim and dim is not None:
         raise ConfigError("bad_dim", f"{method} projects into the label space; its dimension is fixed at c")
-    try:
-        config = config_cls(**(hyperparams or {}))
-    except TypeError as exc:
-        raise ConfigError("bad_hyperparam", f"{method}: {exc}") from exc
+    config = method_config(method, hyperparams)
     if context is None:
         context = SplitContext(train)
     elif context.train is not train:
         raise ConfigError("bad_config", "the context belongs to another training split")
 
-    view = context.pca(pca)
-    model = fitter(view.context, dim, config)
-    if view.pca_a is not None:
+    reduced = context.pca(pca)
+    model = fitter(reduced, dim, config)
+    if reduced.pca_a is not None:
         model = replace(
             model,
             preprocessing=Preprocessing(
                 center_a=model.preprocessing.center_a,
                 center_b=model.preprocessing.center_b,
-                pca_a=view.pca_a,
-                pca_b=view.pca_b,
+                pca_a=reduced.pca_a,
+                pca_b=reduced.pca_b,
             ),
         )
     return model

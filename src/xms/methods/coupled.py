@@ -70,16 +70,6 @@ def _solve_psd(a: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
     return w
 
 
-def least_squares_solution(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Min-norm solution of min_W ||x' W - y||_F, the lambda = 0 degeneration."""
-    return _solve_psd(x @ x.T, x @ y, "least squares")
-
-
-def _check_finite(j: float, iteration: int, method: str) -> None:
-    if not np.isfinite(j):
-        raise NumericalError("divergence", f"{method}: non-finite objective at iteration {iteration}")
-
-
 def _shared(train: PairedMultimodalDataset, context, key, build):
     """``build()``, kept in the split's context when there is one."""
     if context is None:
@@ -91,72 +81,70 @@ def _shared(train: PairedMultimodalDataset, context, key, build):
 
 def _regression_start(train: PairedMultimodalDataset, context):
     """What LCFS and JFSSL derive from the split alone: xs, y, Grams, x y and the
-    least-squares start."""
+    least-squares start, the min-norm solution of min_W ||x' W - y||_F."""
 
     def build():
         xs = (train.xa.values, train.xb.values)
         y = encode_labels(train.labels, train.c)
-        return xs, y, [x @ x.T for x in xs], [x @ y for x in xs], [least_squares_solution(x, y) for x in xs]
+        grams, rhs = [x @ x.T for x in xs], [x @ y for x in xs]
+        return xs, y, grams, rhs, [_solve_psd(g, r, "least squares") for g, r in zip(grams, rhs)]
 
     return _shared(train, context, "regression_start", build)
 
 
-def fit_lcfs(
-    train: PairedMultimodalDataset, config: SparseCoupledConfig | None = None, *, context=None
-) -> SubspaceModel:
-    """Coupled regression onto one-hot labels with l21 row sparsity and a
-    trace-norm coupling of the two projected blocks.
+def _fit_coupled(method, train, config, context, t0, loss_scale, coupling, update, echo=None) -> SubspaceModel:
+    """The half-quadratic iteration LCFS and JFSSL share.
 
-    ``context`` (a ``SplitContext`` of ``train``) shares the λ-free start
-    with other fits on the same split.
+    It minimizes loss_scale * sum_p ||x_p' w_p - y||^2 + lambda1 * sum_p
+    l21(w_p) + the coupling term from the least-squares start.  Each step
+    solves the majorizer's normal equations at the current iterate, divided by
+    2 * loss_scale, until the objective changes by at most ``tol`` relative to
+    its previous value, or ``max_iters`` times.
+
+    The fitter's coupling is used only when lambda2 > 0.  ``coupling(ws,
+    projs, link)`` returns the iterate's coupling term and a new ``link``.
+    ``update(lhs, rhs, projs, link, solve)`` adds the coupling to each block's
+    system, passes it to ``solve(p, a, b)``, which sets w_p and x_p' w_p, and
+    returns a new ``link``.  ``link`` carries what one of the two forms for the
+    other; it is None at the start.
     """
-    t0 = time.perf_counter()
-    config = config or SparseCoupledConfig()
-    xs, y, grams, rhs0, ws = _regression_start(train, context)
+    xs, y, grams, rhs, ws = _regression_start(train, context)
+    ws = list(ws)
+    projs = [x.T @ w for x, w in zip(xs, ws)]
+    link = None
+    trace = []
 
-    def iterate_state(ws):
-        """What the objective and the next reweighting share: the projections
-        x' w, their stack M (when the trace norm is on) and the row norms."""
-        projs = [x.T @ w for x, w in zip(xs, ws)]
-        m = np.hstack(projs) if config.lambda2 > 0 else None
-        return projs, m, [np.linalg.norm(w, axis=1) for w in ws]
+    def solve(p, a, b):
+        ws[p] = _solve_psd(a, b, method)
+        projs[p] = xs[p].T @ ws[p]
 
-    def objective(projs, m, norms):
-        j = 0.5 * sum(np.sum((f - y) ** 2) for f in projs)
-        j += config.lambda1 * sum(smoothed_l21(r) for r in norms)
-        if m is not None:
-            j += config.lambda2 * smoothed_trace_norm(m)
-        return float(j)
-
-    projs, m, norms = iterate_state(ws)
-    trace = [objective(projs, m, norms)]
-    _check_finite(trace[0], 0, "lcfs")
-    for it in range(config.max_iters):
-        if m is not None:
-            mu, vec = la.eigh(m @ m.T)
-            # vec diag(s) vec' without forming diag(s); C order keeps the BLAS path
-            # (and the rounding) of the explicit product, eigh's vec being Fortran-ordered
-            scaled = np.multiply(vec, 1.0 / np.sqrt(np.maximum(mu, 0.0) + EPS_TRACE**2), order="C")
-            inv_sqrt = scaled @ vec.T
-        new_ws = []
-        for p, x in enumerate(xs):
-            a = grams[p].copy()
+    for it in range(config.max_iters + 1):
+        if it:
+            lhs = [g.copy() for g in grams]
             if config.lambda1 > 0:
-                a.flat[:: a.shape[0] + 1] += 2.0 * config.lambda1 * l21_reweight(norms[p], EPS_L21)
-            if m is not None:
-                a += config.lambda2 * (x @ inv_sqrt @ x.T)
-            new_ws.append(_solve_psd(a, rhs0[p], "lcfs"))
-        ws = new_ws
-        projs, m, norms = iterate_state(ws)
-        trace.append(objective(projs, m, norms))
-        _check_finite(trace[-1], it + 1, "lcfs")
-        if abs(trace[-2] - trace[-1]) <= config.tol * max(abs(trace[-2]), 1.0):
+                for a, r in zip(lhs, norms):
+                    a.flat[:: a.shape[0] + 1] += config.lambda1 / loss_scale * l21_reweight(r, EPS_L21)
+            if config.lambda2 > 0:
+                link = update(lhs, rhs, projs, link, solve)
+            else:
+                for p in range(2):
+                    solve(p, lhs[p], rhs[p])
+        norms = [np.linalg.norm(w, axis=1) for w in ws]
+        j = loss_scale * sum(np.sum((f - y) ** 2) for f in projs)
+        j += config.lambda1 * sum(smoothed_l21(r) for r in norms)
+        if config.lambda2 > 0:
+            term, link = coupling(ws, projs, link)
+            j += term
+        trace.append(float(j))
+        if not np.isfinite(trace[-1]):
+            raise NumericalError("divergence", f"{method}: non-finite objective at iteration {it}")
+        if it and abs(trace[-2] - trace[-1]) <= config.tol * max(abs(trace[-2]), 1.0):
             break
 
     return SubspaceModel(
         wa=ws[0],
         wb=ws[1],
-        method="lcfs",
+        method=method,
         d=train.c,
         preprocessing=Preprocessing(center_a=np.zeros(train.d_a), center_b=np.zeros(train.d_b)),
         hyperparams={
@@ -164,11 +152,44 @@ def fit_lcfs(
             "lambda2": config.lambda2,
             "max_iters": config.max_iters,
             "tol": config.tol,
+            **(echo or {}),
             "iterations": len(trace) - 1,
         },
         metadata={"objective_trace": trace},
         fit_seconds=time.perf_counter() - t0,
     )
+
+
+def fit_lcfs(
+    train: PairedMultimodalDataset, config: SparseCoupledConfig | None = None, *, context=None
+) -> SubspaceModel:
+    """Coupled regression onto one-hot labels with l21 row sparsity and a
+    trace-norm coupling of the two projected blocks: half the squared
+    residuals, plus lambda2 times the smoothed trace norm of M = [x_a' w_a, x_b' w_b].
+
+    ``context`` (a ``SplitContext`` of ``train``) shares the λ-free start
+    with other fits on the same split.
+    """
+    t0 = time.perf_counter()
+    config = config or SparseCoupledConfig()
+    xs = (train.xa.values, train.xb.values)
+
+    def coupling(ws, projs, link):
+        m = np.hstack(projs)
+        return config.lambda2 * smoothed_trace_norm(m), m
+
+    def update(lhs, rhs, projs, m, solve):
+        """Jacobi: both blocks take the majorizer (M M' + eps^2 I)^-1/2 at the iterate's M."""
+        mu, vec = la.eigh(m @ m.T)
+        # vec diag(s) vec' without forming diag(s); C order keeps the BLAS path
+        # (and the rounding) of the explicit product, eigh's vec being Fortran-ordered
+        scaled = np.multiply(vec, 1.0 / np.sqrt(np.maximum(mu, 0.0) + EPS_TRACE**2), order="C")
+        inv_sqrt = scaled @ vec.T
+        for p, x in enumerate(xs):
+            lhs[p] += config.lambda2 * (x @ inv_sqrt @ x.T)
+            solve(p, lhs[p], rhs[p])
+
+    return _fit_coupled("lcfs", train, config, context, t0, 0.5, coupling, update)
 
 
 def _graph_state(train: PairedMultimodalDataset, k: int, context):
@@ -201,66 +222,27 @@ def fit_jfssl(
     """
     t0 = time.perf_counter()
     config = config or SparseCoupledConfig()
-    n = train.n
-    xs, y, grams, rhs0, ws = _regression_start(train, context)
-    xa, xb = xs
-    ws = list(ws)
-    graph = config.lambda2 > 0
-
-    if graph:
-        lab, graph_products = _graph_state(train, min(config.graph_k, max(n - 1, 1)), context)
+    xa, xb = train.xa.values, train.xb.values
+    if config.lambda2 > 0:
+        lab, graph_products = _graph_state(train, min(config.graph_k, max(train.n - 1, 1)), context)
         cross_ops = [
             lambda proj_b: xa @ (lab @ proj_b),
             lambda proj_a: xb @ (lab.T @ proj_a),
         ]
         graph_terms = [config.lambda2 * product for product in graph_products]
 
-    def objective(ws, projs, norms, cross_b):
-        j = sum(np.sum((f - y) ** 2) for f in projs)
-        j += config.lambda1 * sum(smoothed_l21(r) for r in norms)
-        if graph:
-            g = sum(np.sum(w * (product @ w)) for w, product in zip(ws, graph_products))
-            j += config.lambda2 * float(g + 2.0 * np.sum(ws[1] * cross_b))
-        return float(j)
+    def coupling(ws, projs, cross_b):
+        if cross_b is None:  # the start, which no update has formed c_b for
+            cross_b = cross_ops[1](projs[0])
+        g = sum(np.sum(w * (product @ w)) for w, product in zip(ws, graph_products))
+        return config.lambda2 * float(g + 2.0 * np.sum(ws[1] * cross_b)), None
 
-    projs = [x.T @ w for x, w in zip(xs, ws)]
-    norms = [np.linalg.norm(w, axis=1) for w in ws]
-    cross = cross_ops[1](projs[0]) if graph else None
-    trace = [objective(ws, projs, norms, cross)]
-    _check_finite(trace[0], 0, "jfssl")
-    for it in range(config.max_iters):
-        diags = [l21_reweight(r, EPS_L21) for r in norms] if config.lambda1 > 0 else None
+    def update(lhs, rhs, projs, link, solve):
+        """Gauss–Seidel: block b's cross product reads the new x_a' w_a; the last one is c_b."""
         for p in range(2):
-            a = grams[p].copy()
-            if diags is not None:
-                a.flat[:: a.shape[0] + 1] += config.lambda1 * diags[p]
-            rhs = rhs0[p]
-            if graph:
-                a += graph_terms[p]
-                cross = cross_ops[p](projs[1 - p])
-                rhs = rhs - config.lambda2 * cross
-            ws[p] = _solve_psd(a, rhs, "jfssl")
-            projs[p] = xs[p].T @ ws[p]
-        norms = [np.linalg.norm(w, axis=1) for w in ws]
-        trace.append(objective(ws, projs, norms, cross))
-        _check_finite(trace[-1], it + 1, "jfssl")
-        if abs(trace[-2] - trace[-1]) <= config.tol * max(abs(trace[-2]), 1.0):
-            break
+            lhs[p] += graph_terms[p]
+            cross = cross_ops[p](projs[1 - p])
+            solve(p, lhs[p], rhs[p] - config.lambda2 * cross)
+        return cross
 
-    return SubspaceModel(
-        wa=ws[0],
-        wb=ws[1],
-        method="jfssl",
-        d=train.c,
-        preprocessing=Preprocessing(center_a=np.zeros(train.d_a), center_b=np.zeros(train.d_b)),
-        hyperparams={
-            "lambda1": config.lambda1,
-            "lambda2": config.lambda2,
-            "max_iters": config.max_iters,
-            "tol": config.tol,
-            "graph_k": config.graph_k,
-            "iterations": len(trace) - 1,
-        },
-        metadata={"objective_trace": trace},
-        fit_seconds=time.perf_counter() - t0,
-    )
+    return _fit_coupled("jfssl", train, config, context, t0, 1.0, coupling, update, {"graph_k": config.graph_k})

@@ -408,6 +408,22 @@ def test_report_schema_keys():
     assert {"python", "numpy", "scipy", "platform", "timestamp", "xms_version", "workers"} == set(report["environment"])
 
 
+def test_environment_stamp_starts_no_process():
+    code = (
+        "import subprocess\n"
+        "started = []\n"
+        "real_init = subprocess.Popen.__init__\n"
+        "def spy(self, args, *a, **k):\n"
+        "    started.append(args)\n"
+        "    real_init(self, args, *a, **k)\n"
+        "subprocess.Popen.__init__ = spy\n"
+        "import xms.bench\n"
+        "xms.bench.environment_stamp(1)\n"
+        "assert started == [], started\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
 def test_config_round_trip():
     raw = {
         "dataset": "somewhere",
@@ -509,6 +525,14 @@ def test_config_from_dict_requires_real_bools_and_integers(key, value):
         pytest.param({"n_train": "ten"}, {}, "bad_config", id="n_train-str"),
         pytest.param({"base_seed": -1}, {}, "bad_config", id="base_seed-negative"),
         pytest.param({"dataset": 3}, {}, "bad_config", id="dataset-int"),
+        pytest.param({}, {"name": "cka"}, "bad_method", id="name-unknown"),
+        pytest.param({}, {"name": "jfssl", "hyperparams": {"lamda1": 0.1}}, "bad_hyperparam", id="hyperparam-key"),
+        pytest.param({}, {"name": "jfssl", "hyperparams": {"graph_K": 3}}, "bad_hyperparam", id="hyperparam-case"),
+        pytest.param({}, {"hyperparams": {"ridge": -1.0}}, "bad_hyperparam", id="hyperparam-range"),
+        pytest.param({}, {"name": "gmlda", "hyperparams": {"variant": "blm"}}, "bad_hyperparam", id="gma-variant"),
+        pytest.param(
+            {}, {"hyperparams_by_metric": {"acc_at_k": {"ridge": -1}}}, "bad_hyperparam", id="by_metric-range"
+        ),
     ],
 )
 def test_mistyped_config_fields_raise_config_error(config_fields, spec_fields, code):

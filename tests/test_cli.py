@@ -159,6 +159,23 @@ def test_sweep_bad_grid_exit_2(tmp_path, dataset_dir, capsys):
     assert capsys.readouterr().err.startswith("error [bad_config]")
 
 
+@pytest.mark.parametrize(
+    "command, hyperparams",
+    [
+        pytest.param(["bench"], {"lamda1": 0.1}, id="bench"),
+        pytest.param(["sweep", "--method", "jfssl", "--grid", "0,0.1"], {"graph_K": 3}, id="sweep"),
+    ],
+)
+def test_bad_hyperparams_exit_2(tmp_path, dataset_dir, capsys, command, hyperparams):
+    config_path = tmp_path / "config.yaml"
+    methods = [{"name": "jfssl", "hyperparams": hyperparams}]
+    config_path.write_text(yaml.safe_dump({"dataset": str(dataset_dir), "n_train": 35, "methods": methods}))
+    out_path = tmp_path / "out.json"
+    assert main([command[0], "--config", str(config_path), "--out", str(out_path), *command[1:]]) == 2
+    assert capsys.readouterr().err.startswith("error [bad_hyperparam]")
+    assert not out_path.exists()
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs most of the import time; p-values come from scipy.special.stdtr
     src = str(Path(xms.__file__).resolve().parents[1])

@@ -125,6 +125,27 @@ def test_iterations_recorded(rng):
     assert model.hyperparams["iterations"] >= 1
 
 
+@pytest.mark.parametrize(
+    "fitter, keys",
+    [
+        (fit_lcfs, ["lambda1", "lambda2", "max_iters", "tol", "iterations"]),
+        (fit_jfssl, ["lambda1", "lambda2", "max_iters", "tol", "graph_k", "iterations"]),
+    ],
+)
+def test_loop_bookkeeping(rng, fitter, keys):
+    # the benchmark's iteration probe and saved models read these keys, in this order
+    ds = random_paired_dataset(rng, n=40, d_a=6, d_b=6, c=3)
+    for l1, l2 in ((0.5, 0.5), (0.5, 0.0), (0.0, 0.5)):
+        model = fitter(ds, SparseCoupledConfig(lambda1=l1, lambda2=l2))
+        assert list(model.hyperparams) == keys
+        assert len(model.metadata["objective_trace"]) == model.hyperparams["iterations"] + 1
+        assert 1 <= model.hyperparams["iterations"] < model.hyperparams["max_iters"]
+        for max_iters in (1, 2, 4):
+            capped = fitter(ds, SparseCoupledConfig(lambda1=l1, lambda2=l2, max_iters=max_iters, tol=1e-12))
+            assert capped.hyperparams["iterations"] == max_iters
+            assert len(capped.metadata["objective_trace"]) == max_iters + 1
+
+
 @pytest.mark.parametrize("fitter", [fit_lcfs, fit_jfssl])
 def test_fit_through_used_context_equals_fresh_fit(rng, fitter):
     # the context has already served both fitters at other lambdas and graph sizes
@@ -202,7 +223,7 @@ def reference_jfssl(ds, cfg):
         trace.append(dense_jfssl_objective(ds, cfg, ws, lap))
         if abs(trace[-2] - trace[-1]) <= cfg.tol * max(abs(trace[-2]), 1.0):
             break
-    return ws, len(trace) - 1
+    return ws, trace
 
 
 def reference_lcfs(ds, cfg):
@@ -237,7 +258,7 @@ def reference_lcfs(ds, cfg):
         trace.append(objective(ws))
         if abs(trace[-2] - trace[-1]) <= cfg.tol * max(abs(trace[-2]), 1.0):
             break
-    return ws, len(trace) - 1
+    return ws, trace
 
 
 REFERENCE_CASES = [
@@ -257,9 +278,11 @@ def test_jfssl_equals_dense_laplacian_reference(seed, n, d_a, d_b, c, lambda1, l
     ds = random_paired_dataset(np.random.default_rng(seed), n=n, d_a=d_a, d_b=d_b, c=c)
     cfg = SparseCoupledConfig(lambda1=lambda1, lambda2=lambda2, graph_k=k, max_iters=60)
     model = fit_jfssl(ds, cfg)
-    (wa, wb), iterations = reference_jfssl(ds, cfg)
+    (wa, wb), trace = reference_jfssl(ds, cfg)
     assert np.array_equal(model.wa, wa) and np.array_equal(model.wb, wb)
-    assert model.hyperparams["iterations"] == iterations
+    assert model.hyperparams["iterations"] == len(trace) - 1
+    # the dense-Laplacian objective rounds differently; 7e-16 apart at most on these cases
+    assert model.metadata["objective_trace"] == pytest.approx(trace, rel=1e-12)
 
 
 @pytest.mark.parametrize("n, d_a, d_b, c, lambda1, lambda2, k", REFERENCE_CASES)
@@ -268,9 +291,10 @@ def test_lcfs_equals_explicit_diagonal_reference(seed, n, d_a, d_b, c, lambda1, 
     ds = random_paired_dataset(np.random.default_rng(seed), n=n, d_a=d_a, d_b=d_b, c=c)
     cfg = SparseCoupledConfig(lambda1=lambda1, lambda2=lambda2, max_iters=60)
     model = fit_lcfs(ds, cfg)
-    (wa, wb), iterations = reference_lcfs(ds, cfg)
+    (wa, wb), trace = reference_lcfs(ds, cfg)
     assert np.array_equal(model.wa, wa) and np.array_equal(model.wb, wb)
-    assert model.hyperparams["iterations"] == iterations
+    assert model.hyperparams["iterations"] == len(trace) - 1
+    assert model.metadata["objective_trace"] == trace
 
 
 @pytest.mark.parametrize("n, d_a, d_b, c, lambda1, lambda2, k", REFERENCE_CASES)

@@ -125,7 +125,7 @@ def test_protocol_split_weights_solve_the_singular_pair_equations():
     pca = {"mode": "energy", "value": 0.98}
     context = SplitContext(train)
     model = fit_method(train, "pls", pca=pca, context=context)
-    c = cross_covariance(context.pca(pca).context.train)
+    c = cross_covariance(context.pca(pca).train)
     sigma = np.asarray(model.metadata["score_covariances"])
     assert np.linalg.norm(c @ model.wb - model.wa * sigma, axis=0).max() <= 1e-12
     assert np.linalg.norm(c.T @ model.wa - model.wb * sigma, axis=0).max() <= 1e-12
