@@ -37,6 +37,7 @@ from .errors import ConfigError, DataError, NumericalError, XmsError
 from .methods import (
     CdfeConfig,
     GmaConfig,
+    LcfsConfig,
     SparseCoupledConfig,
     SubspaceModel,
     fit_blm,

@@ -31,6 +31,7 @@ from .retrieval_eval import evaluate_direction
 from .synthetic import make_synthetic_dataset
 
 DIRECTIONS = ("a2b", "b2a")
+METRIC_MODES = ("map", "acc_at_k")
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,11 @@ class MethodSpec:
         ):
             raise ConfigError(
                 "bad_config", f"{self.label}: hyperparams and hyperparams_by_metric and its blocks must be mappings"
+            )
+        unknown = sorted(set(by_metric) - set(METRIC_MODES), key=repr)
+        if unknown:
+            raise ConfigError(
+                "bad_config", f"{self.label}: hyperparams_by_metric keys must be 'map' or 'acc_at_k', got {unknown}"
             )
         _pca_options(self.pca)
         method_config(self.name, self.hyperparams)
@@ -106,7 +112,7 @@ class BenchmarkConfig:
             raise ConfigError("bad_config", "repetitions must be >= 1")
         if self.base_seed < 0:
             raise ConfigError("bad_config", f"base_seed must be >= 0, got {self.base_seed}")
-        if self.metric_mode not in ("map", "acc_at_k"):
+        if self.metric_mode not in METRIC_MODES:
             raise ConfigError("bad_config", f"metric_mode must be 'map' or 'acc_at_k', got {self.metric_mode!r}")
         if self.acc_k < 1:
             raise ConfigError("bad_config", f"acc_k must be >= 1, got {self.acc_k}")

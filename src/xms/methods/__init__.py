@@ -12,7 +12,7 @@ from ..errors import ConfigError, is_int
 from ..preprocess import pca_apply, pca_fit
 from .cca import fit_cca, fit_cca3v
 from .cdfe import CdfeConfig, fit_cdfe
-from .coupled import SparseCoupledConfig, fit_jfssl, fit_lcfs
+from .coupled import LcfsConfig, SparseCoupledConfig, fit_jfssl, fit_lcfs
 from .gma import GmaConfig, fit_blm, fit_gma, fit_gmlda, fit_gmmfa
 from .model import METHOD_NAMES, Preprocessing, SubspaceModel, load_model, project, save_model
 from .pls import fit_pls
@@ -21,6 +21,7 @@ __all__ = [
     "METHOD_NAMES",
     "CdfeConfig",
     "GmaConfig",
+    "LcfsConfig",
     "Preprocessing",
     "SparseCoupledConfig",
     "SubspaceModel",
@@ -142,7 +143,7 @@ _METHODS = {
     "gmmfa": (_gma_config("gmmfa"), _fit_gma, True),
     "cdfe": (CdfeConfig, lambda ctx, dim, cfg: fit_cdfe(ctx.train, d=dim, config=cfg), True),
     "cca3v": (_RidgeConfig, lambda ctx, dim, cfg: fit_cca3v(ctx.train, d=dim, ridge=cfg.ridge), True),
-    "lcfs": (SparseCoupledConfig, lambda ctx, dim, cfg: fit_lcfs(ctx.train, config=cfg, context=ctx), False),
+    "lcfs": (LcfsConfig, lambda ctx, dim, cfg: fit_lcfs(ctx.train, config=cfg, context=ctx), False),
     "jfssl": (SparseCoupledConfig, lambda ctx, dim, cfg: fit_jfssl(ctx.train, config=cfg, context=ctx), False),
 }
 

@@ -2,22 +2,39 @@
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
-import scipy.linalg as la
 
 from ..dataset_io import FeatureMatrix, PairedMultimodalDataset, encode_labels
-from ..errors import ConfigError
 from ..numerics import covariances, default_ridge, solve_gev
 from ..preprocess import center_fit
-from .model import Preprocessing, SubspaceModel
+from .model import SubspaceModel, _fit_closed_form
 
 
-def centered_views(train: PairedMultimodalDataset):
-    mean_a, xa = center_fit(train.xa)
-    mean_b, xb = center_fit(train.xb)
-    return xa, xb, mean_a, mean_b
+def solve_block_gev(b_blocks, cross, d: int, ridge: float | None = None, a_blocks=()):
+    """Top-d eigenpairs of the block problem A v = lambda (B + ridge I) v.
+
+    B is block-diagonal with one block per view, ``b_blocks``.  A holds
+    ``a_blocks`` on its diagonal (zero blocks when there are none) and, for
+    each ``(i, j): block`` of ``cross`` with i < j, the block at (i, j) and
+    its transpose at (j, i).  A ``ridge`` of None means ``default_ridge(B)``.
+    Returns the eigenvalues, the eigenvectors' rows split into one block per
+    view, and the ridge.
+    """
+    offsets = np.cumsum([0] + [block.shape[0] for block in b_blocks])
+    views = [slice(s, e) for s, e in zip(offsets[:-1], offsets[1:])]
+    a = np.zeros((offsets[-1], offsets[-1]))
+    b = np.zeros_like(a)
+    for v, block in zip(views, b_blocks):
+        b[v, v] = block
+    for v, block in zip(views, a_blocks):
+        a[v, v] = block
+    for (i, j), block in cross.items():
+        a[views[i], views[j]] = block
+        a[views[j], views[i]] = block.T
+    if ridge is None:
+        ridge = default_ridge(b)
+    eigvals, vecs = solve_gev(a, b, d, ridge)
+    return eigvals, [vecs[v] for v in views], ridge
 
 
 def _correlation(wa, wb, cov, j):
@@ -32,39 +49,22 @@ def fit_cca(train: PairedMultimodalDataset, d: int | None = None, ridge: float |
     Directions are rescaled so each satisfies w' (S + ridge I) w = 1 per view;
     the canonical correlations end up in ``metadata["canonical_correlations"]``.
     """
-    t0 = time.perf_counter()
-    xa, xb, mean_a, mean_b = centered_views(train)
+
+    def solve(xa, xb, d):
+        cov = covariances(xa, xb)
+        eigvals, (wa, wb), fitted_ridge = solve_block_gev([cov.saa, cov.sbb], {(0, 1): cov.sab}, d, ridge)
+        # per-view canonical normalization: unit (ridged) variance per component
+        for w, s in ((wa, cov.saa), (wb, cov.sbb)):
+            scale = np.sqrt(np.maximum(np.einsum("ij,ij->j", w, (s + fitted_ridge * np.eye(s.shape[0])) @ w), 1e-300))
+            w /= scale
+        metadata = {
+            "canonical_correlations": [_correlation(wa, wb, cov, j) for j in range(d)],
+            "gev_eigenvalues": [float(v) for v in eigvals],
+        }
+        return wa, wb, {"ridge": float(fitted_ridge)}, metadata
+
     d_max = min(train.d_a, train.d_b, train.n - 1)
-    d = min(30, d_max) if d is None else d
-    if not 1 <= d <= d_max:
-        raise ConfigError("bad_dim", f"d must lie in 1..{d_max}, got {d}")
-
-    cov = covariances(xa, xb)
-    b = la.block_diag(cov.saa, cov.sbb)
-    if ridge is None:
-        ridge = default_ridge(b)
-    a = np.zeros_like(b)
-    a[: train.d_a, train.d_a :] = cov.sab
-    a[train.d_a :, : train.d_a] = cov.sab.T
-
-    eigvals, vecs = solve_gev(a, b, d, ridge)
-    wa, wb = vecs[: train.d_a], vecs[train.d_a :]
-    # per-view canonical normalization: unit (ridged) variance per component
-    for w, s in ((wa, cov.saa), (wb, cov.sbb)):
-        scale = np.sqrt(np.maximum(np.einsum("ij,ij->j", w, (s + ridge * np.eye(s.shape[0])) @ w), 1e-300))
-        w /= scale
-
-    correlations = [_correlation(wa, wb, cov, j) for j in range(d)]
-    return SubspaceModel(
-        wa=wa,
-        wb=wb,
-        method="cca",
-        d=d,
-        preprocessing=Preprocessing(center_a=mean_a, center_b=mean_b),
-        hyperparams={"ridge": float(ridge)},
-        metadata={"canonical_correlations": correlations, "gev_eigenvalues": [float(v) for v in eigvals]},
-        fit_seconds=time.perf_counter() - t0,
-    )
+    return _fit_closed_form(train, "cca", d, d_max, min(30, d_max), solve)
 
 
 def label_view(train: PairedMultimodalDataset) -> FeatureMatrix:
@@ -89,49 +89,19 @@ def fit_cca3v(train: PairedMultimodalDataset, d: int | None = None, ridge: float
     constraint sum_v W_v' (S_vv + ridge I) W_v = I, which is the GEV form of
     minimizing the three pairwise projected-distance terms.
     """
-    t0 = time.perf_counter()
-    xa, xb, mean_a, mean_b = centered_views(train)
-    mean_c, xc = center_fit(label_view(train))
-    d_max = min(train.d_a, train.d_b, train.n - 1)
-    d = max(min(train.c - 1, 30, d_max), 1) if d is None else d
-    if not 1 <= d <= d_max:
-        raise ConfigError("bad_dim", f"d must lie in 1..{d_max}, got {d}")
 
-    views = [xa.values, xb.values, xc.values]
-    sizes = [v.shape[0] for v in views]
-    f = 1.0 / (train.n - 1)
-    total = sum(sizes)
-    a = np.zeros((total, total))
-    b = np.zeros((total, total))
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    for i in range(3):
-        si, ei = offsets[i], offsets[i + 1]
-        b[si:ei, si:ei] = f * (views[i] @ views[i].T)
-        for j in range(i + 1, 3):
-            sj, ej = offsets[j], offsets[j + 1]
-            cross = f * (views[i] @ views[j].T)
-            a[si:ei, sj:ej] = cross
-            a[sj:ej, si:ei] = cross.T
-    if ridge is None:
-        ridge = default_ridge(b)
-
-    _, vecs = solve_gev(a, b, d, ridge)
-    wa = vecs[offsets[0] : offsets[1]]
-    wb = vecs[offsets[1] : offsets[2]]
-    wc = vecs[offsets[2] : offsets[3]]
-    objective = cca3v_objective(views, [wa, wb, wc])
-
-    return SubspaceModel(
-        wa=wa,
-        wb=wb,
-        method="cca3v",
-        d=d,
-        preprocessing=Preprocessing(center_a=mean_a, center_b=mean_b),
-        hyperparams={"ridge": float(ridge)},
-        metadata={
-            "wc": wc.tolist(),
+    def solve(xa, xb, d):
+        mean_c, xc = center_fit(label_view(train))
+        views = [xa.values, xb.values, xc.values]
+        f = 1.0 / (train.n - 1)
+        cross = {(i, j): f * (views[i] @ views[j].T) for i in range(3) for j in range(i + 1, 3)}
+        _, ws, fitted_ridge = solve_block_gev([f * (x @ x.T) for x in views], cross, d, ridge)
+        metadata = {
+            "wc": ws[2].tolist(),
             "label_view_mean": mean_c.tolist(),
-            "objective": objective,
-        },
-        fit_seconds=time.perf_counter() - t0,
-    )
+            "objective": cca3v_objective(views, ws),
+        }
+        return ws[0], ws[1], {"ridge": float(fitted_ridge)}, metadata
+
+    d_max = min(train.d_a, train.d_b, train.n - 1)
+    return _fit_closed_form(train, "cca3v", d, d_max, max(min(train.c - 1, 30, d_max), 1), solve)

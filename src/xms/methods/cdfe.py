@@ -11,7 +11,6 @@ eigenbasis of the assembled matrix.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +18,7 @@ import numpy as np
 from ..dataset_io import PairedMultimodalDataset
 from ..errors import ConfigError, NumericalError, is_int
 from ..numerics import knn_graph, solve_gev
-from .cca import centered_views
-from .model import Preprocessing, SubspaceModel
+from .model import SubspaceModel, _fit_closed_form
 
 
 @dataclass(frozen=True)
@@ -49,55 +47,42 @@ def pair_weights(labels, alpha: float) -> np.ndarray:
 
 
 def fit_cdfe(train: PairedMultimodalDataset, d: int | None = None, config: CdfeConfig | None = None) -> SubspaceModel:
-    t0 = time.perf_counter()
     config = config or CdfeConfig()
     if config.alpha > 0 and train.c < 2:
         raise ConfigError("bad_hyperparam", "inter-class weight alpha > 0 needs at least 2 classes")
-    xa, xb, mean_a, mean_b = centered_views(train)
     d_total = train.d_a + train.d_b
-    d_max = min(train.d_a, train.d_b)
-    d = max(min(train.c - 1, 30, d_max), 1) if d is None else d
-    if not 1 <= d <= d_total:
-        raise ConfigError("bad_dim", f"d must lie in 1..{d_total}, got {d}")
 
-    s = pair_weights(train.labels, config.alpha)
-    row = np.diag(s.sum(axis=1))
-    col = np.diag(s.sum(axis=0))
-    qaa = xa.values @ row @ xa.values.T
-    qbb = xb.values @ col @ xb.values.T
-    if config.beta > 0:
-        # local consistency: per-edge-average Laplacian smoothness, so its
-        # scale matches the pair-normalized separability terms
-        k = min(config.knn_k, train.n - 1)
+    def solve(xa, xb, d):
+        s = pair_weights(train.labels, config.alpha)
+        # x diag(r) x' as (x * r) x': scaling the columns is exact, so the product is too
+        qaa = (xa.values * s.sum(axis=1)) @ xa.values.T
+        qbb = (xb.values * s.sum(axis=0)) @ xb.values.T
+        if config.beta > 0:
+            # local consistency: per-edge-average Laplacian smoothness, so its
+            # scale matches the pair-normalized separability terms
+            k = min(config.knn_k, train.n - 1)
 
-        def smoothness(x):
-            return config.beta * (x.values @ knn_graph(x, k).laplacian_per_weight @ x.values.T)
+            def smoothness(x):
+                return config.beta * (x.values @ knn_graph(x, k).laplacian_per_weight @ x.values.T)
 
-        qaa = qaa + smoothness(xa)
-        qbb = qbb + smoothness(xb)
-    qab = -(xa.values @ s @ xb.values.T)
-    q = np.block([[qaa, qab], [qab.T, qbb]])
+            qaa = qaa + smoothness(xa)
+            qbb = qbb + smoothness(xb)
+        qab = -(xa.values @ s @ xb.values.T)
+        q = np.block([[qaa, qab], [qab.T, qbb]])
 
-    scale = max(np.abs(q).max(), 1e-300)
-    if np.abs(q - q.T).max() > 1e-8 * scale:
-        raise NumericalError("asymmetric", "assembled CDFE matrix is not symmetric; internal bug")
-    q = 0.5 * (q + q.T)
+        scale = max(np.abs(q).max(), 1e-300)
+        if np.abs(q - q.T).max() > 1e-8 * scale:
+            raise NumericalError("asymmetric", "assembled CDFE matrix is not symmetric; internal bug")
+        q = 0.5 * (q + q.T)
 
-    # smallest eigenpairs of q under stacked orthonormality
-    neg_vals, vecs = solve_gev(-q, np.eye(d_total), d, ridge=0.0)
-    wa, wb = vecs[: train.d_a], vecs[train.d_a :]
+        # smallest eigenpairs of q under stacked orthonormality
+        neg_vals, vecs = solve_gev(-q, np.eye(d_total), d, ridge=0.0)
 
-    # objective at a deterministic feasible start vs. at the optimum
-    w0 = np.eye(d_total)[:, :d]
-    trace = [float(np.trace(w0.T @ q @ w0)), float(-neg_vals.sum())]
+        # objective at a deterministic feasible start vs. at the optimum
+        w0 = np.eye(d_total)[:, :d]
+        trace = [float(np.trace(w0.T @ q @ w0)), float(-neg_vals.sum())]
+        hyperparams = {"alpha": config.alpha, "beta": config.beta, "knn_k": config.knn_k}
+        wa, wb = np.ascontiguousarray(vecs[: train.d_a]), np.ascontiguousarray(vecs[train.d_a :])
+        return wa, wb, hyperparams, {"objective_trace": trace}
 
-    return SubspaceModel(
-        wa=np.ascontiguousarray(wa),
-        wb=np.ascontiguousarray(wb),
-        method="cdfe",
-        d=d,
-        preprocessing=Preprocessing(center_a=mean_a, center_b=mean_b),
-        hyperparams={"alpha": config.alpha, "beta": config.beta, "knn_k": config.knn_k},
-        metadata={"objective_trace": trace},
-        fit_seconds=time.perf_counter() - t0,
-    )
+    return _fit_closed_form(train, "cdfe", d, d_total, max(min(train.c - 1, 30, train.d_a, train.d_b), 1), solve)

@@ -25,12 +25,13 @@ EPS_TRACE = 1e-6  # smoothing of the trace-norm variational majorizer
 
 
 @dataclass(frozen=True)
-class SparseCoupledConfig:
+class LcfsConfig:
+    """LCFS's hyperparameters: the ones both coupled fitters share."""
+
     lambda1: float = 0.01
     lambda2: float = 0.01
     max_iters: int = 200
     tol: float = 1e-6
-    graph_k: int = 5
 
     def __post_init__(self):
         if not all(math.isfinite(v) and v >= 0 for v in (self.lambda1, self.lambda2)):
@@ -39,6 +40,16 @@ class SparseCoupledConfig:
             raise ConfigError("bad_hyperparam", "max_iters must be an integer >= 1")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ConfigError("bad_hyperparam", "tol must be finite and positive")
+
+
+@dataclass(frozen=True)
+class SparseCoupledConfig(LcfsConfig):
+    """JFSSL's hyperparameters: LCFS's plus the graph's neighbour count."""
+
+    graph_k: int = 5
+
+    def __post_init__(self):
+        super().__post_init__()
         if not (is_int(self.graph_k) and self.graph_k >= 1):
             raise ConfigError("bad_k", "graph_k must be a positive integer")
 
@@ -160,18 +171,17 @@ def _fit_coupled(method, train, config, context, t0, loss_scale, coupling, updat
     )
 
 
-def fit_lcfs(
-    train: PairedMultimodalDataset, config: SparseCoupledConfig | None = None, *, context=None
-) -> SubspaceModel:
+def fit_lcfs(train: PairedMultimodalDataset, config: LcfsConfig | None = None, *, context=None) -> SubspaceModel:
     """Coupled regression onto one-hot labels with l21 row sparsity and a
     trace-norm coupling of the two projected blocks: half the squared
     residuals, plus lambda2 times the smoothed trace norm of M = [x_a' w_a, x_b' w_b].
 
     ``context`` (a ``SplitContext`` of ``train``) shares the λ-free start
-    with other fits on the same split.
+    with other fits on the same split.  A ``SparseCoupledConfig`` is accepted
+    as well; LCFS builds no graph, so its ``graph_k`` goes unread.
     """
     t0 = time.perf_counter()
-    config = config or SparseCoupledConfig()
+    config = config or LcfsConfig()
     xs = (train.xa.values, train.xb.values)
 
     def coupling(ws, projs, link):

@@ -14,7 +14,6 @@ come from its own GEV.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +22,8 @@ import scipy.linalg as la
 from ..dataset_io import FeatureMatrix, PairedMultimodalDataset
 from ..errors import ConfigError, is_int
 from ..numerics import class_knn_graphs, default_ridge, scatter, solve_gev
-from .cca import centered_views
-from .model import Preprocessing, SubspaceModel
+from .cca import solve_block_gev
+from .model import SubspaceModel, _fit_closed_form
 
 VARIANTS = ("blm", "gmlda", "gmmfa")
 
@@ -74,52 +73,37 @@ def _variant_blocks(config: GmaConfig, views, labels, n):
 
 
 def fit_gma(train: PairedMultimodalDataset, d: int | None = None, config: GmaConfig | None = None) -> SubspaceModel:
-    t0 = time.perf_counter()
     config = config or GmaConfig()
-    xa, xb, mean_a, mean_b = centered_views(train)
-    d_max = min(train.d_a, train.d_b)
-    if d is None:
-        d = min(30, d_max) if config.variant == "blm" else max(min(train.c - 1, 30, d_max), 1)
-    if not 1 <= d <= d_max:
-        raise ConfigError("bad_dim", f"d must lie in 1..{d_max}, got {d}")
 
-    (a_a, b_a, cross_a), (a_b, b_b, cross_b) = _variant_blocks(
-        config, [xa.values, xb.values], train.labels, train.n
-    )
-    b = la.block_diag(b_a, config.alpha * b_b)
-    ridge = default_ridge(b)
-
-    if config.beta == 0.0:
-        # block-diagonal problem: each view keeps its own top-d directions
-        _, wa = solve_gev(a_a, b_a, d, ridge)
-        _, wb = solve_gev(config.mu * a_b, config.alpha * b_b, d, ridge)
-        eigvals = []
-    else:
-        cross = 0.5 * config.beta * (cross_a @ cross_b.T)
-        a = la.block_diag(a_a, config.mu * a_b)
-        a[: train.d_a, train.d_a :] = cross
-        a[train.d_a :, : train.d_a] = cross.T
-        vals, vecs = solve_gev(a, b, d, ridge)
-        wa, wb = vecs[: train.d_a], vecs[train.d_a :]
-        eigvals = [float(v) for v in vals]
-
-    return SubspaceModel(
-        wa=np.ascontiguousarray(wa),
-        wb=np.ascontiguousarray(wb),
-        method=config.variant,
-        d=d,
-        preprocessing=Preprocessing(center_a=mean_a, center_b=mean_b),
-        hyperparams={
+    def solve(xa, xb, d):
+        (a_a, b_a, cross_a), (a_b, b_b, cross_b) = _variant_blocks(
+            config, [xa.values, xb.values], train.labels, train.n
+        )
+        if config.beta == 0.0:
+            # block-diagonal problem: each view keeps its own top-d directions
+            ridge = default_ridge(la.block_diag(b_a, config.alpha * b_b))
+            _, wa = solve_gev(a_a, b_a, d, ridge)
+            _, wb = solve_gev(config.mu * a_b, config.alpha * b_b, d, ridge)
+            eigvals = []
+        else:
+            cross = 0.5 * config.beta * (cross_a @ cross_b.T)
+            vals, (wa, wb), ridge = solve_block_gev(
+                [b_a, config.alpha * b_b], {(0, 1): cross}, d, a_blocks=[a_a, config.mu * a_b]
+            )
+            eigvals = [float(v) for v in vals]
+        hyperparams = {
             "mu": config.mu,
             "beta": config.beta,
             "alpha": config.alpha,
             "ridge": float(ridge),
             "mfa_k_intrinsic": config.mfa_k_intrinsic,
             "mfa_k_penalty": config.mfa_k_penalty,
-        },
-        metadata={"gev_eigenvalues": eigvals},
-        fit_seconds=time.perf_counter() - t0,
-    )
+        }
+        return np.ascontiguousarray(wa), np.ascontiguousarray(wb), hyperparams, {"gev_eigenvalues": eigvals}
+
+    d_max = min(train.d_a, train.d_b)
+    d_default = min(30, d_max) if config.variant == "blm" else max(min(train.c - 1, 30, d_max), 1)
+    return _fit_closed_form(train, config.variant, d, d_max, d_default, solve)
 
 
 def fit_blm(train, d=None, **kwargs) -> SubspaceModel:

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import json
 import struct
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dataset_io import FeatureMatrix, read_matrix_stream, write_matrix_stream
+from ..dataset_io import FeatureMatrix, PairedMultimodalDataset, read_matrix_stream, write_matrix_stream
 from ..errors import ConfigError, DataError
-from ..preprocess import PcaModel, pca_apply
+from ..preprocess import PcaModel, center_fit, pca_apply
 
 METHOD_NAMES = ("cca", "pls", "blm", "gmlda", "gmmfa", "cdfe", "cca3v", "lcfs", "jfssl")
 
@@ -56,6 +57,36 @@ class SubspaceModel:
     def objective_trace(self) -> np.ndarray | None:
         trace = self.metadata.get("objective_trace")
         return None if trace is None else np.asarray(trace, dtype=np.float64)
+
+
+def _fit_closed_form(
+    train: PairedMultimodalDataset, method: str, d: int | None, d_max: int, default_d: int, solve
+) -> SubspaceModel:
+    """The front end of the closed-form fitters.
+
+    It centers both training views, takes ``default_d`` when ``d`` is None,
+    checks 1 <= d <= ``d_max`` (``bad_dim``), and calls ``solve(xa, xb, d)``
+    on the centered views, which returns ``(wa, wb, hyperparams, metadata)``.
+    The model keeps the training means as its centers, and ``fit_seconds``
+    covers all of it.
+    """
+    t0 = time.perf_counter()
+    mean_a, xa = center_fit(train.xa)
+    mean_b, xb = center_fit(train.xb)
+    d = default_d if d is None else d
+    if not 1 <= d <= d_max:
+        raise ConfigError("bad_dim", f"d must lie in 1..{d_max}, got {d}")
+    wa, wb, hyperparams, metadata = solve(xa, xb, d)
+    return SubspaceModel(
+        wa=wa,
+        wb=wb,
+        method=method,
+        d=d,
+        preprocessing=Preprocessing(center_a=mean_a, center_b=mean_b),
+        hyperparams=hyperparams,
+        metadata=metadata,
+        fit_seconds=time.perf_counter() - t0,
+    )
 
 
 def project(model: SubspaceModel, x: FeatureMatrix, modality: str) -> FeatureMatrix:

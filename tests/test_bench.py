@@ -519,6 +519,7 @@ def test_config_from_dict_requires_real_bools_and_integers(key, value):
         pytest.param({}, {"hyperparams": [1, 2]}, "bad_config", id="hyperparams-list"),
         pytest.param({}, {"hyperparams_by_metric": {"map": 3}}, "bad_config", id="by_metric-block"),
         pytest.param({}, {"hyperparams_by_metric": [("map", {})]}, "bad_config", id="by_metric-list"),
+        pytest.param({}, {"hyperparams_by_metric": {"acc@k": {"ridge": 0.5}}}, "bad_config", id="by_metric-key"),
         pytest.param({}, {"name": 3}, "bad_config", id="name-int"),
         pytest.param({}, {"label": 3}, "bad_config", id="label-int"),
         pytest.param({"methods": "cca"}, {}, "bad_config", id="methods-str"),

@@ -185,6 +185,22 @@ def test_save_load_round_trip(rng, tmp_path, fmt):
     assert np.array_equal(back.labels, ds.labels)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+def test_sample_ids_round_trip(rng, tmp_path, fmt):
+    base = make_dataset(rng, 6, 2)
+    ids = ("s0", "s1", "s2", "s3", "s4", "s5")
+    ds = PairedMultimodalDataset(base.xa, base.xb, base.labels, base.c, sample_ids=ids)
+    save_dataset(ds, tmp_path / "ds", fmt=fmt)
+    assert load_dataset(tmp_path / "ds").sample_ids == ids
+
+
+def test_subset_keeps_sample_ids_in_index_order(rng):
+    base = make_dataset(rng, 6, 2)
+    ds = PairedMultimodalDataset(base.xa, base.xb, base.labels, base.c, sample_ids=tuple(f"s{i}" for i in range(6)))
+    assert subset(ds, [4, 1, 5]).sample_ids == ("s4", "s1", "s5")
+    assert subset(base, [4, 1]).sample_ids is None
+
+
 def test_binary_round_trip_bit_exact(rng, tmp_path):
     values = rng.standard_normal((7, 5)) * 1e-7
     write_matrix_binary(tmp_path / "m.bin", values)

@@ -48,6 +48,33 @@ def test_fitters_accept_pca_preprocessing(rng, name):
     assert proj.values.shape[0] == model.d
 
 
+# default d and largest accepted d on n=8, d_a=10, d_b=9, c=2
+CLOSED_FORM_DIMS = {
+    "cca": (7, 7),
+    "pls": (7, 7),
+    "cca3v": (1, 7),
+    "blm": (9, 9),
+    "gmlda": (1, 9),
+    "gmmfa": (1, 9),
+    "cdfe": (1, 19),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_DIMS))
+def test_closed_form_dimension_contract(name):
+    ds = random_paired_dataset(np.random.default_rng(11), n=8, d_a=10, d_b=9, c=2)
+    default, bound = CLOSED_FORM_DIMS[name]
+    model = fit_method(ds, name)
+    assert model.d == default
+    assert np.array_equal(model.preprocessing.center_a, ds.xa.values.mean(axis=1))
+    assert np.array_equal(model.preprocessing.center_b, ds.xb.values.mean(axis=1))
+    assert fit_method(ds, name, dim=bound).d == bound
+    for dim in (bound + 1, 0):
+        with pytest.raises(ConfigError) as err:
+            fit_method(ds, name, dim=dim)
+        assert err.value.code == "bad_dim"
+
+
 def test_gev_fitters_eigenvalues_non_increasing(rng):
     ds = random_paired_dataset(rng, n=50, d_a=6, d_b=6, c=3)
     for name in ("cca", "blm", "gmlda", "gmmfa"):
@@ -80,6 +107,8 @@ def test_unused_hyperparameters_rejected(rng):
         fit_method(ds, "gmlda", hyperparams={"variant": "blm"})
     with pytest.raises(ConfigError):
         fit_method(ds, "pls", hyperparams={"ridge": 0.1})
+    with pytest.raises(ConfigError):
+        fit_method(ds, "lcfs", hyperparams={"graph_k": 3})
 
 
 @pytest.mark.parametrize("name", ["cca", "cca3v"])
