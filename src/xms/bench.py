@@ -17,7 +17,7 @@ import json
 import math
 import os
 import platform
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 import scipy
@@ -259,24 +259,6 @@ def _l2_normalize(dataset: PairedMultimodalDataset) -> PairedMultimodalDataset:
     )
 
 
-def _evaluate_split(model, test: PairedMultimodalDataset, config: BenchmarkConfig) -> dict:
-    proj_a = project(model, test.xa, "a")
-    proj_b = project(model, test.xb, "b")
-    out = {}
-    for direction in DIRECTIONS:
-        queries, gallery = (proj_a, proj_b) if direction == "a2b" else (proj_b, proj_a)
-        evaluation = evaluate_direction(
-            queries, gallery, test.labels, test.labels, direction, ap_cutoff=config.ap_cutoff
-        )
-        if config.metric_mode == "map":
-            metric = evaluation.map
-        else:
-            k = min(config.acc_k, evaluation.acc_at_k.size)
-            metric = float(evaluation.acc_at_k[k - 1])
-        out[direction] = {"metric": metric, "cmc": evaluation.acc_at_k}
-    return out
-
-
 def _prepared_data(config: BenchmarkConfig, dataset) -> PairedMultimodalDataset:
     data = dataset if dataset is not None else resolve_dataset(config.dataset)
     if config.l2_normalize:
@@ -286,78 +268,67 @@ def _prepared_data(config: BenchmarkConfig, dataset) -> PairedMultimodalDataset:
     return data
 
 
-@dataclass
-class _Runs:
-    """Per-repetition outcomes of one method spec: metrics, CMC curves, fit times, failures."""
-
-    metric: dict = field(default_factory=lambda: {d: [] for d in DIRECTIONS})
-    cmc: dict = field(default_factory=lambda: {d: [] for d in DIRECTIONS})
-    fit_seconds: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
-
-    def record(self, spec: MethodSpec, context: SplitContext, test, config: BenchmarkConfig, r: int) -> None:
-        """Fit ``spec`` on the context's split and evaluate it on ``test``; a typed error is a failure."""
-        try:
-            model = fit_method(
-                context.train,
-                spec.name,
-                dim=spec.dim,
-                pca=spec.pca,
-                hyperparams=spec.resolved_hyperparams(config.metric_mode),
-                context=context,
-            )
-            evaluated = _evaluate_split(model, test, config)
-        except XmsError as exc:
-            self.failures.append({"repetition": r, "code": exc.code, "message": str(exc)})
-            return
-        seconds = model.fit_seconds
-        if config.include_pca_in_timing:
-            seconds += context.pca(spec.pca).pca_seconds
-        self.fit_seconds.append(seconds)
-        for direction in DIRECTIONS:
-            self.metric[direction].append(evaluated[direction]["metric"])
-            self.cmc[direction].append(evaluated[direction]["cmc"])
-
-    def entry(self, spec: MethodSpec, metric_name: str) -> dict:
-        """The report's ``methods`` entry for these runs."""
-        directions_out = {}
-        for direction in DIRECTIONS:
-            metric_runs = self.metric[direction]
-            if metric_runs:
-                directions_out[direction] = {
-                    "metric": metric_name,
-                    "map_runs": [float(v) for v in metric_runs],
-                    "summary": summary_stats(metric_runs),
-                    "cmc_mean": np.mean(np.stack(self.cmc[direction]), axis=0).tolist(),
-                }
-            else:
-                directions_out[direction] = {"metric": metric_name, "map_runs": [], "summary": None, "cmc_mean": []}
-        times = self.fit_seconds
-        return {
-            "method": normalize_method_name(spec.name),
-            "directions": directions_out,
-            "fit_seconds_mean": float(np.mean(times)) if times else None,
-            "fit_seconds_var": float(np.var(times, ddof=1)) if len(times) > 1 else 0.0,
-            "failures": self.failures,
-            "complete": not self.failures,
+def _outcome(spec: MethodSpec, context: SplitContext, test, config: BenchmarkConfig, r: int) -> dict:
+    """Fit ``spec`` on the context's split and evaluate both directions on ``test``: the fit seconds
+    and each direction's ``{"metric", "cmc"}``, or ``{"failure": {...}}`` for a typed error."""
+    try:
+        model = fit_method(
+            context.train,
+            spec.name,
+            dim=spec.dim,
+            pca=spec.pca,
+            hyperparams=spec.resolved_hyperparams(config.metric_mode),
+            context=context,
+        )
+        proj_a = project(model, test.xa, "a")
+        proj_b = project(model, test.xb, "b")
+        views = {"a2b": (proj_a, proj_b), "b2a": (proj_b, proj_a)}
+        evaluations = {
+            d: evaluate_direction(*views[d], test.labels, test.labels, d, ap_cutoff=config.ap_cutoff)
+            for d in DIRECTIONS
         }
+    except XmsError as exc:
+        return {"failure": {"repetition": r, "code": exc.code, "message": str(exc)}}
+    seconds = model.fit_seconds
+    if config.include_pca_in_timing:
+        seconds += context.pca(spec.pca).pca_seconds
+    outcome = {"fit_seconds": seconds}
+    for d, evaluation in evaluations.items():
+        if config.metric_mode == "map":
+            metric = evaluation.map
+        else:
+            metric = float(evaluation.acc_at_k[min(config.acc_k, evaluation.acc_at_k.size) - 1])
+        outcome[d] = {"metric": metric, "cmc": evaluation.acc_at_k}
+    return outcome
 
-    @classmethod
-    def concat(cls, parts) -> "_Runs":
-        """One spec's runs over several splits, in the order given."""
-        whole = cls()
-        for part in parts:
-            for direction in DIRECTIONS:
-                whole.metric[direction] += part.metric[direction]
-                whole.cmc[direction] += part.cmc[direction]
-            whole.fit_seconds += part.fit_seconds
-            whole.failures += part.failures
-        return whole
+
+def _entry(spec: MethodSpec, outcomes, metric_name: str) -> dict:
+    """The report's ``methods`` entry of one spec from its outcomes, in repetition order."""
+    runs = [outcome for outcome in outcomes if "failure" not in outcome]
+    failures = [outcome["failure"] for outcome in outcomes if "failure" in outcome]
+    directions_out = {}
+    for d in DIRECTIONS:
+        metric_runs = [float(run[d]["metric"]) for run in runs]
+        directions_out[d] = {
+            "metric": metric_name,
+            "map_runs": metric_runs,
+            "summary": summary_stats(metric_runs) if runs else None,
+            "cmc_mean": np.mean(np.stack([run[d]["cmc"] for run in runs]), axis=0).tolist() if runs else [],
+        }
+    times = [run["fit_seconds"] for run in runs]
+    return {
+        "method": normalize_method_name(spec.name),
+        "directions": directions_out,
+        "fit_seconds_mean": float(np.mean(times)) if times else None,
+        "fit_seconds_var": float(np.var(times, ddof=1)) if len(times) > 1 else 0.0,
+        "failures": failures,
+        "complete": not failures,
+    }
 
 
-def _split_runs(r: int, data: PairedMultimodalDataset, config: BenchmarkConfig, specs) -> list[_Runs]:
+def _split_runs(r: int, data: PairedMultimodalDataset, config: BenchmarkConfig, specs) -> list[dict]:
     """Repetition r: split with seed base_seed + r, then fit and evaluate every spec against one
-    ``SplitContext``, which is dropped on return; the runs of each spec on this split."""
+    ``SplitContext``, which is dropped on return; one outcome per spec."""
     seed = config.base_seed + r
     if config.stratified:
         plan = stratified_split(data.labels, config.n_train, seed)
@@ -365,10 +336,7 @@ def _split_runs(r: int, data: PairedMultimodalDataset, config: BenchmarkConfig, 
         plan = random_split(data.n, config.n_train, seed)
     train, test = subset(data, plan.train_indices), subset(data, plan.test_indices)
     context = SplitContext(train)
-    runs = [_Runs() for _ in specs]
-    for spec, spec_runs in zip(specs, runs):
-        spec_runs.record(spec, context, test, config, r)
-    return runs
+    return [_outcome(spec, context, test, config, r) for spec in specs]
 
 
 def _worker_count(repetitions: int) -> int:
@@ -425,17 +393,17 @@ def _start_worker(data, config, specs) -> None:
     _pin_blas_threads()  # workers already share the CPUs; BLAS threads on top would oversubscribe them
 
 
-def _worker_split_runs(r: int) -> list[_Runs]:
+def _worker_split_runs(r: int) -> list[dict]:
     return _split_runs(r, *_worker_args)
 
 
-def _all_runs(data: PairedMultimodalDataset, config: BenchmarkConfig, specs, workers: int) -> list[_Runs]:
-    """Every spec's runs over all repetitions, merged in repetition order.
+def _all_runs(data: PairedMultimodalDataset, config: BenchmarkConfig, specs, workers: int) -> list[tuple]:
+    """Every spec's outcomes over all repetitions, in repetition order.
 
     With more than one worker, the repetitions run on a pool of that many
     forked processes, started for this call.  The data, config and specs
-    reach them by inheritance; only repetition numbers go out and only runs
-    come back, in repetition order, so the merged runs equal a serial run's.
+    reach them by inheritance; only repetition numbers go out and only outcomes
+    come back, in repetition order, so they equal a serial run's.
     An error in a repetition is raised here once the workers have finished
     the repetitions they hold; a worker that dies raises ``BrokenProcessPool``.
     """
@@ -450,7 +418,7 @@ def _all_runs(data: PairedMultimodalDataset, config: BenchmarkConfig, specs, wor
             splits = list(pool.map(_worker_split_runs, range(config.repetitions)))
         finally:
             pool.shutdown(cancel_futures=True)
-    return [_Runs.concat(parts) for parts in zip(*splits)]
+    return list(zip(*splits))
 
 
 def _metric_name(config: BenchmarkConfig) -> str:
@@ -471,12 +439,10 @@ def run_benchmark(config: BenchmarkConfig, dataset: PairedMultimodalDataset | No
 
     methods_out = {}
     box_out = {}
-    for spec, spec_runs in zip(config.methods, runs):
-        methods_out[spec.label] = spec_runs.entry(spec, _metric_name(config))
+    for spec, outcomes in zip(config.methods, runs):
+        entry = methods_out[spec.label] = _entry(spec, outcomes, _metric_name(config))
         box_out[spec.label] = {
-            direction: box_stats(metric_runs).to_dict()
-            for direction, metric_runs in spec_runs.metric.items()
-            if metric_runs
+            d: box_stats(out["map_runs"]).to_dict() for d, out in entry["directions"].items() if out["map_runs"]
         }
 
     return {
@@ -556,14 +522,13 @@ def lambda_sweep(config: BenchmarkConfig, method: str, grid1, grid2, dataset=Non
 
     surfaces = {d: [[None] * len(grid2) for _ in grid1] for d in DIRECTIONS}
     failed_cells = []
-    for (i, j), spec, cell_runs in zip(cells, specs, runs):
-        entry = cell_runs.entry(spec, _metric_name(config))
-        if not entry["complete"] and not any(entry["directions"][d]["map_runs"] for d in DIRECTIONS):
+    for (i, j), spec, outcomes in zip(cells, specs, runs):
+        entry = _entry(spec, outcomes, _metric_name(config))
+        if all("failure" in outcome for outcome in outcomes):
             failed_cells.append({"lambda1": grid1[i], "lambda2": grid2[j], "failures": entry["failures"]})
             continue
         for d in DIRECTIONS:
-            summary = entry["directions"][d]["summary"]
-            surfaces[d][i][j] = summary["mean"] if summary else None
+            surfaces[d][i][j] = entry["directions"][d]["summary"]["mean"]
     return {
         "method": method,
         "lambda1_grid": grid1,
@@ -597,9 +562,9 @@ def method_spec_from_dict(entry: dict) -> MethodSpec:
     """A config's method entry; the name is made canonical, and the label
     defaults to it, with ``pca+`` in front when the entry sets a PCA."""
     entry = _field_mapping(entry, MethodSpec, "method entry", defaulted=("label",))
-    spec = MethodSpec(**{**entry, "label": ""})
-    name = normalize_method_name(spec.name)
-    return replace(spec, name=name, label=entry.get("label") or (f"pca+{name}" if spec.pca else name))
+    name = normalize_method_name(entry["name"]) if isinstance(entry["name"], str) else entry["name"]
+    label = entry.get("label") or (f"pca+{name}" if entry.get("pca") else name)
+    return MethodSpec(**{**entry, "name": name, "label": label})
 
 
 def config_from_dict(raw: dict) -> BenchmarkConfig:

@@ -11,7 +11,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from . import bench as bench_mod
@@ -127,18 +126,8 @@ def cmd_ttest(args) -> int:
     return 0
 
 
-def _write_json(payload, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=_json_default)
-        fh.write("\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+# this module's own name: benchmarks/calltrace.py patches it apart from bench.write_report_json
+_write_json = bench_mod.write_report_json
 
 
 def build_parser() -> argparse.ArgumentParser:

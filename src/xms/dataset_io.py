@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, is_int
 
 _MAGIC = b"XMS1"
 
@@ -292,6 +292,13 @@ def load_dataset(path) -> PairedMultimodalDataset:
             manifest = json.loads(manifest_path.read_text())
         except json.JSONDecodeError as exc:
             raise DataError("malformed_file", f"{manifest_path}: {exc}") from exc
+        names = (*DEFAULT_FILES, "sample_ids")
+        if not (
+            isinstance(manifest, dict)
+            and all(isinstance(manifest.get(role, ""), str) for role in names)
+            and (manifest.get("c") is None or is_int(manifest["c"]))
+        ):
+            raise DataError("malformed_file", f"{manifest_path}: must map {names} to file names and c to an integer")
 
     xa_rows = read_matrix(_resolve(directory, manifest, "features_a"))
     xb_rows = read_matrix(_resolve(directory, manifest, "features_b"))

@@ -1,16 +1,22 @@
-"""Exception hierarchy shared by all xms modules, and the config integer rule.
+"""Exception hierarchy shared by all xms modules, and the config integer and real rules.
 
 Each exception carries a short machine-readable ``code`` so callers (and the
 CLI) can map failures to exit codes and distinguish error classes without
 parsing messages.
 """
 
+import math
 import numbers
 
 
 def is_int(value) -> bool:
     """Whether a config value is an integer: ``numbers.Integral`` and not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether a config value is a finite real number: ``numbers.Real``, not a bool, and finite."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 class XmsError(Exception):

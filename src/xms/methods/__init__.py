@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import math
-import numbers
 import time
 from dataclasses import dataclass, replace
 
 from ..dataset_io import PairedMultimodalDataset
-from ..errors import ConfigError, is_int
+from ..errors import ConfigError, is_int, is_real
 from ..preprocess import pca_apply, pca_fit
 from .cca import fit_cca, fit_cca3v
 from .cdfe import CdfeConfig, fit_cdfe
@@ -53,17 +51,21 @@ def normalize_method_name(name: str) -> str:
 def _pca_options(pca: dict | None) -> dict:
     """``pca_fit``'s keyword arguments for a PCA spec; ``{}`` for no PCA (None or an empty mapping).
 
-    A spec is ``{"mode": "energy", "value": <number>}`` or ``{"mode": "dim",
-    "value": <integer>}`` (not a bool); anything else raises ``bad_pca``.
+    A spec is ``{"mode": "energy", "value": <finite number in (0, 1]>}`` or
+    ``{"mode": "dim", "value": <integer >= 1>}`` (neither a bool); anything
+    else raises ``bad_pca``.  ``pca_fit`` still checks the dimension against
+    the data.
     """
     if pca is None or pca == {}:
         return {}
     kind, value = (pca.get("mode"), pca.get("value")) if isinstance(pca, dict) else (None, None)
-    if kind == "energy" and isinstance(value, numbers.Real) and not isinstance(value, bool):
+    if kind == "energy" and is_real(value) and 0 < value <= 1:
         return {"energy": float(value)}
-    if kind == "dim" and is_int(value):
+    if kind == "dim" and is_int(value) and value >= 1:
         return {"k": int(value)}
-    raise ConfigError("bad_pca", f"pca must be {{'mode': 'energy' or 'dim', 'value': <number>}}, got {pca!r}")
+    raise ConfigError(
+        "bad_pca", f"pca must be {{'mode': 'energy', 'value': 0 < v <= 1}} or {{'mode': 'dim', 'value': int >= 1}}, got {pca!r}"
+    )
 
 
 class SplitContext:
@@ -116,7 +118,7 @@ class _RidgeConfig:
     ridge: float | None = None
 
     def __post_init__(self):
-        if self.ridge is not None and not (math.isfinite(self.ridge) and self.ridge >= 0):
+        if self.ridge is not None and not (is_real(self.ridge) and self.ridge >= 0):
             raise ConfigError("bad_hyperparam", f"ridge must be finite and non-negative, got {self.ridge}")
 
 

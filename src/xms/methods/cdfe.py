@@ -10,13 +10,12 @@ eigenbasis of the assembled matrix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..dataset_io import PairedMultimodalDataset
-from ..errors import ConfigError, NumericalError, is_int
+from ..errors import ConfigError, NumericalError, is_int, is_real
 from ..numerics import knn_graph, solve_gev
 from .model import SubspaceModel, _fit_closed_form
 
@@ -28,7 +27,7 @@ class CdfeConfig:
     knn_k: int = 5
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v >= 0 for v in (self.alpha, self.beta)):
+        if not all(is_real(v) and v >= 0 for v in (self.alpha, self.beta)):
             raise ConfigError("bad_hyperparam", "alpha and beta must be finite and non-negative")
         if not (is_int(self.knn_k) and self.knn_k >= 1):
             raise ConfigError("bad_k", "knn_k must be a positive integer")

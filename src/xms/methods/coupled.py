@@ -8,7 +8,6 @@ provably decrease; each recorded trace is therefore non-increasing.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -16,7 +15,7 @@ import numpy as np
 import scipy.linalg as la
 
 from ..dataset_io import PairedMultimodalDataset, encode_labels
-from ..errors import ConfigError, NumericalError, is_int
+from ..errors import ConfigError, NumericalError, is_int, is_real
 from ..numerics import l21_reweight, multimodal_graph
 from .model import Preprocessing, SubspaceModel
 
@@ -34,11 +33,11 @@ class LcfsConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v >= 0 for v in (self.lambda1, self.lambda2)):
+        if not all(is_real(v) and v >= 0 for v in (self.lambda1, self.lambda2)):
             raise ConfigError("bad_hyperparam", "lambda1 and lambda2 must be finite and non-negative")
         if not (is_int(self.max_iters) and self.max_iters >= 1):
             raise ConfigError("bad_hyperparam", "max_iters must be an integer >= 1")
-        if not (math.isfinite(self.tol) and self.tol > 0):
+        if not (is_real(self.tol) and self.tol > 0):
             raise ConfigError("bad_hyperparam", "tol must be finite and positive")
 
 

@@ -13,14 +13,13 @@ come from its own GEV.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
 
 from ..dataset_io import FeatureMatrix, PairedMultimodalDataset
-from ..errors import ConfigError, is_int
+from ..errors import ConfigError, is_int, is_real
 from ..numerics import class_knn_graphs, default_ridge, scatter, solve_gev
 from .cca import solve_block_gev
 from .model import SubspaceModel, _fit_closed_form
@@ -40,9 +39,9 @@ class GmaConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError("bad_variant", f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if not all(math.isfinite(v) and v > 0 for v in (self.mu, self.alpha)):
+        if not all(is_real(v) and v > 0 for v in (self.mu, self.alpha)):
             raise ConfigError("bad_hyperparam", "mu and alpha must be finite and positive")
-        if not (math.isfinite(self.beta) and self.beta >= 0):
+        if not (is_real(self.beta) and self.beta >= 0):
             raise ConfigError("bad_hyperparam", "beta must be finite and non-negative")
         if not all(is_int(k) and k >= 1 for k in (self.mfa_k_intrinsic, self.mfa_k_penalty)):
             raise ConfigError("bad_k", "mfa_k_intrinsic and mfa_k_penalty must be positive integers")

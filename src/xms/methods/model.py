@@ -146,17 +146,21 @@ def save_model(model: SubspaceModel, path) -> None:
 
 
 def load_model(path) -> SubspaceModel:
+    """Read a ``save_model`` file; a truncated or malformed one raises ``DataError("malformed_file")``."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MODEL_MAGIC:
+        head = fh.read(12)
+        if len(head) < 12 or head[:4] != _MODEL_MAGIC:
             raise DataError("malformed_file", f"{path}: not an xms model file")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
+        (header_len,) = struct.unpack("<Q", head[4:])
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DataError("malformed_file", f"{path}: bad model header: {exc}") from exc
-        blocks = {name: read_matrix_stream(fh, name) for name in header["blocks"]}
+            return _model_from(header, {name: read_matrix_stream(fh, name) for name in header["blocks"]})
+        # ValueError covers bad UTF-8 and JSON; ConfigError, a header that contradicts its blocks
+        except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:
+            raise DataError("malformed_file", f"{path}: bad model header: {exc!r}") from exc
 
+
+def _model_from(header: dict, blocks: dict) -> SubspaceModel:
     def pca_from(name: str) -> PcaModel | None:
         if f"{name}_basis" not in blocks:
             return None

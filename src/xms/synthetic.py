@@ -12,13 +12,10 @@ subcategory-level retrieval while keeping instance-level matching possible.
 
 from __future__ import annotations
 
-import math
-import numbers
-
 import numpy as np
 
 from .dataset_io import FeatureMatrix, PairedMultimodalDataset
-from .errors import ConfigError, is_int
+from .errors import ConfigError, is_int, is_real
 
 
 def _orthonormal_columns(rng, rows: int, cols: int) -> np.ndarray:
@@ -43,8 +40,7 @@ def make_synthetic_dataset(
     if not (all(is_int(v) and v >= 0 for v in counts.values()) and c >= 1):
         raise ConfigError("bad_config", f"synthetic counts and seed must be integers >= 0, c >= 1; got {counts}")
     scales = dict(class_sep=class_sep, within_sd=within_sd, instance_sd=instance_sd, noise_sd=noise_sd)
-    real = lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
-    if not all(real(v) and math.isfinite(v) and v >= 0 for v in scales.values()):
+    if not all(is_real(v) and v >= 0 for v in scales.values()):
         raise ConfigError("bad_config", f"synthetic scales must be finite reals >= 0; got {scales}")
     latent_dim = class_dim + instance_dim
     if min(d_a, d_b) < latent_dim:

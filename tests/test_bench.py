@@ -212,6 +212,39 @@ def test_benchmark_records_failures_and_flags_incomplete():
     assert good["complete"] and len(good["directions"]["a2b"]["map_runs"]) == 2
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_benchmark_partial_failures(monkeypatch, workers):
+    """PLS fails on repetition 1 of 3 only: its entry is built from repetitions 0 and 2."""
+    force_workers(monkeypatch, workers)
+    specs = (MethodSpec("cca", "cca", dim=2), MethodSpec("pls", "pls", dim=2))
+    config = small_config(specs, reps=3)
+    unfailed = run_benchmark(config)["methods"]["pls"]
+    singles = [run_benchmark(dataclasses.replace(config, repetitions=1, base_seed=r))["methods"]["pls"] for r in (0, 2)]
+    data = small_dataset()
+    rep1_train = subset(data, random_split(data.n, config.n_train, config.base_seed + 1).train_indices)
+    real_fit = xms.bench.fit_method
+
+    def flaky_fit(train, name, **kwargs):
+        if name == "pls" and np.array_equal(train.xa.values, rep1_train.xa.values):
+            raise NumericalError("divergence", "injected on repetition 1")
+        return real_fit(train, name, **kwargs)
+
+    monkeypatch.setattr(xms.bench, "fit_method", flaky_fit)
+    report = run_benchmark(config)
+    entry = report["methods"]["pls"]
+    assert report["methods"]["cca"]["complete"]
+    assert not entry["complete"]
+    assert [(f["repetition"], f["code"]) for f in entry["failures"]] == [(1, "divergence")]
+    for d in ("a2b", "b2a"):
+        block = entry["directions"][d]
+        runs = unfailed["directions"][d]["map_runs"]
+        assert block["map_runs"] == [runs[0], runs[2]]
+        assert block["summary"] == summary_stats(block["map_runs"])
+        assert report["box_stats"]["pls"][d] == box_stats(block["map_runs"]).to_dict()
+        curves = [single["directions"][d]["cmc_mean"] for single in singles]
+        assert block["cmc_mean"] == np.mean(curves, axis=0).tolist()
+
+
 def test_benchmark_summary_recompute(rng):
     specs = (MethodSpec("pls", "pls", dim=2),)
     report = run_benchmark(small_config(specs, reps=3))
@@ -513,6 +546,9 @@ def test_config_from_dict_requires_real_bools_and_integers(key, value):
         pytest.param({}, {"pca": {"mode": "dim", "value": 2.5}}, "bad_pca", id="pca-dim-float"),
         pytest.param({}, {"pca": {"mode": "variance", "value": 0.9}}, "bad_pca", id="pca-mode"),
         pytest.param({}, {"pca": 0.98}, "bad_pca", id="pca-not-mapping"),
+        pytest.param({}, {"pca": {"mode": "energy", "value": 1.5}}, "bad_pca", id="pca-energy-above-one"),
+        pytest.param({}, {"pca": {"mode": "energy", "value": float("nan")}}, "bad_pca", id="pca-energy-nan"),
+        pytest.param({}, {"pca": {"mode": "dim", "value": 0}}, "bad_pca", id="pca-dim-zero"),
         pytest.param({"ap_cutoff": 2.5}, {}, "bad_config", id="ap_cutoff-float"),
         pytest.param({"ap_cutoff": True}, {}, "bad_config", id="ap_cutoff-bool"),
         pytest.param({"ap_cutoff": 0}, {}, "bad_config", id="ap_cutoff-zero"),
@@ -530,6 +566,7 @@ def test_config_from_dict_requires_real_bools_and_integers(key, value):
         pytest.param({}, {"name": "jfssl", "hyperparams": {"lamda1": 0.1}}, "bad_hyperparam", id="hyperparam-key"),
         pytest.param({}, {"name": "jfssl", "hyperparams": {"graph_K": 3}}, "bad_hyperparam", id="hyperparam-case"),
         pytest.param({}, {"hyperparams": {"ridge": -1.0}}, "bad_hyperparam", id="hyperparam-range"),
+        pytest.param({}, {"hyperparams": {"ridge": True}}, "bad_hyperparam", id="hyperparam-bool"),
         pytest.param({}, {"name": "gmlda", "hyperparams": {"variant": "blm"}}, "bad_hyperparam", id="gma-variant"),
         pytest.param(
             {}, {"hyperparams_by_metric": {"acc_at_k": {"ridge": -1}}}, "bad_hyperparam", id="by_metric-range"
@@ -546,6 +583,13 @@ def test_mistyped_config_fields_raise_config_error(config_fields, spec_fields, c
         methods = (MethodSpec(**entry),)
         BenchmarkConfig(**{"dataset": dataset, "n_train": 40, "methods": methods, **config_fields})
     assert err.value.code == code
+
+
+def test_config_file_errors_name_the_method_label():
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"dataset": "x", "n_train": 3, "methods": [{"name": "cca", "dim": "3"}]})
+    assert err.value.code == "bad_config"
+    assert str(err.value).startswith("cca: ")
 
 
 @pytest.mark.parametrize("raw", [None, [], {"dataset": "x", "n_train": 3, "methods": [["cca"]]}], ids=["none", "list", "entry-list"])

@@ -267,6 +267,28 @@ def test_load_malformed_file(tmp_path):
     assert err.value.code == "malformed_file"
 
 
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        pytest.param(["features_a.csv"], id="list"),
+        pytest.param({"c": "3"}, id="c-str"),
+        pytest.param({"c": 3.0}, id="c-float"),
+        pytest.param({"features_a": 5}, id="file-int"),
+        pytest.param({"sample_ids": ["ids.txt"]}, id="sample-ids-list"),
+    ],
+)
+def test_load_malformed_manifest(tmp_path, manifest):
+    d = tmp_path / "bad"
+    d.mkdir()
+    np.savetxt(d / "features_a.csv", np.zeros((3, 2)), delimiter=",")
+    np.savetxt(d / "features_b.csv", np.zeros((3, 2)), delimiter=",")
+    np.savetxt(d / "labels.csv", np.array([[1], [2], [3]]), delimiter=",")
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DataError) as err:
+        load_dataset(d)
+    assert err.value.code == "malformed_file"
+
+
 def test_load_missing_file(tmp_path):
     d = tmp_path / "empty"
     d.mkdir()

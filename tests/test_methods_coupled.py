@@ -18,6 +18,8 @@ from tests.conftest import paired_dataset, random_paired_dataset
         ("lambda2", float("nan"), "bad_hyperparam"),
         ("lambda2", float("inf"), "bad_hyperparam"),
         ("lambda1", -0.1, "bad_hyperparam"),
+        ("lambda1", True, "bad_hyperparam"),
+        ("tol", True, "bad_hyperparam"),
         ("tol", float("nan"), "bad_hyperparam"),
         ("tol", float("inf"), "bad_hyperparam"),
         ("max_iters", float("nan"), "bad_hyperparam"),

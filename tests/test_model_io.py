@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -61,6 +64,39 @@ def test_round_trip_fitted_model_with_pca(tmp_path, rng):
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "junk.xms"
     path.write_bytes(b"not a model at all")
+    with pytest.raises(DataError) as err:
+        load_model(path)
+    assert err.value.code == "malformed_file"
+
+
+def model_file(header) -> bytes:
+    payload = json.dumps(header).encode("utf-8")
+    return b"XMSM" + struct.pack("<Q", len(payload)) + payload
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(b"XMSM", id="magic-only"),
+        pytest.param(b"XMSM\x05\x00", id="short-length"),
+        pytest.param(model_file({"method": "cca", "d": 1}), id="no-blocks"),
+        pytest.param(model_file(["method", "cca"]), id="header-list"),
+        pytest.param(model_file({"method": "cca", "d": 1, "blocks": []}), id="no-projections"),
+    ],
+)
+def test_load_rejects_malformed_model_files(tmp_path, content):
+    path = tmp_path / "bad.xms"
+    path.write_bytes(content)
+    with pytest.raises(DataError) as err:
+        load_model(path)
+    assert err.value.code == "malformed_file"
+
+
+def test_load_rejects_header_that_contradicts_its_blocks(tmp_path):
+    path = tmp_path / "m.xms"
+    save_model(identity_model(2), path)
+    content = path.read_bytes()
+    path.write_bytes(content.replace(b'"d": 2', b'"d": 3'))
     with pytest.raises(DataError) as err:
         load_model(path)
     assert err.value.code == "malformed_file"
