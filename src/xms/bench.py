@@ -25,7 +25,7 @@ import scipy.special
 
 from ._version import __version__
 from .dataset_io import FeatureMatrix, PairedMultimodalDataset, load_dataset, random_split, stratified_split, subset
-from .errors import ConfigError, XmsError, is_int
+from .errors import ConfigError, DataError, XmsError, is_int
 from .methods import SplitContext, _pca_options, fit_method, method_config, normalize_method_name, project
 from .retrieval_eval import evaluate_direction
 from .synthetic import make_synthetic_dataset
@@ -455,16 +455,22 @@ def run_benchmark(config: BenchmarkConfig, dataset: PairedMultimodalDataset | No
 
 
 def compute_ttests(report: dict, baseline: str, welch: bool = False) -> list[dict]:
-    """Baseline-vs-others t-tests per direction plus the per-repetition average."""
-    methods = report["methods"]
+    """Baseline-vs-others t-tests per direction plus the per-repetition average.  A report that is
+    not a mapping of method entries with numeric ``map_runs`` per direction raises ``malformed_file``."""
+    try:
+        methods = {
+            label: {d: [float(v) for v in entry["directions"][d]["map_runs"]] for d in DIRECTIONS}
+            for label, entry in report["methods"].items()
+        }
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError("malformed_file", f"not a benchmark report: {type(exc).__name__}: {exc}") from exc
     if baseline not in methods:
         raise ConfigError("bad_config", f"baseline {baseline!r} not in report (have {sorted(methods)})")
     results = []
-    base_runs = {d: methods[baseline]["directions"][d]["map_runs"] for d in DIRECTIONS}
-    for label, entry in methods.items():
+    base_runs = methods[baseline]
+    for label, other_runs in methods.items():
         if label == baseline:
             continue
-        other_runs = {d: entry["directions"][d]["map_runs"] for d in DIRECTIONS}
         if any(len(other_runs[d]) < 2 or len(base_runs[d]) < 2 for d in DIRECTIONS):
             continue
         for direction in DIRECTIONS:

@@ -16,7 +16,7 @@ import yaml
 from . import bench as bench_mod
 from ._version import __version__
 from .dataset_io import load_dataset
-from .errors import ConfigError, XmsError
+from .errors import ConfigError, DataError, XmsError
 from .methods import fit_method, load_model, project, save_model
 from .retrieval_eval import evaluate_direction
 
@@ -86,6 +86,9 @@ def _load_config_file(path) -> dict:
 
 def cmd_bench(args) -> int:
     config = bench_mod.config_from_dict(_load_config_file(args.config))
+    labels = [spec.label for spec in config.methods]
+    if args.baseline and args.baseline not in labels:
+        raise ConfigError("bad_config", f"baseline {args.baseline!r} not in the config (have {sorted(labels)})")
     report = bench_mod.run_benchmark(config)
     if args.baseline:
         report["ttests"] = bench_mod.compute_ttests(report, args.baseline)
@@ -119,7 +122,10 @@ def cmd_ttest(args) -> int:
     report_path = Path(args.report)
     if not report_path.is_file():
         raise ConfigError("bad_config", f"{report_path}: no such report")
-    report = json.loads(report_path.read_text())
+    try:
+        report = json.loads(report_path.read_text())
+    except ValueError as exc:
+        raise DataError("malformed_file", f"{report_path}: not JSON ({exc})") from exc
     results = bench_mod.compute_ttests(report, args.baseline, welch=args.welch)
     _write_json({"baseline": args.baseline, "welch": args.welch, "ttests": results}, args.out)
     print(f"{len(results)} t-tests against {args.baseline} -> {args.out}")

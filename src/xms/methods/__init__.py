@@ -52,13 +52,14 @@ def _pca_options(pca: dict | None) -> dict:
     """``pca_fit``'s keyword arguments for a PCA spec; ``{}`` for no PCA (None or an empty mapping).
 
     A spec is ``{"mode": "energy", "value": <finite number in (0, 1]>}`` or
-    ``{"mode": "dim", "value": <integer >= 1>}`` (neither a bool); anything
-    else raises ``bad_pca``.  ``pca_fit`` still checks the dimension against
-    the data.
+    ``{"mode": "dim", "value": <integer >= 1>}`` (neither a bool, and no other
+    key); anything else raises ``bad_pca``.  ``pca_fit`` still checks the
+    dimension against the data.
     """
     if pca is None or pca == {}:
         return {}
-    kind, value = (pca.get("mode"), pca.get("value")) if isinstance(pca, dict) else (None, None)
+    spec = pca if isinstance(pca, dict) and set(pca) <= {"mode", "value"} else {}
+    kind, value = spec.get("mode"), spec.get("value")
     if kind == "energy" and is_real(value) and 0 < value <= 1:
         return {"energy": float(value)}
     if kind == "dim" and is_int(value) and value >= 1:

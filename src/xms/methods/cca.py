@@ -32,7 +32,7 @@ def solve_block_gev(b_blocks, cross, d: int, ridge: float | None = None, a_block
         a[views[i], views[j]] = block
         a[views[j], views[i]] = block.T
     if ridge is None:
-        ridge = default_ridge(b)
+        ridge = default_ridge(np.diagonal(b))
     eigvals, vecs = solve_gev(a, b, d, ridge)
     return eigvals, [vecs[v] for v in views], ridge
 

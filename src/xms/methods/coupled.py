@@ -59,11 +59,9 @@ def smoothed_l21(r: np.ndarray, eps: float = EPS_L21) -> float:
     return float(np.where(r >= eps, r, (r**2 + eps**2) / (2 * eps)).sum())
 
 
-def smoothed_trace_norm(m: np.ndarray, eps: float = EPS_TRACE) -> float:
-    """tr sqrt(M M' + eps^2 I), restricted to the nonzero spectrum plus the eps floor."""
-    s = np.linalg.svd(m, compute_uv=False)
-    small = min(m.shape)
-    return float(np.sqrt(s**2 + eps**2).sum() + (max(m.shape[0] - small, 0)) * eps)
+def smoothed_trace_norm(s: np.ndarray, n: int, eps: float = EPS_TRACE) -> float:
+    """tr sqrt(M M' + eps^2 I) of an n-row M from the singular values s of its thin SVD."""
+    return float(np.sqrt(s**2 + eps**2).sum() + (n - s.size) * eps)
 
 
 def _solve_psd(a: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
@@ -102,11 +100,11 @@ def _regression_start(train: PairedMultimodalDataset, context):
     return _shared(train, context, "regression_start", build)
 
 
-def _fit_coupled(method, train, config, context, t0, loss_scale, coupling, update, echo=None) -> SubspaceModel:
+def _fit_coupled(method, train, config, start, t0, loss_scale, coupling, update, echo=None) -> SubspaceModel:
     """The half-quadratic iteration LCFS and JFSSL share.
 
     It minimizes loss_scale * sum_p ||x_p' w_p - y||^2 + lambda1 * sum_p
-    l21(w_p) + the coupling term from the least-squares start.  Each step
+    l21(w_p) + the coupling term from the least-squares ``start``.  Each step
     solves the majorizer's normal equations at the current iterate, divided by
     2 * loss_scale, until the objective changes by at most ``tol`` relative to
     its previous value, or ``max_iters`` times.
@@ -118,7 +116,7 @@ def _fit_coupled(method, train, config, context, t0, loss_scale, coupling, updat
     returns a new ``link``.  ``link`` carries what one of the two forms for the
     other; it is None at the start.
     """
-    xs, y, grams, rhs, ws = _regression_start(train, context)
+    xs, y, grams, rhs, ws = start
     ws = list(ws)
     projs = [x.T @ w for x, w in zip(xs, ws)]
     link = None
@@ -181,24 +179,22 @@ def fit_lcfs(train: PairedMultimodalDataset, config: LcfsConfig | None = None, *
     """
     t0 = time.perf_counter()
     config = config or LcfsConfig()
-    xs = (train.xa.values, train.xb.values)
+    xs, _, grams, _, _ = start = _regression_start(train, context)
 
     def coupling(ws, projs, link):
-        m = np.hstack(projs)
-        return config.lambda2 * smoothed_trace_norm(m), m
+        u, s, _ = np.linalg.svd(np.hstack(projs), full_matrices=False)
+        return config.lambda2 * smoothed_trace_norm(s, train.n), (u, s)
 
-    def update(lhs, rhs, projs, m, solve):
-        """Jacobi: both blocks take the majorizer (M M' + eps^2 I)^-1/2 at the iterate's M."""
-        mu, vec = la.eigh(m @ m.T)
-        # vec diag(s) vec' without forming diag(s); C order keeps the BLAS path
-        # (and the rounding) of the explicit product, eigh's vec being Fortran-ordered
-        scaled = np.multiply(vec, 1.0 / np.sqrt(np.maximum(mu, 0.0) + EPS_TRACE**2), order="C")
-        inv_sqrt = scaled @ vec.T
-        for p, x in enumerate(xs):
-            lhs[p] += config.lambda2 * (x @ inv_sqrt @ x.T)
+    def update(lhs, rhs, projs, link, solve):
+        """Jacobi: both blocks take the majorizer (M M' + eps^2 I)^-1/2 = I/eps + U diag(f) U' at M = U S V'."""
+        u, s = link
+        f = 1.0 / np.sqrt(s**2 + EPS_TRACE**2) - 1.0 / EPS_TRACE
+        for p, (x, g) in enumerate(zip(xs, grams)):
+            xu = x @ u
+            lhs[p] += config.lambda2 * (g / EPS_TRACE + (xu * f) @ xu.T)
             solve(p, lhs[p], rhs[p])
 
-    return _fit_coupled("lcfs", train, config, context, t0, 0.5, coupling, update)
+    return _fit_coupled("lcfs", train, config, start, t0, 0.5, coupling, update)
 
 
 def _graph_state(train: PairedMultimodalDataset, k: int, context):
@@ -254,4 +250,5 @@ def fit_jfssl(
             solve(p, lhs[p], rhs[p] - config.lambda2 * cross)
         return cross
 
-    return _fit_coupled("jfssl", train, config, context, t0, 1.0, coupling, update, {"graph_k": config.graph_k})
+    start = _regression_start(train, context)
+    return _fit_coupled("jfssl", train, config, start, t0, 1.0, coupling, update, {"graph_k": config.graph_k})

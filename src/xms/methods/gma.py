@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from ..dataset_io import FeatureMatrix, PairedMultimodalDataset
 from ..errors import ConfigError, is_int, is_real
@@ -80,7 +79,7 @@ def fit_gma(train: PairedMultimodalDataset, d: int | None = None, config: GmaCon
         )
         if config.beta == 0.0:
             # block-diagonal problem: each view keeps its own top-d directions
-            ridge = default_ridge(la.block_diag(b_a, config.alpha * b_b))
+            ridge = default_ridge(np.concatenate([np.diagonal(b_a), config.alpha * np.diagonal(b_b)]))
             _, wa = solve_gev(a_a, b_a, d, ridge)
             _, wb = solve_gev(config.mu * a_b, config.alpha * b_b, d, ridge)
             eigvals = []

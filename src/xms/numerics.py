@@ -70,9 +70,9 @@ def covariances(xa: FeatureMatrix, xb: FeatureMatrix) -> CovarianceSet:
     )
 
 
-def default_ridge(b: np.ndarray) -> float:
-    """Ridge scale used by all GEV-based fitters: 1e-4 * trace(B)/size(B)."""
-    return 1e-4 * np.trace(b) / b.shape[0]
+def default_ridge(b_diagonal: np.ndarray) -> float:
+    """Ridge scale used by all GEV-based fitters, from B's diagonal: 1e-4 * trace(B)/size(B)."""
+    return 1e-4 * b_diagonal.sum() / b_diagonal.size
 
 
 def solve_gev(a: np.ndarray, b: np.ndarray, k: int, ridge: float = 0.0) -> tuple[np.ndarray, np.ndarray]:

@@ -549,6 +549,7 @@ def test_config_from_dict_requires_real_bools_and_integers(key, value):
         pytest.param({}, {"pca": {"mode": "energy", "value": 1.5}}, "bad_pca", id="pca-energy-above-one"),
         pytest.param({}, {"pca": {"mode": "energy", "value": float("nan")}}, "bad_pca", id="pca-energy-nan"),
         pytest.param({}, {"pca": {"mode": "dim", "value": 0}}, "bad_pca", id="pca-dim-zero"),
+        pytest.param({}, {"pca": {"mode": "dim", "value": 4, "whiten": True}}, "bad_pca", id="pca-unknown-key"),
         pytest.param({"ap_cutoff": 2.5}, {}, "bad_config", id="ap_cutoff-float"),
         pytest.param({"ap_cutoff": True}, {}, "bad_config", id="ap_cutoff-bool"),
         pytest.param({"ap_cutoff": 0}, {}, "bad_config", id="ap_cutoff-zero"),

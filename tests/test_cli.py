@@ -176,6 +176,43 @@ def test_bad_hyperparams_exit_2(tmp_path, dataset_dir, capsys, command, hyperpar
     assert not out_path.exists()
 
 
+def test_bench_unknown_baseline_exit_2_before_fitting(tmp_path, dataset_dir, capsys, monkeypatch):
+    def run_benchmark(config):
+        raise AssertionError("the benchmark ran")
+
+    monkeypatch.setattr("xms.bench.run_benchmark", run_benchmark)
+    config_path = tmp_path / "bench.yaml"
+    config_path.write_text(yaml.safe_dump({"dataset": str(dataset_dir), "n_train": 35, "methods": [{"name": "cca"}]}))
+    out_path = tmp_path / "r.json"
+    argv = ["bench", "--config", str(config_path), "--out", str(out_path), "--baseline", "nosuch"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error [bad_config]: baseline 'nosuch'")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("{not json", id="not-json"),
+        pytest.param("[1, 2]", id="list"),
+        pytest.param('"report"', id="string"),
+        pytest.param("{}", id="no-methods"),
+        pytest.param('{"methods": ["cca"]}', id="methods-list"),
+        pytest.param('{"methods": {"cca": {}}}', id="no-directions"),
+        pytest.param('{"methods": {"cca": {"directions": {"a2b": {}, "b2a": {}}}}}', id="no-map-runs"),
+        pytest.param('{"methods": {"cca": {"directions": {"a2b": {"map_runs": 0.5}}}}}', id="map-runs-number"),
+        pytest.param('{"methods": {"cca": {"directions": {"a2b": {"map_runs": ["x"]}}}}}', id="map-runs-str"),
+    ],
+)
+def test_ttest_malformed_report_exit_3(tmp_path, capsys, text):
+    report_path = tmp_path / "report.json"
+    report_path.write_text(text)
+    out_path = tmp_path / "ttests.json"
+    assert main(["ttest", "--report", str(report_path), "--baseline", "cca", "--out", str(out_path)]) == 3
+    assert capsys.readouterr().err.startswith("error [malformed_file]")
+    assert not out_path.exists()
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs most of the import time; p-values come from scipy.special.stdtr
     src = str(Path(xms.__file__).resolve().parents[1])
