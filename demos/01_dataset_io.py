@@ -29,10 +29,10 @@ with tempfile.TemporaryDirectory() as tmp:
     print("binary round trip exact:", np.array_equal(reloaded.xa.values, dataset.xa.values))
 
 # the repeated protocol draws one split per repetition: seed = base_seed + r
-plan = random_split(dataset.n, n_train=90, seed=0)
-train = subset(dataset, plan.train_indices)
-test = subset(dataset, plan.test_indices)
-print(f"\nsplit with seed 0: train={train.n}, test={test.n}, disjoint={not set(plan.train_indices) & set(plan.test_indices)}")
+train_idx, test_idx = random_split(dataset.n, n_train=90, seed=0)
+train = subset(dataset, train_idx)
+test = subset(dataset, test_idx)
+print(f"\nsplit with seed 0: train={train.n}, test={test.n}, disjoint={not set(train_idx) & set(test_idx)}")
 
 # one-hot labels, as consumed by the label-regression methods
 onehot = encode_labels(train.labels[:5], dataset.c)

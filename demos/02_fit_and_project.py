@@ -18,9 +18,9 @@ from xms import (
 )
 
 dataset = make_synthetic_dataset(n=200, c=3, d_a=48, d_b=48, seed=1)
-plan = random_split(dataset.n, n_train=150, seed=0)
-train = subset(dataset, plan.train_indices)
-test = subset(dataset, plan.test_indices)
+train_idx, test_idx = random_split(dataset.n, n_train=150, seed=0)
+train = subset(dataset, train_idx)
+test = subset(dataset, test_idx)
 
 pca = {"mode": "energy", "value": 0.98}
 lineup = [

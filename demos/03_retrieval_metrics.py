@@ -29,8 +29,8 @@ print("AP with items {0, 1} relevant:", average_precision(ranked, {0, 1}))
 
 # full protocol-style evaluation: project a test split, rank both directions
 dataset = make_synthetic_dataset(n=150, c=3, d_a=32, d_b=32, seed=3)
-plan = random_split(dataset.n, n_train=110, seed=0)
-train, test = subset(dataset, plan.train_indices), subset(dataset, plan.test_indices)
+train_idx, test_idx = random_split(dataset.n, n_train=110, seed=0)
+train, test = subset(dataset, train_idx), subset(dataset, test_idx)
 model = fit_method(train, "gmlda", pca={"mode": "energy", "value": 0.98}, hyperparams={"beta": 4.0})
 
 proj_a = project(model, test.xa, "a")

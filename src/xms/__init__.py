@@ -10,9 +10,7 @@ lambda sweeps, and timing.
 from ._version import __version__
 from .bench import (
     BenchmarkConfig,
-    BoxStats,
     MethodSpec,
-    TTestResult,
     box_stats,
     compute_ttests,
     config_from_dict,
@@ -25,7 +23,6 @@ from .bench import (
 from .dataset_io import (
     FeatureMatrix,
     PairedMultimodalDataset,
-    SplitPlan,
     encode_labels,
     load_dataset,
     random_split,

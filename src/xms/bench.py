@@ -10,6 +10,7 @@ parallel, one forked worker process per usable CPU (``_all_runs``).
 
 from __future__ import annotations
 
+import csv
 import ctypes
 import datetime
 import inspect
@@ -24,7 +25,15 @@ import scipy
 import scipy.special
 
 from ._version import __version__
-from .dataset_io import FeatureMatrix, PairedMultimodalDataset, load_dataset, random_split, stratified_split, subset
+from .dataset_io import (
+    FeatureMatrix,
+    PairedMultimodalDataset,
+    json_default,
+    load_dataset,
+    random_split,
+    stratified_split,
+    subset,
+)
 from .errors import ConfigError, DataError, XmsError, is_int
 from .methods import SplitContext, _pca_options, fit_method, method_config, normalize_method_name, project
 from .retrieval_eval import evaluate_direction
@@ -120,35 +129,6 @@ class BenchmarkConfig:
             raise ConfigError("bad_config", f"ap_cutoff must be None or an integer >= 1, got {self.ap_cutoff!r}")
 
 
-@dataclass(frozen=True)
-class TTestResult:
-    method_pair: tuple[str, str]
-    direction: str
-    t_statistic: float
-    p_value: float
-    significant_at_005: bool
-
-
-@dataclass(frozen=True)
-class BoxStats:
-    median: float
-    q25: float
-    q75: float
-    whisker_low: float
-    whisker_high: float
-    outliers: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "median": self.median,
-            "q25": self.q25,
-            "q75": self.q75,
-            "whisker_low": self.whisker_low,
-            "whisker_high": self.whisker_high,
-            "outliers": self.outliers.tolist(),
-        }
-
-
 def default_method_specs() -> tuple[MethodSpec, ...]:
     """The nine-method protocol lineup: PCA in front of everything except LCFS/JFSSL.
 
@@ -184,8 +164,9 @@ def summary_stats(values) -> dict:
     }
 
 
-def students_t_test(sample_a, sample_b, method_pair=("a", "b"), direction="", welch=False) -> TTestResult:
-    """Two-sample t-test, pooled-variance Student form by default.
+def students_t_test(sample_a, sample_b, welch=False) -> dict:
+    """Two-sample t-test, pooled-variance Student form by default:
+    ``{"t_statistic", "p_value", "significant_at_005"}``.
 
     The two-sided p-value is ``2 * stdtr(dof, -|t|)`` from the Student t CDF.
     Degenerate convention when both samples have zero variance: p = 1 for
@@ -210,11 +191,12 @@ def students_t_test(sample_a, sample_b, method_pair=("a", "b"), direction="", we
         t = diff / se
         p = 2.0 * scipy.special.stdtr(dof, -abs(t))
     p = float(min(max(p, 0.0), 1.0))
-    return TTestResult(tuple(method_pair), direction, float(t), p, p < 0.05)
+    return {"t_statistic": float(t), "p_value": p, "significant_at_005": p < 0.05}
 
 
-def box_stats(values) -> BoxStats:
-    """Box-plot statistics: linear-interpolation quartiles, 1.5 IQR whiskers."""
+def box_stats(values) -> dict:
+    """Box-plot statistics, as the report holds them: linear-interpolation quartiles, 1.5 IQR
+    whiskers, and the values outside the whiskers as a sorted list."""
     values = np.asarray(values, dtype=np.float64)
     if values.size < 1:
         raise ConfigError("bad_config", "box_stats needs at least one value")
@@ -223,14 +205,14 @@ def box_stats(values) -> BoxStats:
     low_fence, high_fence = q25 - 1.5 * iqr, q75 + 1.5 * iqr
     inside = values[(values >= low_fence) & (values <= high_fence)]
     outliers = values[(values < low_fence) | (values > high_fence)]
-    return BoxStats(
-        median=float(median),
-        q25=float(q25),
-        q75=float(q75),
-        whisker_low=float(inside.min()),
-        whisker_high=float(inside.max()),
-        outliers=np.sort(outliers),
-    )
+    return {
+        "median": float(median),
+        "q25": float(q25),
+        "q75": float(q75),
+        "whisker_low": float(inside.min()),
+        "whisker_high": float(inside.max()),
+        "outliers": np.sort(outliers).tolist(),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +313,10 @@ def _split_runs(r: int, data: PairedMultimodalDataset, config: BenchmarkConfig, 
     ``SplitContext``, which is dropped on return; one outcome per spec."""
     seed = config.base_seed + r
     if config.stratified:
-        plan = stratified_split(data.labels, config.n_train, seed)
+        train_idx, test_idx = stratified_split(data.labels, config.n_train, seed)
     else:
-        plan = random_split(data.n, config.n_train, seed)
-    train, test = subset(data, plan.train_indices), subset(data, plan.test_indices)
+        train_idx, test_idx = random_split(data.n, config.n_train, seed)
+    train, test = subset(data, train_idx), subset(data, test_idx)
     context = SplitContext(train)
     return [_outcome(spec, context, test, config, r) for spec in specs]
 
@@ -442,7 +424,7 @@ def run_benchmark(config: BenchmarkConfig, dataset: PairedMultimodalDataset | No
     for spec, outcomes in zip(config.methods, runs):
         entry = methods_out[spec.label] = _entry(spec, outcomes, _metric_name(config))
         box_out[spec.label] = {
-            d: box_stats(out["map_runs"]).to_dict() for d, out in entry["directions"].items() if out["map_runs"]
+            d: box_stats(out["map_runs"]) for d, out in entry["directions"].items() if out["map_runs"]
         }
 
     return {
@@ -467,30 +449,18 @@ def compute_ttests(report: dict, baseline: str, welch: bool = False) -> list[dic
     if baseline not in methods:
         raise ConfigError("bad_config", f"baseline {baseline!r} not in report (have {sorted(methods)})")
     results = []
-    base_runs = methods[baseline]
-    for label, other_runs in methods.items():
-        if label == baseline:
+    base = methods[baseline]
+    for label, other in methods.items():
+        if label == baseline or any(len(other[d]) < 2 or len(base[d]) < 2 for d in DIRECTIONS):
             continue
-        if any(len(other_runs[d]) < 2 or len(base_runs[d]) < 2 for d in DIRECTIONS):
-            continue
-        for direction in DIRECTIONS:
-            results.append(
-                students_t_test(base_runs[direction], other_runs[direction], (baseline, label), direction, welch)
-            )
-        # "average value": t-test on per-repetition direction-averaged metrics
-        base_avg = np.mean([base_runs[d] for d in DIRECTIONS], axis=0)
-        other_avg = np.mean([other_runs[d] for d in DIRECTIONS], axis=0)
-        results.append(students_t_test(base_avg, other_avg, (baseline, label), "average", welch))
-    return [
-        {
-            "method_pair": list(r.method_pair),
-            "direction": r.direction,
-            "t_statistic": _json_float(r.t_statistic),
-            "p_value": r.p_value,
-            "significant_at_005": r.significant_at_005,
-        }
-        for r in results
-    ]
+        samples = {d: (base[d], other[d]) for d in DIRECTIONS}
+        # "average": the per-repetition direction-averaged metrics
+        samples["average"] = tuple(np.mean([runs[d] for d in DIRECTIONS], axis=0) for runs in (base, other))
+        for direction, (a, b) in samples.items():
+            stats = students_t_test(a, b, welch)
+            stats["t_statistic"] = _json_float(stats["t_statistic"])  # an infinite t is written as null
+            results.append({"method_pair": [baseline, label], "direction": direction, **stats})
+    return results
 
 
 def lambda_sweep(config: BenchmarkConfig, method: str, grid1, grid2, dataset=None) -> dict:
@@ -607,24 +577,19 @@ def environment_stamp(workers: int) -> dict:
 
 def write_report_json(report: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
+        json.dump(report, fh, indent=2, default=json_default)
         fh.write("\n")
 
 
 def write_report_csv(report: dict, path) -> None:
     """Main-table layout: one method per row, per-direction summary columns."""
-    columns = ["method"]
-    for direction in DIRECTIONS:
-        columns += [f"{direction}_{stat}" for stat in ("min", "max", "mean", "var", "std")]
-    lines = [",".join(columns)]
-    for label, entry in report["methods"].items():
-        cells = [label]
-        for direction in DIRECTIONS:
-            summary = entry["directions"][direction]["summary"]
-            if summary is None:
-                cells += [""] * 5
-            else:
-                cells += [f"{summary[stat]:.6f}" for stat in ("min", "max", "mean", "var", "std")]
-        lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    stats = ("min", "max", "mean", "var", "std")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["method"] + [f"{direction}_{stat}" for direction in DIRECTIONS for stat in stats])
+        for label, entry in report["methods"].items():
+            cells = [label]
+            for direction in DIRECTIONS:
+                summary = entry["directions"][direction]["summary"]
+                cells += [""] * 5 if summary is None else [f"{summary[stat]:.6f}" for stat in stats]
+            writer.writerow(cells)

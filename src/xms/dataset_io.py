@@ -104,19 +104,6 @@ class PairedMultimodalDataset:
         return self.xb.d
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    """Disjoint train/test index sets (0-based) drawn for one repetition."""
-
-    train_indices: np.ndarray
-    test_indices: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "train_indices", np.asarray(self.train_indices, dtype=np.int64))
-        object.__setattr__(self, "test_indices", np.asarray(self.test_indices, dtype=np.int64))
-
-
 def encode_labels(labels, c: int) -> np.ndarray:
     """One-hot encode 1-based labels into an n x c matrix (row i has a 1 at labels[i])."""
     labels = np.asarray(labels, dtype=np.int64).ravel()
@@ -127,16 +114,18 @@ def encode_labels(labels, c: int) -> np.ndarray:
     return out
 
 
-def random_split(n: int, n_train: int, seed: int) -> SplitPlan:
-    """Uniform split without replacement; deterministic for a fixed seed."""
+def random_split(n: int, n_train: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform split without replacement into sorted 0-based ``(train_indices, test_indices)``;
+    deterministic for a fixed seed."""
     if not 0 < n_train < n:
         raise ConfigError("bad_split", f"need 0 < n_train < n, got n_train={n_train}, n={n}")
     perm = np.random.default_rng(seed).permutation(n)
-    return SplitPlan(np.sort(perm[:n_train]), np.sort(perm[n_train:]), seed)
+    return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
 
-def stratified_split(labels, n_train: int, seed: int) -> SplitPlan:
-    """Per-class proportional split; rounding remainders assigned by the RNG."""
+def stratified_split(labels, n_train: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class proportional split into sorted 0-based ``(train_indices, test_indices)``; rounding
+    remainders assigned by the RNG."""
     labels = np.asarray(labels, dtype=np.int64).ravel()
     n = labels.size
     if not 0 < n_train < n:
@@ -158,7 +147,7 @@ def stratified_split(labels, n_train: int, seed: int) -> SplitPlan:
         train_parts.append(idx[: base[cls]])
     train = np.sort(np.concatenate(train_parts))
     test = np.setdiff1d(np.arange(n), train)
-    return SplitPlan(train, test, seed)
+    return train, test
 
 
 def subset(dataset: PairedMultimodalDataset, indices) -> PairedMultimodalDataset:
@@ -177,6 +166,14 @@ def subset(dataset: PairedMultimodalDataset, indices) -> PairedMultimodalDataset
         sample_ids=ids,
         strict=False,
     )
+
+
+def json_default(value):
+    """The ``default=`` hook of the JSON writers: a numpy scalar, which the config checks accept as
+    a number, is written as its Python value.  ``json`` calls it only for values it cannot write."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +272,8 @@ def _normalize_labels(raw: np.ndarray, declared_c: int | None) -> tuple[np.ndarr
             raise DataError("empty_class", f"manifest declares c={declared_c} but not all classes appear")
         return labels, declared_c
     # no declared c: remap whatever integers appear onto 1..c preserving order
-    uniq = np.unique(labels)
-    remap = {int(v): i + 1 for i, v in enumerate(uniq)}
-    return np.array([remap[int(v)] for v in labels], dtype=np.int64), uniq.size
+    uniq, codes = np.unique(labels, return_inverse=True)
+    return codes + 1, uniq.size
 
 
 def load_dataset(path) -> PairedMultimodalDataset:

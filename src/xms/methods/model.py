@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dataset_io import FeatureMatrix, PairedMultimodalDataset, read_matrix_stream, write_matrix_stream
+from ..dataset_io import FeatureMatrix, PairedMultimodalDataset, json_default, read_matrix_stream, write_matrix_stream
 from ..errors import ConfigError, DataError
 from ..preprocess import PcaModel, center_fit, pca_apply
 
@@ -136,7 +136,7 @@ def save_model(model: SubspaceModel, path) -> None:
         "fit_seconds": model.fit_seconds,
         "blocks": [name for name, _ in blocks],
     }
-    payload = json.dumps(header).encode("utf-8")
+    payload = json.dumps(header, default=json_default).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MODEL_MAGIC)
         fh.write(struct.pack("<Q", len(payload)))

@@ -160,19 +160,19 @@ def test_criterion_6_statistics_oracles():
             a = rng.normal(0.0, 1.0, size=n_a)
             b = rng.normal(0.5, 1.0, size=n_b)
             result = students_t_test(a, b)
-            assert abs(result.p_value - t_cdf_oracle(result.t_statistic, n_a + n_b - 2)) <= 1e-6
+            assert abs(result["p_value"] - t_cdf_oracle(result["t_statistic"], n_a + n_b - 2)) <= 1e-6
 
         for case in range(50):
             rng = np.random.default_rng(6500 + case)
             values = rng.integers(-20, 60, size=int(rng.integers(1, 30))).astype(float)
             stats = box_stats(values)
             q25, q50, q75 = np.percentile(values, [25, 50, 75])  # linear interpolation
-            assert (stats.q25, stats.median, stats.q75) == (q25, q50, q75)
+            assert (stats["q25"], stats["median"], stats["q75"]) == (q25, q50, q75)
             iqr = q75 - q25
             inside = values[(values >= q25 - 1.5 * iqr) & (values <= q75 + 1.5 * iqr)]
-            assert stats.whisker_low == inside.min() and stats.whisker_high == inside.max()
+            assert stats["whisker_low"] == inside.min() and stats["whisker_high"] == inside.max()
             assert np.array_equal(
-                stats.outliers, np.sort(values[(values < q25 - 1.5 * iqr) | (values > q75 + 1.5 * iqr)])
+                stats["outliers"], np.sort(values[(values < q25 - 1.5 * iqr) | (values > q75 + 1.5 * iqr)])
             )
 
 

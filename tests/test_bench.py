@@ -1,4 +1,5 @@
 import copy
+import csv
 import dataclasses
 import json
 import math
@@ -28,6 +29,8 @@ from xms.bench import (
     run_benchmark,
     students_t_test,
     summary_stats,
+    write_report_csv,
+    write_report_json,
 )
 import xms.bench
 import xms.cli
@@ -72,13 +75,13 @@ def small_config(methods, reps=2, n_train=40, **kwargs):
 
 def test_students_t_identical_samples():
     r = students_t_test([0.5, 0.6, 0.7], [0.5, 0.6, 0.7])
-    assert r.t_statistic == 0.0 and r.p_value == 1.0
-    assert not r.significant_at_005
+    assert r["t_statistic"] == 0.0 and r["p_value"] == 1.0
+    assert not r["significant_at_005"]
 
 
 def test_students_t_degenerate_zero_variance():
     r = students_t_test([0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0])
-    assert r.p_value == 0.0 and r.significant_at_005
+    assert r["p_value"] == 0.0 and r["significant_at_005"]
 
 
 def test_students_t_matches_integration_oracle():
@@ -89,15 +92,15 @@ def test_students_t_matches_integration_oracle():
         a = rng.normal(0.0, 1.0, size=n_a)
         b = rng.normal(0.5, 1.0, size=n_b)
         result = students_t_test(a, b)
-        expected = t_cdf_oracle(result.t_statistic, n_a + n_b - 2)
-        assert result.p_value == pytest.approx(expected, abs=1e-6)
+        expected = t_cdf_oracle(result["t_statistic"], n_a + n_b - 2)
+        assert result["p_value"] == pytest.approx(expected, abs=1e-6)
 
 
 def test_students_t_symmetry():
     rng = np.random.default_rng(5)
     a = rng.normal(size=20)
     b = rng.normal(0.3, 1.1, size=25)
-    assert students_t_test(a, b).p_value == students_t_test(b, a).p_value
+    assert students_t_test(a, b)["p_value"] == students_t_test(b, a)["p_value"]
 
 
 def test_students_t_pooled_formula(rng):
@@ -107,7 +110,7 @@ def test_students_t_pooled_formula(rng):
     var_a, var_b = a.var(ddof=1), b.var(ddof=1)
     pooled = (2 * var_a + 1 * var_b) / 3
     expected_t = (a.mean() - b.mean()) / math.sqrt(pooled * (1 / 3 + 1 / 2))
-    assert students_t_test(a, b).t_statistic == pytest.approx(expected_t)
+    assert students_t_test(a, b)["t_statistic"] == pytest.approx(expected_t)
 
 
 def test_welch_matches_integration_oracle():
@@ -122,8 +125,8 @@ def test_welch_matches_integration_oracle():
         # Welch-Satterthwaite degrees of freedom
         dof = (se2_a + se2_b) ** 2 / (se2_a**2 / (n_a - 1) + se2_b**2 / (n_b - 1))
         t = (a.mean() - b.mean()) / math.sqrt(se2_a + se2_b)
-        assert result.t_statistic == pytest.approx(t, rel=1e-12)
-        assert result.p_value == pytest.approx(t_cdf_oracle(t, dof), abs=1e-6)
+        assert result["t_statistic"] == pytest.approx(t, rel=1e-12)
+        assert result["p_value"] == pytest.approx(t_cdf_oracle(t, dof), abs=1e-6)
 
 
 def test_welch_variant_differs_under_unequal_variance():
@@ -132,29 +135,29 @@ def test_welch_variant_differs_under_unequal_variance():
     b = rng.normal(0.5, 3.0, size=40)
     student = students_t_test(a, b)
     welch = students_t_test(a, b, welch=True)
-    assert student.p_value != welch.p_value
+    assert student["p_value"] != welch["p_value"]
 
 
 def test_box_stats_linear_interpolation_oracle():
     stats = box_stats([1, 2, 3, 4, 5])
-    assert (stats.median, stats.q25, stats.q75) == (3.0, 2.0, 4.0)
-    assert stats.outliers.size == 0
+    assert (stats["median"], stats["q25"], stats["q75"]) == (3.0, 2.0, 4.0)
+    assert len(stats["outliers"]) == 0
 
 
 def test_box_stats_constant_vector():
     stats = box_stats([2.5] * 6)
-    assert stats.median == stats.q25 == stats.q75 == 2.5
-    assert stats.whisker_low == stats.whisker_high == 2.5
-    assert stats.outliers.size == 0
+    assert stats["median"] == stats["q25"] == stats["q75"] == 2.5
+    assert stats["whisker_low"] == stats["whisker_high"] == 2.5
+    assert len(stats["outliers"]) == 0
 
 
 def test_box_stats_outlier_rule():
     stats = box_stats([1.0, 2.0, 3.0, 100.0])
     q25, q75 = np.percentile([1.0, 2.0, 3.0, 100.0], [25, 75])
-    assert stats.q25 == q25 and stats.q75 == q75
+    assert stats["q25"] == q25 and stats["q75"] == q75
     assert 100.0 > q75 + 1.5 * (q75 - q25)
-    assert stats.outliers.tolist() == [100.0]
-    assert stats.whisker_high == 3.0
+    assert stats["outliers"] == [100.0]
+    assert stats["whisker_high"] == 3.0
 
 
 def test_summary_stats_consistency(rng):
@@ -221,7 +224,7 @@ def test_benchmark_partial_failures(monkeypatch, workers):
     unfailed = run_benchmark(config)["methods"]["pls"]
     singles = [run_benchmark(dataclasses.replace(config, repetitions=1, base_seed=r))["methods"]["pls"] for r in (0, 2)]
     data = small_dataset()
-    rep1_train = subset(data, random_split(data.n, config.n_train, config.base_seed + 1).train_indices)
+    rep1_train = subset(data, random_split(data.n, config.n_train, config.base_seed + 1)[0])
     real_fit = xms.bench.fit_method
 
     def flaky_fit(train, name, **kwargs):
@@ -240,9 +243,22 @@ def test_benchmark_partial_failures(monkeypatch, workers):
         runs = unfailed["directions"][d]["map_runs"]
         assert block["map_runs"] == [runs[0], runs[2]]
         assert block["summary"] == summary_stats(block["map_runs"])
-        assert report["box_stats"]["pls"][d] == box_stats(block["map_runs"]).to_dict()
+        assert report["box_stats"]["pls"][d] == box_stats(block["map_runs"])
         curves = [single["directions"][d]["cmc_mean"] for single in singles]
         assert block["cmc_mean"] == np.mean(curves, axis=0).tolist()
+    # the t-test rows are the plain test results of each direction's runs and of their average
+    runs = {label: report["methods"][label]["directions"] for label in ("cca", "pls")}
+    samples = {d: [runs[label][d]["map_runs"] for label in ("cca", "pls")] for d in ("a2b", "b2a")}
+    samples["average"] = [
+        np.mean([runs[label][d]["map_runs"] for d in ("a2b", "b2a")], axis=0) for label in ("cca", "pls")
+    ]
+    expected = [
+        {"method_pair": ["cca", "pls"], "direction": d, **students_t_test(*samples[d])}
+        for d in ("a2b", "b2a", "average")
+    ]
+    rows = compute_ttests(report, "cca")
+    assert rows == expected
+    assert [list(row) for row in rows] == [list(row) for row in expected]
 
 
 def test_benchmark_summary_recompute(rng):
@@ -350,7 +366,7 @@ def test_lambda_sweep_equals_cell_by_cell(method, template, options):
 def inject_sweep_failures(monkeypatch, config):
     """JFSSL fails in two grid cells on every split, and in a third on repetition 1 only."""
     data = small_dataset()
-    rep1_train = subset(data, random_split(data.n, config.n_train, config.base_seed + 1).train_indices)
+    rep1_train = subset(data, random_split(data.n, config.n_train, config.base_seed + 1)[0])
     real_fit = xms.bench.fit_method
 
     def flaky_fit(train, name, **kwargs):
@@ -439,6 +455,36 @@ def test_report_schema_keys():
     box = report["box_stats"]["cca"]["a2b"]
     assert {"median", "q25", "q75", "whisker_low", "whisker_high", "outliers"} == set(box)
     assert {"python", "numpy", "scipy", "platform", "timestamp", "xms_version", "workers"} == set(report["environment"])
+
+
+def test_report_json_writes_numpy_scalars(tmp_path):
+    # the config checks accept numpy integers, so the report writer must write them
+    report = run_benchmark(small_config((MethodSpec("cca", "cca", dim=np.int64(2)),), reps=np.int64(2)))
+    write_report_json(report, tmp_path / "report.json")
+    back = json.loads((tmp_path / "report.json").read_text())
+    assert back["config"]["repetitions"] == 2 and type(back["config"]["repetitions"]) is int
+    assert back["config"]["methods"][0]["dim"] == 2 and type(back["config"]["methods"][0]["dim"]) is int
+    assert back["methods"] == report["methods"]
+    # plain Python values keep the bytes json writes without the hook
+    plain = run_benchmark(small_config((MethodSpec("cca", "cca", dim=2),), reps=2))
+    write_report_json(plain, tmp_path / "plain.json")
+    assert (tmp_path / "plain.json").read_text() == json.dumps(plain, indent=2) + "\n"
+
+
+def test_report_csv_quotes_labels(tmp_path):
+    labels = ("cca, ridge", 'pls "2d"', "cca3v")
+    specs = tuple(MethodSpec(name, label, dim=2) for name, label in zip(("cca", "pls", "cca3v"), labels))
+    report = run_benchmark(small_config(specs, reps=2))
+    write_report_csv(report, tmp_path / "report.csv")
+    with open(tmp_path / "report.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert len(header) == 11
+    assert [row[0] for row in rows] == list(labels)
+    assert all(len(row) == len(header) for row in rows)
+    summary = report["methods"]["cca3v"]["directions"]["a2b"]["summary"]
+    assert rows[2][1:6] == [f"{summary[stat]:.6f}" for stat in ("min", "max", "mean", "var", "std")]
+    # a label without a comma or quote is written bare, as a comma-joined line
+    assert (tmp_path / "report.csv").read_text().splitlines()[3] == ",".join(rows[2])
 
 
 def test_environment_stamp_starts_no_process():

@@ -6,6 +6,7 @@ import pytest
 from xms.dataset_io import (
     FeatureMatrix,
     PairedMultimodalDataset,
+    _normalize_labels,
     encode_labels,
     load_dataset,
     random_split,
@@ -85,25 +86,25 @@ def test_encode_labels_rows_sum_to_one(rng):
 
 
 def test_random_split_shoe_and_chair_counts():
-    plan = random_split(419, 304, seed=1)
-    assert plan.train_indices.size == 304 and plan.test_indices.size == 115
-    plan = random_split(297, 200, seed=1)
-    assert plan.train_indices.size == 200 and plan.test_indices.size == 97
+    train_idx, test_idx = random_split(419, 304, seed=1)
+    assert train_idx.size == 304 and test_idx.size == 115
+    train_idx, test_idx = random_split(297, 200, seed=1)
+    assert train_idx.size == 200 and test_idx.size == 97
 
 
 def test_random_split_deterministic():
-    a = random_split(100, 60, seed=42)
-    b = random_split(100, 60, seed=42)
-    assert np.array_equal(a.train_indices, b.train_indices)
-    assert np.array_equal(a.test_indices, b.test_indices)
-    c = random_split(100, 60, seed=43)
-    assert not np.array_equal(a.train_indices, c.train_indices)
+    a_train, a_test = random_split(100, 60, seed=42)
+    b_train, b_test = random_split(100, 60, seed=42)
+    assert np.array_equal(a_train, b_train)
+    assert np.array_equal(a_test, b_test)
+    c_train, _ = random_split(100, 60, seed=43)
+    assert not np.array_equal(a_train, c_train)
 
 
 def test_random_split_partition_over_many_seeds():
     for seed in range(1000):
-        plan = random_split(37, 20, seed)
-        train, test = set(plan.train_indices.tolist()), set(plan.test_indices.tolist())
+        train_idx, test_idx = random_split(37, 20, seed)
+        train, test = set(train_idx.tolist()), set(test_idx.tolist())
         assert not train & test
         assert train | test == set(range(37))
 
@@ -117,9 +118,9 @@ def test_random_split_bad_sizes():
 
 def test_stratified_split_preserves_class_balance():
     labels = np.repeat([1, 2, 3], [50, 30, 20])
-    plan = stratified_split(labels, 60, seed=3)
-    assert plan.train_indices.size == 60
-    counts = np.bincount(labels[plan.train_indices], minlength=4)[1:]
+    train_idx, _ = stratified_split(labels, 60, seed=3)
+    assert train_idx.size == 60
+    counts = np.bincount(labels[train_idx], minlength=4)[1:]
     assert counts.tolist() == [30, 18, 12]
 
 
@@ -136,8 +137,8 @@ def test_subset_identity(rng):
 
 def test_subset_partition_counts(rng):
     ds = make_dataset(rng, 30, 3)
-    plan = random_split(30, 18, seed=0)
-    train, test = subset(ds, plan.train_indices), subset(ds, plan.test_indices)
+    train_idx, test_idx = random_split(30, 18, seed=0)
+    train, test = subset(ds, train_idx), subset(ds, test_idx)
     assert train.n + test.n == ds.n
 
 
@@ -306,6 +307,20 @@ def test_load_remaps_noncontiguous_labels(tmp_path):
     back = load_dataset(d)
     assert back.c == 3
     assert back.labels.tolist() == [1, 3, 1, 2]
+
+
+def test_label_remap_equals_per_sample_dict_reference():
+    rng = np.random.default_rng(17)
+    for case in range(300):
+        raw = rng.integers(-40, 40, size=(int(rng.integers(1, 120)), 1)).astype(float)
+        # reference: map each distinct label to its 1-based rank, one sample at a time
+        values = raw.ravel().astype(np.int64)
+        rank = {int(v): i + 1 for i, v in enumerate(np.unique(values))}
+        expected = np.array([rank[int(v)] for v in values], dtype=np.int64)
+        labels, c = _normalize_labels(raw, None)
+        assert c == len(rank)
+        assert labels.dtype == expected.dtype and labels.shape == expected.shape
+        assert np.array_equal(labels, expected)
 
 
 def test_csv_header_row_skipped(tmp_path):

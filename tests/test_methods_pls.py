@@ -121,7 +121,7 @@ def test_dim_above_the_rank_bound_rejected(rng):
 def test_protocol_split_weights_solve_the_singular_pair_equations():
     # the protocol's data seed 7, split seed 5: PCA-reduced views of 81 and 80 dimensions
     data = make_synthetic_dataset(n=400, c=3, d_a=128, d_b=128, seed=7)
-    train = subset(data, random_split(data.n, 304, 5).train_indices)
+    train = subset(data, random_split(data.n, 304, 5)[0])
     pca = {"mode": "energy", "value": 0.98}
     context = SplitContext(train)
     model = fit_method(train, "pls", pca=pca, context=context)

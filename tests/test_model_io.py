@@ -61,6 +61,18 @@ def test_round_trip_fitted_model_with_pca(tmp_path, rng):
     )
 
 
+def test_round_trip_numpy_scalar_hyperparams(tmp_path, rng):
+    # the config checks accept numpy integers and reals, so the header writer must too
+    ds = random_paired_dataset(rng, n=40, d_a=8, d_b=7, c=3)
+    model = fit_method(ds, "lcfs", hyperparams={"max_iters": np.int64(5), "lambda1": np.float32(0.5)})
+    save_model(model, tmp_path / "m.xms")
+    back = load_model(tmp_path / "m.xms")
+    assert back.hyperparams["max_iters"] == 5 and type(back.hyperparams["max_iters"]) is int
+    assert back.hyperparams["lambda1"] == 0.5 and type(back.hyperparams["lambda1"]) is float
+    assert back.hyperparams == model.hyperparams
+    assert np.array_equal(back.wa, model.wa) and np.array_equal(back.wb, model.wb)
+
+
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "junk.xms"
     path.write_bytes(b"not a model at all")
