@@ -36,9 +36,10 @@ model = fit_method(train, "gmlda", pca={"mode": "energy", "value": 0.98}, hyperp
 proj_a = project(model, test.xa, "a")
 proj_b = project(model, test.xb, "b")
 for direction, (q, g) in {"a2b": (proj_a, proj_b), "b2a": (proj_b, proj_a)}.items():
-    ev = evaluate_direction(q, g, test.labels, test.labels, direction)
+    ev = evaluate_direction(q, g, test.labels, test.labels)
+    cmc = ev["cmc"]
     print(
-        f"{direction}: MAP={ev.map:.3f} (subclass relevance), "
-        f"acc@1={ev.acc_at_k[0]:.3f}, acc@5={ev.acc_at_k[4]:.3f} (instance-level), "
-        f"CMC ends at {ev.acc_at_k[-1]:.0f}"
+        f"{direction}: MAP={ev['map']:.3f} (subclass relevance), "
+        f"acc@1={cmc[0]:.3f}, acc@5={cmc[4]:.3f} (instance-level), "
+        f"CMC ends at {cmc[-1]:.0f}"
     )

@@ -55,7 +55,6 @@ from .methods import (
 from .preprocess import PcaModel, center_fit, pca_apply, pca_fit
 from .retrieval_eval import (
     RankedList,
-    RetrievalEvaluation,
     acc_at_k,
     average_precision,
     cmc_curve,

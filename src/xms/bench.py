@@ -266,7 +266,7 @@ def _outcome(spec: MethodSpec, context: SplitContext, test, config: BenchmarkCon
         proj_b = project(model, test.xb, "b")
         views = {"a2b": (proj_a, proj_b), "b2a": (proj_b, proj_a)}
         evaluations = {
-            d: evaluate_direction(*views[d], test.labels, test.labels, d, ap_cutoff=config.ap_cutoff)
+            d: evaluate_direction(*views[d], test.labels, test.labels, ap_cutoff=config.ap_cutoff)
             for d in DIRECTIONS
         }
     except XmsError as exc:
@@ -276,11 +276,12 @@ def _outcome(spec: MethodSpec, context: SplitContext, test, config: BenchmarkCon
         seconds += context.pca(spec.pca).pca_seconds
     outcome = {"fit_seconds": seconds}
     for d, evaluation in evaluations.items():
+        cmc = evaluation["cmc"]
         if config.metric_mode == "map":
-            metric = evaluation.map
+            metric = evaluation["map"]
         else:
-            metric = float(evaluation.acc_at_k[min(config.acc_k, evaluation.acc_at_k.size) - 1])
-        outcome[d] = {"metric": metric, "cmc": evaluation.acc_at_k}
+            metric = float(cmc[min(config.acc_k, cmc.size) - 1])
+        outcome[d] = {"metric": metric, "cmc": cmc}
     return outcome
 
 
@@ -446,6 +447,9 @@ def compute_ttests(report: dict, baseline: str, welch: bool = False) -> list[dic
         }
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataError("malformed_file", f"not a benchmark report: {type(exc).__name__}: {exc}") from exc
+    uneven = sorted(label for label, runs in methods.items() if len({len(v) for v in runs.values()}) > 1)
+    if uneven:
+        raise DataError("malformed_file", f"a2b and b2a map_runs differ in length for {uneven}")
     if baseline not in methods:
         raise ConfigError("bad_config", f"baseline {baseline!r} not in report (have {sorted(methods)})")
     results = []

@@ -58,13 +58,13 @@ def cmd_eval(args) -> int:
     proj_a = project(model, dataset.xa, "a")
     proj_b = project(model, dataset.xb, "b")
     queries, gallery = (proj_a, proj_b) if args.direction == "a2b" else (proj_b, proj_a)
-    evaluation = evaluate_direction(queries, gallery, dataset.labels, dataset.labels, args.direction)
+    evaluation = evaluate_direction(queries, gallery, dataset.labels, dataset.labels)
     payload = {"direction": args.direction, "model": str(args.model), "dataset": str(args.dataset)}
     if "map" in metrics:
-        payload["map"] = evaluation.map
-        payload["per_query_ap"] = evaluation.per_query_ap.tolist()
+        payload["map"] = evaluation["map"]
+        payload["per_query_ap"] = evaluation["per_query_ap"].tolist()
     if "cmc" in metrics:
-        payload["cmc"] = evaluation.acc_at_k.tolist()
+        payload["cmc"] = evaluation["cmc"].tolist()
     _write_json(payload, args.out)
     shown = {k: payload[k] for k in ("map",) if k in payload}
     print(f"evaluated {args.direction}: {shown or 'cmc written'} -> {args.out}")

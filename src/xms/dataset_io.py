@@ -124,28 +124,26 @@ def random_split(n: int, n_train: int, seed: int) -> tuple[np.ndarray, np.ndarra
 
 
 def stratified_split(labels, n_train: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class proportional split into sorted 0-based ``(train_indices, test_indices)``; rounding
-    remainders assigned by the RNG."""
+    """Per-class proportional split into sorted 0-based ``(train_indices, test_indices)``.
+
+    Each class keeps the floor of its share of ``n_train``; the classes with
+    the largest remainders get one sample more, and equal remainders are
+    taken in an order drawn from the RNG.
+    """
     labels = np.asarray(labels, dtype=np.int64).ravel()
     n = labels.size
     if not 0 < n_train < n:
         raise ConfigError("bad_split", f"need 0 < n_train < n, got n_train={n_train}, n={n}")
     rng = np.random.default_rng(seed)
     frac = n_train / n
-    train_parts = []
-    quotas = {}
-    for cls in np.unique(labels):
-        idx = np.flatnonzero(labels == cls)
-        quotas[cls] = (rng.permutation(idx), frac * idx.size)
-    # largest-remainder apportionment so the quotas sum to exactly n_train
-    base = {cls: int(np.floor(q)) for cls, (_, q) in quotas.items()}
-    short = n_train - sum(base.values())
-    order = sorted(quotas, key=lambda cls: quotas[cls][1] - base[cls], reverse=True)
-    for cls in order[:short]:
-        base[cls] += 1
-    for cls, (idx, _) in quotas.items():
-        train_parts.append(idx[: base[cls]])
-    train = np.sort(np.concatenate(train_parts))
+    members = [rng.permutation(np.flatnonzero(labels == cls)) for cls in np.unique(labels)]
+    quotas = np.array([frac * idx.size for idx in members])
+    counts = np.floor(quotas).astype(np.int64)
+    # largest-remainder apportionment so the counts sum to exactly n_train: counts - quotas
+    # ascending puts the largest remainder first, and equal remainders go by tie_order
+    tie_order = rng.permutation(len(members))
+    counts[np.lexsort((tie_order, counts - quotas))[: n_train - counts.sum()]] += 1
+    train = np.sort(np.concatenate([idx[:m] for idx, m in zip(members, counts)]))
     test = np.setdiff1d(np.arange(n), train)
     return train, test
 

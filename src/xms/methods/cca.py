@@ -37,9 +37,9 @@ def solve_block_gev(b_blocks, cross, d: int, ridge: float | None = None, a_block
     return eigvals, [vecs[v] for v in views], ridge
 
 
-def _correlation(wa, wb, cov, j):
-    num = wa[:, j] @ cov.sab @ wb[:, j]
-    den = np.sqrt(max(wa[:, j] @ cov.saa @ wa[:, j], 0.0) * max(wb[:, j] @ cov.sbb @ wb[:, j], 0.0))
+def _correlation(wa, wb, saa, sbb, sab, j):
+    num = wa[:, j] @ sab @ wb[:, j]
+    den = np.sqrt(max(wa[:, j] @ saa @ wa[:, j], 0.0) * max(wb[:, j] @ sbb @ wb[:, j], 0.0))
     return float(num / den) if den > 1e-300 else 0.0
 
 
@@ -51,14 +51,14 @@ def fit_cca(train: PairedMultimodalDataset, d: int | None = None, ridge: float |
     """
 
     def solve(xa, xb, d):
-        cov = covariances(xa, xb)
-        eigvals, (wa, wb), fitted_ridge = solve_block_gev([cov.saa, cov.sbb], {(0, 1): cov.sab}, d, ridge)
+        saa, sbb, sab = covariances(xa, xb)
+        eigvals, (wa, wb), fitted_ridge = solve_block_gev([saa, sbb], {(0, 1): sab}, d, ridge)
         # per-view canonical normalization: unit (ridged) variance per component
-        for w, s in ((wa, cov.saa), (wb, cov.sbb)):
+        for w, s in ((wa, saa), (wb, sbb)):
             scale = np.sqrt(np.maximum(np.einsum("ij,ij->j", w, (s + fitted_ridge * np.eye(s.shape[0])) @ w), 1e-300))
             w /= scale
         metadata = {
-            "canonical_correlations": [_correlation(wa, wb, cov, j) for j in range(d)],
+            "canonical_correlations": [_correlation(wa, wb, saa, sbb, sab, j) for j in range(d)],
             "gev_eigenvalues": [float(v) for v in eigvals],
         }
         return wa, wb, {"ridge": float(fitted_ridge)}, metadata

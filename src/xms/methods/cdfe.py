@@ -16,7 +16,7 @@ import numpy as np
 
 from ..dataset_io import PairedMultimodalDataset
 from ..errors import ConfigError, NumericalError, is_int, is_real
-from ..numerics import knn_graph, solve_gev
+from ..numerics import knn_graph, laplacian_per_weight, solve_gev
 from .model import SubspaceModel, _fit_closed_form
 
 
@@ -62,7 +62,7 @@ def fit_cdfe(train: PairedMultimodalDataset, d: int | None = None, config: CdfeC
             k = min(config.knn_k, train.n - 1)
 
             def smoothness(x):
-                return config.beta * (x.values @ knn_graph(x, k).laplacian_per_weight @ x.values.T)
+                return config.beta * (x.values @ laplacian_per_weight(knn_graph(x, k)) @ x.values.T)
 
             qaa = qaa + smoothness(xa)
             qbb = qbb + smoothness(xb)

@@ -16,7 +16,7 @@ import scipy.linalg as la
 
 from ..dataset_io import PairedMultimodalDataset, encode_labels
 from ..errors import ConfigError, NumericalError, is_int, is_real
-from ..numerics import l21_reweight, multimodal_graph
+from ..numerics import l21_reweight, laplacian, multimodal_graph
 from .model import Preprocessing, SubspaceModel
 
 EPS_L21 = 1e-6  # row-norm clamp in the reweighting diagonals
@@ -203,7 +203,7 @@ def _graph_state(train: PairedMultimodalDataset, k: int, context):
 
     def build():
         n = train.n
-        lap = multimodal_graph(train, k).laplacian
+        lap = laplacian(multimodal_graph(train, k))
         lpp = [lap[:n, :n], lap[n:, n:]]
         xs = (train.xa.values, train.xb.values)
         return np.ascontiguousarray(lap[:n, n:]), [x @ lpp[p] @ x.T for p, x in enumerate(xs)]

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..dataset_io import FeatureMatrix, PairedMultimodalDataset
 from ..errors import ConfigError, is_int, is_real
-from ..numerics import class_knn_graphs, default_ridge, scatter, solve_gev
+from ..numerics import class_knn_graphs, default_ridge, laplacian_per_weight, scatter, solve_gev
 from .cca import solve_block_gev
 from .model import SubspaceModel, _fit_closed_form
 
@@ -53,19 +53,19 @@ def _variant_blocks(config: GmaConfig, views, labels, n):
         if config.variant == "blm":
             blocks.append((x @ x.T / n, np.eye(x.shape[0]), x))
         elif config.variant == "gmlda":
-            s = scatter(FeatureMatrix(x), labels)
+            within, between, class_means = scatter(FeatureMatrix(x), labels)
             # cross term sees the class-mean matrix: every sample column
             # replaced by its class mean (keeps the n-sample scale)
-            positions = np.searchsorted(s.classes, labels)
-            blocks.append((s.between, s.within, s.class_means[:, positions]))
+            positions = np.unique(labels, return_inverse=True)[1]
+            blocks.append((between, within, class_means[:, positions]))
         else:
             # margin-Fisher scatters on edge-weight-averaged Laplacians, and a
             # per-sample-scaled cross term, so beta ~ 1 balances the blocks
             intrinsic, penalty = class_knn_graphs(
                 FeatureMatrix(x), labels, config.mfa_k_intrinsic, config.mfa_k_penalty
             )
-            lap_pen = penalty.laplacian_per_weight
-            lap_int = intrinsic.laplacian_per_weight
+            lap_pen = laplacian_per_weight(penalty)
+            lap_int = laplacian_per_weight(intrinsic)
             blocks.append((x @ lap_pen @ x.T, x @ lap_int @ x.T, x / np.sqrt(n)))
     return blocks
 

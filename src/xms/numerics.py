@@ -1,13 +1,14 @@
 """Shared numerical kernels for the subspace fitters.
 
-Covariance/scatter builders, a regularized symmetric generalized eigensolver,
-k-NN and multimodal graph construction, and the proximal/reweighting
-operators used by the sparse coupled-regression fitters.
+Covariance and scatter builders, a regularized symmetric generalized
+eigensolver, k-NN and multimodal graph builders with their Laplacians, and
+the proximal/reweighting operators used by the sparse coupled-regression
+fitters.  Every kernel returns plain arrays: a graph builder returns its
+symmetric non-negative affinity with a zero diagonal, and ``laplacian`` or
+``laplacian_per_weight`` turns that into the matrix a fitter uses.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -20,54 +21,24 @@ COND_LIMIT = 1e12
 _SIGMA_FLOOR = float(np.sqrt(np.finfo(float).tiny))  # sigma**2 stays a normal float
 
 
-@dataclass(frozen=True)
-class CovarianceSet:
-    """Per-modality covariances and the cross-covariance (1/(n-1) scaling)."""
-
-    saa: np.ndarray
-    sbb: np.ndarray
-    sab: np.ndarray
+def laplacian(affinity: np.ndarray) -> np.ndarray:
+    """Combinatorial Laplacian D - W of an affinity W."""
+    return np.diag(affinity.sum(axis=1)) - affinity
 
 
-@dataclass(frozen=True)
-class ScatterSet:
-    """Within/between-class scatter and per-class means (within + between = total)."""
-
-    within: np.ndarray
-    between: np.ndarray
-    class_means: np.ndarray
-    classes: np.ndarray
+def laplacian_per_weight(affinity: np.ndarray) -> np.ndarray:
+    """The Laplacian over the total edge weight, so its scale does not grow with the edge count."""
+    return laplacian(affinity) / max(affinity.sum(), 1e-300)
 
 
-@dataclass(frozen=True)
-class GraphSpec:
-    """Symmetric non-negative affinity with a zero diagonal."""
-
-    affinity: np.ndarray
-
-    @property
-    def laplacian(self) -> np.ndarray:
-        """Combinatorial Laplacian D - W."""
-        return np.diag(self.affinity.sum(axis=1)) - self.affinity
-
-    @property
-    def laplacian_per_weight(self) -> np.ndarray:
-        """The Laplacian over the total edge weight, so its scale does not grow with the edge count."""
-        return self.laplacian / max(self.affinity.sum(), 1e-300)
-
-
-def covariances(xa: FeatureMatrix, xb: FeatureMatrix) -> CovarianceSet:
-    """Empirical (co)variances of centered inputs: saa = Xa Xa'/(n-1), etc."""
+def covariances(xa: FeatureMatrix, xb: FeatureMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Empirical (co)variances ``(saa, sbb, sab)`` of centered inputs: saa = Xa Xa'/(n-1), etc."""
     if xa.n != xb.n:
         raise ConfigError("n_mismatch", f"sample counts differ: {xa.n} vs {xb.n}")
     if xa.n < 2:
         raise ConfigError("n_mismatch", "need at least 2 samples for covariances")
     f = 1.0 / (xa.n - 1)
-    return CovarianceSet(
-        saa=f * (xa.values @ xa.values.T),
-        sbb=f * (xb.values @ xb.values.T),
-        sab=f * (xa.values @ xb.values.T),
-    )
+    return f * (xa.values @ xa.values.T), f * (xb.values @ xb.values.T), f * (xa.values @ xb.values.T)
 
 
 def default_ridge(b_diagonal: np.ndarray) -> float:
@@ -101,8 +72,9 @@ def solve_gev(a: np.ndarray, b: np.ndarray, k: int, ridge: float = 0.0) -> tuple
     return w[order], fix_signs(v[:, order])
 
 
-def scatter(x: FeatureMatrix, labels, n_classes: int | None = None) -> ScatterSet:
-    """Within/between-class scatter with class-size weighting.
+def scatter(x: FeatureMatrix, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(within, between, class_means)``: class scatters with class-size weighting, and
+    one mean column per class present, in ascending label order.
 
     within = sum_c sum_{i in c} (x_i - m_c)(x_i - m_c)'
     between = sum_c n_c (m_c - m)(m_c - m)'
@@ -112,11 +84,6 @@ def scatter(x: FeatureMatrix, labels, n_classes: int | None = None) -> ScatterSe
     if labels.size != x.n:
         raise ConfigError("n_mismatch", "labels length must match sample count")
     classes = np.unique(labels)
-    if n_classes is not None:
-        wanted = np.arange(1, n_classes + 1)
-        if not np.isin(wanted, classes).all():
-            raise NumericalError("empty_class", "a requested class has zero samples")
-        classes = wanted
     mean = x.values.mean(axis=1)
     within = np.zeros((x.d, x.d))
     between = np.zeros((x.d, x.d))
@@ -129,7 +96,7 @@ def scatter(x: FeatureMatrix, labels, n_classes: int | None = None) -> ScatterSe
         within += dev @ dev.T
         gap = (m_c - mean)[:, None]
         between += cols.shape[1] * (gap @ gap.T)
-    return ScatterSet(within=within, between=between, class_means=class_means, classes=classes)
+    return within, between, class_means
 
 
 def _pairwise_sq_dists(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
@@ -161,12 +128,12 @@ def _knn_mask(d: np.ndarray, k: int) -> np.ndarray:
     return (mask | np.isnan(kth)) & np.isfinite(d)
 
 
-def _symmetrized(weights: np.ndarray) -> GraphSpec:
+def _symmetrized(weights: np.ndarray) -> np.ndarray:
     """max(w, w'); the diagonal stays 0, as no k-NN mask selects it."""
-    return GraphSpec(affinity=np.maximum(weights, weights.T))
+    return np.maximum(weights, weights.T)
 
 
-def knn_graph(x: FeatureMatrix, k: int) -> GraphSpec:
+def knn_graph(x: FeatureMatrix, k: int) -> np.ndarray:
     """Symmetrized k-NN graph with Gaussian edge weights exp(-dist^2/sigma^2).
 
     sigma is the median distance over the selected k-NN edges, floored so that
@@ -185,7 +152,7 @@ def knn_graph(x: FeatureMatrix, k: int) -> GraphSpec:
         return _symmetrized(np.where(mask, np.exp(-d2 / sigma**2), 0.0))
 
 
-def class_knn_graphs(x: FeatureMatrix, labels, k_intrinsic: int, k_penalty: int) -> tuple[GraphSpec, GraphSpec]:
+def class_knn_graphs(x: FeatureMatrix, labels, k_intrinsic: int, k_penalty: int) -> tuple[np.ndarray, np.ndarray]:
     """Binary intrinsic (same-class k-NN) and penalty (different-class k-NN) graphs.
 
     The margin-Fisher construction: each sample is linked to its k_intrinsic
@@ -203,7 +170,7 @@ def class_knn_graphs(x: FeatureMatrix, labels, k_intrinsic: int, k_penalty: int)
     return _symmetrized(intrinsic.astype(float)), _symmetrized(penalty.astype(float))
 
 
-def multimodal_graph(dataset: PairedMultimodalDataset, k: int) -> GraphSpec:
+def multimodal_graph(dataset: PairedMultimodalDataset, k: int) -> np.ndarray:
     """Joint 2n x 2n graph tying both modalities' samples together.
 
     Intra-modality blocks are Gaussian k-NN graphs on each modality.  The
@@ -214,8 +181,8 @@ def multimodal_graph(dataset: PairedMultimodalDataset, k: int) -> GraphSpec:
     if k <= 0:
         raise ConfigError("bad_k", f"k must be positive, got {k}")
     n = dataset.n
-    intra_a = knn_graph(dataset.xa, min(k, n - 1)).affinity
-    intra_b = knn_graph(dataset.xb, min(k, n - 1)).affinity
+    intra_a = knn_graph(dataset.xa, min(k, n - 1))
+    intra_b = knn_graph(dataset.xb, min(k, n - 1))
     inter = np.eye(n, dtype=bool)  # rows index modality a, columns modality b
     if dataset.d_a == dataset.d_b:
         d2 = _pairwise_sq_dists(dataset.xa.values, dataset.xb.values)

@@ -34,16 +34,6 @@ class RankedList:
     similarities: np.ndarray
 
 
-@dataclass(frozen=True)
-class RetrievalEvaluation:
-    """Aggregate metrics for one query direction ('a2b' queries the b gallery)."""
-
-    direction: str
-    map: float
-    per_query_ap: np.ndarray
-    acc_at_k: np.ndarray
-
-
 def cosine_similarities(queries: FeatureMatrix, gallery: FeatureMatrix) -> np.ndarray:
     """Query x gallery cosine similarity matrix; zero-norm vectors give -1."""
     if queries.d != gallery.d:
@@ -146,11 +136,12 @@ def evaluate_direction(
     gallery: FeatureMatrix,
     query_labels,
     gallery_labels,
-    direction: str,
+    *,
     true_match=None,
     ap_cutoff: int | None = None,
-) -> RetrievalEvaluation:
-    """Rank one direction and compute MAP (same-subclass relevance) plus CMC.
+) -> dict:
+    """Rank one direction; return ``{"map", "per_query_ap", "cmc"}``: MAP under same-subclass
+    relevance, its per-query APs, and the CMC curve (acc@K for K = 1..gallery size).
 
     ``true_match`` maps query index to gallery index; identity when None
     (aligned pair subsets).  ``ap_cutoff`` optionally truncates the ranked
@@ -198,9 +189,4 @@ def evaluate_direction(
         per_query_ap[rows] = np.divide(total, n_hits, out=np.zeros(len(total)), where=n_hits > 0)
         match_ranks = np.argmax(order == true_match[rows, None], axis=1) + 1
         match_counts += np.bincount(match_ranks, minlength=ng + 1)
-    return RetrievalEvaluation(
-        direction=direction,
-        map=float(per_query_ap.mean()),
-        per_query_ap=per_query_ap,
-        acc_at_k=np.cumsum(match_counts[1:]) / nq,
-    )
+    return {"map": float(per_query_ap.mean()), "per_query_ap": per_query_ap, "cmc": np.cumsum(match_counts[1:]) / nq}

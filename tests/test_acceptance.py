@@ -94,8 +94,8 @@ def test_criterion_3_degeneration_equivalences():
         for view, w in (("a", model.wa), ("b", model.wb)):
             x = getattr(ds, f"x{view}").values
             x = x - x.mean(axis=1, keepdims=True)
-            s = scatter(FeatureMatrix(x), ds.labels)
-            _, lda = solve_gev(s.between, s.within, 2, ridge)
+            within, between, _ = scatter(FeatureMatrix(x), ds.labels)
+            _, lda = solve_gev(between, within, 2, ridge)
             assert la.subspace_angles(w, lda).max() < 1e-6
 
 

@@ -202,6 +202,11 @@ def test_bench_unknown_baseline_exit_2_before_fitting(tmp_path, dataset_dir, cap
         pytest.param('{"methods": {"cca": {"directions": {"a2b": {}, "b2a": {}}}}}', id="no-map-runs"),
         pytest.param('{"methods": {"cca": {"directions": {"a2b": {"map_runs": 0.5}}}}}', id="map-runs-number"),
         pytest.param('{"methods": {"cca": {"directions": {"a2b": {"map_runs": ["x"]}}}}}', id="map-runs-str"),
+        pytest.param(
+            '{"methods": {"cca": {"directions": {"a2b": {"map_runs": [0.1, 0.2, 0.3]}, "b2a": {"map_runs": [0.1, 0.2]}}},'
+            ' "pls": {"directions": {"a2b": {"map_runs": [0.4, 0.5, 0.6]}, "b2a": {"map_runs": [0.4, 0.5, 0.6]}}}}}',
+            id="map-runs-uneven-directions",
+        ),
     ],
 )
 def test_ttest_malformed_report_exit_3(tmp_path, capsys, text):

@@ -124,6 +124,19 @@ def test_stratified_split_preserves_class_balance():
     assert counts.tolist() == [30, 18, 12]
 
 
+def test_stratified_split_draws_tied_remainders_at_random():
+    # 3 classes of 5 and n_train=7: each share is 7/3, so exactly one class gets 3
+    labels = np.repeat([1, 2, 3], 5)
+    got_extra = np.zeros(3, dtype=int)
+    for seed in range(30):
+        train_idx, _ = stratified_split(labels, 7, seed)
+        counts = np.bincount(labels[train_idx], minlength=4)[1:]
+        assert counts.sum() == 7
+        assert set(counts.tolist()) <= {2, 3}
+        got_extra += counts == 3
+    assert np.all(got_extra >= 1)
+
+
 # ---------------------------------------------------------------------------
 # subset
 

@@ -1,9 +1,12 @@
-"""Source checks that need only the standard library."""
+"""Source checks: unused imports, and the module attributes the benchmark's tracer patches."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "xms"
+CALLTRACE = PACKAGE.parent.parent / "benchmarks" / "calltrace.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -51,3 +54,18 @@ def test_no_unused_imports():
         if (names := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def test_every_trace_patch_point_resolves():
+    # the traced benchmark wraps each (module, attribute) pair; a refactor that drops one
+    # otherwise shows only as "layers missing" in a traced run.  Executed from its source,
+    # so no bytecode cache is written next to it.
+    calltrace = types.ModuleType("calltrace")
+    exec(compile(CALLTRACE.read_text(), str(CALLTRACE), "exec"), calltrace.__dict__)
+    assert calltrace.PATCH_POINTS
+    unresolved = [
+        f"{module}.{attr}"
+        for module, attr, _, _ in calltrace.PATCH_POINTS
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert unresolved == []

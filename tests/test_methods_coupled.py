@@ -8,7 +8,7 @@ import pytest
 from xms.methods import SparseCoupledConfig, SplitContext, fit_jfssl, fit_lcfs
 from xms.methods import coupled
 from xms.methods.coupled import EPS_L21, EPS_TRACE, _solve_psd
-from xms.numerics import multimodal_graph
+from xms.numerics import laplacian, multimodal_graph
 from tests.conftest import paired_dataset, random_paired_dataset
 
 
@@ -201,7 +201,7 @@ def dense_jfssl_objective(ds, cfg, ws, lap):
 
 
 def jfssl_laplacian(ds, cfg):
-    return multimodal_graph(ds, min(cfg.graph_k, max(ds.n - 1, 1))).laplacian if cfg.lambda2 > 0 else None
+    return laplacian(multimodal_graph(ds, min(cfg.graph_k, max(ds.n - 1, 1)))) if cfg.lambda2 > 0 else None
 
 
 def reference_jfssl(ds, cfg):

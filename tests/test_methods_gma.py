@@ -16,11 +16,11 @@ def test_gmlda_beta_zero_matches_per_view_lda(rng):
     # per-view LDA oracle: same GEV on each block with the shared ridge
     xa = ds.xa.values - ds.xa.values.mean(axis=1, keepdims=True)
     xb = ds.xb.values - ds.xb.values.mean(axis=1, keepdims=True)
-    sa = scatter(FeatureMatrix(xa), ds.labels)
-    sb = scatter(FeatureMatrix(xb), ds.labels)
+    within_a, between_a, _ = scatter(FeatureMatrix(xa), ds.labels)
+    within_b, between_b, _ = scatter(FeatureMatrix(xb), ds.labels)
     ridge = model.hyperparams["ridge"]
-    _, lda_a = solve_gev(sa.between, sa.within, 2, ridge)
-    _, lda_b = solve_gev(sb.between, sb.within, 2, ridge)
+    _, lda_a = solve_gev(between_a, within_a, 2, ridge)
+    _, lda_b = solve_gev(between_b, within_b, 2, ridge)
     assert la.subspace_angles(model.wa, lda_a).max() < 1e-6
     assert la.subspace_angles(model.wb, lda_b).max() < 1e-6
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xms.dataset_io import FeatureMatrix
@@ -11,6 +11,8 @@ from xms.numerics import (
     covariances,
     knn_graph,
     l21_reweight,
+    laplacian,
+    laplacian_per_weight,
     multimodal_graph,
     scatter,
     singular_value_shrink,
@@ -30,16 +32,16 @@ def fm(values):
 def test_covariances_identical_views(rng):
     x = rng.standard_normal((3, 20))
     x -= x.mean(axis=1, keepdims=True)
-    cov = covariances(fm(x), fm(x))
-    np.testing.assert_allclose(cov.saa, cov.sbb)
-    np.testing.assert_allclose(cov.saa, cov.sab)
+    saa, sbb, sab = covariances(fm(x), fm(x))
+    np.testing.assert_allclose(saa, sbb)
+    np.testing.assert_allclose(saa, sab)
 
 
 def test_covariances_single_feature_arithmetic():
-    cov = covariances(fm([[-1.0, 1.0]]), fm([[-2.0, 2.0]]))
-    assert cov.saa[0, 0] == 2.0
-    assert cov.sbb[0, 0] == 8.0
-    assert cov.sab[0, 0] == 4.0
+    saa, sbb, sab = covariances(fm([[-1.0, 1.0]]), fm([[-2.0, 2.0]]))
+    assert saa[0, 0] == 2.0
+    assert sbb[0, 0] == 8.0
+    assert sab[0, 0] == 4.0
 
 
 def test_covariances_independent_views_monte_carlo():
@@ -48,8 +50,8 @@ def test_covariances_independent_views_monte_carlo():
     xb = r.standard_normal((3, 10000))
     xa -= xa.mean(axis=1, keepdims=True)
     xb -= xb.mean(axis=1, keepdims=True)
-    cov = covariances(fm(xa), fm(xb))
-    assert np.linalg.norm(cov.sab) < 0.2 * np.linalg.norm(cov.saa)
+    saa, _, sab = covariances(fm(xa), fm(xb))
+    assert np.linalg.norm(sab) < 0.2 * np.linalg.norm(saa)
 
 
 def test_covariances_scale_equivariance(rng):
@@ -58,9 +60,9 @@ def test_covariances_scale_equivariance(rng):
     xa -= xa.mean(axis=1, keepdims=True)
     xb -= xb.mean(axis=1, keepdims=True)
     alpha = 3.7
-    base = covariances(fm(xa), fm(xb))
-    scaled = covariances(fm(alpha * xa), fm(xb))
-    np.testing.assert_allclose(scaled.sab, alpha * base.sab, rtol=1e-12)
+    base_sab = covariances(fm(xa), fm(xb))[2]
+    scaled_sab = covariances(fm(alpha * xa), fm(xb))[2]
+    np.testing.assert_allclose(scaled_sab, alpha * base_sab, rtol=1e-12)
 
 
 def test_covariances_count_mismatch(rng):
@@ -119,20 +121,20 @@ def test_solve_gev_singular_b_errors():
 
 def test_scatter_every_sample_own_class(rng):
     x = fm(rng.standard_normal((3, 5)))
-    s = scatter(x, np.arange(1, 6))
-    assert np.abs(s.within).max() < 1e-12
+    within, _, _ = scatter(x, np.arange(1, 6))
+    assert np.abs(within).max() < 1e-12
 
 
 def test_scatter_single_class(rng):
     x = fm(rng.standard_normal((3, 8)))
-    s = scatter(x, np.ones(8, dtype=int))
-    assert np.abs(s.between).max() < 1e-12
+    _, between, _ = scatter(x, np.ones(8, dtype=int))
+    assert np.abs(between).max() < 1e-12
 
 
 def test_scatter_brute_force_oracle():
     x = fm([[0.0, 2.0, 4.0, 6.0]])
     labels = np.array([1, 1, 2, 2])
-    s = scatter(x, labels)
+    s_within, s_between, _ = scatter(x, labels)
     # direct summation over samples
     within = 0.0
     between = 0.0
@@ -141,23 +143,18 @@ def test_scatter_brute_force_oracle():
         m_c = np.mean(cols)
         within += sum((v - m_c) ** 2 for v in cols)
         between += len(cols) * (m_c - mean) ** 2
-    assert s.within[0, 0] == pytest.approx(within)
-    assert s.between[0, 0] == pytest.approx(between)
+    assert s_within[0, 0] == pytest.approx(within)
+    assert s_between[0, 0] == pytest.approx(between)
 
 
 def test_scatter_decomposition_total(rng):
     x = fm(rng.standard_normal((4, 30)))
     labels = rng.integers(1, 4, size=30)
     labels[:3] = [1, 2, 3]
-    s = scatter(x, labels)
+    within, between, _ = scatter(x, labels)
     xc = x.values - x.values.mean(axis=1, keepdims=True)
     total = xc @ xc.T
-    np.testing.assert_allclose(s.within + s.between, total, atol=1e-8)
-
-
-def test_scatter_empty_class_error(rng):
-    with pytest.raises(NumericalError):
-        scatter(fm(rng.standard_normal((2, 4))), [1, 1, 2, 2], n_classes=3)
+    np.testing.assert_allclose(within + between, total, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +164,13 @@ def test_scatter_empty_class_error(rng):
 def test_knn_graph_two_clusters_block_diagonal():
     pts = np.array([[0.0, 0.1, 100.0, 100.1], [0.0, 0.0, 0.0, 0.0]])
     g = knn_graph(fm(pts), k=1)
-    assert g.affinity[0, 1] > 0 and g.affinity[2, 3] > 0
-    assert np.abs(g.affinity[:2, 2:]).max() == 0.0
+    assert g[0, 1] > 0 and g[2, 3] > 0
+    assert np.abs(g[:2, 2:]).max() == 0.0
 
 
 def test_knn_graph_laplacian_annihilates_ones(rng):
     g = knn_graph(fm(rng.standard_normal((3, 15))), k=4)
-    assert np.abs(g.laplacian @ np.ones(15)).max() < 1e-10
+    assert np.abs(laplacian(g) @ np.ones(15)).max() < 1e-10
 
 
 def test_knn_graph_three_collinear_points_hand_oracle():
@@ -181,10 +178,10 @@ def test_knn_graph_three_collinear_points_hand_oracle():
     # distances: 0-1: 1, 0-2: 3, 1-2: 2; every pair is a kNN edge at k=2,
     # so the median edge distance, the bandwidth, is 2
     expect = lambda dist: np.exp(-(dist**2) / 4.0)
-    assert g.affinity[0, 1] == pytest.approx(expect(1.0))
-    assert g.affinity[1, 2] == pytest.approx(expect(2.0))
-    assert g.affinity[0, 2] == pytest.approx(expect(3.0))
-    assert np.all(np.diag(g.affinity) == 0.0)
+    assert g[0, 1] == pytest.approx(expect(1.0))
+    assert g[1, 2] == pytest.approx(expect(2.0))
+    assert g[0, 2] == pytest.approx(expect(3.0))
+    assert np.all(np.diag(g) == 0.0)
 
 
 def test_knn_graph_duplicate_samples_get_unit_weight():
@@ -192,7 +189,7 @@ def test_knn_graph_duplicate_samples_get_unit_weight():
     g = knn_graph(fm([[0.0, 0.0, 0.0, 1.0]]), k=1)
     expect = np.zeros((4, 4))
     expect[0, 1:3] = expect[1:3, 0] = 1.0
-    assert np.array_equal(g.affinity, expect)
+    assert np.array_equal(g, expect)
 
 
 def test_knn_graph_invalid_k(rng):
@@ -206,23 +203,23 @@ def test_class_knn_graphs_structure():
     x = fm([[0.0, 1.0, 10.0, 11.0]])
     labels = [1, 1, 2, 2]
     intrinsic, penalty = class_knn_graphs(x, labels, k_intrinsic=1, k_penalty=1)
-    assert intrinsic.affinity[0, 1] == 1.0 and intrinsic.affinity[2, 3] == 1.0
-    assert np.abs(intrinsic.affinity[:2, 2:]).max() == 0.0
-    assert penalty.affinity[1, 2] == 1.0  # closest cross-class pair
-    assert np.abs(penalty.affinity[0, 1]) == 0.0
+    assert intrinsic[0, 1] == 1.0 and intrinsic[2, 3] == 1.0
+    assert np.abs(intrinsic[:2, 2:]).max() == 0.0
+    assert penalty[1, 2] == 1.0  # closest cross-class pair
+    assert np.abs(penalty[0, 1]) == 0.0
 
 
 def test_multimodal_graph_two_distinct_classes_identity_inter(rng):
     ds = paired_dataset(rng.standard_normal((3, 2)), rng.standard_normal((3, 2)), [1, 2])
     g = multimodal_graph(ds, k=1)
-    np.testing.assert_allclose(g.affinity[:2, 2:], np.eye(2))
+    np.testing.assert_allclose(g[:2, 2:], np.eye(2))
 
 
 def test_multimodal_graph_one_class_dense_inter(rng):
     n = 5
     ds = paired_dataset(rng.standard_normal((2, n)), rng.standard_normal((2, n)), np.ones(n, dtype=int))
     g = multimodal_graph(ds, k=n - 1)
-    inter = g.affinity[:n, n:]
+    inter = g[:n, n:]
     # every same-class cross pair is within the k-NN union except possibly the
     # single farthest neighbour per row; true pairs always present
     assert np.all(np.diag(inter) == 1.0)
@@ -235,11 +232,11 @@ def test_multimodal_graph_laplacian_psd(rng):
         labels = r.integers(1, 3, size=8)
         labels[:2] = [1, 2]
         ds = paired_dataset(r.standard_normal((3, 8)), r.standard_normal((3, 8)), labels)
-        g = multimodal_graph(ds, k=2)
-        eigs = np.linalg.eigvalsh(g.laplacian)
+        lap = laplacian(multimodal_graph(ds, k=2))
+        eigs = np.linalg.eigvalsh(lap)
         assert eigs.min() >= -1e-8
-        np.testing.assert_allclose(g.laplacian, g.laplacian.T, atol=1e-12)
-        assert np.abs(g.laplacian.sum(axis=1)).max() < 1e-10
+        np.testing.assert_allclose(lap, lap.T, atol=1e-12)
+        assert np.abs(lap.sum(axis=1)).max() < 1e-10
 
 
 # Per-row loop oracles: a row's k nearest are the first k of its candidates
@@ -319,8 +316,10 @@ def graph_inputs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(graph_inputs(), st.integers(1, 11), st.integers(1, 11), st.integers(1, 11))
+@example((np.array([[0.0, 1.0, 1.0]]), np.array([[2.0, 0.0, 1.0]]), np.array([2, 2, 2])), 1, 1, 1)
 def test_graph_builders_equal_per_row_oracles(inputs, k, k_intrinsic, k_penalty):
-    # tied distances, classes smaller than k, k above n, one class, n = 2 and d_a != d_b
+    # tied distances, classes smaller than k, k above n, one class (an edgeless penalty graph),
+    # n = 2 and d_a != d_b
     xa, xb, labels = inputs
     n = xa.shape[1]
     graphs = [(knn_graph(fm(xa), min(k, n - 1)), _knn_graph_oracle(xa, min(k, n - 1)))]
@@ -328,8 +327,12 @@ def test_graph_builders_equal_per_row_oracles(inputs, k, k_intrinsic, k_penalty)
     graphs += zip(class_graphs, _class_knn_oracle(xa, labels, k_intrinsic, k_penalty))
     graphs.append((multimodal_graph(paired_dataset(xa, xb, labels), k), _multimodal_oracle(xa, xb, labels, k)))
     for graph, affinity in graphs:
-        assert np.array_equal(graph.affinity, affinity)
-        assert np.array_equal(graph.laplacian, _laplacian_oracle(affinity))
+        assert np.array_equal(graph, affinity)
+        assert np.array_equal(laplacian(graph), _laplacian_oracle(affinity))
+        per_weight = laplacian_per_weight(graph)
+        assert np.array_equal(per_weight, _laplacian_oracle(affinity) / max(affinity.sum(), 1e-300))
+        if not affinity.any():
+            assert not np.isnan(per_weight).any() and not per_weight.any()
 
 
 def _knn_mask_oracle(d, k):

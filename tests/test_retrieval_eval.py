@@ -220,25 +220,25 @@ def test_evaluate_direction_map_and_label_permutation(rng):
     gallery = rng.standard_normal((4, 12))
     labels = rng.integers(1, 4, size=12)
     labels[:3] = [1, 2, 3]
-    base = evaluate_direction(fm(queries), fm(gallery), labels, labels, "a2b")
-    assert base.map == pytest.approx(base.per_query_ap.mean(), abs=1e-12)
+    base = evaluate_direction(fm(queries), fm(gallery), labels, labels)
+    assert base["map"] == pytest.approx(base["per_query_ap"].mean(), abs=1e-12)
     # relabeling subclasses by a bijection leaves MAP unchanged
     permuted = np.array([3, 1, 2])[labels - 1]
-    relabeled = evaluate_direction(fm(queries), fm(gallery), permuted, permuted, "a2b")
-    assert relabeled.map == pytest.approx(base.map, abs=1e-12)
+    relabeled = evaluate_direction(fm(queries), fm(gallery), permuted, permuted)
+    assert relabeled["map"] == pytest.approx(base["map"], abs=1e-12)
 
 
 def test_evaluate_direction_ap_cutoff(rng):
     queries = rng.standard_normal((3, 6))
     gallery = rng.standard_normal((3, 6))
     labels = np.array([1, 1, 1, 2, 2, 2])
-    full = evaluate_direction(fm(queries), fm(gallery), labels, labels, "a2b")
-    cut = evaluate_direction(fm(queries), fm(gallery), labels, labels, "a2b", ap_cutoff=2)
-    assert cut.per_query_ap.shape == full.per_query_ap.shape
-    assert np.all(cut.per_query_ap <= 1.0)
+    full = evaluate_direction(fm(queries), fm(gallery), labels, labels)
+    cut = evaluate_direction(fm(queries), fm(gallery), labels, labels, ap_cutoff=2)
+    assert cut["per_query_ap"].shape == full["per_query_ap"].shape
+    assert np.all(cut["per_query_ap"] <= 1.0)
     for bad in (0, -1):
         with pytest.raises(ConfigError) as info:
-            evaluate_direction(fm(queries), fm(gallery), labels, labels, "a2b", ap_cutoff=bad)
+            evaluate_direction(fm(queries), fm(gallery), labels, labels, ap_cutoff=bad)
         assert info.value.code == "bad_k"
 
 
@@ -249,7 +249,7 @@ def test_evaluate_direction_true_match_out_of_range_errors(rng):
         true_match = np.arange(5)
         true_match[2] = bad
         with pytest.raises(DataError) as info:
-            evaluate_direction(x, x, labels, labels, "a2b", true_match=true_match)
+            evaluate_direction(x, x, labels, labels, true_match=true_match)
         assert info.value.code == "missing_match"
 
 
@@ -257,27 +257,35 @@ def test_evaluate_direction_length_mismatch_errors(rng):
     x = fm(rng.standard_normal((3, 4)))
     labels = np.array([1, 1, 2, 2])
     with pytest.raises(DataError) as info:
-        evaluate_direction(x, x, labels[:3], labels, "a2b")
+        evaluate_direction(x, x, labels[:3], labels)
     assert info.value.code == "index_range"
     with pytest.raises(DataError) as info:
-        evaluate_direction(x, x, labels, labels, "a2b", true_match=[0, 1, 2])
+        evaluate_direction(x, x, labels, labels, true_match=[0, 1, 2])
     assert info.value.code == "missing_match"
+
+
+def test_evaluate_direction_returns_report_keys_and_takes_options_by_keyword(rng):
+    x = fm(rng.standard_normal((3, 4)))
+    labels = np.array([1, 1, 2, 2])
+    assert set(evaluate_direction(x, x, labels, labels)) == {"map", "per_query_ap", "cmc"}
+    with pytest.raises(TypeError):
+        evaluate_direction(x, x, labels, labels, "a2b")
 
 
 def test_evaluate_direction_query_label_absent_from_gallery_errors(rng):
     queries = fm(rng.standard_normal((3, 4)))
     gallery = fm(rng.standard_normal((3, 4)))
     with pytest.raises(ConfigError) as info:
-        evaluate_direction(queries, gallery, [1, 2, 3, 1], [1, 1, 2, 2], "a2b")
+        evaluate_direction(queries, gallery, [1, 2, 3, 1], [1, 1, 2, 2])
     assert info.value.code == "empty_relevant"
 
 
 def test_evaluate_direction_absent_label_scores_zero_with_cutoff(rng):
     queries = fm(rng.standard_normal((3, 4)))
     gallery = fm(rng.standard_normal((3, 4)))
-    result = evaluate_direction(queries, gallery, [1, 2, 3, 1], [1, 1, 2, 2], "a2b", ap_cutoff=3)
-    assert result.per_query_ap[2] == 0.0
-    assert np.all(result.per_query_ap[[0, 1, 3]] > 0.0)
+    result = evaluate_direction(queries, gallery, [1, 2, 3, 1], [1, 1, 2, 2], ap_cutoff=3)
+    assert result["per_query_ap"][2] == 0.0
+    assert np.all(result["per_query_ap"][[0, 1, 3]] > 0.0)
 
 
 def test_order_rows_signed_zeros_and_equal_values_tie_by_index():
@@ -351,13 +359,13 @@ def test_evaluate_direction_equals_per_query_oracle(case):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ZeroNormWarning)
         result = evaluate_direction(
-            queries, gallery, query_labels, gallery_labels, "a2b", true_match=true_match, ap_cutoff=ap_cutoff
+            queries, gallery, query_labels, gallery_labels, true_match=true_match, ap_cutoff=ap_cutoff
         )
         expected = np.arange(queries.n) if true_match is None else true_match
         aps, mean_ap, cmc = oracle_evaluation(queries, gallery, query_labels, gallery_labels, expected, ap_cutoff)
-    assert np.array_equal(result.per_query_ap, aps)
-    assert result.map == mean_ap
-    assert np.array_equal(result.acc_at_k, cmc)
+    assert np.array_equal(result["per_query_ap"], aps)
+    assert result["map"] == mean_ap
+    assert np.array_equal(result["cmc"], cmc)
 
 
 @settings(max_examples=30, deadline=None)
@@ -373,9 +381,9 @@ def test_map_invariant_to_positive_gallery_scaling(nq, ng, seed, scale):
     gallery_labels = rng.integers(1, 4, ng)
     query_labels = rng.choice(gallery_labels, nq)
     true_match = rng.integers(0, ng, nq)
-    base = evaluate_direction(fm(queries), fm(gallery), query_labels, gallery_labels, "a2b", true_match=true_match)
+    base = evaluate_direction(fm(queries), fm(gallery), query_labels, gallery_labels, true_match=true_match)
     scaled = evaluate_direction(
-        fm(queries), fm(scale * gallery), query_labels, gallery_labels, "a2b", true_match=true_match
+        fm(queries), fm(scale * gallery), query_labels, gallery_labels, true_match=true_match
     )
-    assert scaled.map == base.map
-    assert np.array_equal(scaled.acc_at_k, base.acc_at_k)
+    assert scaled["map"] == base["map"]
+    assert np.array_equal(scaled["cmc"], base["cmc"])
