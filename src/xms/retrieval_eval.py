@@ -17,7 +17,9 @@ from .errors import ConfigError, DataError
 
 
 # Query rows ranked at once by evaluate_direction; bounds its working memory to
-# a few _ROW_BLOCK x gallery arrays.
+# a few _ROW_BLOCK x gallery arrays: the block sorted by value (padded to at most
+# twice the gallery width), the stable order of rows with a tied item, and the
+# rows of relevant ranks.
 _ROW_BLOCK = 128
 
 
@@ -34,12 +36,29 @@ class RankedList:
     similarities: np.ndarray
 
 
+def column_norms(values: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column at any finite scale; zero only for an all-zero column.
+
+    Norms inside (1e-140, 1e150) are numpy's own.  Outside it the sum of squares may have
+    under- or overflowed, so such a column is divided by its largest magnitude first.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(values, axis=0)
+    redo = np.flatnonzero((norms <= 1e-140) | (norms >= 1e150))
+    if redo.size:
+        peak = np.abs(values[:, redo]).max(axis=0)
+        live = peak > 0
+        redo, peak = redo[live], peak[live]
+        norms[redo] = peak * np.linalg.norm(values[:, redo] / peak, axis=0)
+    return norms
+
+
 def cosine_similarities(queries: FeatureMatrix, gallery: FeatureMatrix) -> np.ndarray:
     """Query x gallery cosine similarity matrix; zero-norm vectors give -1."""
     if queries.d != gallery.d:
         raise ConfigError("dim_mismatch", f"query dim {queries.d} != gallery dim {gallery.d}")
-    qn = np.linalg.norm(queries.values, axis=0)
-    gn = np.linalg.norm(gallery.values, axis=0)
+    qn = column_norms(queries.values)
+    gn = column_norms(gallery.values)
     dead_q = qn == 0
     dead_g = gn == 0
     n_dead = int(dead_q.sum() + dead_g.sum())
@@ -149,7 +168,11 @@ def evaluate_direction(
 
     Works on the query x gallery similarity matrix ``_ROW_BLOCK`` query rows
     at a time and gives bit-for-bit the results of ``rank_by_cosine`` +
-    ``average_precision`` + ``cmc_curve``.
+    ``average_precision`` + ``cmc_curve``.  It builds no gallery permutation:
+    it sorts each block by value alone and finds only the ranks AP and the CMC
+    need, those of the relevant items and of the true match, by binary search.
+    An item whose similarity equals another in its row is ranked by a stable
+    sort of that row instead, ties going to the lower gallery index.
     """
     query_labels = np.asarray(query_labels).ravel()
     gallery_labels = np.asarray(gallery_labels).ravel()
@@ -160,8 +183,13 @@ def evaluate_direction(
             "index_range",
             f"{query_labels.size} query / {gallery_labels.size} gallery labels for a {nq} x {ng} evaluation",
         )
+    # each query's relevant columns are one run of the gallery grouped by label
+    by_label = np.argsort(gallery_labels, kind="stable")
+    grouped = gallery_labels[by_label]
+    first = np.searchsorted(grouped, query_labels)
+    n_relevant = np.searchsorted(grouped, query_labels, side="right") - first
     if ap_cutoff is None:
-        lonely = np.flatnonzero(~np.isin(query_labels, gallery_labels))
+        lonely = np.flatnonzero(n_relevant == 0)
         if lonely.size:
             raise ConfigError("empty_relevant", f"query {lonely[0]} has no same-label gallery item")
     elif ap_cutoff < 1:
@@ -174,19 +202,59 @@ def evaluate_direction(
         qi = outside[0]
         raise DataError("missing_match", f"true match {true_match[qi]} of query {qi} not in gallery")
 
+    # Each block's rows are sorted by value alone into buffer rows laid out as [-inf, ascending
+    # similarities, +inf padding], of the smallest power-of-two width above ng.  Similarities are
+    # finite (FeatureMatrix rejects NaN and Inf), so no NaN enters the sort and the sentinels bound
+    # every search.  For each relevant item and true match, a branchless binary search finds the last
+    # column holding a value <= the item's own; the count of values after it, ng - column, is the
+    # item's 0-based rank.  An equal value in the column before is a tie, settled by a stable sort of
+    # that row (ties to the lower gallery index).
+    width = 1 << ng.bit_length()
+    steps = [width >> s for s in range(1, width.bit_length())]
+    padded = np.full((min(nq, _ROW_BLOCK), width), np.inf)
+    padded[:, 0] = -np.inf
+    flat = padded.ravel()
     per_query_ap = np.empty(nq)
-    match_counts = np.zeros(ng + 1, dtype=np.int64)
+    match_counts = np.zeros(ng, dtype=np.int64)
     for start in range(0, nq, _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        order = _order_rows(sims[rows])
-        rel = gallery_labels[order[:, :ap_cutoff]] == query_labels[rows, None]
-        hits = np.cumsum(rel, axis=1)
-        precision = np.where(rel, hits / np.arange(1, rel.shape[1] + 1), 0.0)
-        # cumsum adds left to right like the per-query loop; np.sum's pairwise
-        # summation would change the last bits
-        total = np.cumsum(precision, axis=1)[:, -1]
-        n_hits = hits[:, -1]
-        per_query_ap[rows] = np.divide(total, n_hits, out=np.zeros(len(total)), where=n_hits > 0)
-        match_ranks = np.argmax(order == true_match[rows, None], axis=1) + 1
-        match_counts += np.bincount(match_ranks, minlength=ng + 1)
-    return {"map": float(per_query_ap.mean()), "per_query_ap": per_query_ap, "cmc": np.cumsum(match_counts[1:]) / nq}
+        block = sims[start : start + _ROW_BLOCK]
+        nb = len(block)
+        ascending = padded[:nb, 1 : ng + 1]
+        ascending[...] = block
+        ascending.sort(axis=1)
+        # the searched cells: each row's relevant columns, numbered by `hit` within the row, then
+        # each row's true match
+        counts = n_relevant[start : start + nb]
+        n_pairs = int(counts.sum())
+        row = np.concatenate([np.repeat(np.arange(nb), counts), np.arange(nb)])
+        hit = np.arange(n_pairs) - np.repeat(np.cumsum(counts) - counts, counts)
+        relevant = by_label[np.repeat(first[start : start + nb], counts) + hit]
+        col = np.concatenate([relevant, true_match[start : start + nb]])
+        value = block.ravel().take(row * ng + col)
+        pos = row * width
+        end = pos + ng
+        for step in steps:
+            pos += (flat.take(pos + step) <= value) * step
+        rank = end - pos
+        tied = np.flatnonzero(flat.take(pos - 1) == value)
+        if tied.size:
+            tied_rows, slot = np.unique(row[tied], return_inverse=True)
+            stable_order = np.argsort(-block[tied_rows], axis=1, kind="stable")
+            stable_rank = np.empty_like(stable_order)
+            np.put_along_axis(stable_rank, stable_order, np.arange(ng), axis=1)
+            rank[tied] = stable_rank[slot, col[tied]]
+        match_counts += np.bincount(rank[n_pairs:], minlength=ng)
+        # AP adds hits / rank over a row's relevant ranks in ascending order.  They are sorted in rows
+        # padded with +inf, where the term hits / (rank + 1) is 0, and a cumsum adds the terms left to
+        # right like the per-query loop (np.sum and np.add.reduceat add pairwise: other last bits).
+        relevant_rank = np.full((nb, max(int(counts.max()), 1)), np.inf)
+        relevant_rank.ravel()[row[:n_pairs] * relevant_rank.shape[1] + hit] = rank[:n_pairs]
+        n_hits = counts
+        if ap_cutoff is not None:
+            relevant_rank[relevant_rank >= ap_cutoff] = np.inf
+            n_hits = np.count_nonzero(relevant_rank < np.inf, axis=1)
+        relevant_rank.sort(axis=1)
+        hits = np.arange(1, relevant_rank.shape[1] + 1)
+        total = np.cumsum(hits / (relevant_rank + 1), axis=1)[:, -1]
+        per_query_ap[start : start + nb] = np.divide(total, n_hits, out=np.zeros(nb), where=n_hits > 0)
+    return {"map": float(per_query_ap.mean()), "per_query_ap": per_query_ap, "cmc": np.cumsum(match_counts) / nq}

@@ -35,7 +35,7 @@ from xms.bench import (
 import xms.bench
 import xms.cli
 import xms.methods
-from xms.dataset_io import random_split, subset
+from xms.dataset_io import FeatureMatrix, PairedMultimodalDataset, random_split, subset
 from xms.errors import ConfigError, DataError, NumericalError, XmsError
 from xms.synthetic import make_synthetic_dataset
 
@@ -195,6 +195,22 @@ def test_benchmark_deterministic_modulo_environment():
             entry.pop("fit_seconds_mean")
             entry.pop("fit_seconds_var")
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+
+
+def test_l2_normalize_is_scale_safe():
+    # at 1e-170 the plain sum of squares underflows to zero
+    data = small_dataset()
+    scaled = PairedMultimodalDataset(
+        FeatureMatrix(1e-170 * data.xa.values), FeatureMatrix(1e-170 * data.xb.values), data.labels, data.c
+    )
+    specs = (MethodSpec("cca", "cca", dim=2), MethodSpec("pls", "pls", dim=2))
+    config = small_config(specs, reps=2, l2_normalize=True)
+    runs = [
+        {label: {d: e["directions"][d]["map_runs"] for d in e["directions"]} for label, e in report["methods"].items()}
+        for report in (run_benchmark(config, data), run_benchmark(config, scaled))
+    ]
+    assert all(len(r) == 2 for entry in runs[0].values() for r in entry.values())
+    assert runs[1] == runs[0]
 
 
 def test_benchmark_records_failures_and_flags_incomplete():

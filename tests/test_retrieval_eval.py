@@ -15,6 +15,7 @@ from xms.retrieval_eval import (
     acc_at_k,
     average_precision,
     cmc_curve,
+    column_norms,
     cosine_similarities,
     evaluate_direction,
     mean_average_precision,
@@ -81,6 +82,39 @@ def test_zero_norm_vectors_ranked_last_and_counted(rng):
     queries[:, 1] = 1.0
     with pytest.warns(ZeroNormWarning, match=r"^3 zero-norm vectors ranked last"):
         cosine_similarities(fm(queries), fm(gallery))
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e160, 1e300])
+def test_norms_and_zero_columns_at_extreme_finite_scales(rng, scale):
+    # the plain sum of squares under- or overflows at these scales
+    queries, gallery = rng.standard_normal((5, 6)), rng.standard_normal((5, 9))
+    gallery[:, 3] = 0.0
+    assert np.array_equal(column_norms(gallery), np.linalg.norm(gallery, axis=0))
+    with pytest.warns(ZeroNormWarning):
+        unscaled = cosine_similarities(fm(queries), fm(gallery))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        norms = column_norms(scale * gallery)
+        sims = cosine_similarities(fm(queries), fm(scale * gallery))
+    assert [type(w.message) for w in caught] == [ZeroNormWarning]
+    assert str(caught[0].message).startswith("1 zero-norm vectors ranked last")
+    np.testing.assert_allclose(norms / scale, np.linalg.norm(gallery, axis=0), rtol=1e-14)
+    assert norms[3] == 0.0
+    assert np.all(sims[:, 3] == -1.0)
+    np.testing.assert_allclose(sims, unscaled, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e160, 1e300])
+def test_map_and_cmc_unchanged_at_extreme_gallery_scales(scale):
+    rng = np.random.default_rng(40)
+    queries, gallery = rng.standard_normal((5, 40)), rng.standard_normal((5, 40))
+    labels = rng.integers(1, 4, 40)
+    base = evaluate_direction(fm(queries), fm(gallery), labels, labels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = evaluate_direction(fm(queries), fm(scale * gallery), labels, labels)
+    assert scaled["map"] == base["map"]
+    assert np.array_equal(scaled["cmc"], base["cmc"])
 
 
 def test_scale_invariance_of_order(rng):
@@ -297,7 +331,9 @@ def test_order_rows_signed_zeros_and_equal_values_tie_by_index():
 # evaluate_direction against the per-query oracle
 
 ROW_COUNTS = [1, 2, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1]
-GALLERY_COUNTS = [1, 2, 7, _ROW_BLOCK - 1, _ROW_BLOCK + 1]
+# evaluate_direction's rank search runs over rows padded to a power-of-two width: 64 and 128 items
+# fill it with one item to spare and 127 without padding
+GALLERY_COUNTS = [1, 2, 7, 64, _ROW_BLOCK - 1, 128, _ROW_BLOCK + 1]
 
 
 def oracle_evaluation(queries, gallery, query_labels, gallery_labels, true_match, ap_cutoff):
@@ -387,3 +423,42 @@ def test_map_invariant_to_positive_gallery_scaling(nq, ng, seed, scale):
     )
     assert scaled["map"] == base["map"]
     assert np.array_equal(scaled["cmc"], base["cmc"])
+
+
+def blocked_reference(queries, gallery, query_labels, gallery_labels, true_match, ap_cutoff):
+    """evaluate_direction's arithmetic before its rank search: each block's full order from
+    _order_rows, a relevance mask, hits by cumsum and the row sums of hits / rank by cumsum."""
+    sims = cosine_similarities(queries, gallery)
+    nq, ng = sims.shape
+    per_query_ap = np.empty(nq)
+    match_counts = np.zeros(ng + 1, dtype=np.int64)
+    for start in range(0, nq, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        order = _order_rows(sims[rows])
+        rel = gallery_labels[order[:, :ap_cutoff]] == query_labels[rows, None]
+        hits = np.cumsum(rel, axis=1)
+        precision = np.where(rel, hits / np.arange(1, rel.shape[1] + 1), 0.0)
+        total = np.cumsum(precision, axis=1)[:, -1]
+        n_hits = hits[:, -1]
+        per_query_ap[rows] = np.divide(total, n_hits, out=np.zeros(len(total)), where=n_hits > 0)
+        match_ranks = np.argmax(order == true_match[rows, None], axis=1) + 1
+        match_counts += np.bincount(match_ranks, minlength=ng + 1)
+    return per_query_ap, float(per_query_ap.mean()), np.cumsum(match_counts[1:]) / nq
+
+
+@pytest.mark.parametrize("ap_cutoff", [None, 150])
+def test_evaluate_direction_equals_blocked_reference_at_gallery2k_size(ap_cutoff):
+    rng = np.random.default_rng(2000)
+    queries, gallery = rng.standard_normal((64, 2000)), rng.standard_normal((64, 2000))
+    queries[:, [5, 130, 131, 1999]] = 0.0  # all-tied rows in blocks that also hold untied ones
+    gallery[:, [17, 900]] = gallery[:, [300, 1500]]  # equal pairs in every row
+    labels = rng.integers(1, 21, 2000)
+    true_match = rng.permutation(2000)
+    queries, gallery = fm(queries), fm(gallery)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroNormWarning)
+        result = evaluate_direction(queries, gallery, labels, labels, true_match=true_match, ap_cutoff=ap_cutoff)
+        aps, mean_ap, cmc = blocked_reference(queries, gallery, labels, labels, true_match, ap_cutoff)
+    assert np.array_equal(result["per_query_ap"], aps)
+    assert result["map"] == mean_ap
+    assert np.array_equal(result["cmc"], cmc)
