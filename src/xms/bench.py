@@ -36,7 +36,7 @@ from .dataset_io import (
 )
 from .errors import ConfigError, DataError, XmsError, is_int
 from .methods import SplitContext, _pca_options, fit_method, method_config, normalize_method_name, project
-from .retrieval_eval import column_norms, evaluate_direction
+from .retrieval_eval import evaluate_direction, unit_columns
 from .synthetic import make_synthetic_dataset
 
 DIRECTIONS = ("a2b", "b2a")
@@ -233,8 +233,7 @@ def resolve_dataset(spec) -> PairedMultimodalDataset:
 
 def _l2_normalize(dataset: PairedMultimodalDataset) -> PairedMultimodalDataset:
     def norm(x: FeatureMatrix) -> FeatureMatrix:
-        norms = column_norms(x.values)
-        return FeatureMatrix(x.values / np.where(norms == 0, 1.0, norms))
+        return FeatureMatrix(unit_columns(x.values)[0])
 
     return PairedMultimodalDataset(
         norm(dataset.xa), norm(dataset.xb), dataset.labels, dataset.c, dataset.sample_ids, strict=False

@@ -111,10 +111,10 @@ def _fit_coupled(method, train, config, start, t0, loss_scale, coupling, update,
 
     The fitter's coupling is used only when lambda2 > 0.  ``coupling(ws,
     projs, link)`` returns the iterate's coupling term and a new ``link``.
-    ``update(lhs, rhs, projs, link, solve)`` adds the coupling to each block's
-    system, passes it to ``solve(p, a, b)``, which sets w_p and x_p' w_p, and
-    returns a new ``link``.  ``link`` carries what one of the two forms for the
-    other; it is None at the start.
+    ``update(lhs, rhs, ws, link, solve)`` adds the coupling to each block's
+    system, passes it to ``solve(p, a, b)``, which sets w_p (so ``ws`` holds
+    the new w_p at once) and x_p' w_p, and returns a new ``link``.  ``link``
+    carries what one of the two forms for the other; it is None at the start.
     """
     xs, y, grams, rhs, ws = start
     ws = list(ws)
@@ -133,7 +133,7 @@ def _fit_coupled(method, train, config, start, t0, loss_scale, coupling, update,
                 for a, r in zip(lhs, norms):
                     a.flat[:: a.shape[0] + 1] += config.lambda1 / loss_scale * l21_reweight(r, EPS_L21)
             if config.lambda2 > 0:
-                link = update(lhs, rhs, projs, link, solve)
+                link = update(lhs, rhs, ws, link, solve)
             else:
                 for p in range(2):
                     solve(p, lhs[p], rhs[p])
@@ -185,7 +185,7 @@ def fit_lcfs(train: PairedMultimodalDataset, config: LcfsConfig | None = None, *
         u, s, _ = np.linalg.svd(np.hstack(projs), full_matrices=False)
         return config.lambda2 * smoothed_trace_norm(s, train.n), (u, s)
 
-    def update(lhs, rhs, projs, link, solve):
+    def update(lhs, rhs, ws, link, solve):
         """Jacobi: both blocks take the majorizer (M M' + eps^2 I)^-1/2 = I/eps + U diag(f) U' at M = U S V'."""
         u, s = link
         f = 1.0 / np.sqrt(s**2 + EPS_TRACE**2) - 1.0 / EPS_TRACE
@@ -198,15 +198,14 @@ def fit_lcfs(train: PairedMultimodalDataset, config: LcfsConfig | None = None, *
 
 
 def _graph_state(train: PairedMultimodalDataset, k: int, context):
-    """For the multimodal Laplacian L on ``k`` neighbours: the cross block L_ab
-    (contiguous) and the λ-free x_p L_pp x_p' terms."""
+    """For the multimodal Laplacian L on ``k`` neighbours: the λ-free d_a x d_b
+    cross block C_ab = x_a L_ab x_b' and the G_p = x_p L_pp x_p' terms."""
 
     def build():
         n = train.n
         lap = laplacian(multimodal_graph(train, k))
-        lpp = [lap[:n, :n], lap[n:, n:]]
-        xs = (train.xa.values, train.xb.values)
-        return np.ascontiguousarray(lap[:n, n:]), [x @ lpp[p] @ x.T for p, x in enumerate(xs)]
+        xa, xb = train.xa.values, train.xb.values
+        return xa @ lap[:n, n:] @ xb.T, [xa @ lap[:n, :n] @ xa.T, xb @ lap[n:, n:] @ xb.T]
 
     return _shared(train, context, ("multimodal_graph", k), build)
 
@@ -218,35 +217,32 @@ def fit_jfssl(
     penalty tying projected neighbours and true pairs together.
 
     The graph term tr(F L F') of the projected points F = [w_a' x_a, w_b' x_b]
-    is evaluated without L as sum_p tr(w_p' G_p w_p) + 2 tr(w_b' c_b), from the
-    λ-free G_p = x_p L_pp x_p' and the cross product c_b = x_b L_ba x_a' w_a
-    that the w_b update has just formed.
+    is evaluated in feature space as sum_p tr(w_p' G_p w_p) + 2 tr(w_b' C_ba w_a),
+    from the λ-free G_p = x_p L_pp x_p' and cross block C_ba = C_ab' = x_b L_ba x_a'
+    that the split's graph state holds; C_ba w_a is the product the w_b update
+    has just formed.
 
     ``context`` (a ``SplitContext`` of ``train``) shares the λ-free start and
-    the graph with other fits on the same split.
+    the graph state with other fits on the same split.
     """
     t0 = time.perf_counter()
     config = config or SparseCoupledConfig()
-    xa, xb = train.xa.values, train.xb.values
     if config.lambda2 > 0:
-        lab, graph_products = _graph_state(train, min(config.graph_k, max(train.n - 1, 1)), context)
-        cross_ops = [
-            lambda proj_b: xa @ (lab @ proj_b),
-            lambda proj_a: xb @ (lab.T @ proj_a),
-        ]
+        c_ab, graph_products = _graph_state(train, min(config.graph_k, max(train.n - 1, 1)), context)
+        cross_blocks = [c_ab, c_ab.T]
         graph_terms = [config.lambda2 * product for product in graph_products]
 
     def coupling(ws, projs, cross_b):
-        if cross_b is None:  # the start, which no update has formed c_b for
-            cross_b = cross_ops[1](projs[0])
+        if cross_b is None:  # the start, which no update has formed C_ba w_a for
+            cross_b = c_ab.T @ ws[0]
         g = sum(np.sum(w * (product @ w)) for w, product in zip(ws, graph_products))
         return config.lambda2 * float(g + 2.0 * np.sum(ws[1] * cross_b)), None
 
-    def update(lhs, rhs, projs, link, solve):
-        """Gauss–Seidel: block b's cross product reads the new x_a' w_a; the last one is c_b."""
+    def update(lhs, rhs, ws, link, solve):
+        """Gauss–Seidel: block b's cross product reads the new w_a; the last one is C_ba w_a."""
         for p in range(2):
             lhs[p] += graph_terms[p]
-            cross = cross_ops[p](projs[1 - p])
+            cross = cross_blocks[p] @ ws[1 - p]
             solve(p, lhs[p], rhs[p] - config.lambda2 * cross)
         return cross
 

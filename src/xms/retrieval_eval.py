@@ -36,35 +36,52 @@ class RankedList:
     similarities: np.ndarray
 
 
-def column_norms(values: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each column at any finite scale; zero only for an all-zero column.
-
-    Norms inside (1e-140, 1e150) are numpy's own.  Outside it the sum of squares may have
-    under- or overflowed, so such a column is divided by its largest magnitude first.
-    """
+def _scaled_norms(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's scale s and the norm of the column divided by s: s = 1 where numpy's
+    own norm lies inside (1e-140, 1e150), the column's largest magnitude outside it, where
+    the sum of squares may have under- or overflowed (and 1 for an all-zero column)."""
     with np.errstate(over="ignore", under="ignore"):
         norms = np.linalg.norm(values, axis=0)
+    scales = np.ones_like(norms)
     redo = np.flatnonzero((norms <= 1e-140) | (norms >= 1e150))
     if redo.size:
         peak = np.abs(values[:, redo]).max(axis=0)
         live = peak > 0
         redo, peak = redo[live], peak[live]
-        norms[redo] = peak * np.linalg.norm(values[:, redo] / peak, axis=0)
-    return norms
+        scales[redo] = peak
+        norms[redo] = np.linalg.norm(values[:, redo] / peak, axis=0)
+    return scales, norms
+
+
+def column_norms(values: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column at any finite scale; zero only for an all-zero column,
+    inf where the norm exceeds the largest double.  Norms inside (1e-140, 1e150) are numpy's own."""
+    scales, norms = _scaled_norms(values)
+    with np.errstate(over="ignore"):
+        return scales * norms
+
+
+def unit_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` with each nonzero column divided by its norm, and the mask of all-zero columns,
+    which stay zero.  A column outside numpy's safe norm range is divided by its largest magnitude
+    before the rescaled norm, so it keeps its direction even where its norm would overflow."""
+    scales, norms = _scaled_norms(values)
+    dead = norms == 0
+    if (scales != 1.0).any():  # skipped in range: the extra pass over a fresh array costs more than the norms
+        values = values / scales
+    return values / np.where(dead, 1.0, norms), dead
 
 
 def cosine_similarities(queries: FeatureMatrix, gallery: FeatureMatrix) -> np.ndarray:
     """Query x gallery cosine similarity matrix; zero-norm vectors give -1."""
     if queries.d != gallery.d:
         raise ConfigError("dim_mismatch", f"query dim {queries.d} != gallery dim {gallery.d}")
-    qn = column_norms(queries.values)
-    gn = column_norms(gallery.values)
-    dead_q = qn == 0
-    dead_g = gn == 0
+    unit_q, dead_q = unit_columns(queries.values)
+    unit_g, dead_g = unit_columns(gallery.values)
     n_dead = int(dead_q.sum() + dead_g.sum())
     if n_dead:
         warnings.warn(ZeroNormWarning(f"{n_dead} zero-norm vectors ranked last (similarity -1)"))
-    sims = (queries.values / np.where(dead_q, 1.0, qn)).T @ (gallery.values / np.where(dead_g, 1.0, gn))
+    sims = unit_q.T @ unit_g
     sims[dead_q, :] = -1.0
     sims[:, dead_g] = -1.0
     return sims

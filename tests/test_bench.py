@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -211,6 +212,19 @@ def test_l2_normalize_is_scale_safe():
     ]
     assert all(len(r) == 2 for entry in runs[0].values() for r in entry.values())
     assert runs[1] == runs[0]
+
+
+def test_l2_normalize_keeps_a_column_whose_norm_overflows():
+    # five entries of 1e308 have a norm, about 2.2e308, beyond the largest double
+    data = small_dataset()
+    xa = data.xa.values.copy()
+    xa[:5, 0], xa[5:, 0] = 1e308, 0.0
+    data = PairedMultimodalDataset(FeatureMatrix(xa), data.xb, data.labels, data.c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unit = xms.bench._l2_normalize(data)
+    np.testing.assert_allclose(unit.xa.values[:, 0], np.r_[np.full(5, 5**-0.5), np.zeros(5)], rtol=1e-15)
+    assert np.array_equal(unit.xa.values[:, 1:], xa[:, 1:] / np.linalg.norm(xa[:, 1:], axis=0))
 
 
 def test_benchmark_records_failures_and_flags_incomplete():

@@ -1,7 +1,10 @@
 import numpy as np
 import scipy.linalg as la
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xms.dataset_io import encode_labels
+from xms.cli import DEFAULT_GRID
+from xms.dataset_io import encode_labels, random_split, subset
 from xms.errors import ConfigError, NumericalError
 import pytest
 
@@ -9,6 +12,7 @@ from xms.methods import SparseCoupledConfig, SplitContext, fit_jfssl, fit_lcfs
 from xms.methods import coupled
 from xms.methods.coupled import EPS_L21, EPS_TRACE, _solve_psd
 from xms.numerics import laplacian, multimodal_graph
+from xms.synthetic import make_synthetic_dataset
 from tests.conftest import paired_dataset, random_paired_dataset
 
 
@@ -167,6 +171,45 @@ def test_fit_through_used_context_equals_fresh_fit(rng, fitter):
         assert shared.hyperparams["iterations"] == fresh.hyperparams["iterations"]
 
 
+# JFSSL's iteration counts on the CLI's default 8 x 8 sweep grid (rows lambda1, columns lambda2) on
+# criterion-7 splits 0 and 1, as `benchmarks/perf.py --workload sweep8x8` fits them; 2,645 in all
+SWEEP_ITERATIONS = [
+    [
+        [1, 1, 2, 3, 5, 16, 29, 36],
+        [1, 1, 2, 3, 5, 16, 29, 36],
+        [1, 1, 2, 3, 5, 16, 29, 36],
+        [2, 2, 2, 3, 5, 16, 29, 36],
+        [2, 2, 2, 3, 5, 16, 29, 36],
+        [5, 5, 5, 5, 5, 16, 29, 36],
+        [36, 36, 36, 36, 28, 19, 29, 36],
+        [80, 80, 80, 78, 70, 46, 40, 39],
+    ],
+    [
+        [1, 1, 2, 3, 5, 16, 28, 35],
+        [1, 1, 2, 3, 5, 16, 28, 35],
+        [1, 1, 2, 3, 5, 16, 28, 35],
+        [2, 2, 2, 3, 5, 16, 28, 35],
+        [2, 2, 2, 3, 5, 16, 28, 35],
+        [5, 5, 5, 5, 6, 16, 28, 35],
+        [36, 36, 36, 35, 27, 19, 29, 35],
+        [74, 74, 74, 74, 65, 48, 38, 37],
+    ],
+]
+
+
+def test_jfssl_sweep_stopping_points_are_pinned():
+    # a change that only rounds differently keeps every cell's stopping point
+    data = make_synthetic_dataset(n=400, c=3, d_a=128, d_b=128, seed=7)
+    grid = [float(v) for v in DEFAULT_GRID.split(",")]
+    counts = []
+    for seed in (0, 1):
+        context = SplitContext(subset(data, random_split(data.n, 304, seed)[0]))
+        cells = [[SparseCoupledConfig(lambda1=l1, lambda2=l2) for l2 in grid] for l1 in grid]
+        counts.append([[fit_jfssl(context.train, cfg, context=context).hyperparams["iterations"] for cfg in row] for row in cells])
+    assert sum(map(sum, SWEEP_ITERATIONS[0] + SWEEP_ITERATIONS[1])) == 2645
+    assert counts == SWEEP_ITERATIONS
+
+
 def test_context_of_another_split_rejected(rng):
     ds = random_paired_dataset(rng, n=30, d_a=5, d_b=4, c=2)
     other = SplitContext(random_paired_dataset(rng, n=30, d_a=5, d_b=4, c=2))
@@ -285,12 +328,41 @@ REFERENCE_CASES = [
 def test_jfssl_equals_dense_laplacian_reference(seed, n, d_a, d_b, c, lambda1, lambda2, k):
     ds = random_paired_dataset(np.random.default_rng(seed), n=n, d_a=d_a, d_b=d_b, c=c)
     cfg = SparseCoupledConfig(lambda1=lambda1, lambda2=lambda2, graph_k=k, max_iters=60)
+    assert_jfssl_matches_reference(ds, cfg)
+
+
+def assert_jfssl_matches_reference(ds, cfg):
+    # the fitter multiplies by the d_a x d_b cross block x_a L_ab x_b' where the reference multiplies
+    # by L_ab between the projections, and the dense-Laplacian objective sums in another order; both
+    # only round differently: on the fixed cases the weights differ by at most 1.2e-15 of the largest
+    # entry and the traces by 7e-16, on 1,500 random shapes by 1.3e-14 and 2.3e-14
     model = fit_jfssl(ds, cfg)
     (wa, wb), trace = reference_jfssl(ds, cfg)
-    assert np.array_equal(model.wa, wa) and np.array_equal(model.wb, wb)
     assert model.hyperparams["iterations"] == len(trace) - 1
-    # the dense-Laplacian objective rounds differently; 7e-16 apart at most on these cases
+    scale = max(np.abs(wa).max(), np.abs(wb).max())
+    np.testing.assert_allclose(model.wa, wa, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(model.wb, wb, rtol=0, atol=1e-12 * scale)
     assert model.metadata["objective_trace"] == pytest.approx(trace, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d_a=st.integers(1, 8),
+    d_b=st.integers(1, 8),
+    same_d=st.booleans(),
+    c=st.integers(2, 4),
+    extra=st.integers(1, 30),
+    lambda1=st.sampled_from([0.0, 1e-3, 0.1, 1.0]),
+    lambda2=st.sampled_from([1e-3, 0.1, 1.0, 10.0]),
+    k=st.integers(1, 8),
+)
+def test_jfssl_matches_dense_laplacian_reference_on_random_shapes(seed, d_a, d_b, same_d, c, extra, lambda1, lambda2, k):
+    # n > d_a, d_b keeps both Grams positive definite; d_a == d_b adds the cross-modal k-NN links
+    d_b = d_a if same_d else d_b
+    n = max(d_a, d_b, c) + extra
+    ds = random_paired_dataset(np.random.default_rng(seed), n=n, d_a=d_a, d_b=d_b, c=c)
+    assert_jfssl_matches_reference(ds, SparseCoupledConfig(lambda1=lambda1, lambda2=lambda2, graph_k=k, max_iters=40))
 
 
 @pytest.mark.parametrize("n, d_a, d_b, c, lambda1, lambda2, k", REFERENCE_CASES)

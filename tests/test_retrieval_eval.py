@@ -104,6 +104,22 @@ def test_norms_and_zero_columns_at_extreme_finite_scales(rng, scale):
     np.testing.assert_allclose(sims, unscaled, rtol=0, atol=1e-15)
 
 
+def test_column_whose_norm_overflows_keeps_its_direction(rng):
+    # five entries of 1e308: the norm, about 2.2e308, exceeds the largest double
+    queries, gallery = rng.standard_normal((5, 3)), rng.standard_normal((5, 4))
+    queries[:, 0] = 1.0
+    huge = gallery.copy()
+    huge[:, 2] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert column_norms(huge)[2] == np.inf
+        sims = cosine_similarities(fm(queries), fm(huge))
+    assert sims[0, 2] == pytest.approx(1.0, rel=1e-15)
+    np.testing.assert_allclose(sims[1:, 2], queries[:, 1:].sum(axis=0) / np.linalg.norm(queries[:, 1:], axis=0) / 5**0.5)
+    # the in-range columns keep numpy's own quotients, bit for bit
+    assert np.array_equal(np.delete(sims, 2, axis=1), cosine_similarities(fm(queries), fm(np.delete(gallery, 2, axis=1))))
+
+
 @pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e160, 1e300])
 def test_map_and_cmc_unchanged_at_extreme_gallery_scales(scale):
     rng = np.random.default_rng(40)
