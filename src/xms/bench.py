@@ -547,12 +547,13 @@ def method_spec_from_dict(entry: dict) -> MethodSpec:
 
 
 def config_from_dict(raw: dict) -> BenchmarkConfig:
-    """A config file's mapping; without ``methods``, the default nine-method lineup runs."""
+    """A config file's mapping; with ``methods`` missing or null, the default
+    nine-method lineup runs (an empty list is refused like any empty lineup)."""
     raw = _field_mapping(raw, BenchmarkConfig, "config", defaulted=("methods",))
     entries = raw.get("methods")
     if entries is not None and not isinstance(entries, (list, tuple)):
         raise ConfigError("bad_config", f"methods must be a list of method entries, got {entries!r}")
-    methods = tuple(method_spec_from_dict(entry) for entry in entries or ()) or default_method_specs()
+    methods = default_method_specs() if entries is None else tuple(method_spec_from_dict(entry) for entry in entries)
     return BenchmarkConfig(**{**raw, "methods": methods})
 
 

@@ -53,15 +53,15 @@ class SparseCoupledConfig(LcfsConfig):
             raise ConfigError("bad_k", "graph_k must be a positive integer")
 
 
-def smoothed_l21(r: np.ndarray, eps: float = EPS_L21) -> float:
-    """l21 norm of W from its row norms r, with quadratic smoothing below eps
-    (matches the clamped majorizer)."""
-    return float(np.where(r >= eps, r, (r**2 + eps**2) / (2 * eps)).sum())
+def smoothed_l21(r: np.ndarray) -> float:
+    """l21 norm of W from its row norms r, with quadratic smoothing below
+    EPS_L21 (matches the clamped majorizer)."""
+    return float(np.where(r >= EPS_L21, r, (r**2 + EPS_L21**2) / (2 * EPS_L21)).sum())
 
 
-def smoothed_trace_norm(s: np.ndarray, n: int, eps: float = EPS_TRACE) -> float:
-    """tr sqrt(M M' + eps^2 I) of an n-row M from the singular values s of its thin SVD."""
-    return float(np.sqrt(s**2 + eps**2).sum() + (n - s.size) * eps)
+def smoothed_trace_norm(s: np.ndarray, n: int) -> float:
+    """tr sqrt(M M' + EPS_TRACE^2 I) of an n-row M from the singular values s of its thin SVD."""
+    return float(np.sqrt(s**2 + EPS_TRACE**2).sum() + (n - s.size) * EPS_TRACE)
 
 
 def _solve_psd(a: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
@@ -100,7 +100,7 @@ def _regression_start(train: PairedMultimodalDataset, context):
     return _shared(train, context, "regression_start", build)
 
 
-def _fit_coupled(method, train, config, start, t0, loss_scale, coupling, update, echo=None) -> SubspaceModel:
+def _fit_coupled(method, train, config, start, t0, loss_scale, coupling, echo=None) -> SubspaceModel:
     """The half-quadratic iteration LCFS and JFSSL share.
 
     It minimizes loss_scale * sum_p ||x_p' w_p - y||^2 + lambda1 * sum_p
@@ -110,38 +110,37 @@ def _fit_coupled(method, train, config, start, t0, loss_scale, coupling, update,
     its previous value, or ``max_iters`` times.
 
     The fitter's coupling is used only when lambda2 > 0.  ``coupling(ws,
-    projs, link)`` returns the iterate's coupling term and a new ``link``.
-    ``update(lhs, rhs, ws, link, solve)`` adds the coupling to each block's
-    system, passes it to ``solve(p, a, b)``, which sets w_p (so ``ws`` holds
-    the new w_p at once) and x_p' w_p, and returns a new ``link``.  ``link``
-    carries what one of the two forms for the other; it is None at the start.
+    projs)`` returns the iterate's coupling term, the two diagonal blocks the
+    next step adds to the normal systems (iterated once, and only if that
+    step runs, so a generator forms none after the last step), and a λ-free
+    cross block C_ab or None.  Block p's right-hand side then loses lambda2
+    C_{p,1-p} w_{1-p}, with C_ba = C_ab', so block b reads the new w_a
+    (Gauss–Seidel); without a cross block both blocks depend on the previous
+    iterate only (Jacobi).
     """
     xs, y, grams, rhs, ws = start
     ws = list(ws)
     projs = [x.T @ w for x, w in zip(xs, ws)]
-    link = None
+    blocks, cross = (None, None), None
     trace = []
-
-    def solve(p, a, b):
-        ws[p] = _solve_psd(a, b, method)
-        projs[p] = xs[p].T @ ws[p]
 
     for it in range(config.max_iters + 1):
         if it:
-            lhs = [g.copy() for g in grams]
-            if config.lambda1 > 0:
-                for a, r in zip(lhs, norms):
-                    a.flat[:: a.shape[0] + 1] += config.lambda1 / loss_scale * l21_reweight(r, EPS_L21)
-            if config.lambda2 > 0:
-                link = update(lhs, rhs, ws, link, solve)
-            else:
-                for p in range(2):
-                    solve(p, lhs[p], rhs[p])
+            for p, block in enumerate(blocks):
+                a, b = grams[p].copy(), rhs[p]
+                if config.lambda1 > 0:
+                    a.flat[:: a.shape[0] + 1] += config.lambda1 / loss_scale * l21_reweight(norms[p], EPS_L21)
+                if block is not None:
+                    a += block
+                if cross is not None:
+                    b = b - config.lambda2 * ((cross.T if p else cross) @ ws[1 - p])
+                ws[p] = _solve_psd(a, b, method)
+                projs[p] = xs[p].T @ ws[p]
         norms = [np.linalg.norm(w, axis=1) for w in ws]
         j = loss_scale * sum(np.sum((f - y) ** 2) for f in projs)
         j += config.lambda1 * sum(smoothed_l21(r) for r in norms)
         if config.lambda2 > 0:
-            term, link = coupling(ws, projs, link)
+            term, blocks, cross = coupling(ws, projs)
             j += term
         trace.append(float(j))
         if not np.isfinite(trace[-1]):
@@ -181,20 +180,16 @@ def fit_lcfs(train: PairedMultimodalDataset, config: LcfsConfig | None = None, *
     config = config or LcfsConfig()
     xs, _, grams, _, _ = start = _regression_start(train, context)
 
-    def coupling(ws, projs, link):
+    def coupling(ws, projs):
+        """The trace-norm term at M = U S V', and each block's share of its
+        majorizer (M M' + eps^2 I)^-1/2 = I/eps + U diag(f) U'; no cross block."""
         u, s, _ = np.linalg.svd(np.hstack(projs), full_matrices=False)
-        return config.lambda2 * smoothed_trace_norm(s, train.n), (u, s)
-
-    def update(lhs, rhs, ws, link, solve):
-        """Jacobi: both blocks take the majorizer (M M' + eps^2 I)^-1/2 = I/eps + U diag(f) U' at M = U S V'."""
-        u, s = link
         f = 1.0 / np.sqrt(s**2 + EPS_TRACE**2) - 1.0 / EPS_TRACE
-        for p, (x, g) in enumerate(zip(xs, grams)):
-            xu = x @ u
-            lhs[p] += config.lambda2 * (g / EPS_TRACE + (xu * f) @ xu.T)
-            solve(p, lhs[p], rhs[p])
+        xus = (x @ u for x in xs)
+        blocks = (config.lambda2 * (g / EPS_TRACE + (xu * f) @ xu.T) for xu, g in zip(xus, grams))
+        return config.lambda2 * smoothed_trace_norm(s, train.n), blocks, None
 
-    return _fit_coupled("lcfs", train, config, start, t0, 0.5, coupling, update)
+    return _fit_coupled("lcfs", train, config, start, t0, 0.5, coupling)
 
 
 def _graph_state(train: PairedMultimodalDataset, k: int, context):
@@ -219,8 +214,8 @@ def fit_jfssl(
     The graph term tr(F L F') of the projected points F = [w_a' x_a, w_b' x_b]
     is evaluated in feature space as sum_p tr(w_p' G_p w_p) + 2 tr(w_b' C_ba w_a),
     from the λ-free G_p = x_p L_pp x_p' and cross block C_ba = C_ab' = x_b L_ba x_a'
-    that the split's graph state holds; C_ba w_a is the product the w_b update
-    has just formed.
+    that the split's graph state holds.  Its coupling hands ``_fit_coupled`` the
+    fixed diagonal blocks lambda2 G_p and the cross block C_ab.
 
     ``context`` (a ``SplitContext`` of ``train``) shares the λ-free start and
     the graph state with other fits on the same split.
@@ -229,22 +224,11 @@ def fit_jfssl(
     config = config or SparseCoupledConfig()
     if config.lambda2 > 0:
         c_ab, graph_products = _graph_state(train, min(config.graph_k, max(train.n - 1, 1)), context)
-        cross_blocks = [c_ab, c_ab.T]
         graph_terms = [config.lambda2 * product for product in graph_products]
 
-    def coupling(ws, projs, cross_b):
-        if cross_b is None:  # the start, which no update has formed C_ba w_a for
-            cross_b = c_ab.T @ ws[0]
+    def coupling(ws, projs):
         g = sum(np.sum(w * (product @ w)) for w, product in zip(ws, graph_products))
-        return config.lambda2 * float(g + 2.0 * np.sum(ws[1] * cross_b)), None
-
-    def update(lhs, rhs, ws, link, solve):
-        """Gauss–Seidel: block b's cross product reads the new w_a; the last one is C_ba w_a."""
-        for p in range(2):
-            lhs[p] += graph_terms[p]
-            cross = cross_blocks[p] @ ws[1 - p]
-            solve(p, lhs[p], rhs[p] - config.lambda2 * cross)
-        return cross
+        return config.lambda2 * float(g + 2.0 * np.sum(ws[1] * (c_ab.T @ ws[0]))), graph_terms, c_ab
 
     start = _regression_start(train, context)
-    return _fit_coupled("jfssl", train, config, start, t0, 1.0, coupling, update, {"graph_k": config.graph_k})
+    return _fit_coupled("jfssl", train, config, start, t0, 1.0, coupling, {"graph_k": config.graph_k})

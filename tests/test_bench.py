@@ -636,6 +636,7 @@ def test_config_from_dict_requires_real_bools_and_integers(key, value):
         pytest.param({}, {"name": 3}, "bad_config", id="name-int"),
         pytest.param({}, {"label": 3}, "bad_config", id="label-int"),
         pytest.param({"methods": "cca"}, {}, "bad_config", id="methods-str"),
+        pytest.param({"methods": []}, {}, "bad_config", id="methods-empty"),
         pytest.param({"n_train": "ten"}, {}, "bad_config", id="n_train-str"),
         pytest.param({"base_seed": -1}, {}, "bad_config", id="base_seed-negative"),
         pytest.param({"dataset": 3}, {}, "bad_config", id="dataset-int"),

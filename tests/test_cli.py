@@ -138,6 +138,7 @@ def test_bench_bad_config_exit_2(tmp_path, capsys):
         {"dataset": "x"},
         {"dataset": "x", "n_train": "ten"},
         {"dataset": "x", "n_train": 3, "methods": [{"name": "cca", "dim": "3"}]},
+        {"dataset": "x", "n_train": 3, "methods": []},
         {"dataset": {"synthetic": {"n": 60, "bogus": 1}}, "n_train": 30, "methods": [{"name": "cca"}]},
         {"dataset": {"synthetic": [1]}, "n_train": 30, "methods": [{"name": "cca"}]},
         *(

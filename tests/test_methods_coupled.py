@@ -210,6 +210,20 @@ def test_jfssl_sweep_stopping_points_are_pinned():
     assert counts == SWEEP_ITERATIONS
 
 
+# LCFS's iteration counts on the rows lambda1 = 0.1 and 1 of the CLI's default grid (columns lambda2)
+# on criterion-7 split 0; the cells at 200 stop at max_iters
+LCFS_ITERATIONS = {0.1: [2, 86, 2, 2, 2, 4, 37, 9], 1.0: [8, 200, 200, 200, 4, 5, 44, 9]}
+
+
+def test_lcfs_stopping_points_are_pinned():
+    data = make_synthetic_dataset(n=400, c=3, d_a=128, d_b=128, seed=7)
+    grid = [float(v) for v in DEFAULT_GRID.split(",")]
+    context = SplitContext(subset(data, random_split(data.n, 304, 0)[0]))
+    cells = {l1: [SparseCoupledConfig(lambda1=l1, lambda2=l2) for l2 in grid] for l1 in LCFS_ITERATIONS}
+    counts = {l1: [fit_lcfs(context.train, cfg, context=context).hyperparams["iterations"] for cfg in row] for l1, row in cells.items()}
+    assert counts == LCFS_ITERATIONS
+
+
 def test_context_of_another_split_rejected(rng):
     ds = random_paired_dataset(rng, n=30, d_a=5, d_b=4, c=2)
     other = SplitContext(random_paired_dataset(rng, n=30, d_a=5, d_b=4, c=2))
