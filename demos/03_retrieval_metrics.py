@@ -6,26 +6,18 @@ query directions the way the benchmark does.
 
 import numpy as np
 
-from xms import (
-    average_precision,
-    evaluate_direction,
-    fit_method,
-    make_synthetic_dataset,
-    project,
-    random_split,
-    rank_by_cosine,
-    subset,
-)
+from xms import evaluate_direction, fit_method, make_synthetic_dataset, project, random_split, subset
 from xms.dataset_io import FeatureMatrix
 
-# hand example: one query against a three-item gallery
+# hand example: one query against a three-item gallery, which cosine similarity ranks
+# item 0 (similarity 1), item 1 (0), item 2 (-1); item 0 is the query's true match
 queries = FeatureMatrix(np.array([[1.0], [0.0]]))
 gallery = FeatureMatrix(np.array([[1.0, 0.0, -1.0], [0.0, 1.0, 0.0]]))
-(ranked,) = rank_by_cosine(queries, gallery)
-print("gallery order:", ranked.gallery_order.tolist(), "similarities:", ranked.similarities.round(2).tolist())
 
-# AP judges subclass relevance down the ranked list
-print("AP with items {0, 1} relevant:", average_precision(ranked, {0, 1}))
+# AP judges subclass relevance down the ranked list: hits so far / rank at each relevant item
+for gallery_labels, relevant in (([1, 1, 2], "{0, 1}"), ([1, 2, 1], "{0, 2}")):
+    ev = evaluate_direction(queries, gallery, [1], gallery_labels)
+    print(f"AP with items {relevant} relevant: {ev['per_query_ap'][0]:.3f}, CMC: {ev['cmc'].tolist()}")
 
 # full protocol-style evaluation: project a test split, rank both directions
 dataset = make_synthetic_dataset(n=150, c=3, d_a=32, d_b=32, seed=3)

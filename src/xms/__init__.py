@@ -53,13 +53,5 @@ from .methods import (
     save_model,
 )
 from .preprocess import PcaModel, center_fit, pca_apply, pca_fit
-from .retrieval_eval import (
-    RankedList,
-    acc_at_k,
-    average_precision,
-    cmc_curve,
-    evaluate_direction,
-    mean_average_precision,
-    rank_by_cosine,
-)
+from .retrieval_eval import evaluate_direction
 from .synthetic import make_synthetic_dataset

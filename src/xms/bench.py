@@ -35,7 +35,7 @@ from .dataset_io import (
     subset,
 )
 from .errors import ConfigError, DataError, XmsError, is_int
-from .methods import SplitContext, _pca_options, fit_method, method_config, normalize_method_name, project
+from .methods import SplitContext, _check_dim, _pca_options, fit_method, method_config, normalize_method_name, project
 from .retrieval_eval import evaluate_direction, unit_columns
 from .synthetic import make_synthetic_dataset
 
@@ -46,7 +46,7 @@ METRIC_MODES = ("map", "acc_at_k")
 @dataclass(frozen=True)
 class MethodSpec:
     """One benchmark entry: a method, its hyperparameters and PCA setting, checked at construction
-    as far as they do not depend on the data (``dim`` is checked when the method is fitted)."""
+    as far as they do not depend on the data (the range of ``dim`` is checked when the method is fitted)."""
 
     name: str
     label: str
@@ -78,6 +78,7 @@ class MethodSpec:
         method_config(self.name, self.hyperparams)
         for metric_mode in by_metric:
             method_config(self.name, self.resolved_hyperparams(metric_mode))
+        _check_dim(normalize_method_name(self.name), self.dim)
 
     def resolved_hyperparams(self, metric_mode: str) -> dict:
         merged = dict(self.hyperparams)
@@ -428,7 +429,7 @@ def run_benchmark(config: BenchmarkConfig, dataset: PairedMultimodalDataset | No
         }
 
     return {
-        "config": config_to_dict(config),
+        "config": asdict(config),
         "methods": methods_out,
         "ttests": [],
         "box_stats": box_out,
@@ -514,7 +515,7 @@ def lambda_sweep(config: BenchmarkConfig, method: str, grid1, grid2, dataset=Non
         "lambda2_grid": grid2,
         "directions": surfaces,
         "failed_cells": failed_cells,
-        "config": config_to_dict(config),
+        "config": asdict(config),
     }
 
 
@@ -555,10 +556,6 @@ def config_from_dict(raw: dict) -> BenchmarkConfig:
         raise ConfigError("bad_config", f"methods must be a list of method entries, got {entries!r}")
     methods = default_method_specs() if entries is None else tuple(method_spec_from_dict(entry) for entry in entries)
     return BenchmarkConfig(**{**raw, "methods": methods})
-
-
-def config_to_dict(config: BenchmarkConfig) -> dict:
-    return asdict(config)
 
 
 def _json_float(value: float):

@@ -129,7 +129,13 @@ class _NoConfig:
 
 
 def _gma_config(variant: str):
-    return lambda **hp: GmaConfig(variant=variant, **hp)
+    def build(**hp):
+        unread = sorted(set(hp) & {"mfa_k_intrinsic", "mfa_k_penalty"}) if variant != "gmmfa" else []
+        if unread:
+            raise ConfigError("bad_hyperparam", f"{variant} builds no margin-Fisher graphs; {unread} would go unread")
+        return GmaConfig(variant=variant, **hp)
+
+    return build
 
 
 def _fit_gma(context, dim, config):
@@ -149,6 +155,12 @@ _METHODS = {
     "lcfs": (LcfsConfig, lambda ctx, dim, cfg: fit_lcfs(ctx.train, config=cfg, context=ctx), False),
     "jfssl": (SparseCoupledConfig, lambda ctx, dim, cfg: fit_jfssl(ctx.train, config=cfg, context=ctx), False),
 }
+
+
+def _check_dim(method: str, dim: int | None) -> None:
+    """Refuse a ``dim`` for a (normalized) method whose dimension is fixed; its range needs the data."""
+    if dim is not None and not _METHODS[method][2]:
+        raise ConfigError("bad_dim", f"{method} projects into the label space; its dimension is fixed at c")
 
 
 def method_config(method: str, hyperparams: dict | None = None):
@@ -180,9 +192,7 @@ def fit_method(
     one, nothing outlives the call.
     """
     method = normalize_method_name(method)
-    _, fitter, takes_dim = _METHODS[method]
-    if not takes_dim and dim is not None:
-        raise ConfigError("bad_dim", f"{method} projects into the label space; its dimension is fixed at c")
+    _check_dim(method, dim)
     config = method_config(method, hyperparams)
     if context is None:
         context = SplitContext(train)
@@ -190,15 +200,8 @@ def fit_method(
         raise ConfigError("bad_config", "the context belongs to another training split")
 
     reduced = context.pca(pca)
-    model = fitter(reduced, dim, config)
+    model = _METHODS[method][1](reduced, dim, config)
     if reduced.pca_a is not None:
-        model = replace(
-            model,
-            preprocessing=Preprocessing(
-                center_a=model.preprocessing.center_a,
-                center_b=model.preprocessing.center_b,
-                pca_a=reduced.pca_a,
-                pca_b=reduced.pca_b,
-            ),
-        )
+        preprocessing = replace(model.preprocessing, pca_a=reduced.pca_a, pca_b=reduced.pca_b)
+        model = replace(model, preprocessing=preprocessing)
     return model

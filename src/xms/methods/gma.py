@@ -89,14 +89,9 @@ def fit_gma(train: PairedMultimodalDataset, d: int | None = None, config: GmaCon
                 [b_a, config.alpha * b_b], {(0, 1): cross}, d, a_blocks=[a_a, config.mu * a_b]
             )
             eigvals = [float(v) for v in vals]
-        hyperparams = {
-            "mu": config.mu,
-            "beta": config.beta,
-            "alpha": config.alpha,
-            "ridge": float(ridge),
-            "mfa_k_intrinsic": config.mfa_k_intrinsic,
-            "mfa_k_penalty": config.mfa_k_penalty,
-        }
+        hyperparams = {"mu": config.mu, "beta": config.beta, "alpha": config.alpha, "ridge": float(ridge)}
+        if config.variant == "gmmfa":
+            hyperparams.update(mfa_k_intrinsic=config.mfa_k_intrinsic, mfa_k_penalty=config.mfa_k_penalty)
         return np.ascontiguousarray(wa), np.ascontiguousarray(wb), hyperparams, {"gev_eigenvalues": eigvals}
 
     d_max = min(train.d_a, train.d_b)

@@ -2,9 +2,9 @@
 
 Covariance and scatter builders, a regularized symmetric generalized
 eigensolver, k-NN and multimodal graph builders with their Laplacians, and
-the proximal/reweighting operators used by the sparse coupled-regression
-fitters.  Every kernel returns plain arrays: a graph builder returns its
-symmetric non-negative affinity with a zero diagonal, and ``laplacian`` or
+the l21 reweighting used by the sparse coupled-regression fitters.  Every
+kernel returns plain arrays: a graph builder returns its symmetric
+non-negative affinity with a zero diagonal, and ``laplacian`` or
 ``laplacian_per_weight`` turns that into the matrix a fitter uses.
 """
 
@@ -198,10 +198,3 @@ def l21_reweight(row_norms: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         raise ConfigError("bad_eps", f"eps must be positive, got {eps}")
     return 1.0 / (2.0 * np.maximum(row_norms, eps))
 
-
-def singular_value_shrink(m: np.ndarray, tau: float) -> np.ndarray:
-    """Proximal operator of the trace norm: soft-threshold the singular values by tau."""
-    if tau < 0:
-        raise ConfigError("bad_tau", f"tau must be >= 0, got {tau}")
-    u, s, vt = np.linalg.svd(np.asarray(m, dtype=np.float64), full_matrices=False)
-    return (u * np.maximum(s - tau, 0.0)) @ vt

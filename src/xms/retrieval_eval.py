@@ -36,39 +36,22 @@ class RankedList:
     similarities: np.ndarray
 
 
-def _scaled_norms(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each column's scale s and the norm of the column divided by s: s = 1 where numpy's
-    own norm lies inside (1e-140, 1e150), the column's largest magnitude outside it, where
-    the sum of squares may have under- or overflowed (and 1 for an all-zero column)."""
+def unit_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` with each nonzero column divided by its norm, and the mask of all-zero columns,
+    which stay zero.  Where numpy's own norm falls outside (1e-140, 1e150), the sum of squares may
+    have under- or overflowed: such a column is divided by its largest magnitude before the rescaled
+    norm, so it keeps its direction even where its norm would overflow."""
     with np.errstate(over="ignore", under="ignore"):
         norms = np.linalg.norm(values, axis=0)
-    scales = np.ones_like(norms)
     redo = np.flatnonzero((norms <= 1e-140) | (norms >= 1e150))
     if redo.size:
         peak = np.abs(values[:, redo]).max(axis=0)
-        live = peak > 0
-        redo, peak = redo[live], peak[live]
-        scales[redo] = peak
-        norms[redo] = np.linalg.norm(values[:, redo] / peak, axis=0)
-    return scales, norms
-
-
-def column_norms(values: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each column at any finite scale; zero only for an all-zero column,
-    inf where the norm exceeds the largest double.  Norms inside (1e-140, 1e150) are numpy's own."""
-    scales, norms = _scaled_norms(values)
-    with np.errstate(over="ignore"):
-        return scales * norms
-
-
-def unit_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``values`` with each nonzero column divided by its norm, and the mask of all-zero columns,
-    which stay zero.  A column outside numpy's safe norm range is divided by its largest magnitude
-    before the rescaled norm, so it keeps its direction even where its norm would overflow."""
-    scales, norms = _scaled_norms(values)
+        redo, peak = redo[peak > 0], peak[peak > 0]
+    if redo.size:  # skipped in range: the extra pass over a fresh array costs more than the norms
+        values = values.copy()
+        values[:, redo] /= peak
+        norms[redo] = np.linalg.norm(values[:, redo], axis=0)
     dead = norms == 0
-    if (scales != 1.0).any():  # skipped in range: the extra pass over a fresh array costs more than the norms
-        values = values / scales
     return values / np.where(dead, 1.0, norms), dead
 
 
@@ -87,24 +70,10 @@ def cosine_similarities(queries: FeatureMatrix, gallery: FeatureMatrix) -> np.nd
     return sims
 
 
-def _order_rows(sims: np.ndarray) -> np.ndarray:
-    """Each row's column order by descending similarity, ties by ascending column.
-
-    The default sort is exact for rows whose values are all distinct (they have
-    one sorting permutation); rows holding an equal pair (``==``, so +0.0 and
-    -0.0 tie) are re-sorted stably.
-    """
-    order = np.argsort(-sims, axis=1)
-    ranked = np.take_along_axis(sims, order, axis=1)
-    tied = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
-    if tied.size:
-        order[tied] = np.argsort(-sims[tied], axis=1, kind="stable")
-    return order
-
-
 def rank_by_cosine(queries: FeatureMatrix, gallery: FeatureMatrix) -> list[RankedList]:
+    """Each query's gallery order by descending cosine similarity, ties to the lower gallery index."""
     sims = cosine_similarities(queries, gallery)
-    order = _order_rows(sims)
+    order = np.argsort(-sims, axis=1, kind="stable")
     ranked_sims = np.take_along_axis(sims, order, axis=1)
     return [
         RankedList(query_index=qi, gallery_order=order[qi], similarities=ranked_sims[qi])
@@ -127,13 +96,6 @@ def average_precision(ranked: RankedList, relevant) -> float:
             hits += 1
             total += hits / rank
     return total / len(relevant)
-
-
-def mean_average_precision(per_query_ap) -> float:
-    per_query_ap = np.asarray(per_query_ap, dtype=np.float64)
-    if per_query_ap.size == 0:
-        raise ConfigError("empty_relevant", "no per-query AP values")
-    return float(per_query_ap.mean())
 
 
 def _match_ranks(ranked: list[RankedList], true_match) -> np.ndarray:

@@ -24,7 +24,6 @@ from xms.bench import (
     box_stats,
     compute_ttests,
     config_from_dict,
-    config_to_dict,
     default_method_specs,
     lambda_sweep,
     run_benchmark,
@@ -547,7 +546,7 @@ def test_config_round_trip():
     config = config_from_dict(raw)
     assert config.methods[0].label == "pca+cca"
     assert config.methods[1].label == "lcfs"
-    echoed = config_to_dict(config)
+    echoed = dataclasses.asdict(config)
     assert echoed["n_train"] == 30
     assert config_from_dict(copy.deepcopy(echoed)) == config
 
@@ -577,8 +576,8 @@ def test_config_round_trip():
         for f in dataclasses.fields(cls):
             default = f.default_factory() if f.default_factory is not dataclasses.MISSING else f.default
             assert getattr(instance, f.name) != default, f.name
-    assert config_from_dict(copy.deepcopy(config_to_dict(full))) == full
-    assert config_from_dict(json.loads(json.dumps(config_to_dict(full)))) == full
+    assert config_from_dict(copy.deepcopy(dataclasses.asdict(full))) == full
+    assert config_from_dict(json.loads(json.dumps(dataclasses.asdict(full)))) == full
 
 
 def test_config_rejects_acc_k_below_one():
@@ -646,6 +645,9 @@ def test_config_from_dict_requires_real_bools_and_integers(key, value):
         pytest.param({}, {"hyperparams": {"ridge": -1.0}}, "bad_hyperparam", id="hyperparam-range"),
         pytest.param({}, {"hyperparams": {"ridge": True}}, "bad_hyperparam", id="hyperparam-bool"),
         pytest.param({}, {"name": "gmlda", "hyperparams": {"variant": "blm"}}, "bad_hyperparam", id="gma-variant"),
+        pytest.param({}, {"name": "gmlda", "hyperparams": {"mfa_k_penalty": 3}}, "bad_hyperparam", id="gmlda-mfa-k"),
+        pytest.param({}, {"name": "lcfs"}, "bad_dim", id="lcfs-dim"),
+        pytest.param({}, {"name": "jfssl"}, "bad_dim", id="jfssl-dim"),
         pytest.param(
             {}, {"hyperparams_by_metric": {"acc_at_k": {"ridge": -1}}}, "bad_hyperparam", id="by_metric-range"
         ),
@@ -811,7 +813,7 @@ def test_worker_error_propagates_with_its_type(monkeypatch):
 
 def test_bench_cli_exits_3_on_worker_data_error(monkeypatch, tmp_path, capsys):
     config = tmp_path / "bench.json"
-    config.write_text(json.dumps(config_to_dict(small_config((MethodSpec("cca", "cca", dim=2),)))))
+    config.write_text(json.dumps(dataclasses.asdict(small_config((MethodSpec("cca", "cca", dim=2),)))))
     subset_failing_in_workers(monkeypatch)
     assert xms.cli.main(["bench", "--config", str(config), "--out", str(tmp_path / "report.json")]) == 3
     assert "error [bad_subset]: injected in a worker" in capsys.readouterr().err

@@ -152,6 +152,16 @@ def test_bench_bad_config_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error [bad_config]")
 
 
+def test_bench_dim_on_label_space_method_exit_2(tmp_path, dataset_dir, capsys):
+    config_path = tmp_path / "bench.yaml"
+    methods = [{"name": "cca", "dim": 2}, {"name": "jfssl", "dim": 2}]
+    config_path.write_text(yaml.safe_dump({"dataset": str(dataset_dir), "n_train": 35, "methods": methods}))
+    out_path = tmp_path / "r.json"
+    assert main(["bench", "--config", str(config_path), "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err.startswith("error [bad_dim]: jfssl")
+    assert not out_path.exists()
+
+
 def test_sweep_bad_grid_exit_2(tmp_path, dataset_dir, capsys):
     config_path = tmp_path / "sweep.yaml"
     config_path.write_text(yaml.safe_dump({"dataset": str(dataset_dir), "n_train": 35, "methods": [{"name": "jfssl"}]}))

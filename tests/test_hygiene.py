@@ -1,8 +1,10 @@
-"""Source checks: unused imports, and the module attributes the benchmark's tracer patches."""
+"""Source checks: unused imports, orphaned private helpers, and the module attributes the
+benchmark's tracer patches."""
 
 import ast
 import importlib
 import types
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "xms"
@@ -54,6 +56,64 @@ def test_no_unused_imports():
         if (names := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def names_read(node: ast.AST):
+    """Every name read under ``node``: bare names, attributes and imported names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def orphaned_private_helpers(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes (a leading underscore, not a dunder) that no
+    module of ``sources`` reads outside their own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = Counter(name for tree in trees.values() for name in names_read(tree))
+    return [
+        f"{module}: {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and read[node.name] == Counter(names_read(node))[node.name]
+    ]
+
+
+def test_orphaned_private_helper_check_sees_its_cases():
+    sources = {
+        "a.py": (
+            "def _orphan():\n"
+            "    return 1\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1) if n else 0\n"
+            "def _called():\n"
+            "    return 2\n"
+            "def _imported():\n"
+            "    return 3\n"
+            "class _Patched:\n"
+            "    pass\n"
+            "def __getattr__(name):\n"
+            "    return _called()\n"
+            "def public():\n"
+            "    def _nested():\n"
+            "        return 4\n"
+            "    return 5\n"
+        ),
+        "b.py": "from .a import _imported\nimport a\na._Patched = None\n",
+    }
+    assert orphaned_private_helpers(sources) == ["a.py: _orphan", "a.py: _recursive"]
+
+
+def test_no_orphaned_private_helpers():
+    sources = {str(path.relative_to(PACKAGE)): path.read_text() for path in sorted(PACKAGE.rglob("*.py"))}
+    assert len(sources) > 10
+    assert orphaned_private_helpers(sources) == []
 
 
 def test_every_trace_patch_point_resolves():

@@ -109,6 +109,12 @@ def test_unused_hyperparameters_rejected(rng):
         fit_method(ds, "pls", hyperparams={"ridge": 0.1})
     with pytest.raises(ConfigError):
         fit_method(ds, "lcfs", hyperparams={"graph_k": 3})
+    # only GMMFA builds the margin-Fisher graphs these size
+    for name in ("blm", "gmlda"):
+        for key in ("mfa_k_intrinsic", "mfa_k_penalty"):
+            with pytest.raises(ConfigError) as err:
+                fit_method(ds, name, hyperparams={"beta": 4.0, key: 3})
+            assert err.value.code == "bad_hyperparam"
 
 
 @pytest.mark.parametrize("name", ["cca", "cca3v"])

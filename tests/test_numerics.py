@@ -15,7 +15,6 @@ from xms.numerics import (
     laplacian_per_weight,
     multimodal_graph,
     scatter,
-    singular_value_shrink,
     solve_gev,
 )
 from tests.conftest import paired_dataset
@@ -394,23 +393,3 @@ def test_l21_majorization_inequality(rng):
         at_w0 = np.sum(d[:, None] * w0 * w0) + 0.5 * l21(w0)
         assert at_w0 == pytest.approx(l21(w0))
 
-
-def test_svt_tau_zero_identity(rng):
-    m = rng.standard_normal((4, 6))
-    np.testing.assert_allclose(singular_value_shrink(m, 0.0), m, atol=1e-10)
-
-
-def test_svt_large_tau_zeroes(rng):
-    m = rng.standard_normal((4, 4))
-    tau = np.linalg.svd(m, compute_uv=False).max()
-    assert np.abs(singular_value_shrink(m, tau)).max() < 1e-12
-
-
-def test_svt_known_singular_values(rng):
-    # construct a rank-2 matrix with singular values [3, 1] by design
-    u, _ = np.linalg.qr(rng.standard_normal((5, 2)))
-    v, _ = np.linalg.qr(rng.standard_normal((4, 2)))
-    m = u @ np.diag([3.0, 1.0]) @ v.T
-    out = singular_value_shrink(m, 2.0)
-    s = np.linalg.svd(out, compute_uv=False)
-    np.testing.assert_allclose(s[:2], [1.0, 0.0], atol=1e-10)
