@@ -34,16 +34,14 @@ from .errors import ConfigError, DataError, NumericalError, XmsError
 from .methods import (
     CdfeConfig,
     GmaConfig,
+    GmmfaConfig,
     LcfsConfig,
     SparseCoupledConfig,
     SubspaceModel,
-    fit_blm,
     fit_cca,
     fit_cca3v,
     fit_cdfe,
     fit_gma,
-    fit_gmlda,
-    fit_gmmfa,
     fit_jfssl,
     fit_lcfs,
     fit_method,

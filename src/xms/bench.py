@@ -439,7 +439,8 @@ def run_benchmark(config: BenchmarkConfig, dataset: PairedMultimodalDataset | No
 
 def compute_ttests(report: dict, baseline: str, welch: bool = False) -> list[dict]:
     """Baseline-vs-others t-tests per direction plus the per-repetition average.  A report that is
-    not a mapping of method entries with numeric ``map_runs`` per direction raises ``malformed_file``."""
+    not a mapping of method entries with finite numeric ``map_runs``, as many per direction, raises
+    ``malformed_file``."""
     try:
         methods = {
             label: {d: [float(v) for v in entry["directions"][d]["map_runs"]] for d in DIRECTIONS}
@@ -447,9 +448,13 @@ def compute_ttests(report: dict, baseline: str, welch: bool = False) -> list[dic
         }
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataError("malformed_file", f"not a benchmark report: {type(exc).__name__}: {exc}") from exc
-    uneven = sorted(label for label, runs in methods.items() if len({len(v) for v in runs.values()}) > 1)
-    if uneven:
-        raise DataError("malformed_file", f"a2b and b2a map_runs differ in length for {uneven}")
+    bad = sorted(
+        label
+        for label, runs in methods.items()
+        if len({len(v) for v in runs.values()}) > 1 or not np.isfinite(sum(runs.values(), [])).all()
+    )
+    if bad:
+        raise DataError("malformed_file", f"map_runs must be finite and as many in a2b as in b2a for {bad}")
     if baseline not in methods:
         raise ConfigError("bad_config", f"baseline {baseline!r} not in report (have {sorted(methods)})")
     results = []

@@ -36,13 +36,14 @@ def _pca_arg(args) -> dict | None:
 
 
 def cmd_fit(args) -> int:
+    try:
+        hyperparams = json.loads(args.hyperparams)
+    except ValueError as exc:
+        raise ConfigError("bad_config", f"--hyperparams is not JSON: {exc}") from None
+    if not isinstance(hyperparams, dict):
+        raise ConfigError("bad_config", f"--hyperparams must be a JSON object, got {args.hyperparams!r}")
     dataset = load_dataset(args.dataset)
-    hyper = {}
-    for key in ("lambda1", "lambda2", "mu", "alpha", "beta", "ridge"):
-        value = getattr(args, key)
-        if value is not None:
-            hyper[key] = value
-    model = fit_method(dataset, args.method, dim=args.dim, pca=_pca_arg(args), hyperparams=hyper)
+    model = fit_method(dataset, args.method, dim=args.dim, pca=_pca_arg(args), hyperparams=hyperparams)
     save_model(model, args.out)
     print(f"fitted {model.method} (d={model.d}) on {dataset.n} pairs in {model.fit_seconds:.3f}s -> {args.out}")
     return 0
@@ -149,12 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--pca-dim", type=int, default=None)
     fit.add_argument("--no-pca", action="store_true")
     fit.add_argument("--dim", type=int, default=None)
-    fit.add_argument("--lambda1", type=float, default=None)
-    fit.add_argument("--lambda2", type=float, default=None)
-    fit.add_argument("--mu", type=float, default=None)
-    fit.add_argument("--alpha", type=float, default=None)
-    fit.add_argument("--beta", type=float, default=None)
-    fit.add_argument("--ridge", type=float, default=None)
+    fit.add_argument("--hyperparams", default="{}", help="""the method's hyperparameters, a JSON object: '{"beta": 4.0}'""")
     fit.set_defaults(func=cmd_fit)
 
     ev = sub.add_parser("eval", help="evaluate a saved model on a dataset directory")

@@ -8,28 +8,25 @@ from dataclasses import dataclass, replace
 from ..dataset_io import PairedMultimodalDataset
 from ..errors import ConfigError, is_int, is_real
 from ..preprocess import pca_apply, pca_fit
-from .cca import fit_cca, fit_cca3v
+from .cca import _RidgeConfig, fit_cca, fit_cca3v
 from .cdfe import CdfeConfig, fit_cdfe
 from .coupled import LcfsConfig, SparseCoupledConfig, fit_jfssl, fit_lcfs
-from .gma import GmaConfig, fit_blm, fit_gma, fit_gmlda, fit_gmmfa
-from .model import METHOD_NAMES, Preprocessing, SubspaceModel, load_model, project, save_model
+from .gma import GmaConfig, GmmfaConfig, fit_gma
+from .model import METHOD_NAMES, SubspaceModel, load_model, project, save_model
 from .pls import fit_pls
 
 __all__ = [
     "METHOD_NAMES",
     "CdfeConfig",
     "GmaConfig",
+    "GmmfaConfig",
     "LcfsConfig",
-    "Preprocessing",
     "SparseCoupledConfig",
     "SubspaceModel",
-    "fit_blm",
     "fit_cca",
     "fit_cca3v",
     "fit_cdfe",
     "fit_gma",
-    "fit_gmlda",
-    "fit_gmmfa",
     "fit_jfssl",
     "fit_lcfs",
     "fit_method",
@@ -115,31 +112,8 @@ class SplitContext:
 
 
 @dataclass(frozen=True)
-class _RidgeConfig:
-    ridge: float | None = None
-
-    def __post_init__(self):
-        if self.ridge is not None and not (is_real(self.ridge) and self.ridge >= 0):
-            raise ConfigError("bad_hyperparam", f"ridge must be finite and non-negative, got {self.ridge}")
-
-
-@dataclass(frozen=True)
 class _NoConfig:
     pass
-
-
-def _gma_config(variant: str):
-    def build(**hp):
-        unread = sorted(set(hp) & {"mfa_k_intrinsic", "mfa_k_penalty"}) if variant != "gmmfa" else []
-        if unread:
-            raise ConfigError("bad_hyperparam", f"{variant} builds no margin-Fisher graphs; {unread} would go unread")
-        return GmaConfig(variant=variant, **hp)
-
-    return build
-
-
-def _fit_gma(context, dim, config):
-    return fit_gma(context.train, d=dim, config=config)
 
 
 # name -> (config class, fitter(context, dim, config), whether ``dim`` may be set);
@@ -147,9 +121,9 @@ def _fit_gma(context, dim, config):
 _METHODS = {
     "cca": (_RidgeConfig, lambda ctx, dim, cfg: fit_cca(ctx.train, d=dim, ridge=cfg.ridge), True),
     "pls": (_NoConfig, lambda ctx, dim, cfg: fit_pls(ctx.train, d=dim), True),
-    "blm": (_gma_config("blm"), _fit_gma, True),
-    "gmlda": (_gma_config("gmlda"), _fit_gma, True),
-    "gmmfa": (_gma_config("gmmfa"), _fit_gma, True),
+    "blm": (GmaConfig, lambda ctx, dim, cfg: fit_gma(ctx.train, "blm", dim, cfg), True),
+    "gmlda": (GmaConfig, lambda ctx, dim, cfg: fit_gma(ctx.train, "gmlda", dim, cfg), True),
+    "gmmfa": (GmmfaConfig, lambda ctx, dim, cfg: fit_gma(ctx.train, "gmmfa", dim, cfg), True),
     "cdfe": (CdfeConfig, lambda ctx, dim, cfg: fit_cdfe(ctx.train, d=dim, config=cfg), True),
     "cca3v": (_RidgeConfig, lambda ctx, dim, cfg: fit_cca3v(ctx.train, d=dim, ridge=cfg.ridge), True),
     "lcfs": (LcfsConfig, lambda ctx, dim, cfg: fit_lcfs(ctx.train, config=cfg, context=ctx), False),
@@ -202,6 +176,5 @@ def fit_method(
     reduced = context.pca(pca)
     model = _METHODS[method][1](reduced, dim, config)
     if reduced.pca_a is not None:
-        preprocessing = replace(model.preprocessing, pca_a=reduced.pca_a, pca_b=reduced.pca_b)
-        model = replace(model, preprocessing=preprocessing)
+        model = replace(model, pca_a=reduced.pca_a, pca_b=reduced.pca_b)
     return model

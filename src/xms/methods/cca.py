@@ -2,12 +2,26 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..dataset_io import FeatureMatrix, PairedMultimodalDataset, encode_labels
+from ..errors import ConfigError, is_real
 from ..numerics import covariances, default_ridge, solve_gev
 from ..preprocess import center_fit
 from .model import SubspaceModel, _fit_closed_form
+
+
+@dataclass(frozen=True)
+class _RidgeConfig:
+    """CCA's and CCA-3V's one hyperparameter; None means ``default_ridge`` of the block B."""
+
+    ridge: float | None = None
+
+    def __post_init__(self):
+        if self.ridge is not None and not (is_real(self.ridge) and self.ridge >= 0):
+            raise ConfigError("bad_hyperparam", f"ridge must be finite and non-negative, got {self.ridge}")
 
 
 def solve_block_gev(b_blocks, cross, d: int, ridge: float | None = None, a_blocks=()):
@@ -49,6 +63,7 @@ def fit_cca(train: PairedMultimodalDataset, d: int | None = None, ridge: float |
     Directions are rescaled so each satisfies w' (S + ridge I) w = 1 per view;
     the canonical correlations end up in ``metadata["canonical_correlations"]``.
     """
+    ridge = _RidgeConfig(ridge).ridge
 
     def solve(xa, xb, d):
         saa, sbb, sab = covariances(xa, xb)
@@ -89,6 +104,7 @@ def fit_cca3v(train: PairedMultimodalDataset, d: int | None = None, ridge: float
     constraint sum_v W_v' (S_vv + ridge I) W_v = I, which is the GEV form of
     minimizing the three pairwise projected-distance terms.
     """
+    ridge = _RidgeConfig(ridge).ridge
 
     def solve(xa, xb, d):
         mean_c, xc = center_fit(label_view(train))

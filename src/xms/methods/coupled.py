@@ -17,7 +17,7 @@ import scipy.linalg as la
 from ..dataset_io import PairedMultimodalDataset, encode_labels
 from ..errors import ConfigError, NumericalError, is_int, is_real
 from ..numerics import l21_reweight, laplacian, multimodal_graph
-from .model import Preprocessing, SubspaceModel
+from .model import SubspaceModel
 
 EPS_L21 = 1e-6  # row-norm clamp in the reweighting diagonals
 EPS_TRACE = 1e-6  # smoothing of the trace-norm variational majorizer
@@ -153,7 +153,8 @@ def _fit_coupled(method, train, config, start, t0, loss_scale, coupling, echo=No
         wb=ws[1],
         method=method,
         d=train.c,
-        preprocessing=Preprocessing(center_a=np.zeros(train.d_a), center_b=np.zeros(train.d_b)),
+        center_a=np.zeros(train.d_a),
+        center_b=np.zeros(train.d_b),
         hyperparams={
             "lambda1": config.lambda1,
             "lambda2": config.lambda2,

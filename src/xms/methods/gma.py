@@ -13,7 +13,7 @@ come from its own GEV.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,36 +23,45 @@ from ..numerics import class_knn_graphs, default_ridge, laplacian_per_weight, sc
 from .cca import solve_block_gev
 from .model import SubspaceModel, _fit_closed_form
 
-VARIANTS = ("blm", "gmlda", "gmmfa")
-
-
 @dataclass(frozen=True)
 class GmaConfig:
+    """BLM's and GMLDA's hyperparameters: the ones all three variants share."""
+
     mu: float = 1.0
     beta: float = 1.0
     alpha: float = 1.0
-    variant: str = "blm"
-    mfa_k_intrinsic: int = 5
-    mfa_k_penalty: int = 20
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError("bad_variant", f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not all(is_real(v) and v > 0 for v in (self.mu, self.alpha)):
             raise ConfigError("bad_hyperparam", "mu and alpha must be finite and positive")
         if not (is_real(self.beta) and self.beta >= 0):
             raise ConfigError("bad_hyperparam", "beta must be finite and non-negative")
+
+
+@dataclass(frozen=True)
+class GmmfaConfig(GmaConfig):
+    """GMMFA's hyperparameters: GMA's plus the margin-Fisher graphs' neighbour counts."""
+
+    mfa_k_intrinsic: int = 5
+    mfa_k_penalty: int = 20
+
+    def __post_init__(self):
+        super().__post_init__()
         if not all(is_int(k) and k >= 1 for k in (self.mfa_k_intrinsic, self.mfa_k_penalty)):
             raise ConfigError("bad_k", "mfa_k_intrinsic and mfa_k_penalty must be positive integers")
 
 
-def _variant_blocks(config: GmaConfig, views, labels, n):
-    """Per-view (A_i, B_i, cross_i) for the configured variant."""
+# variant -> the config class it reads
+VARIANTS = {"blm": GmaConfig, "gmlda": GmaConfig, "gmmfa": GmmfaConfig}
+
+
+def _variant_blocks(variant: str, config: GmaConfig, views, labels, n):
+    """Per-view (A_i, B_i, cross_i) for the variant."""
     blocks = []
     for x in views:
-        if config.variant == "blm":
+        if variant == "blm":
             blocks.append((x @ x.T / n, np.eye(x.shape[0]), x))
-        elif config.variant == "gmlda":
+        elif variant == "gmlda":
             within, between, class_means = scatter(FeatureMatrix(x), labels)
             # cross term sees the class-mean matrix: every sample column
             # replaced by its class mean (keeps the n-sample scale)
@@ -70,12 +79,22 @@ def _variant_blocks(config: GmaConfig, views, labels, n):
     return blocks
 
 
-def fit_gma(train: PairedMultimodalDataset, d: int | None = None, config: GmaConfig | None = None) -> SubspaceModel:
-    config = config or GmaConfig()
+def fit_gma(
+    train: PairedMultimodalDataset, variant: str, d: int | None = None, config: GmaConfig | None = None
+) -> SubspaceModel:
+    """Fit one GMA variant, ``blm``, ``gmlda`` or ``gmmfa``.  ``config`` must be
+    the variant's own config class (``GmmfaConfig`` for GMMFA, ``GmaConfig``
+    otherwise), or None for its defaults; any other raises ``bad_hyperparam``."""
+    if variant not in VARIANTS:
+        raise ConfigError("bad_variant", f"variant must be one of {tuple(VARIANTS)}, got {variant!r}")
+    config_class = VARIANTS[variant]
+    config = config_class() if config is None else config
+    if type(config) is not config_class:
+        raise ConfigError("bad_hyperparam", f"{variant} reads a {config_class.__name__}, got a {type(config).__name__}")
 
     def solve(xa, xb, d):
         (a_a, b_a, cross_a), (a_b, b_b, cross_b) = _variant_blocks(
-            config, [xa.values, xb.values], train.labels, train.n
+            variant, config, [xa.values, xb.values], train.labels, train.n
         )
         if config.beta == 0.0:
             # block-diagonal problem: each view keeps its own top-d directions
@@ -89,23 +108,9 @@ def fit_gma(train: PairedMultimodalDataset, d: int | None = None, config: GmaCon
                 [b_a, config.alpha * b_b], {(0, 1): cross}, d, a_blocks=[a_a, config.mu * a_b]
             )
             eigvals = [float(v) for v in vals]
-        hyperparams = {"mu": config.mu, "beta": config.beta, "alpha": config.alpha, "ridge": float(ridge)}
-        if config.variant == "gmmfa":
-            hyperparams.update(mfa_k_intrinsic=config.mfa_k_intrinsic, mfa_k_penalty=config.mfa_k_penalty)
+        hyperparams = {**asdict(config), "ridge": float(ridge)}
         return np.ascontiguousarray(wa), np.ascontiguousarray(wb), hyperparams, {"gev_eigenvalues": eigvals}
 
     d_max = min(train.d_a, train.d_b)
-    d_default = min(30, d_max) if config.variant == "blm" else max(min(train.c - 1, 30, d_max), 1)
-    return _fit_closed_form(train, config.variant, d, d_max, d_default, solve)
-
-
-def fit_blm(train, d=None, **kwargs) -> SubspaceModel:
-    return fit_gma(train, d, GmaConfig(variant="blm", **kwargs))
-
-
-def fit_gmlda(train, d=None, **kwargs) -> SubspaceModel:
-    return fit_gma(train, d, GmaConfig(variant="gmlda", **kwargs))
-
-
-def fit_gmmfa(train, d=None, **kwargs) -> SubspaceModel:
-    return fit_gma(train, d, GmaConfig(variant="gmmfa", **kwargs))
+    d_default = min(30, d_max) if variant == "blm" else max(min(train.c - 1, 30, d_max), 1)
+    return _fit_closed_form(train, variant, d, d_max, d_default, solve)

@@ -19,28 +19,23 @@ _MODEL_MAGIC = b"XMSM"
 
 
 @dataclass(frozen=True)
-class Preprocessing:
-    """Per-modality transform applied before the projection matrices.
-
-    ``center_*`` lives in the space the projections were fitted in (the PCA
-    output space when ``pca_*`` is set, the raw space otherwise).
-    """
-
-    center_a: np.ndarray
-    center_b: np.ndarray
-    pca_a: PcaModel | None = None
-    pca_b: PcaModel | None = None
-
-
-@dataclass(frozen=True)
 class SubspaceModel:
-    """Learned projection pair (wa, wb) mapping both modalities into d dims."""
+    """Learned projection pair (wa, wb) mapping both modalities into d dims.
+
+    Each modality is transformed before its projection: by ``pca_*`` when it
+    is set, then by subtracting ``center_*``, which lives in the space the
+    projections were fitted in (the PCA output space when ``pca_*`` is set,
+    the raw space otherwise).
+    """
 
     wa: np.ndarray
     wb: np.ndarray
     method: str
     d: int
-    preprocessing: Preprocessing
+    center_a: np.ndarray
+    center_b: np.ndarray
+    pca_a: PcaModel | None = None
+    pca_b: PcaModel | None = None
     hyperparams: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
     fit_seconds: float = 0.0
@@ -82,7 +77,8 @@ def _fit_closed_form(
         wb=wb,
         method=method,
         d=d,
-        preprocessing=Preprocessing(center_a=mean_a, center_b=mean_b),
+        center_a=mean_a,
+        center_b=mean_b,
         hyperparams=hyperparams,
         metadata=metadata,
         fit_seconds=time.perf_counter() - t0,
@@ -92,9 +88,9 @@ def _fit_closed_form(
 def project(model: SubspaceModel, x: FeatureMatrix, modality: str) -> FeatureMatrix:
     """Map raw-space features of one modality into the common subspace."""
     if modality == "a":
-        w, pca, center = model.wa, model.preprocessing.pca_a, model.preprocessing.center_a
+        w, pca, center = model.wa, model.pca_a, model.center_a
     elif modality == "b":
-        w, pca, center = model.wb, model.preprocessing.pca_b, model.preprocessing.center_b
+        w, pca, center = model.wb, model.pca_b, model.center_b
     else:
         raise ConfigError("bad_modality", f"modality must be 'a' or 'b', got {modality!r}")
     if pca is not None:
@@ -119,10 +115,10 @@ def save_model(model: SubspaceModel, path) -> None:
     blocks: list[tuple[str, np.ndarray]] = [
         ("wa", model.wa),
         ("wb", model.wb),
-        ("center_a", _as_row(model.preprocessing.center_a)),
-        ("center_b", _as_row(model.preprocessing.center_b)),
+        ("center_a", _as_row(model.center_a)),
+        ("center_b", _as_row(model.center_b)),
     ]
-    for name, pca in (("pca_a", model.preprocessing.pca_a), ("pca_b", model.preprocessing.pca_b)):
+    for name, pca in (("pca_a", model.pca_a), ("pca_b", model.pca_b)):
         if pca is not None:
             blocks.append((f"{name}_mean", _as_row(pca.mean)))
             blocks.append((f"{name}_basis", pca.basis))
@@ -170,18 +166,15 @@ def _model_from(header: dict, blocks: dict) -> SubspaceModel:
             eigenvalues=blocks[f"{name}_eigenvalues"].ravel(),
         )
 
-    preprocessing = Preprocessing(
-        center_a=blocks["center_a"].ravel(),
-        center_b=blocks["center_b"].ravel(),
-        pca_a=pca_from("pca_a"),
-        pca_b=pca_from("pca_b"),
-    )
     return SubspaceModel(
         wa=blocks["wa"],
         wb=blocks["wb"],
         method=header["method"],
         d=int(header["d"]),
-        preprocessing=preprocessing,
+        center_a=blocks["center_a"].ravel(),
+        center_b=blocks["center_b"].ravel(),
+        pca_a=pca_from("pca_a"),
+        pca_b=pca_from("pca_b"),
         hyperparams=header.get("hyperparams", {}),
         metadata=header.get("metadata", {}),
         fit_seconds=float(header.get("fit_seconds", 0.0)),

@@ -15,7 +15,7 @@ import scipy.linalg as la
 
 from xms.bench import BenchmarkConfig, MethodSpec, box_stats, default_method_specs, lambda_sweep, run_benchmark, students_t_test
 from xms.dataset_io import FeatureMatrix, encode_labels, load_dataset
-from xms.methods import SparseCoupledConfig, fit_cca, fit_cdfe, fit_gmlda, fit_jfssl, fit_lcfs, fit_pls
+from xms.methods import GmaConfig, SparseCoupledConfig, fit_cca, fit_cdfe, fit_gma, fit_jfssl, fit_lcfs, fit_pls
 from xms.numerics import scatter, solve_gev
 from xms.retrieval_eval import acc_at_k, average_precision, cmc_curve, rank_by_cosine
 from xms.synthetic import make_synthetic_dataset
@@ -89,7 +89,7 @@ def test_criterion_3_degeneration_equivalences():
             assert rel_err(model.wa, direct_least_squares(ds.xa.values, y)) <= 1e-6
             assert rel_err(model.wb, direct_least_squares(ds.xb.values, y)) <= 1e-6
 
-        model = fit_gmlda(ds, d=2, beta=0.0)
+        model = fit_gma(ds, "gmlda", d=2, config=GmaConfig(beta=0.0))
         ridge = model.hyperparams["ridge"]
         for view, w in (("a", model.wa), ("b", model.wb)):
             x = getattr(ds, f"x{view}").values

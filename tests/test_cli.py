@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,8 @@ import pytest
 import yaml
 
 import xms
-from xms.cli import main
+from xms.bench import config_from_dict
+from xms.cli import build_parser, main
 from xms.dataset_io import save_dataset
 from xms.synthetic import make_synthetic_dataset
 
@@ -26,7 +29,7 @@ def test_fit_then_eval(tmp_path, dataset_dir, capsys):
     model_path = tmp_path / "model.xms"
     assert main([
         "fit", "--dataset", str(dataset_dir), "--method", "gmlda",
-        "--out", str(model_path), "--pca-energy", "0.95", "--beta", "2.0",
+        "--out", str(model_path), "--pca-energy", "0.95", "--hyperparams", '{"beta": 2.0}',
     ]) == 0
     assert model_path.exists()
 
@@ -56,6 +59,33 @@ def test_fit_conflicting_pca_flags_exit_2(tmp_path, dataset_dir, capsys):
     ])
     assert code == 2
     assert "bad_pca" in capsys.readouterr().err
+
+
+def test_fit_hyperparams_reach_the_model(tmp_path, dataset_dir):
+    # keys that had no flag of their own, such as JFSSL's graph_k
+    model_path = tmp_path / "m.xms"
+    argv = ["fit", "--dataset", str(dataset_dir), "--method", "jfssl", "--out", str(model_path), "--no-pca"]
+    assert main(argv + ["--hyperparams", '{"graph_k": 3, "max_iters": 7}']) == 0
+    hyperparams = xms.load_model(model_path).hyperparams
+    assert hyperparams["graph_k"] == 3 and hyperparams["max_iters"] == 7
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        pytest.param("[1, 2]", "bad_config", id="list"),
+        pytest.param("4.0", "bad_config", id="number"),
+        pytest.param("{beta: 4}", "bad_config", id="not-json"),
+        pytest.param('{"beta": 4.0, "graph_k": 3}', "bad_hyperparam", id="unknown-key"),
+        pytest.param('{"beta": NaN}', "bad_hyperparam", id="nan"),
+    ],
+)
+def test_fit_bad_hyperparams_exit_2(tmp_path, dataset_dir, capsys, text, code):
+    model_path = tmp_path / "m.xms"
+    argv = ["fit", "--dataset", str(dataset_dir), "--method", "gmlda", "--out", str(model_path), "--hyperparams", text]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error [{code}]")
+    assert not model_path.exists()
 
 
 def test_missing_dataset_exit_3(tmp_path, capsys):
@@ -218,6 +248,16 @@ def test_bench_unknown_baseline_exit_2_before_fitting(tmp_path, dataset_dir, cap
             ' "pls": {"directions": {"a2b": {"map_runs": [0.4, 0.5, 0.6]}, "b2a": {"map_runs": [0.4, 0.5, 0.6]}}}}}',
             id="map-runs-uneven-directions",
         ),
+        pytest.param(
+            '{"methods": {"cca": {"directions": {"a2b": {"map_runs": [0.1, NaN]}, "b2a": {"map_runs": [0.1, 0.2]}}},'
+            ' "pls": {"directions": {"a2b": {"map_runs": [0.4, 0.5]}, "b2a": {"map_runs": [0.4, 0.5]}}}}}',
+            id="map-runs-nan",
+        ),
+        pytest.param(
+            '{"methods": {"cca": {"directions": {"a2b": {"map_runs": [0.1, 0.2]}, "b2a": {"map_runs": [0.1, 0.2]}}},'
+            ' "pls": {"directions": {"a2b": {"map_runs": [0.4, 0.5]}, "b2a": {"map_runs": [-Infinity, 0.5]}}}}}',
+            id="map-runs-infinity",
+        ),
     ],
 )
 def test_ttest_malformed_report_exit_3(tmp_path, capsys, text):
@@ -234,3 +274,20 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     src = str(Path(xms.__file__).resolve().parents[1])
     code = "import sys, xms.cli; assert 'scipy.stats' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+def fenced_blocks(text: str, language: str) -> list[str]:
+    """The bodies of a markdown text's fenced blocks opened with ```language."""
+    return re.findall(rf"^```{language}\n(.*?)^```", text, flags=re.M | re.S)
+
+
+def test_readme_commands_and_config_parse():
+    # a flag removed from the CLI, or a key removed from the config schema, cannot linger in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [line for block in fenced_blocks(readme, "bash") for line in block.splitlines() if line.startswith("xms ")]
+    assert len(commands) >= 6
+    parser = build_parser()
+    for line in commands:
+        assert callable(parser.parse_args(shlex.split(line)[1:]).func), line
+    (config,) = fenced_blocks(readme, "yaml")
+    assert [spec.name for spec in config_from_dict(yaml.safe_load(config)).methods] == ["cca", "gmlda", "lcfs"]

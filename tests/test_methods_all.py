@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from xms.methods import METHOD_NAMES, SplitContext, fit_method, normalize_method_name, project
+from xms.methods import METHOD_NAMES, SplitContext, fit_cca, fit_cca3v, fit_method, normalize_method_name, project
 from xms.errors import ConfigError
 from tests.conftest import paired_dataset, random_paired_dataset
 
@@ -43,7 +43,7 @@ def test_fitters_deterministic(name):
 def test_fitters_accept_pca_preprocessing(rng, name):
     ds = random_paired_dataset(rng, n=60, d_a=10, d_b=9, c=3)
     model = fit(ds, name, pca={"mode": "energy", "value": 0.95})
-    assert model.preprocessing.pca_a is not None
+    assert model.pca_a is not None
     proj = project(model, ds.xa, "a")  # raw-space input goes through PCA internally
     assert proj.values.shape[0] == model.d
 
@@ -66,8 +66,8 @@ def test_closed_form_dimension_contract(name):
     default, bound = CLOSED_FORM_DIMS[name]
     model = fit_method(ds, name)
     assert model.d == default
-    assert np.array_equal(model.preprocessing.center_a, ds.xa.values.mean(axis=1))
-    assert np.array_equal(model.preprocessing.center_b, ds.xb.values.mean(axis=1))
+    assert np.array_equal(model.center_a, ds.xa.values.mean(axis=1))
+    assert np.array_equal(model.center_b, ds.xb.values.mean(axis=1))
     assert fit_method(ds, name, dim=bound).d == bound
     for dim in (bound + 1, 0):
         with pytest.raises(ConfigError) as err:
@@ -118,12 +118,15 @@ def test_unused_hyperparameters_rejected(rng):
 
 
 @pytest.mark.parametrize("name", ["cca", "cca3v"])
-@pytest.mark.parametrize("ridge", [float("nan"), float("inf"), -1e-3])
+@pytest.mark.parametrize("ridge", [float("nan"), float("inf"), -1e-3, True])
 def test_ridge_must_be_finite_and_non_negative(rng, name, ridge):
+    # checked alike through the method table and by the public fitters themselves
     ds = random_paired_dataset(rng, n=30, d_a=5, d_b=4, c=2)
-    with pytest.raises(ConfigError) as err:
-        fit_method(ds, name, hyperparams={"ridge": ridge})
-    assert err.value.code == "bad_hyperparam"
+    fitter = {"cca": fit_cca, "cca3v": fit_cca3v}[name]
+    for fit_one in (lambda: fit_method(ds, name, hyperparams={"ridge": ridge}), lambda: fitter(ds, ridge=ridge)):
+        with pytest.raises(ConfigError) as err:
+            fit_one()
+        assert err.value.code == "bad_hyperparam"
 
 
 @pytest.mark.parametrize("name", ["cdfe", "jfssl"])

@@ -6,7 +6,7 @@ import pytest
 
 from xms.dataset_io import FeatureMatrix
 from xms.errors import ConfigError, DataError
-from xms.methods import Preprocessing, SubspaceModel, fit_method, load_model, project, save_model
+from xms.methods import SubspaceModel, fit_method, load_model, project, save_model
 from tests.conftest import random_paired_dataset
 
 
@@ -16,7 +16,8 @@ def identity_model(d):
         wb=np.eye(d),
         method="cca",
         d=d,
-        preprocessing=Preprocessing(center_a=np.zeros(d), center_b=np.zeros(d)),
+        center_a=np.zeros(d),
+        center_b=np.zeros(d),
     )
 
 
@@ -52,8 +53,8 @@ def test_round_trip_fitted_model_with_pca(tmp_path, rng):
     save_model(model, tmp_path / "m.xms")
     back = load_model(tmp_path / "m.xms")
     assert np.array_equal(back.wa, model.wa)
-    assert np.array_equal(back.preprocessing.pca_a.basis, model.preprocessing.pca_a.basis)
-    assert np.array_equal(back.preprocessing.pca_b.mean, model.preprocessing.pca_b.mean)
+    assert np.array_equal(back.pca_a.basis, model.pca_a.basis)
+    assert np.array_equal(back.pca_b.mean, model.pca_b.mean)
     assert back.hyperparams == model.hyperparams
     # projections through the loaded model agree bit-for-bit
     np.testing.assert_array_equal(
