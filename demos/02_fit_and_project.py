@@ -5,6 +5,9 @@ carries (dimensions, hyperparameters, objective traces, timings), and
 projects held-out pairs into the shared space.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from xms import (
@@ -58,6 +61,8 @@ pair_cosines = np.einsum("ij,ij->j", proj_a.values, proj_b.values) / (
 print(f"\nCCA true-pair cosine on held-out pairs: mean={pair_cosines.mean():.3f}")
 
 # models serialize to a single file: JSON header + binary matrix blocks
-save_model(model, "/tmp/demo_model.xms")
-reloaded = load_model("/tmp/demo_model.xms")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "demo_model.xms"
+    save_model(model, path)
+    reloaded = load_model(path)
 print("round trip identical:", np.array_equal(reloaded.wa, model.wa))

@@ -18,7 +18,7 @@ import json
 import math
 import os
 import platform
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 import scipy
@@ -41,6 +41,7 @@ from .synthetic import make_synthetic_dataset
 
 DIRECTIONS = ("a2b", "b2a")
 METRIC_MODES = ("map", "acc_at_k")
+DEFAULT_PCA = {"mode": "energy", "value": 0.98}  # the protocol's PCA, and xms fit's default
 
 
 @dataclass(frozen=True)
@@ -138,10 +139,9 @@ def default_method_specs() -> tuple[MethodSpec, ...]:
     (beta = 1) under-couples them on representative data.  All hyperparameters
     are echoed into the report.
     """
-    pca = {"mode": "energy", "value": 0.98}
     tuned = {"gmlda": {"beta": 4.0}, "gmmfa": {"beta": 4.0}}
     specs = [
-        MethodSpec(name, f"pca+{name}", pca=pca, hyperparams=tuned.get(name, {}))
+        MethodSpec(name, f"pca+{name}", pca=DEFAULT_PCA, hyperparams=tuned.get(name, {}))
         for name in ("cca", "pls", "blm", "gmlda", "gmmfa", "cdfe", "cca3v")
     ]
     specs += [MethodSpec(name, name) for name in ("lcfs", "jfssl")]
@@ -236,9 +236,7 @@ def _l2_normalize(dataset: PairedMultimodalDataset) -> PairedMultimodalDataset:
     def norm(x: FeatureMatrix) -> FeatureMatrix:
         return FeatureMatrix(unit_columns(x.values)[0])
 
-    return PairedMultimodalDataset(
-        norm(dataset.xa), norm(dataset.xb), dataset.labels, dataset.c, dataset.sample_ids, strict=False
-    )
+    return replace(dataset, xa=norm(dataset.xa), xb=norm(dataset.xb))
 
 
 def _prepared_data(config: BenchmarkConfig, dataset) -> PairedMultimodalDataset:

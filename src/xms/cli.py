@@ -23,27 +23,20 @@ from .retrieval_eval import evaluate_direction
 DEFAULT_GRID = "0,0.0001,0.001,0.01,0.1,1,10,100"
 
 
-def _pca_arg(args) -> dict | None:
-    chosen = [name for name, value in (("--no-pca", args.no_pca), ("--pca-dim", args.pca_dim is not None),
-                                       ("--pca-energy", args.pca_energy is not None)) if value]
-    if len(chosen) > 1:
-        raise ConfigError("bad_pca", f"choose one of --pca-energy, --pca-dim, --no-pca (got {chosen})")
-    if args.no_pca:
-        return None
-    if args.pca_dim is not None:
-        return {"mode": "dim", "value": args.pca_dim}
-    return {"mode": "energy", "value": args.pca_energy if args.pca_energy is not None else 0.98}
+def _json_option(flag: str, text: str):
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ConfigError("bad_config", f"{flag} is not JSON: {exc}") from None
 
 
 def cmd_fit(args) -> int:
-    try:
-        hyperparams = json.loads(args.hyperparams)
-    except ValueError as exc:
-        raise ConfigError("bad_config", f"--hyperparams is not JSON: {exc}") from None
+    hyperparams = _json_option("--hyperparams", args.hyperparams)
     if not isinstance(hyperparams, dict):
         raise ConfigError("bad_config", f"--hyperparams must be a JSON object, got {args.hyperparams!r}")
+    pca = _json_option("--pca", args.pca)
     dataset = load_dataset(args.dataset)
-    model = fit_method(dataset, args.method, dim=args.dim, pca=_pca_arg(args), hyperparams=hyperparams)
+    model = fit_method(dataset, args.method, dim=args.dim, pca=pca, hyperparams=hyperparams)
     save_model(model, args.out)
     print(f"fitted {model.method} (d={model.d}) on {dataset.n} pairs in {model.fit_seconds:.3f}s -> {args.out}")
     return 0
@@ -146,9 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--dataset", required=True)
     fit.add_argument("--method", required=True)
     fit.add_argument("--out", required=True)
-    fit.add_argument("--pca-energy", type=float, default=None)
-    fit.add_argument("--pca-dim", type=int, default=None)
-    fit.add_argument("--no-pca", action="store_true")
+    fit.add_argument("--pca", default=json.dumps(bench_mod.DEFAULT_PCA), help="""per-modality PCA, a JSON spec
+                     such as '{"mode": "dim", "value": 32}'; '{}' or null for none (default: %(default)s)""")
     fit.add_argument("--dim", type=int, default=None)
     fit.add_argument("--hyperparams", default="{}", help="""the method's hyperparameters, a JSON object: '{"beta": 4.0}'""")
     fit.set_defaults(func=cmd_fit)

@@ -98,14 +98,7 @@ class SplitContext:
             t0 = time.perf_counter()
             train = self.train
             pca_a, pca_b = pca_fit(train.xa, **options), pca_fit(train.xb, **options)
-            reduced = PairedMultimodalDataset(
-                pca_apply(pca_a, train.xa),
-                pca_apply(pca_b, train.xb),
-                train.labels,
-                train.c,
-                sample_ids=train.sample_ids,
-                strict=False,
-            )
+            reduced = replace(train, xa=pca_apply(pca_a, train.xa), xb=pca_apply(pca_b, train.xb))
             return SplitContext(reduced, pca_a, pca_b, time.perf_counter() - t0)
 
         return self.memo(("pca", *options.items()), build)

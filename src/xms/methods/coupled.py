@@ -16,7 +16,7 @@ import scipy.linalg as la
 
 from ..dataset_io import PairedMultimodalDataset, encode_labels
 from ..errors import ConfigError, NumericalError, is_int, is_real
-from ..numerics import l21_reweight, laplacian, multimodal_graph
+from ..numerics import laplacian, multimodal_graph
 from .model import SubspaceModel
 
 EPS_L21 = 1e-6  # row-norm clamp in the reweighting diagonals
@@ -107,7 +107,8 @@ def _fit_coupled(method, train, config, start, t0, loss_scale, coupling, echo=No
     l21(w_p) + the coupling term from the least-squares ``start``.  Each step
     solves the majorizer's normal equations at the current iterate, divided by
     2 * loss_scale, until the objective changes by at most ``tol`` relative to
-    its previous value, or ``max_iters`` times.
+    its previous value, or ``max_iters`` times.  The model's metadata holds the
+    objective trace and ``at_max_iters``: whether all ``max_iters`` steps ran.
 
     The fitter's coupling is used only when lambda2 > 0.  ``coupling(ws,
     projs)`` returns the iterate's coupling term, the two diagonal blocks the
@@ -129,7 +130,8 @@ def _fit_coupled(method, train, config, start, t0, loss_scale, coupling, echo=No
             for p, block in enumerate(blocks):
                 a, b = grams[p].copy(), rhs[p]
                 if config.lambda1 > 0:
-                    a.flat[:: a.shape[0] + 1] += config.lambda1 / loss_scale * l21_reweight(norms[p], EPS_L21)
+                    # smoothed_l21's half-quadratic majorizer at the current rows, with the same EPS_L21
+                    a.flat[:: a.shape[0] + 1] += config.lambda1 / loss_scale * (1.0 / (2.0 * np.maximum(norms[p], EPS_L21)))
                 if block is not None:
                     a += block
                 if cross is not None:
@@ -163,7 +165,7 @@ def _fit_coupled(method, train, config, start, t0, loss_scale, coupling, echo=No
             **(echo or {}),
             "iterations": len(trace) - 1,
         },
-        metadata={"objective_trace": trace},
+        metadata={"objective_trace": trace, "at_max_iters": len(trace) - 1 == config.max_iters},
         fit_seconds=time.perf_counter() - t0,
     )
 

@@ -1,9 +1,8 @@
 """Shared numerical kernels for the subspace fitters.
 
 Covariance and scatter builders, a regularized symmetric generalized
-eigensolver, k-NN and multimodal graph builders with their Laplacians, and
-the l21 reweighting used by the sparse coupled-regression fitters.  Every
-kernel returns plain arrays: a graph builder returns its symmetric
+eigensolver, and k-NN and multimodal graph builders with their Laplacians.
+Every kernel returns plain arrays: a graph builder returns its symmetric
 non-negative affinity with a zero diagonal, and ``laplacian`` or
 ``laplacian_per_weight`` turns that into the matrix a fitter uses.
 """
@@ -67,9 +66,8 @@ def solve_gev(a: np.ndarray, b: np.ndarray, k: int, ridge: float = 0.0) -> tuple
             "singular_b",
             f"constraint matrix is numerically singular (cond ~ {bw[-1] / max(bw[0], 1e-300):.2e}); increase ridge",
         )
-    w, v = la.eigh(a, breg)
-    order = np.argsort(w, kind="stable")[::-1][:k]
-    return w[order], fix_signs(v[:, order])
+    w, v = la.eigh(a, breg)  # ascending
+    return w[::-1][:k], fix_signs(v[:, ::-1][:, :k])
 
 
 def scatter(x: FeatureMatrix, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -189,12 +187,3 @@ def multimodal_graph(dataset: PairedMultimodalDataset, k: int) -> np.ndarray:
         d2 = np.where(dataset.labels[:, None] == dataset.labels[None, :], d2, np.inf)
         inter |= _knn_mask(d2, k) | _knn_mask(d2.T, k).T
     return _symmetrized(np.block([[intra_a, inter], [np.zeros((n, n)), intra_b]]))  # mirrors inter
-
-
-def l21_reweight(row_norms: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Half-quadratic majorizer diagonal of the l21 norm of W, as a vector, from
-    W's row norms: D_ii = 1/(2 max(||row_i||, eps))."""
-    if eps <= 0:
-        raise ConfigError("bad_eps", f"eps must be positive, got {eps}")
-    return 1.0 / (2.0 * np.maximum(row_norms, eps))
-

@@ -135,15 +135,14 @@ def evaluate_direction(
     query_labels,
     gallery_labels,
     *,
-    true_match=None,
     ap_cutoff: int | None = None,
 ) -> dict:
     """Rank one direction; return ``{"map", "per_query_ap", "cmc"}``: MAP under same-subclass
     relevance, its per-query APs, and the CMC curve (acc@K for K = 1..gallery size).
 
-    ``true_match`` maps query index to gallery index; identity when None
-    (aligned pair subsets).  ``ap_cutoff`` optionally truncates the ranked
-    lists before AP, for MAP@R-style evaluation.
+    Queries and gallery are aligned pairs: the true match of query i is gallery
+    item i, so there may be no more queries than gallery items.  ``ap_cutoff``
+    optionally truncates the ranked lists before AP, for MAP@R-style evaluation.
 
     Works on the query x gallery similarity matrix ``_ROW_BLOCK`` query rows
     at a time and gives bit-for-bit the results of ``rank_by_cosine`` +
@@ -173,13 +172,8 @@ def evaluate_direction(
             raise ConfigError("empty_relevant", f"query {lonely[0]} has no same-label gallery item")
     elif ap_cutoff < 1:
         raise ConfigError("bad_k", f"ap_cutoff must be at least 1, got {ap_cutoff}")
-    true_match = np.arange(nq) if true_match is None else np.asarray(true_match, dtype=np.int64).ravel()
-    if true_match.size != nq:
-        raise DataError("missing_match", f"{true_match.size} true matches for {nq} queries")
-    outside = np.flatnonzero((true_match < 0) | (true_match >= ng))
-    if outside.size:
-        qi = outside[0]
-        raise DataError("missing_match", f"true match {true_match[qi]} of query {qi} not in gallery")
+    if nq > ng:
+        raise DataError("missing_match", f"{nq} queries for {ng} gallery items: query {ng} has no true match")
 
     # Each block's rows are sorted by value alone into buffer rows laid out as [-inf, ascending
     # similarities, +inf padding], of the smallest power-of-two width above ng.  Similarities are
@@ -208,7 +202,7 @@ def evaluate_direction(
         row = np.concatenate([np.repeat(np.arange(nb), counts), np.arange(nb)])
         hit = np.arange(n_pairs) - np.repeat(np.cumsum(counts) - counts, counts)
         relevant = by_label[np.repeat(first[start : start + nb], counts) + hit]
-        col = np.concatenate([relevant, true_match[start : start + nb]])
+        col = np.concatenate([relevant, np.arange(start, start + nb)])
         value = block.ravel().take(row * ng + col)
         pos = row * width
         end = pos + ng

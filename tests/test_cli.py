@@ -29,7 +29,7 @@ def test_fit_then_eval(tmp_path, dataset_dir, capsys):
     model_path = tmp_path / "model.xms"
     assert main([
         "fit", "--dataset", str(dataset_dir), "--method", "gmlda",
-        "--out", str(model_path), "--pca-energy", "0.95", "--hyperparams", '{"beta": 2.0}',
+        "--out", str(model_path), "--pca", '{"mode": "energy", "value": 0.95}', "--hyperparams", '{"beta": 2.0}',
     ]) == 0
     assert model_path.exists()
 
@@ -48,23 +48,56 @@ def test_fit_no_pca_and_fixed_dim(tmp_path, dataset_dir):
     model_path = tmp_path / "m.xms"
     assert main([
         "fit", "--dataset", str(dataset_dir), "--method", "cca",
-        "--out", str(model_path), "--no-pca", "--dim", "3",
+        "--out", str(model_path), "--pca", "{}", "--dim", "3",
     ]) == 0
 
 
-def test_fit_conflicting_pca_flags_exit_2(tmp_path, dataset_dir, capsys):
-    code = main([
-        "fit", "--dataset", str(dataset_dir), "--method", "cca",
-        "--out", str(tmp_path / "m.xms"), "--no-pca", "--pca-dim", "4",
-    ])
-    assert code == 2
-    assert "bad_pca" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv, pca",
+    [
+        pytest.param(["--pca", "{}"], None, id="empty"),
+        pytest.param(["--pca", "null"], None, id="null"),
+        pytest.param(["--pca", '{"mode": "dim", "value": 4}'], {"mode": "dim", "value": 4}, id="dim"),
+        pytest.param([], {"mode": "energy", "value": 0.98}, id="default"),
+    ],
+)
+def test_fit_pca_spec_matches_fit_method(tmp_path, dataset_dir, argv, pca):
+    model_path = tmp_path / "m.xms"
+    assert main(["fit", "--dataset", str(dataset_dir), "--method", "cca", "--out", str(model_path), *argv]) == 0
+    saved = xms.load_model(model_path)
+    dataset = xms.load_dataset(dataset_dir)
+    fitted = xms.fit_method(dataset, "cca", pca=pca)
+    for name in ("wa", "wb", "center_a", "center_b"):
+        assert np.array_equal(getattr(saved, name), getattr(fitted, name)), name
+    assert (saved.pca_a is None) == (pca is None)
+    for view in ("a", "b"):
+        features = getattr(dataset, f"x{view}")
+        assert np.array_equal(xms.project(saved, features, view).values, xms.project(fitted, features, view).values)
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        pytest.param('{"mode": "dim", "value": 2.5}', "bad_pca", id="dim-float"),
+        pytest.param('{"mode": "energy", "value": 1.5}', "bad_pca", id="energy-above-one"),
+        pytest.param('{"mode": "energy"}', "bad_pca", id="no-value"),
+        pytest.param("0.98", "bad_pca", id="number"),
+        pytest.param('{"mode": "energy", "value": 0.9, "whiten": true}', "bad_pca", id="unknown-key"),
+        pytest.param("{mode: dim}", "bad_config", id="not-json"),
+    ],
+)
+def test_fit_bad_pca_exit_2(tmp_path, dataset_dir, capsys, text, code):
+    model_path = tmp_path / "m.xms"
+    argv = ["fit", "--dataset", str(dataset_dir), "--method", "cca", "--out", str(model_path), "--pca", text]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error [{code}]")
+    assert not model_path.exists()
 
 
 def test_fit_hyperparams_reach_the_model(tmp_path, dataset_dir):
     # keys that had no flag of their own, such as JFSSL's graph_k
     model_path = tmp_path / "m.xms"
-    argv = ["fit", "--dataset", str(dataset_dir), "--method", "jfssl", "--out", str(model_path), "--no-pca"]
+    argv = ["fit", "--dataset", str(dataset_dir), "--method", "jfssl", "--out", str(model_path), "--pca", "null"]
     assert main(argv + ["--hyperparams", '{"graph_k": 3, "max_iters": 7}']) == 0
     hyperparams = xms.load_model(model_path).hyperparams
     assert hyperparams["graph_k"] == 3 and hyperparams["max_iters"] == 7
@@ -108,7 +141,7 @@ def test_numerical_failure_exit_4(tmp_path, capsys):
     save_dataset(ds, path)
     code = main([
         "fit", "--dataset", str(path), "--method", "pls",
-        "--out", str(tmp_path / "m.xms"), "--no-pca", "--dim", "1",
+        "--out", str(tmp_path / "m.xms"), "--pca", "{}", "--dim", "1",
     ])
     assert code == 4
     assert "no_covariance" in capsys.readouterr().err

@@ -8,7 +8,7 @@ from xms.dataset_io import encode_labels, random_split, subset
 from xms.errors import ConfigError, NumericalError
 import pytest
 
-from xms.methods import SparseCoupledConfig, SplitContext, fit_jfssl, fit_lcfs
+from xms.methods import SparseCoupledConfig, SplitContext, fit_jfssl, fit_lcfs, load_model, save_model
 from xms.methods import coupled
 from xms.methods.coupled import EPS_L21, EPS_TRACE, _solve_psd
 from xms.numerics import laplacian, multimodal_graph
@@ -151,6 +151,20 @@ def test_loop_bookkeeping(rng, fitter, keys):
             capped = fitter(ds, SparseCoupledConfig(lambda1=l1, lambda2=l2, max_iters=max_iters, tol=1e-12))
             assert capped.hyperparams["iterations"] == max_iters
             assert len(capped.metadata["objective_trace"]) == max_iters + 1
+
+
+@pytest.mark.parametrize("fitter", [fit_lcfs, fit_jfssl])
+def test_at_max_iters_says_whether_the_cap_stopped_the_fit(rng, tmp_path, fitter):
+    ds = random_paired_dataset(rng, n=40, d_a=6, d_b=6, c=3)
+    capped = fitter(ds, SparseCoupledConfig(max_iters=1, tol=1e-12))
+    assert capped.metadata["at_max_iters"] is True
+    fitted = fitter(ds)
+    assert fitted.metadata["at_max_iters"] is False
+    assert fitted.hyperparams["iterations"] < fitted.hyperparams["max_iters"]
+    # a diagnostic of the model alone: the benchmark's tracer reads hyperparams, reports leave it out
+    assert "at_max_iters" not in capped.hyperparams
+    save_model(capped, tmp_path / "m.xms")
+    assert load_model(tmp_path / "m.xms").metadata["at_max_iters"] is True
 
 
 @pytest.mark.parametrize("fitter", [fit_lcfs, fit_jfssl])

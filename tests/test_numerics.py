@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,13 +11,14 @@ from xms.numerics import (
     class_knn_graphs,
     covariances,
     knn_graph,
-    l21_reweight,
     laplacian,
     laplacian_per_weight,
     multimodal_graph,
     scatter,
     solve_gev,
 )
+from xms.methods.coupled import EPS_L21, smoothed_l21
+from xms.preprocess import fix_signs
 from tests.conftest import paired_dataset
 
 
@@ -106,6 +108,26 @@ def test_solve_gev_residual_and_orthonormality_many_instances():
         assert np.linalg.norm(residual) <= 1e-6 * max(np.linalg.norm(a), 1.0)
         np.testing.assert_allclose(vecs.T @ breg @ vecs, np.eye(k), atol=1e-6)
         assert np.all(np.diff(vals) <= 1e-12)
+
+
+def test_solve_gev_tied_eigenvalues_keep_the_stable_argsort_order():
+    # eigh returns ascending eigenvalues, so the top k are its last k columns reversed: the order a
+    # stable argsort gave, also among equal eigenvalues.  Diagonal A = diag(d s), B = diag(s) with s a
+    # power of 4 has the eigenvalues d exactly, ties included.
+    r = np.random.default_rng(3)
+    tied = 0
+    for _ in range(50):
+        size = int(r.integers(2, 9))
+        s = 4.0 ** r.integers(0, 3, size)
+        a, b = np.diag(r.integers(-2, 3, size) * s), np.diag(s)
+        w, v = la.eigh(a, b)
+        tied += np.unique(w).size < size
+        order = np.argsort(w, kind="stable")[::-1]
+        for k in range(1, size + 1):
+            vals, vecs = solve_gev(a, b, k)
+            assert np.array_equal(vals, w[order[:k]])
+            assert np.array_equal(vecs, fix_signs(v[:, order[:k]]))
+    assert tied >= 30  # most draws hold a tie
 
 
 def test_solve_gev_singular_b_errors():
@@ -363,33 +385,20 @@ def test_knn_mask_equals_stable_sort_oracle(inputs):
 
 
 # ---------------------------------------------------------------------------
-# l21 reweighting and singular value shrinkage
-
-
-def test_l21_reweight_formula():
-    w = np.array([[1.0, 0.0], [0.0, 2.0]])
-    d = l21_reweight(np.linalg.norm(w, axis=1), eps=1e-12)
-    assert d.shape == (2,)
-    np.testing.assert_array_equal(d, 1.0 / (2.0 * np.maximum(np.linalg.norm(w, axis=1), 1e-12)))
-    np.testing.assert_allclose(d, [0.5, 0.25])
-
-
-def test_l21_reweight_clamps_zero_rows():
-    d = l21_reweight(np.linalg.norm(np.array([[0.0, 0.0], [3.0, 4.0]]), axis=1), eps=1e-6)
-    assert d.shape == (2,)
-    assert d[0] == pytest.approx(5e5)
-    assert d[1] == pytest.approx(0.1)
+# the l21 majorizer of the coupled fitters
 
 
 def test_l21_majorization_inequality(rng):
-    # tr(W' D(W0) W) + l21(W0)/2 >= l21(W) with equality at W = W0
-    for _ in range(100):
-        w0 = rng.standard_normal((6, 3))
-        w = rng.standard_normal((6, 3))
-        d = l21_reweight(np.linalg.norm(w0, axis=1), eps=1e-12)
-        l21 = lambda m: np.linalg.norm(m, axis=1).sum()
-        surrogate = np.sum(d[:, None] * w * w) + 0.5 * l21(w0)
-        assert surrogate >= l21(w) - 1e-9
-        at_w0 = np.sum(d[:, None] * w0 * w0) + 0.5 * l21(w0)
-        assert at_w0 == pytest.approx(l21(w0))
+    # Row by row, the quadratic the coupled loop adds to its normal systems, D_ii = 1/(2 max(||w0_i||, EPS_L21)),
+    # shifted to touch the objective's smoothed_l21 at W0, lies above it: the non-increasing trace rests on
+    # both reading the one EPS_L21.
+    per_row = np.vectorize(lambda norm: smoothed_l21(np.array([norm])))
+    for _ in range(200):
+        w0, w = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
+        w0 *= 10.0 ** rng.uniform(-8, 0.5, (6, 1))  # row norms on both sides of EPS_L21
+        w *= 10.0 ** rng.uniform(-8, 0.5, (6, 1))
+        r0, r = np.linalg.norm(w0, axis=1), np.linalg.norm(w, axis=1)
+        d = 1.0 / (2.0 * np.maximum(r0, EPS_L21))
+        offset = per_row(r0) - d * r0**2
+        assert np.all(d * r**2 + offset >= per_row(r) * (1 - 1e-12))
 

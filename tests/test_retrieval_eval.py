@@ -305,14 +305,12 @@ def test_evaluate_direction_ap_cutoff(rng):
         assert info.value.code == "bad_k"
 
 
-def test_evaluate_direction_true_match_out_of_range_errors(rng):
-    x = fm(rng.standard_normal((3, 5)))
-    labels = np.array([1, 1, 2, 2, 2])
-    for bad in (-1, 5):
-        true_match = np.arange(5)
-        true_match[2] = bad
+def test_evaluate_direction_more_queries_than_gallery_errors(rng):
+    # query i's true match is gallery item i, so the last queries would have none
+    queries, gallery = fm(rng.standard_normal((3, 5))), fm(rng.standard_normal((3, 4)))
+    for ap_cutoff in (None, 2):
         with pytest.raises(DataError) as info:
-            evaluate_direction(x, x, labels, labels, true_match=true_match)
+            evaluate_direction(queries, gallery, [1, 1, 2, 2, 2], [1, 1, 2, 2], ap_cutoff=ap_cutoff)
         assert info.value.code == "missing_match"
 
 
@@ -322,9 +320,6 @@ def test_evaluate_direction_length_mismatch_errors(rng):
     with pytest.raises(DataError) as info:
         evaluate_direction(x, x, labels[:3], labels)
     assert info.value.code == "index_range"
-    with pytest.raises(DataError) as info:
-        evaluate_direction(x, x, labels, labels, true_match=[0, 1, 2])
-    assert info.value.code == "missing_match"
 
 
 def test_evaluate_direction_returns_report_keys_and_takes_options_by_keyword(rng):
@@ -357,10 +352,12 @@ def test_evaluate_direction_absent_label_scores_zero_with_cutoff(rng):
 ROW_COUNTS = [1, 2, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1]
 # evaluate_direction's rank search runs over rows padded to a power-of-two width: 64 and 128 items
 # fill it with one item to spare and 127 without padding
-GALLERY_COUNTS = [1, 2, 7, 64, _ROW_BLOCK - 1, 128, _ROW_BLOCK + 1]
+GALLERY_COUNTS = [1, 2, 7, 64, _ROW_BLOCK - 1, 128, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1]
+# query i's true match is gallery item i, so there are no more queries than gallery items
+SIZES = [(nq, ng) for nq in ROW_COUNTS for ng in GALLERY_COUNTS if nq <= ng]
 
 
-def oracle_evaluation(queries, gallery, query_labels, gallery_labels, true_match, ap_cutoff):
+def oracle_evaluation(queries, gallery, query_labels, gallery_labels, ap_cutoff):
     """The per-query path: rank_by_cosine + average_precision + cmc_curve."""
     ranked = rank_by_cosine(queries, gallery)
     sims = cosine_similarities(queries, gallery)
@@ -376,13 +373,12 @@ def oracle_evaluation(queries, gallery, query_labels, gallery_labels, true_match
                 continue
         aps.append(average_precision(rl, relevant))
     aps = np.asarray(aps)
-    return aps, float(aps.mean()), cmc_curve(ranked, true_match)
+    return aps, float(aps.mean()), cmc_curve(ranked, np.arange(queries.n))
 
 
 @st.composite
 def retrieval_cases(draw):
-    nq = draw(st.sampled_from(ROW_COUNTS))
-    ng = draw(st.sampled_from(GALLERY_COUNTS))
+    nq, ng = draw(st.sampled_from(SIZES))
     d = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -405,51 +401,38 @@ def retrieval_cases(draw):
     else:
         query_labels = rng.integers(1, n_classes + 2, nq)  # some labels absent from the gallery
         cutoff = {"k": int(rng.integers(1, ng + 1)), "beyond": ng + 3}.get(cutoff, cutoff)
-    true_match = None  # identity, which needs nq <= ng
-    if nq > ng or draw(st.booleans()):
-        true_match = rng.permutation(ng)[:nq] if nq <= ng else rng.integers(0, ng, nq)
-    return queries, gallery, query_labels, gallery_labels, true_match, cutoff
+    return queries, gallery, query_labels, gallery_labels, cutoff
 
 
 @settings(max_examples=80, deadline=None)
 @given(retrieval_cases())
 def test_evaluate_direction_equals_per_query_oracle(case):
-    queries, gallery, query_labels, gallery_labels, true_match, ap_cutoff = case
+    queries, gallery, query_labels, gallery_labels, ap_cutoff = case
     queries, gallery = fm(queries), fm(gallery)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ZeroNormWarning)
-        result = evaluate_direction(
-            queries, gallery, query_labels, gallery_labels, true_match=true_match, ap_cutoff=ap_cutoff
-        )
-        expected = np.arange(queries.n) if true_match is None else true_match
-        aps, mean_ap, cmc = oracle_evaluation(queries, gallery, query_labels, gallery_labels, expected, ap_cutoff)
+        result = evaluate_direction(queries, gallery, query_labels, gallery_labels, ap_cutoff=ap_cutoff)
+        aps, mean_ap, cmc = oracle_evaluation(queries, gallery, query_labels, gallery_labels, ap_cutoff)
     assert np.array_equal(result["per_query_ap"], aps)
     assert result["map"] == mean_ap
     assert np.array_equal(result["cmc"], cmc)
 
 
 @settings(max_examples=30, deadline=None)
-@given(
-    st.sampled_from(ROW_COUNTS),
-    st.sampled_from(GALLERY_COUNTS),
-    st.integers(0, 2**32 - 1),
-    st.floats(1e-3, 1e3),
-)
-def test_map_invariant_to_positive_gallery_scaling(nq, ng, seed, scale):
+@given(st.sampled_from(SIZES), st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3))
+def test_map_invariant_to_positive_gallery_scaling(sizes, seed, scale):
+    nq, ng = sizes
     rng = np.random.default_rng(seed)
     queries, gallery = rng.standard_normal((5, nq)), rng.standard_normal((5, ng))
     gallery_labels = rng.integers(1, 4, ng)
     query_labels = rng.choice(gallery_labels, nq)
-    true_match = rng.integers(0, ng, nq)
-    base = evaluate_direction(fm(queries), fm(gallery), query_labels, gallery_labels, true_match=true_match)
-    scaled = evaluate_direction(
-        fm(queries), fm(scale * gallery), query_labels, gallery_labels, true_match=true_match
-    )
+    base = evaluate_direction(fm(queries), fm(gallery), query_labels, gallery_labels)
+    scaled = evaluate_direction(fm(queries), fm(scale * gallery), query_labels, gallery_labels)
     assert scaled["map"] == base["map"]
     assert np.array_equal(scaled["cmc"], base["cmc"])
 
 
-def blocked_reference(queries, gallery, query_labels, gallery_labels, true_match, ap_cutoff):
+def blocked_reference(queries, gallery, query_labels, gallery_labels, ap_cutoff):
     """evaluate_direction's arithmetic before its rank search: each block's full order from
     a stable argsort, a relevance mask, hits by cumsum and the row sums of hits / rank by cumsum."""
     sims = cosine_similarities(queries, gallery)
@@ -465,7 +448,7 @@ def blocked_reference(queries, gallery, query_labels, gallery_labels, true_match
         total = np.cumsum(precision, axis=1)[:, -1]
         n_hits = hits[:, -1]
         per_query_ap[rows] = np.divide(total, n_hits, out=np.zeros(len(total)), where=n_hits > 0)
-        match_ranks = np.argmax(order == true_match[rows, None], axis=1) + 1
+        match_ranks = np.argmax(order == np.arange(nq)[rows, None], axis=1) + 1
         match_counts += np.bincount(match_ranks, minlength=ng + 1)
     return per_query_ap, float(per_query_ap.mean()), np.cumsum(match_counts[1:]) / nq
 
@@ -477,12 +460,11 @@ def test_evaluate_direction_equals_blocked_reference_at_gallery2k_size(ap_cutoff
     queries[:, [5, 130, 131, 1999]] = 0.0  # all-tied rows in blocks that also hold untied ones
     gallery[:, [17, 900]] = gallery[:, [300, 1500]]  # equal pairs in every row
     labels = rng.integers(1, 21, 2000)
-    true_match = rng.permutation(2000)
     queries, gallery = fm(queries), fm(gallery)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ZeroNormWarning)
-        result = evaluate_direction(queries, gallery, labels, labels, true_match=true_match, ap_cutoff=ap_cutoff)
-        aps, mean_ap, cmc = blocked_reference(queries, gallery, labels, labels, true_match, ap_cutoff)
+        result = evaluate_direction(queries, gallery, labels, labels, ap_cutoff=ap_cutoff)
+        aps, mean_ap, cmc = blocked_reference(queries, gallery, labels, labels, ap_cutoff)
     assert np.array_equal(result["per_query_ap"], aps)
     assert result["map"] == mean_ap
     assert np.array_equal(result["cmc"], cmc)
