@@ -16,7 +16,7 @@ import scipy.linalg as la
 
 from ..dataset_io import PairedMultimodalDataset, encode_labels
 from ..errors import ConfigError, NumericalError, is_int, is_real
-from ..numerics import laplacian, multimodal_graph
+from ..numerics import multimodal_graph
 from .model import SubspaceModel
 
 EPS_L21 = 1e-6  # row-norm clamp in the reweighting diagonals
@@ -196,14 +196,18 @@ def fit_lcfs(train: PairedMultimodalDataset, config: LcfsConfig | None = None, *
 
 
 def _graph_state(train: PairedMultimodalDataset, k: int, context):
-    """For the multimodal Laplacian L on ``k`` neighbours: the λ-free d_a x d_b
-    cross block C_ab = x_a L_ab x_b' and the G_p = x_p L_pp x_p' terms."""
+    """For the multimodal Laplacian L = diag(deg) - W on ``k`` neighbours: the
+    λ-free d_a x d_b cross block C_ab = x_a L_ab x_b' and the G_p = x_p L_pp x_p'
+    terms.  Only L's three n x n blocks are formed, from W's blocks and its
+    full row sums deg; L_ab = -W_ab, as the diagonal lies in L_aa and L_bb."""
 
     def build():
         n = train.n
-        lap = laplacian(multimodal_graph(train, k))
+        w = multimodal_graph(train, k)
+        deg = w.sum(axis=1)
         xa, xb = train.xa.values, train.xb.values
-        return xa @ lap[:n, n:] @ xb.T, [xa @ lap[:n, :n] @ xa.T, xb @ lap[n:, n:] @ xb.T]
+        l_aa, l_bb = np.diag(deg[:n]) - w[:n, :n], np.diag(deg[n:]) - w[n:, n:]
+        return xa @ -w[:n, n:] @ xb.T, [xa @ l_aa @ xa.T, xb @ l_bb @ xb.T]
 
     return _shared(train, context, ("multimodal_graph", k), build)
 

@@ -45,6 +45,11 @@ class SubspaceModel:
             raise ConfigError("bad_method", f"unknown method {self.method!r}")
         if self.wa.shape[1] != self.d or self.wb.shape[1] != self.d:
             raise ConfigError("bad_dim", "wa and wb must both have d columns")
+        for p, w, center, pca in (("a", self.wa, self.center_a, self.pca_a), ("b", self.wb, self.center_b, self.pca_b)):
+            if np.shape(center) != (w.shape[0],):
+                raise ConfigError("dim_mismatch", f"center_{p} needs one entry per row of w{p} ({w.shape[0]})")
+            if pca is not None and pca.k != w.shape[0]:
+                raise ConfigError("dim_mismatch", f"pca_{p} keeps {pca.k} dims, but w{p} has {w.shape[0]} rows")
         if not (np.isfinite(self.wa).all() and np.isfinite(self.wb).all()):
             raise ConfigError("non_finite", "projection matrices contain NaN or Inf")
 

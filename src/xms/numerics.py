@@ -175,15 +175,22 @@ def multimodal_graph(dataset: PairedMultimodalDataset, k: int) -> np.ndarray:
     inter-modality block links true pairs (affinity 1) and, when the feature
     spaces are comparable (d_a == d_b), the union of the a->b and b->a
     same-class cross-modal k-NN pairs.
+
+    The affinity is filled block by block: both intra-modality graphs are
+    already symmetric, the inter block goes above the diagonal and its
+    transpose below, so no 2n x 2n symmetrization runs.
     """
     if k <= 0:
         raise ConfigError("bad_k", f"k must be positive, got {k}")
     n = dataset.n
-    intra_a = knn_graph(dataset.xa, min(k, n - 1))
-    intra_b = knn_graph(dataset.xb, min(k, n - 1))
     inter = np.eye(n, dtype=bool)  # rows index modality a, columns modality b
     if dataset.d_a == dataset.d_b:
         d2 = _pairwise_sq_dists(dataset.xa.values, dataset.xb.values)
         d2 = np.where(dataset.labels[:, None] == dataset.labels[None, :], d2, np.inf)
         inter |= _knn_mask(d2, k) | _knn_mask(d2.T, k).T
-    return _symmetrized(np.block([[intra_a, inter], [np.zeros((n, n)), intra_b]]))  # mirrors inter
+    w = np.empty((2 * n, 2 * n))
+    w[:n, :n] = knn_graph(dataset.xa, min(k, n - 1))
+    w[n:, n:] = knn_graph(dataset.xb, min(k, n - 1))
+    w[:n, n:] = inter
+    w[n:, :n] = inter.T
+    return w

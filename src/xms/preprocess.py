@@ -23,6 +23,12 @@ class PcaModel:
     basis: np.ndarray
     eigenvalues: np.ndarray
 
+    def __post_init__(self):
+        if np.ndim(self.basis) != 2 or np.shape(self.mean) != (self.d,):
+            raise ConfigError("dim_mismatch", "the PCA mean needs one entry per row of a d x k basis")
+        if np.shape(self.eigenvalues) != (self.k,):
+            raise ConfigError("dim_mismatch", "the PCA needs one eigenvalue per basis column")
+
     @property
     def d(self) -> int:
         return self.basis.shape[0]
@@ -55,6 +61,12 @@ def pca_fit(x: FeatureMatrix, k: int | None = None, energy: float | None = None)
     Exactly one of ``k`` and ``energy`` must be given.  ``energy`` in (0, 1]
     keeps the smallest k whose cumulative eigenvalue fraction reaches it.
     k is capped at min(d, n-1).
+
+    The eigenpairs come from the smaller side of the centered d x n data Xc.
+    When d <= n they are those of the d x d scatter Xc Xc' (``eigh``, sorted
+    descending, eigenvalues clipped at 0), so no n-sized singular vectors
+    are formed.  When d > n a thin SVD of Xc gives them, and the right
+    singular vectors it also forms are only n x n.
     """
     if (k is None) == (energy is None):
         raise ConfigError("pca_target", "specify exactly one of k and energy")
@@ -63,9 +75,13 @@ def pca_fit(x: FeatureMatrix, k: int | None = None, energy: float | None = None)
     k_max = min(x.d, x.n - 1)
 
     mean, centered = center_fit(x)
-    # eigenvalues of the sample covariance via thin SVD of the centered data
-    u, s, _ = np.linalg.svd(centered.values, full_matrices=False)
-    eigenvalues = s**2 / (x.n - 1)
+    xc = centered.values
+    if x.d <= x.n:
+        w, u = np.linalg.eigh(xc @ xc.T)  # ascending
+        u, eigenvalues = u[:, ::-1], np.maximum(w[::-1], 0.0) / (x.n - 1)
+    else:
+        u, s, _ = np.linalg.svd(xc, full_matrices=False)
+        eigenvalues = s**2 / (x.n - 1)
 
     if energy is not None:
         if not 0 < energy <= 1:

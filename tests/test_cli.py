@@ -14,6 +14,7 @@ import xms
 from xms.bench import config_from_dict
 from xms.cli import build_parser, main
 from xms.dataset_io import save_dataset
+from xms.methods import load_model, save_model
 from xms.synthetic import make_synthetic_dataset
 
 
@@ -42,6 +43,20 @@ def test_fit_then_eval(tmp_path, dataset_dir, capsys):
     assert 0.0 <= payload["map"] <= 1.0
     assert len(payload["cmc"]) == 50
     assert payload["cmc"][-1] == 1.0
+
+
+def test_eval_model_whose_center_disagrees_with_its_pca_exit_3(tmp_path, dataset_dir, capsys):
+    model_path = tmp_path / "model.xms"
+    assert main(["fit", "--dataset", str(dataset_dir), "--method", "cca", "--pca", '{"mode": "dim", "value": 4}',
+                 "--out", str(model_path)]) == 0
+    model = load_model(model_path)
+    object.__setattr__(model, "center_a", np.zeros(7))  # a length-7 center behind a 4-dim PCA
+    save_model(model, model_path)
+    out_path = tmp_path / "eval.json"
+    argv = ["eval", "--model", str(model_path), "--dataset", str(dataset_dir), "--direction", "a2b", "--out", str(out_path)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error [malformed_file]")
+    assert not out_path.exists()
 
 
 def test_fit_no_pca_and_fixed_dim(tmp_path, dataset_dir):

@@ -11,7 +11,7 @@ import pytest
 from xms.methods import SparseCoupledConfig, SplitContext, fit_jfssl, fit_lcfs, load_model, save_model
 from xms.methods import coupled
 from xms.methods.coupled import EPS_L21, EPS_TRACE, _solve_psd
-from xms.numerics import laplacian, multimodal_graph
+from xms.numerics import _knn_mask, _pairwise_sq_dists, _symmetrized, knn_graph, laplacian, multimodal_graph
 from xms.synthetic import make_synthetic_dataset
 from tests.conftest import paired_dataset, random_paired_dataset
 
@@ -437,6 +437,33 @@ def test_jfssl_trace_equals_dense_objective(rng, n, d_a, d_b, c, lambda1, lambda
         model = fit_jfssl(ds, cfg)
         dense = dense_jfssl_objective(ds, cfg, (model.wa, model.wb), jfssl_laplacian(ds, cfg))
         assert model.metadata["objective_trace"][-1] == pytest.approx(dense, rel=1e-12)
+
+
+def symmetrized_block_graph(ds, k):
+    """The multimodal affinity as max(W, W') of the block matrix with the inter block above the diagonal."""
+    n = ds.n
+    inter = np.eye(n, dtype=bool)
+    if ds.d_a == ds.d_b:
+        d2 = _pairwise_sq_dists(ds.xa.values, ds.xb.values)
+        d2 = np.where(ds.labels[:, None] == ds.labels[None, :], d2, np.inf)
+        inter |= _knn_mask(d2, k) | _knn_mask(d2.T, k).T
+    intra_a, intra_b = (knn_graph(x, min(k, n - 1)) for x in (ds.xa, ds.xb))
+    return _symmetrized(np.block([[intra_a, inter], [np.zeros((n, n)), intra_b]]))
+
+
+@pytest.mark.parametrize("n", [304, 61])
+@pytest.mark.parametrize("d_a, d_b", [(32, 32), (32, 19)])
+def test_graph_state_equals_dense_laplacian_slices(n, d_a, d_b):
+    # the blocks of L = diag(deg) - W, not the whole 2n x 2n L, give bit-identical products
+    ds = random_paired_dataset(np.random.default_rng(n + d_b), n=n, d_a=d_a, d_b=d_b, c=3)
+    for k in (1, 5):
+        graph = multimodal_graph(ds, k)
+        assert np.array_equal(graph, symmetrized_block_graph(ds, k))
+        lap, xa, xb = laplacian(graph), ds.xa.values, ds.xb.values
+        c_ab, (g_a, g_b) = coupled._graph_state(ds, k, None)
+        assert np.array_equal(c_ab, xa @ lap[:n, n:] @ xb.T)
+        assert np.array_equal(g_a, xa @ lap[:n, :n] @ xa.T)
+        assert np.array_equal(g_b, xb @ lap[n:, n:] @ xb.T)
 
 
 def test_solve_psd_equals_cho_solve(rng):

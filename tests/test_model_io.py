@@ -7,6 +7,7 @@ import pytest
 from xms.dataset_io import FeatureMatrix
 from xms.errors import ConfigError, DataError
 from xms.methods import SubspaceModel, fit_method, load_model, project, save_model
+from xms.preprocess import PcaModel
 from tests.conftest import random_paired_dataset
 
 
@@ -113,6 +114,26 @@ def test_load_rejects_header_that_contradicts_its_blocks(tmp_path):
     with pytest.raises(DataError) as err:
         load_model(path)
     assert err.value.code == "malformed_file"
+
+
+def pca_model(d, k):
+    return PcaModel(mean=np.zeros(d), basis=np.eye(d, k), eigenvalues=np.ones(k))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        pytest.param({"center_a": np.zeros(2)}, id="center-a-too-short"),
+        pytest.param({"center_b": np.zeros(4)}, id="center-b-too-long"),
+        pytest.param({"center_a": np.zeros((3, 1))}, id="center-a-not-a-vector"),
+        pytest.param({"pca_a": pca_model(6, 4)}, id="pca-a-keeps-more-dims"),
+        pytest.param({"pca_b": pca_model(6, 2)}, id="pca-b-keeps-fewer-dims"),
+    ],
+)
+def test_model_refuses_shapes_that_disagree(fields):
+    with pytest.raises(ConfigError) as err:
+        SubspaceModel(**{**vars(identity_model(3)), **fields})
+    assert err.value.code == "dim_mismatch"
 
 
 def test_objective_trace_accessor(rng):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from xms.dataset_io import FeatureMatrix
+from xms.dataset_io import FeatureMatrix, random_split, subset
 from xms.errors import ConfigError
-from xms.preprocess import center_fit, pca_apply, pca_fit
+from xms.preprocess import PcaModel, center_fit, fix_signs, pca_apply, pca_fit
+from xms.synthetic import make_synthetic_dataset
 
 
 def test_center_fit_arithmetic():
@@ -125,3 +126,78 @@ def test_pca_sign_convention_deterministic(rng):
     for j in range(4):
         col = m1.basis[:, j]
         assert col[np.argmax(np.abs(col))] > 0
+
+
+def svd_pca_oracle(x):
+    """All covariance eigenpairs of x from a thin SVD of the centered data, basis sign-fixed."""
+    u, s, _ = np.linalg.svd(x - x.mean(axis=1, keepdims=True), full_matrices=False)
+    return fix_signs(u), s**2 / (x.shape[1] - 1)
+
+
+def energy_k(eigenvalues, k_max, energy):
+    """pca_fit's energy rule on a given spectrum."""
+    total = eigenvalues[:k_max].sum()
+    if total <= 0:
+        return 1
+    return int(np.searchsorted(np.cumsum(eigenvalues[:k_max]) / total, energy - 1e-12) + 1)
+
+
+def _pca_oracle_inputs():
+    r = np.random.default_rng(11)
+    scales = np.geomspace(10.0, 0.1, 24)[:, None]
+    return {
+        "d<n": r.standard_normal((24, 70)) * scales,
+        "d=n": r.standard_normal((24, 24)) * scales,
+        "d>n": r.standard_normal((24, 15)) * scales,
+        "rank-deficient": r.standard_normal((24, 5)) @ r.standard_normal((5, 70)) + 3.0,
+        "constant": np.full((12, 40), 3.5),
+    }
+
+
+@pytest.mark.parametrize("name", list(_pca_oracle_inputs()))
+def test_pca_equals_svd_oracle_on_every_shape(name):
+    # the d <= n inputs take the scatter's eigh, the d > n one the thin SVD; both must give the SVD's PCA
+    x = _pca_oracle_inputs()[name]
+    d, n = x.shape
+    k_max = min(d, n - 1)
+    basis, eigs = svd_pca_oracle(x)
+    model = pca_fit(FeatureMatrix(x), k=k_max)
+    assert model.k == k_max and (model.eigenvalues >= 0).all()
+    np.testing.assert_allclose(model.eigenvalues, eigs[:k_max], rtol=0, atol=1e-12 * eigs[0])
+    # a column is compared when its eigenvalue is clear of its neighbours in the full spectrum
+    gaps = np.abs(eigs[:k_max, None] - eigs[None, :])
+    gaps[np.arange(k_max), np.arange(k_max)] = np.inf
+    clear = np.flatnonzero(gaps.min(axis=1) > 1e-4 * eigs[0]) if eigs[0] > 0 else []
+    assert name == "constant" or len(clear) >= 4
+    for j in clear:
+        np.testing.assert_allclose(model.basis[:, j], basis[:, j], rtol=0, atol=1e-9)
+    for k in (1, k_max // 2):  # dim mode keeps the leading k columns of the full fit
+        assert np.array_equal(pca_fit(FeatureMatrix(x), k=k).basis, model.basis[:, :k])
+    for energy in (0.3, 0.5, 0.9, 0.98, 0.999, 1.0):
+        assert pca_fit(FeatureMatrix(x), energy=energy).k == energy_k(eigs, k_max, energy)
+
+
+@pytest.mark.parametrize("data_seed", [7, 1007])
+def test_pca_energy_k_matches_svd_on_criterion_7_splits(data_seed):
+    data = make_synthetic_dataset(n=400, c=3, d_a=128, d_b=128, seed=data_seed)
+    for seed in range(4):
+        train = subset(data, random_split(data.n, 304, seed)[0])
+        for view in (train.xa, train.xb):
+            _, eigs = svd_pca_oracle(view.values)
+            assert pca_fit(view, energy=0.98).k == energy_k(eigs, min(view.d, view.n - 1), 0.98)
+
+
+@pytest.mark.parametrize(
+    "mean, basis, eigenvalues",
+    [
+        pytest.param(np.zeros(4), np.eye(5, 3), np.ones(3), id="mean-too-short"),
+        pytest.param(np.zeros(6), np.eye(5, 3), np.ones(3), id="mean-too-long"),
+        pytest.param(np.zeros(5), np.eye(5, 3), np.ones(2), id="eigenvalues-too-short"),
+        pytest.param(np.zeros(5), np.eye(5, 3), np.ones(4), id="eigenvalues-too-long"),
+        pytest.param(np.zeros(5), np.ones(5), np.ones(1), id="basis-not-a-matrix"),
+    ],
+)
+def test_pca_model_refuses_shapes_that_disagree(mean, basis, eigenvalues):
+    with pytest.raises(ConfigError) as err:
+        PcaModel(mean=mean, basis=basis, eigenvalues=eigenvalues)
+    assert err.value.code == "dim_mismatch"
