@@ -62,11 +62,15 @@ def pca_fit(x: FeatureMatrix, k: int | None = None, energy: float | None = None)
     keeps the smallest k whose cumulative eigenvalue fraction reaches it.
     k is capped at min(d, n-1).
 
-    The eigenpairs come from the smaller side of the centered d x n data Xc.
-    When d <= n they are those of the d x d scatter Xc Xc' (``eigh``, sorted
-    descending, eigenvalues clipped at 0), so no n-sized singular vectors
-    are formed.  When d > n a thin SVD of Xc gives them, and the right
-    singular vectors it also forms are only n x n.
+    The eigenpairs are those of the d x d scatter Xc Xc' of the centered
+    data (``eigh``, sorted descending, eigenvalues clipped at 0), so no
+    n-sized singular vectors are formed.  Forming the scatter squares the
+    condition number: a basis column's error is about eps * lambda_1 / gap,
+    gap being the distance from its eigenvalue to the nearest other one,
+    where a thin SVD of Xc would give eps * sigma_1 / gap in singular
+    values.  So directions whose variance is below about 1e-8 lambda_1 are
+    less accurate than an SVD's, and eigenvalues below about eps * lambda_1
+    may come out as 0.
     """
     if (k is None) == (energy is None):
         raise ConfigError("pca_target", "specify exactly one of k and energy")
@@ -76,12 +80,8 @@ def pca_fit(x: FeatureMatrix, k: int | None = None, energy: float | None = None)
 
     mean, centered = center_fit(x)
     xc = centered.values
-    if x.d <= x.n:
-        w, u = np.linalg.eigh(xc @ xc.T)  # ascending
-        u, eigenvalues = u[:, ::-1], np.maximum(w[::-1], 0.0) / (x.n - 1)
-    else:
-        u, s, _ = np.linalg.svd(xc, full_matrices=False)
-        eigenvalues = s**2 / (x.n - 1)
+    w, u = np.linalg.eigh(xc @ xc.T)  # ascending
+    u, eigenvalues = u[:, ::-1], np.maximum(w[::-1], 0.0) / (x.n - 1)
 
     if energy is not None:
         if not 0 < energy <= 1:

@@ -156,7 +156,7 @@ def _pca_oracle_inputs():
 
 @pytest.mark.parametrize("name", list(_pca_oracle_inputs()))
 def test_pca_equals_svd_oracle_on_every_shape(name):
-    # the d <= n inputs take the scatter's eigh, the d > n one the thin SVD; both must give the SVD's PCA
+    # the scatter's eigh must give the SVD's PCA on every shape, d > n and degenerate spectra included
     x = _pca_oracle_inputs()[name]
     d, n = x.shape
     k_max = min(d, n - 1)
@@ -175,6 +175,25 @@ def test_pca_equals_svd_oracle_on_every_shape(name):
         assert np.array_equal(pca_fit(FeatureMatrix(x), k=k).basis, model.basis[:, :k])
     for energy in (0.3, 0.5, 0.9, 0.98, 0.999, 1.0):
         assert pca_fit(FeatureMatrix(x), energy=energy).k == energy_k(eigs, k_max, energy)
+
+
+@pytest.mark.parametrize("d, n", [(24, 70), (24, 15)])
+def test_pca_accuracy_on_a_spectrum_spanning_1e12(d, n):
+    # the scatter squares the condition number: a column's error is about eps * lambda_1 / gap,
+    # so the smallest-variance columns (about 1e-12 lambda_1 at d < n) agree with the SVD's only loosely
+    r = np.random.default_rng(5)
+    rotation = np.linalg.qr(r.standard_normal((d, d)))[0]  # so no column is near a coordinate axis
+    x = rotation @ (r.standard_normal((d, n)) * np.geomspace(1e3, 1e-3, d)[:, None])
+    k_max = min(d, n - 1)
+    basis, eigs = svd_pca_oracle(x)
+    model = pca_fit(FeatureMatrix(x), k=k_max)
+    assert (model.eigenvalues > 0).all()
+    np.testing.assert_allclose(model.eigenvalues, eigs[:k_max], rtol=0, atol=1e-14 * eigs[0])
+    gaps = np.abs(eigs[:k_max, None] - eigs[None, :])
+    gaps[np.arange(k_max), np.arange(k_max)] = np.inf
+    errors = np.abs(model.basis - basis[:, :k_max]).max(axis=0)
+    assert (errors <= 1e-13 * eigs[0] / gaps.min(axis=1)).all()
+    assert errors[0] < 1e-13 and (d > n or errors[-1] > 1e-9)
 
 
 @pytest.mark.parametrize("data_seed", [7, 1007])
