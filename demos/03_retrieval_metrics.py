@@ -14,9 +14,10 @@ from xms.dataset_io import FeatureMatrix
 queries = FeatureMatrix(np.array([[1.0], [0.0]]))
 gallery = FeatureMatrix(np.array([[1.0, 0.0, -1.0], [0.0, 1.0, 0.0]]))
 
-# AP judges subclass relevance down the ranked list: hits so far / rank at each relevant item
-for gallery_labels, relevant in (([1, 1, 2], "{0, 1}"), ([1, 2, 1], "{0, 2}")):
-    ev = evaluate_direction(queries, gallery, [1], gallery_labels)
+# AP judges subclass relevance down the ranked list: hits so far / rank at each relevant item;
+# the labels are the gallery's, and the query takes its true match's label, labels[0]
+for labels, relevant in (([1, 1, 2], "{0, 1}"), ([1, 2, 1], "{0, 2}")):
+    ev = evaluate_direction(queries, gallery, labels)
     print(f"AP with items {relevant} relevant: {ev['per_query_ap'][0]:.3f}, CMC: {ev['cmc'].tolist()}")
 
 # full protocol-style evaluation: project a test split, rank both directions
@@ -28,7 +29,7 @@ model = fit_method(train, "gmlda", pca={"mode": "energy", "value": 0.98}, hyperp
 proj_a = project(model, test.xa, "a")
 proj_b = project(model, test.xb, "b")
 for direction, (q, g) in {"a2b": (proj_a, proj_b), "b2a": (proj_b, proj_a)}.items():
-    ev = evaluate_direction(q, g, test.labels, test.labels)
+    ev = evaluate_direction(q, g, test.labels)
     cmc = ev["cmc"]
     print(
         f"{direction}: MAP={ev['map']:.3f} (subclass relevance), "

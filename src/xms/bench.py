@@ -110,7 +110,15 @@ class BenchmarkConfig:
         for name in ("stratified", "l2_normalize", "include_pca_in_timing"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError("bad_config", f"{name} must be true or false, got {getattr(self, name)!r}")
-        if not isinstance(self.dataset, (str, os.PathLike, dict)):
+        if isinstance(self.dataset, dict):
+            params = self.dataset.get("synthetic")
+            known = inspect.signature(make_synthetic_dataset).parameters
+            if not (self.dataset.keys() == {"synthetic"} and isinstance(params, dict) and params.keys() <= known.keys()):
+                raise ConfigError(
+                    "bad_config",
+                    f"a dataset mapping must be {{'synthetic': {{...}}}} over {sorted(known)}, got {self.dataset!r}",
+                )
+        elif not isinstance(self.dataset, (str, os.PathLike)):
             raise ConfigError("bad_config", f"dataset must be a directory path or a mapping, got {self.dataset!r}")
         if not (isinstance(self.methods, tuple) and all(isinstance(spec, MethodSpec) for spec in self.methods)):
             raise ConfigError("bad_config", f"methods must be a tuple of MethodSpec, got {self.methods!r}")
@@ -152,9 +160,20 @@ def default_method_specs() -> tuple[MethodSpec, ...]:
 # statistics
 
 
+def _sample(values, what: str, min_size: int = 1) -> np.ndarray:
+    """``values`` as a float array, refused if it holds fewer than ``min_size`` values
+    (``bad_config``) or a NaN or infinity (``non_finite``)."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.size < min_size:
+        raise ConfigError("bad_config", f"{what}: a sample of {values.size} values is too short (at least {min_size})")
+    if not np.isfinite(values).all():
+        raise DataError("non_finite", f"{what}: a sample holds a NaN or infinity")
+    return values
+
+
 def summary_stats(values) -> dict:
     """min/max/mean/var/std with 1/(n-1) variance (0 for a single value)."""
-    values = np.asarray(values, dtype=np.float64)
+    values = _sample(values, "summary_stats")
     var = float(values.var(ddof=1)) if values.size > 1 else 0.0
     return {
         "min": float(values.min()),
@@ -173,10 +192,7 @@ def students_t_test(sample_a, sample_b, welch=False) -> dict:
     Degenerate convention when both samples have zero variance: p = 1 for
     equal means, p = 0 otherwise.
     """
-    a = np.asarray(sample_a, dtype=np.float64)
-    b = np.asarray(sample_b, dtype=np.float64)
-    if a.size < 2 or b.size < 2:
-        raise ConfigError("bad_config", "t-test needs at least 2 values per sample")
+    a, b = (_sample(sample, "t-test", 2) for sample in (sample_a, sample_b))
     var_a, var_b = a.var(ddof=1), b.var(ddof=1)
     diff = a.mean() - b.mean()
     if var_a == 0.0 and var_b == 0.0:
@@ -198,9 +214,7 @@ def students_t_test(sample_a, sample_b, welch=False) -> dict:
 def box_stats(values) -> dict:
     """Box-plot statistics, as the report holds them: linear-interpolation quartiles, 1.5 IQR
     whiskers, and the values outside the whiskers as a sorted list."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size < 1:
-        raise ConfigError("bad_config", "box_stats needs at least one value")
+    values = _sample(values, "box_stats")
     q25, median, q75 = np.percentile(values, [25, 50, 75])
     iqr = q75 - q25
     low_fence, high_fence = q25 - 1.5 * iqr, q75 + 1.5 * iqr
@@ -220,18 +234,6 @@ def box_stats(values) -> dict:
 # protocol runner
 
 
-def resolve_dataset(spec) -> PairedMultimodalDataset:
-    if isinstance(spec, (str,)) or hasattr(spec, "__fspath__"):
-        return load_dataset(spec)
-    if isinstance(spec, dict) and "synthetic" in spec:
-        params = spec["synthetic"]
-        known = inspect.signature(make_synthetic_dataset).parameters
-        if not (isinstance(params, dict) and params.keys() <= known.keys()):
-            raise ConfigError("bad_config", f"synthetic must map {sorted(known)} to values, got {params!r}")
-        return make_synthetic_dataset(**params)
-    raise ConfigError("bad_config", "dataset must be a directory path or {'synthetic': {...}}")
-
-
 def _l2_normalize(dataset: PairedMultimodalDataset) -> PairedMultimodalDataset:
     def norm(x: FeatureMatrix) -> FeatureMatrix:
         return FeatureMatrix(unit_columns(x.values)[0])
@@ -239,8 +241,10 @@ def _l2_normalize(dataset: PairedMultimodalDataset) -> PairedMultimodalDataset:
     return replace(dataset, xa=norm(dataset.xa), xb=norm(dataset.xb))
 
 
-def _prepared_data(config: BenchmarkConfig, dataset) -> PairedMultimodalDataset:
-    data = dataset if dataset is not None else resolve_dataset(config.dataset)
+def _prepared_data(config: BenchmarkConfig, data) -> PairedMultimodalDataset:
+    if data is None:
+        spec = config.dataset
+        data = make_synthetic_dataset(**spec["synthetic"]) if isinstance(spec, dict) else load_dataset(spec)
     if config.l2_normalize:
         data = _l2_normalize(data)
     if not 0 < config.n_train < data.n:
@@ -263,10 +267,7 @@ def _outcome(spec: MethodSpec, context: SplitContext, test, config: BenchmarkCon
         proj_a = project(model, test.xa, "a")
         proj_b = project(model, test.xb, "b")
         views = {"a2b": (proj_a, proj_b), "b2a": (proj_b, proj_a)}
-        evaluations = {
-            d: evaluate_direction(*views[d], test.labels, test.labels, ap_cutoff=config.ap_cutoff)
-            for d in DIRECTIONS
-        }
+        evaluations = {d: evaluate_direction(*views[d], test.labels, ap_cutoff=config.ap_cutoff) for d in DIRECTIONS}
     except XmsError as exc:
         return {"failure": {"repetition": r, "code": exc.code, "message": str(exc)}}
     seconds = model.fit_seconds

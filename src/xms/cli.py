@@ -43,16 +43,15 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    metrics = {m.strip() for m in args.metrics.split(",")} - {""}
+    if not metrics or not metrics <= {"map", "cmc"}:
+        raise ConfigError("bad_config", f"--metrics must list map, cmc or both, got {args.metrics!r}")
     model = load_model(args.model)
     dataset = load_dataset(args.dataset)
-    metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    unknown = set(metrics) - {"map", "cmc"}
-    if unknown:
-        raise ConfigError("bad_config", f"unknown metrics: {sorted(unknown)} (supported: map, cmc)")
     proj_a = project(model, dataset.xa, "a")
     proj_b = project(model, dataset.xb, "b")
     queries, gallery = (proj_a, proj_b) if args.direction == "a2b" else (proj_b, proj_a)
-    evaluation = evaluate_direction(queries, gallery, dataset.labels, dataset.labels)
+    evaluation = evaluate_direction(queries, gallery, dataset.labels)
     payload = {"direction": args.direction, "model": str(args.model), "dataset": str(args.dataset)}
     if "map" in metrics:
         payload["map"] = evaluation["map"]

@@ -264,11 +264,7 @@ def _normalize_labels(raw: np.ndarray, declared_c: int | None) -> tuple[np.ndarr
         raise DataError("malformed_file", "labels must be integers")
     labels = flat.astype(np.int64)
     if declared_c is not None:
-        if labels.min() < 1 or labels.max() > declared_c:
-            raise DataError("label_range", f"label outside 1..{declared_c}")
-        if np.unique(labels).size != declared_c:
-            raise DataError("empty_class", f"manifest declares c={declared_c} but not all classes appear")
-        return labels, declared_c
+        return labels, declared_c  # checked against c by PairedMultimodalDataset
     # no declared c: remap whatever integers appear onto 1..c preserving order
     uniq, codes = np.unique(labels, return_inverse=True)
     return codes + 1, uniq.size

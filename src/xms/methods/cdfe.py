@@ -17,7 +17,7 @@ import numpy as np
 from ..dataset_io import PairedMultimodalDataset
 from ..errors import ConfigError, NumericalError, is_int, is_real
 from ..numerics import knn_graph, laplacian_per_weight, solve_gev
-from .model import SubspaceModel, _fit_closed_form
+from .model import SubspaceModel, _fit_closed_form, _own_config
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ def pair_weights(labels, alpha: float) -> np.ndarray:
 
 
 def fit_cdfe(train: PairedMultimodalDataset, d: int | None = None, config: CdfeConfig | None = None) -> SubspaceModel:
-    config = config or CdfeConfig()
+    config = _own_config(config, CdfeConfig, "cdfe")
     if config.alpha > 0 and train.c < 2:
         raise ConfigError("bad_hyperparam", "inter-class weight alpha > 0 needs at least 2 classes")
     d_total = train.d_a + train.d_b

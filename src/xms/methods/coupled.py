@@ -17,7 +17,7 @@ import scipy.linalg as la
 from ..dataset_io import PairedMultimodalDataset, encode_labels
 from ..errors import ConfigError, NumericalError, is_int, is_real
 from ..numerics import multimodal_graph
-from .model import SubspaceModel
+from .model import SubspaceModel, _own_config
 
 EPS_L21 = 1e-6  # row-norm clamp in the reweighting diagonals
 EPS_TRACE = 1e-6  # smoothing of the trace-norm variational majorizer
@@ -180,7 +180,7 @@ def fit_lcfs(train: PairedMultimodalDataset, config: LcfsConfig | None = None, *
     as well; LCFS builds no graph, so its ``graph_k`` goes unread.
     """
     t0 = time.perf_counter()
-    config = config or LcfsConfig()
+    config = _own_config(config, LcfsConfig, "lcfs")
     xs, _, grams, _, _ = start = _regression_start(train, context)
 
     def coupling(ws, projs):
@@ -228,7 +228,7 @@ def fit_jfssl(
     the graph state with other fits on the same split.
     """
     t0 = time.perf_counter()
-    config = config or SparseCoupledConfig()
+    config = _own_config(config, SparseCoupledConfig, "jfssl")
     if config.lambda2 > 0:
         c_ab, graph_products = _graph_state(train, min(config.graph_k, max(train.n - 1, 1)), context)
         graph_terms = [config.lambda2 * product for product in graph_products]

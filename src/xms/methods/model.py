@@ -59,6 +59,16 @@ class SubspaceModel:
         return None if trace is None else np.asarray(trace, dtype=np.float64)
 
 
+def _own_config(config, config_class, method: str):
+    """A fitter's ``config``, or ``config_class()`` for None; a config that is not a ``config_class``
+    (a subclass is one) raises ``bad_hyperparam`` before a missing field can."""
+    if config is None:
+        return config_class()
+    if not isinstance(config, config_class):
+        raise ConfigError("bad_hyperparam", f"{method} reads a {config_class.__name__}, got a {type(config).__name__}")
+    return config
+
+
 def _fit_closed_form(
     train: PairedMultimodalDataset, method: str, d: int | None, d_max: int, default_d: int, solve
 ) -> SubspaceModel:

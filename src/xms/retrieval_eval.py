@@ -129,20 +129,15 @@ def cmc_curve(ranked: list[RankedList], true_match) -> np.ndarray:
     return np.cumsum(counts) / len(ranked)
 
 
-def evaluate_direction(
-    queries: FeatureMatrix,
-    gallery: FeatureMatrix,
-    query_labels,
-    gallery_labels,
-    *,
-    ap_cutoff: int | None = None,
-) -> dict:
+def evaluate_direction(queries: FeatureMatrix, gallery: FeatureMatrix, labels, *, ap_cutoff: int | None = None) -> dict:
     """Rank one direction; return ``{"map", "per_query_ap", "cmc"}``: MAP under same-subclass
     relevance, its per-query APs, and the CMC curve (acc@K for K = 1..gallery size).
 
     Queries and gallery are aligned pairs: the true match of query i is gallery
-    item i, so there may be no more queries than gallery items.  ``ap_cutoff``
-    optionally truncates the ranked lists before AP, for MAP@R-style evaluation.
+    item i, so there may be no more queries than gallery items.  ``labels`` are
+    the gallery's, and query i has its true match's label ``labels[i]``, so every
+    query has at least one relevant item.  ``ap_cutoff`` optionally truncates the
+    ranked lists before AP, for MAP@R-style evaluation.
 
     Works on the query x gallery similarity matrix ``_ROW_BLOCK`` query rows
     at a time and gives bit-for-bit the results of ``rank_by_cosine`` +
@@ -152,28 +147,20 @@ def evaluate_direction(
     An item whose similarity equals another in its row is ranked by a stable
     sort of that row instead, ties going to the lower gallery index.
     """
-    query_labels = np.asarray(query_labels).ravel()
-    gallery_labels = np.asarray(gallery_labels).ravel()
+    labels = np.asarray(labels).ravel()
     sims = cosine_similarities(queries, gallery)
     nq, ng = sims.shape
-    if query_labels.size != nq or gallery_labels.size != ng:
-        raise DataError(
-            "index_range",
-            f"{query_labels.size} query / {gallery_labels.size} gallery labels for a {nq} x {ng} evaluation",
-        )
-    # each query's relevant columns are one run of the gallery grouped by label
-    by_label = np.argsort(gallery_labels, kind="stable")
-    grouped = gallery_labels[by_label]
-    first = np.searchsorted(grouped, query_labels)
-    n_relevant = np.searchsorted(grouped, query_labels, side="right") - first
-    if ap_cutoff is None:
-        lonely = np.flatnonzero(n_relevant == 0)
-        if lonely.size:
-            raise ConfigError("empty_relevant", f"query {lonely[0]} has no same-label gallery item")
-    elif ap_cutoff < 1:
+    if labels.size != ng:
+        raise DataError("index_range", f"{labels.size} labels for a gallery of {ng}")
+    if ap_cutoff is not None and ap_cutoff < 1:
         raise ConfigError("bad_k", f"ap_cutoff must be at least 1, got {ap_cutoff}")
     if nq > ng:
         raise DataError("missing_match", f"{nq} queries for {ng} gallery items: query {ng} has no true match")
+    # each query's relevant columns are one run of the gallery grouped by label
+    by_label = np.argsort(labels, kind="stable")
+    grouped = labels[by_label]
+    first = np.searchsorted(grouped, labels[:nq])
+    n_relevant = np.searchsorted(grouped, labels[:nq], side="right") - first
 
     # Each block's rows are sorted by value alone into buffer rows laid out as [-inf, ascending
     # similarities, +inf padding], of the smallest power-of-two width above ng.  Similarities are

@@ -168,6 +168,32 @@ def test_summary_stats_consistency(rng):
     assert s["var"] == pytest.approx(values.var(ddof=1))
 
 
+def check_sample_errors(stat, too_short, non_finite):
+    for sample in too_short:
+        with pytest.raises(ConfigError) as err:
+            stat(sample)
+        assert err.value.code == "bad_config"
+    for sample in non_finite:
+        with pytest.raises(DataError) as err:
+            stat(sample)
+        assert err.value.code == "non_finite"
+
+
+def test_summary_stats_refuses_empty_and_non_finite_samples():
+    check_sample_errors(summary_stats, [[]], [[1.0, math.nan], [math.inf], [-math.inf, 2.0]])
+
+
+def test_box_stats_refuses_empty_and_non_finite_samples():
+    check_sample_errors(box_stats, [[]], [[1.0, math.nan], [math.inf], [-math.inf, 2.0]])
+
+
+def test_students_t_refuses_short_and_non_finite_samples():
+    check_sample_errors(
+        lambda a: students_t_test(a, [2.0, 3.0]), [[], [1.0]], [[1.0, math.nan], [math.inf, 1.0]]
+    )
+    check_sample_errors(lambda b: students_t_test([2.0, 3.0], b, welch=True), [[1.0]], [[1.0, -math.inf]])
+
+
 # ---------------------------------------------------------------------------
 # protocol runner
 
@@ -639,6 +665,15 @@ def test_config_from_dict_requires_real_bools_and_integers(key, value):
         pytest.param({"n_train": "ten"}, {}, "bad_config", id="n_train-str"),
         pytest.param({"base_seed": -1}, {}, "bad_config", id="base_seed-negative"),
         pytest.param({"dataset": 3}, {}, "bad_config", id="dataset-int"),
+        pytest.param(
+            {"dataset": {"synthetic": {"n": 60, "c": 3, "d_a": 10, "d_b": 9}, "seed": 5}},
+            {},
+            "bad_config",
+            id="dataset-extra-key",
+        ),
+        pytest.param(
+            {"dataset": {"synthtic": {"n": 60, "c": 3, "d_a": 10, "d_b": 9}}}, {}, "bad_config", id="dataset-key-typo"
+        ),
         pytest.param({}, {"name": "cka"}, "bad_method", id="name-unknown"),
         pytest.param({}, {"name": "jfssl", "hyperparams": {"lamda1": 0.1}}, "bad_hyperparam", id="hyperparam-key"),
         pytest.param({}, {"name": "jfssl", "hyperparams": {"graph_K": 3}}, "bad_hyperparam", id="hyperparam-case"),

@@ -45,6 +45,18 @@ def test_fit_then_eval(tmp_path, dataset_dir, capsys):
     assert payload["cmc"][-1] == 1.0
 
 
+def test_eval_without_a_known_metric_exit_2(tmp_path, dataset_dir, capsys):
+    model_path = tmp_path / "model.xms"
+    assert main(["fit", "--dataset", str(dataset_dir), "--method", "cca", "--out", str(model_path)]) == 0
+    out_path = tmp_path / "eval.json"
+    argv = ["eval", "--model", str(model_path), "--dataset", str(dataset_dir), "--direction", "a2b", "--out", str(out_path)]
+    capsys.readouterr()
+    for metrics in ("", " , ", "map,ndcg"):
+        assert main(argv + ["--metrics", metrics]) == 2
+        assert capsys.readouterr().err.startswith("error [bad_config]")
+        assert not out_path.exists()
+
+
 def test_eval_model_whose_center_disagrees_with_its_pca_exit_3(tmp_path, dataset_dir, capsys):
     model_path = tmp_path / "model.xms"
     assert main(["fit", "--dataset", str(dataset_dir), "--method", "cca", "--pca", '{"mode": "dim", "value": 4}',
@@ -219,6 +231,8 @@ def test_bench_bad_config_exit_2(tmp_path, capsys):
         {"dataset": "x", "n_train": 3, "methods": []},
         {"dataset": {"synthetic": {"n": 60, "bogus": 1}}, "n_train": 30, "methods": [{"name": "cca"}]},
         {"dataset": {"synthetic": [1]}, "n_train": 30, "methods": [{"name": "cca"}]},
+        {"dataset": {"synthetic": {"n": 60}, "seed": 5}, "n_train": 30, "methods": [{"name": "cca"}]},
+        {"dataset": {"synthtic": {"n": 60}}, "n_train": 30, "methods": [{"name": "cca"}]},
         *(
             {"dataset": {"synthetic": synthetic}, "n_train": 30, "methods": [{"name": "cca"}]}
             for synthetic in ({"n": "60"}, {"n": 60.5}, {"n": 60, "seed": -1}, {"noise_sd": "x"}, {"c": True})

@@ -270,6 +270,18 @@ def test_load_label_outside_declared_c(tmp_path):
     assert err.value.code == "label_range"
 
 
+def test_load_declared_c_with_an_empty_class(tmp_path):
+    d = tmp_path / "bad"
+    d.mkdir()
+    np.savetxt(d / "features_a.csv", np.zeros((3, 2)), delimiter=",")
+    np.savetxt(d / "features_b.csv", np.zeros((3, 2)), delimiter=",")
+    np.savetxt(d / "labels.csv", np.array([[1], [2], [2]]), delimiter=",")
+    (d / "manifest.json").write_text(json.dumps({"c": 3}))
+    with pytest.raises(DataError) as err:
+        load_dataset(d)
+    assert err.value.code == "empty_class"
+
+
 def test_load_malformed_file(tmp_path):
     d = tmp_path / "bad"
     d.mkdir()

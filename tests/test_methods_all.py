@@ -3,7 +3,21 @@
 import numpy as np
 import pytest
 
-from xms.methods import METHOD_NAMES, SplitContext, fit_cca, fit_cca3v, fit_method, normalize_method_name, project
+from xms.methods import (
+    METHOD_NAMES,
+    CdfeConfig,
+    GmaConfig,
+    LcfsConfig,
+    SplitContext,
+    fit_cca,
+    fit_cca3v,
+    fit_cdfe,
+    fit_jfssl,
+    fit_lcfs,
+    fit_method,
+    normalize_method_name,
+    project,
+)
 from xms.errors import ConfigError
 from tests.conftest import paired_dataset, random_paired_dataset
 
@@ -127,6 +141,25 @@ def test_ridge_must_be_finite_and_non_negative(rng, name, ridge):
         with pytest.raises(ConfigError) as err:
             fit_one()
         assert err.value.code == "bad_hyperparam"
+
+
+@pytest.mark.parametrize(
+    "fitter, config",
+    [
+        (fit_jfssl, LcfsConfig()),
+        (fit_cdfe, GmaConfig()),
+        (fit_lcfs, GmaConfig()),
+        (fit_jfssl, CdfeConfig()),
+        (fit_cdfe, LcfsConfig()),
+    ],
+    ids=["jfssl-lcfs", "cdfe-gma", "lcfs-gma", "jfssl-cdfe", "cdfe-lcfs"],
+)
+def test_public_fitters_reject_another_methods_config(rng, fitter, config):
+    # fit_lcfs also takes JFSSL's SparseCoupledConfig, a subclass of LcfsConfig (criterion 3 passes one)
+    ds = random_paired_dataset(rng, n=20, d_a=4, d_b=3, c=2)
+    with pytest.raises(ConfigError) as err:
+        fitter(ds, config=config)
+    assert err.value.code == "bad_hyperparam"
 
 
 @pytest.mark.parametrize("name", ["cdfe", "jfssl"])

@@ -145,10 +145,10 @@ def test_map_and_cmc_unchanged_at_extreme_gallery_scales(scale):
     rng = np.random.default_rng(40)
     queries, gallery = rng.standard_normal((5, 40)), rng.standard_normal((5, 40))
     labels = rng.integers(1, 4, 40)
-    base = evaluate_direction(fm(queries), fm(gallery), labels, labels)
+    base = evaluate_direction(fm(queries), fm(gallery), labels)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scaled = evaluate_direction(fm(queries), fm(scale * gallery), labels, labels)
+        scaled = evaluate_direction(fm(queries), fm(scale * gallery), labels)
     assert scaled["map"] == base["map"]
     assert np.array_equal(scaled["cmc"], base["cmc"])
 
@@ -283,11 +283,11 @@ def test_evaluate_direction_map_and_label_permutation(rng):
     gallery = rng.standard_normal((4, 12))
     labels = rng.integers(1, 4, size=12)
     labels[:3] = [1, 2, 3]
-    base = evaluate_direction(fm(queries), fm(gallery), labels, labels)
+    base = evaluate_direction(fm(queries), fm(gallery), labels)
     assert base["map"] == pytest.approx(base["per_query_ap"].mean(), abs=1e-12)
     # relabeling subclasses by a bijection leaves MAP unchanged
     permuted = np.array([3, 1, 2])[labels - 1]
-    relabeled = evaluate_direction(fm(queries), fm(gallery), permuted, permuted)
+    relabeled = evaluate_direction(fm(queries), fm(gallery), permuted)
     assert relabeled["map"] == pytest.approx(base["map"], abs=1e-12)
 
 
@@ -295,13 +295,13 @@ def test_evaluate_direction_ap_cutoff(rng):
     queries = rng.standard_normal((3, 6))
     gallery = rng.standard_normal((3, 6))
     labels = np.array([1, 1, 1, 2, 2, 2])
-    full = evaluate_direction(fm(queries), fm(gallery), labels, labels)
-    cut = evaluate_direction(fm(queries), fm(gallery), labels, labels, ap_cutoff=2)
+    full = evaluate_direction(fm(queries), fm(gallery), labels)
+    cut = evaluate_direction(fm(queries), fm(gallery), labels, ap_cutoff=2)
     assert cut["per_query_ap"].shape == full["per_query_ap"].shape
     assert np.all(cut["per_query_ap"] <= 1.0)
     for bad in (0, -1):
         with pytest.raises(ConfigError) as info:
-            evaluate_direction(fm(queries), fm(gallery), labels, labels, ap_cutoff=bad)
+            evaluate_direction(fm(queries), fm(gallery), labels, ap_cutoff=bad)
         assert info.value.code == "bad_k"
 
 
@@ -310,40 +310,25 @@ def test_evaluate_direction_more_queries_than_gallery_errors(rng):
     queries, gallery = fm(rng.standard_normal((3, 5))), fm(rng.standard_normal((3, 4)))
     for ap_cutoff in (None, 2):
         with pytest.raises(DataError) as info:
-            evaluate_direction(queries, gallery, [1, 1, 2, 2, 2], [1, 1, 2, 2], ap_cutoff=ap_cutoff)
+            evaluate_direction(queries, gallery, [1, 1, 2, 2], ap_cutoff=ap_cutoff)
         assert info.value.code == "missing_match"
 
 
 def test_evaluate_direction_length_mismatch_errors(rng):
-    x = fm(rng.standard_normal((3, 4)))
-    labels = np.array([1, 1, 2, 2])
-    with pytest.raises(DataError) as info:
-        evaluate_direction(x, x, labels[:3], labels)
-    assert info.value.code == "index_range"
+    # one label per gallery item: a label array of another length is refused, shorter or longer
+    queries, gallery = fm(rng.standard_normal((3, 2))), fm(rng.standard_normal((3, 4)))
+    for labels in ([1, 1, 2], [1, 1, 2, 2, 1]):
+        with pytest.raises(DataError) as info:
+            evaluate_direction(queries, gallery, labels)
+        assert info.value.code == "index_range"
 
 
 def test_evaluate_direction_returns_report_keys_and_takes_options_by_keyword(rng):
     x = fm(rng.standard_normal((3, 4)))
     labels = np.array([1, 1, 2, 2])
-    assert set(evaluate_direction(x, x, labels, labels)) == {"map", "per_query_ap", "cmc"}
+    assert set(evaluate_direction(x, x, labels)) == {"map", "per_query_ap", "cmc"}
     with pytest.raises(TypeError):
-        evaluate_direction(x, x, labels, labels, "a2b")
-
-
-def test_evaluate_direction_query_label_absent_from_gallery_errors(rng):
-    queries = fm(rng.standard_normal((3, 4)))
-    gallery = fm(rng.standard_normal((3, 4)))
-    with pytest.raises(ConfigError) as info:
-        evaluate_direction(queries, gallery, [1, 2, 3, 1], [1, 1, 2, 2])
-    assert info.value.code == "empty_relevant"
-
-
-def test_evaluate_direction_absent_label_scores_zero_with_cutoff(rng):
-    queries = fm(rng.standard_normal((3, 4)))
-    gallery = fm(rng.standard_normal((3, 4)))
-    result = evaluate_direction(queries, gallery, [1, 2, 3, 1], [1, 1, 2, 2], ap_cutoff=3)
-    assert result["per_query_ap"][2] == 0.0
-    assert np.all(result["per_query_ap"][[0, 1, 3]] > 0.0)
+        evaluate_direction(x, x, labels, "a2b")
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +342,14 @@ GALLERY_COUNTS = [1, 2, 7, 64, _ROW_BLOCK - 1, 128, _ROW_BLOCK + 1, 2 * _ROW_BLO
 SIZES = [(nq, ng) for nq in ROW_COUNTS for ng in GALLERY_COUNTS if nq <= ng]
 
 
-def oracle_evaluation(queries, gallery, query_labels, gallery_labels, ap_cutoff):
-    """The per-query path: rank_by_cosine + average_precision + cmc_curve."""
+def oracle_evaluation(queries, gallery, labels, ap_cutoff):
+    """The per-query path: rank_by_cosine + average_precision + cmc_curve, query i taking labels[i]."""
     ranked = rank_by_cosine(queries, gallery)
     sims = cosine_similarities(queries, gallery)
     aps = []
     for rl in ranked:
         assert np.array_equal(rl.gallery_order, np.argsort(-sims[rl.query_index], kind="stable"))
-        relevant = np.flatnonzero(gallery_labels == query_labels[rl.query_index])
+        relevant = np.flatnonzero(labels == labels[rl.query_index])
         if ap_cutoff is not None:
             rl = RankedList(rl.query_index, rl.gallery_order[:ap_cutoff], rl.similarities[:ap_cutoff])
             relevant = np.intersect1d(relevant, rl.gallery_order)
@@ -393,26 +378,22 @@ def retrieval_cases(draw):
         queries[:, rng.integers(0, nq, nq // 3 + 1)] = 0.0
     if draw(st.booleans()):
         gallery[:, rng.integers(0, ng, ng // 3 + 1)] = 0.0
-    n_classes = draw(st.integers(1, 5))
-    gallery_labels = rng.integers(1, n_classes + 1, ng)
+    # aligned labels: query i takes labels[i]; cutoffs 1 and "k" can cut every relevant item of a query
+    labels = rng.integers(1, draw(st.integers(1, 5)) + 1, ng)
     cutoff = draw(st.sampled_from([None, 1, "k", "beyond"]))
-    if cutoff is None:
-        query_labels = rng.choice(gallery_labels, nq)
-    else:
-        query_labels = rng.integers(1, n_classes + 2, nq)  # some labels absent from the gallery
-        cutoff = {"k": int(rng.integers(1, ng + 1)), "beyond": ng + 3}.get(cutoff, cutoff)
-    return queries, gallery, query_labels, gallery_labels, cutoff
+    cutoff = {"k": int(rng.integers(1, ng + 1)), "beyond": ng + 3}.get(cutoff, cutoff)
+    return queries, gallery, labels, cutoff
 
 
 @settings(max_examples=80, deadline=None)
 @given(retrieval_cases())
 def test_evaluate_direction_equals_per_query_oracle(case):
-    queries, gallery, query_labels, gallery_labels, ap_cutoff = case
+    queries, gallery, labels, ap_cutoff = case
     queries, gallery = fm(queries), fm(gallery)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ZeroNormWarning)
-        result = evaluate_direction(queries, gallery, query_labels, gallery_labels, ap_cutoff=ap_cutoff)
-        aps, mean_ap, cmc = oracle_evaluation(queries, gallery, query_labels, gallery_labels, ap_cutoff)
+        result = evaluate_direction(queries, gallery, labels, ap_cutoff=ap_cutoff)
+        aps, mean_ap, cmc = oracle_evaluation(queries, gallery, labels, ap_cutoff)
     assert np.array_equal(result["per_query_ap"], aps)
     assert result["map"] == mean_ap
     assert np.array_equal(result["cmc"], cmc)
@@ -424,15 +405,14 @@ def test_map_invariant_to_positive_gallery_scaling(sizes, seed, scale):
     nq, ng = sizes
     rng = np.random.default_rng(seed)
     queries, gallery = rng.standard_normal((5, nq)), rng.standard_normal((5, ng))
-    gallery_labels = rng.integers(1, 4, ng)
-    query_labels = rng.choice(gallery_labels, nq)
-    base = evaluate_direction(fm(queries), fm(gallery), query_labels, gallery_labels)
-    scaled = evaluate_direction(fm(queries), fm(scale * gallery), query_labels, gallery_labels)
+    labels = rng.integers(1, 4, ng)
+    base = evaluate_direction(fm(queries), fm(gallery), labels)
+    scaled = evaluate_direction(fm(queries), fm(scale * gallery), labels)
     assert scaled["map"] == base["map"]
     assert np.array_equal(scaled["cmc"], base["cmc"])
 
 
-def blocked_reference(queries, gallery, query_labels, gallery_labels, ap_cutoff):
+def blocked_reference(queries, gallery, labels, ap_cutoff):
     """evaluate_direction's arithmetic before its rank search: each block's full order from
     a stable argsort, a relevance mask, hits by cumsum and the row sums of hits / rank by cumsum."""
     sims = cosine_similarities(queries, gallery)
@@ -442,7 +422,7 @@ def blocked_reference(queries, gallery, query_labels, gallery_labels, ap_cutoff)
     for start in range(0, nq, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
         order = np.argsort(-sims[rows], axis=1, kind="stable")
-        rel = gallery_labels[order[:, :ap_cutoff]] == query_labels[rows, None]
+        rel = labels[order[:, :ap_cutoff]] == labels[:nq][rows, None]
         hits = np.cumsum(rel, axis=1)
         precision = np.where(rel, hits / np.arange(1, rel.shape[1] + 1), 0.0)
         total = np.cumsum(precision, axis=1)[:, -1]
@@ -453,7 +433,8 @@ def blocked_reference(queries, gallery, query_labels, gallery_labels, ap_cutoff)
     return per_query_ap, float(per_query_ap.mean()), np.cumsum(match_counts[1:]) / nq
 
 
-@pytest.mark.parametrize("ap_cutoff", [None, 150])
+# at cutoff 1 most queries' relevant items are all cut
+@pytest.mark.parametrize("ap_cutoff", [None, 1, 150])
 def test_evaluate_direction_equals_blocked_reference_at_gallery2k_size(ap_cutoff):
     rng = np.random.default_rng(2000)
     queries, gallery = rng.standard_normal((64, 2000)), rng.standard_normal((64, 2000))
@@ -463,8 +444,8 @@ def test_evaluate_direction_equals_blocked_reference_at_gallery2k_size(ap_cutoff
     queries, gallery = fm(queries), fm(gallery)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ZeroNormWarning)
-        result = evaluate_direction(queries, gallery, labels, labels, ap_cutoff=ap_cutoff)
-        aps, mean_ap, cmc = blocked_reference(queries, gallery, labels, labels, ap_cutoff)
+        result = evaluate_direction(queries, gallery, labels, ap_cutoff=ap_cutoff)
+        aps, mean_ap, cmc = blocked_reference(queries, gallery, labels, ap_cutoff)
     assert np.array_equal(result["per_query_ap"], aps)
     assert result["map"] == mean_ap
     assert np.array_equal(result["cmc"], cmc)
