@@ -344,18 +344,20 @@ _BLAS_THREAD_SETTERS = (
 )
 
 
-def _pin_blas_threads() -> None:
-    """Set every OpenBLAS loaded in this process to one thread.
+def _blas_thread_setters() -> list:
+    """The thread-count setter of every OpenBLAS loaded in this process.
 
     numpy and scipy each load their own OpenBLAS, and ``scipy.linalg``'s
-    LAPACK runs on scipy's, so both are set.  A library without a known
-    setter, or a system without ``/proc/self/maps``, is left as it is.
+    LAPACK runs on scipy's, so both are found.  A library without a known
+    setter, or a system without ``/proc/self/maps``, is left out.  Resolved
+    once, before a pool forks: the workers inherit the loaded libraries.
     """
     try:
         with open("/proc/self/maps") as fh:
             libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line})
     except OSError:
-        return
+        return []
+    setters = []
     for lib in libs:
         try:
             handle = ctypes.CDLL(lib)
@@ -363,16 +365,19 @@ def _pin_blas_threads() -> None:
             continue
         setter = next((getattr(handle, name) for name in _BLAS_THREAD_SETTERS if hasattr(handle, name)), None)
         if setter is not None:
-            setter(1)
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setters.append(setter)
+    return setters
 
 
 _worker_args = None  # (data, config, specs), inherited from the parent when the pool forks
 
 
-def _start_worker(data, config, specs) -> None:
+def _start_worker(data, config, specs, blas_setters) -> None:
     global _worker_args
     _worker_args = (data, config, specs)
-    _pin_blas_threads()  # workers already share the CPUs; BLAS threads on top would oversubscribe them
+    for setter in blas_setters:  # workers already share the CPUs; BLAS threads on top would oversubscribe them
+        setter(1)
 
 
 def _worker_split_runs(r: int) -> list[dict]:
@@ -395,7 +400,8 @@ def _all_runs(data: PairedMultimodalDataset, config: BenchmarkConfig, specs, wor
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _start_worker, (data, config, specs))
+        args = (data, config, specs, _blas_thread_setters())
+        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _start_worker, args)
         try:
             splits = list(pool.map(_worker_split_runs, range(config.repetitions)))
         finally:

@@ -54,6 +54,18 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
+def _integer_labels(labels) -> np.ndarray:
+    """``labels`` as a flat int64 array.  A label that is not an integer (1.5, NaN,
+    inf, or beyond int64) is ``DataError("non_integer_label")``; integral floats such
+    as 2.0 pass, as label files are read as floats."""
+    raw = np.asarray(labels).ravel()
+    if raw.dtype.kind not in "biu":
+        raw = raw.astype(np.float64)
+        if not ((raw == np.round(raw)) & (np.abs(raw) < 2.0**63)).all():  # NaN fails the first test, inf the second
+            raise DataError("non_integer_label", "labels must be integers")
+    return raw.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class PairedMultimodalDataset:
     """Aligned feature matrices for modalities a and b plus 1-based class labels.
@@ -72,7 +84,7 @@ class PairedMultimodalDataset:
     strict: bool = field(default=True, repr=False)
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64).ravel()
+        labels = _integer_labels(self.labels)
         object.__setattr__(self, "labels", labels)
         if self.xa.n != self.xb.n or self.xa.n != labels.size:
             raise DataError(
@@ -259,10 +271,7 @@ def _resolve(directory: Path, manifest: dict, role: str) -> Path:
 
 
 def _normalize_labels(raw: np.ndarray, declared_c: int | None) -> tuple[np.ndarray, int]:
-    flat = raw.ravel()
-    if not np.all(flat == np.round(flat)):
-        raise DataError("malformed_file", "labels must be integers")
-    labels = flat.astype(np.int64)
+    labels = _integer_labels(raw)
     if declared_c is not None:
         return labels, declared_c  # checked against c by PairedMultimodalDataset
     # no declared c: remap whatever integers appear onto 1..c preserving order

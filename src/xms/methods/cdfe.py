@@ -75,7 +75,7 @@ def fit_cdfe(train: PairedMultimodalDataset, d: int | None = None, config: CdfeC
         q = 0.5 * (q + q.T)
 
         # smallest eigenpairs of q under stacked orthonormality
-        neg_vals, vecs = solve_gev(-q, np.eye(d_total), d, ridge=0.0)
+        neg_vals, vecs = solve_gev(-q, None, d)
 
         # objective at a deterministic feasible start vs. at the optimum
         w0 = np.eye(d_total)[:, :d]

@@ -59,19 +59,26 @@ def smoothed_l21(r: np.ndarray) -> float:
     return float(np.where(r >= EPS_L21, r, (r**2 + EPS_L21**2) / (2 * EPS_L21)).sum())
 
 
+def _row_norms(w: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(w, axis=1)`` bit for bit: the same sqrt of the same reduction, without its dispatch."""
+    return np.sqrt(np.add.reduce(w * w, axis=1))
+
+
 def smoothed_trace_norm(s: np.ndarray, n: int) -> float:
     """tr sqrt(M M' + EPS_TRACE^2 I) of an n-row M from the singular values s of its thin SVD."""
     return float(np.sqrt(s**2 + EPS_TRACE**2).sum() + (n - s.size) * EPS_TRACE)
 
 
 def _solve_psd(a: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
-    """Solve the symmetric PSD normal system a w = rhs by Cholesky (LAPACK
-    potrf/potrs on the upper triangle); min-norm fallback if singular."""
+    """Solve the symmetric PSD normal system a w = rhs by Cholesky (one LAPACK
+    posv call, which is potrf then potrs, on the upper triangle); min-norm
+    fallback if singular.  ``a`` is left as it is; a Fortran-ordered ``a``
+    reaches LAPACK without a transposing copy."""
     if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
         raise NumericalError("divergence", f"{context}: non-finite normal system")
-    c, info = la.lapack.dpotrf(a, lower=False, clean=False)
+    _, w, info = la.lapack.dposv(a, rhs, lower=False)
     if info == 0:
-        return la.lapack.dpotrs(c, rhs, lower=False)[0]
+        return w
     w = np.linalg.lstsq(a, rhs, rcond=None)[0]
     if not np.isfinite(w).all():
         raise NumericalError("singular_system", f"{context}: singular system; use lambda1 > 0 or add ridge")
@@ -89,12 +96,13 @@ def _shared(train: PairedMultimodalDataset, context, key, build):
 
 def _regression_start(train: PairedMultimodalDataset, context):
     """What LCFS and JFSSL derive from the split alone: xs, y, Grams, x y and the
-    least-squares start, the min-norm solution of min_W ||x' W - y||_F."""
+    least-squares start, the min-norm solution of min_W ||x' W - y||_F.  The
+    Grams are kept in Fortran order, LAPACK's, as are the systems built on them."""
 
     def build():
         xs = (train.xa.values, train.xb.values)
         y = encode_labels(train.labels, train.c)
-        grams, rhs = [x @ x.T for x in xs], [x @ y for x in xs]
+        grams, rhs = [np.asfortranarray(x @ x.T) for x in xs], [x @ y for x in xs]
         return xs, y, grams, rhs, [_solve_psd(g, r, "least squares") for g, r in zip(grams, rhs)]
 
     return _shared(train, context, "regression_start", build)
@@ -128,18 +136,20 @@ def _fit_coupled(method, train, config, start, t0, loss_scale, coupling, echo=No
     for it in range(config.max_iters + 1):
         if it:
             for p, block in enumerate(blocks):
-                a, b = grams[p].copy(), rhs[p]
+                a, b = grams[p].copy(order="K"), rhs[p]
                 if config.lambda1 > 0:
-                    # smoothed_l21's half-quadratic majorizer at the current rows, with the same EPS_L21
-                    a.flat[:: a.shape[0] + 1] += config.lambda1 / loss_scale * (1.0 / (2.0 * np.maximum(norms[p], EPS_L21)))
+                    # smoothed_l21's half-quadratic majorizer at the current rows, with the same EPS_L21,
+                    # added through the flat memory-order view of the contiguous copy, a view of a
+                    l21_diagonal = config.lambda1 / loss_scale * (1.0 / (2.0 * np.maximum(norms[p], EPS_L21)))
+                    a.ravel(order="K")[:: a.shape[0] + 1] += l21_diagonal
                 if block is not None:
                     a += block
                 if cross is not None:
                     b = b - config.lambda2 * ((cross.T if p else cross) @ ws[1 - p])
                 ws[p] = _solve_psd(a, b, method)
                 projs[p] = xs[p].T @ ws[p]
-        norms = [np.linalg.norm(w, axis=1) for w in ws]
-        j = loss_scale * sum(np.sum((f - y) ** 2) for f in projs)
+        norms = [_row_norms(w) for w in ws]
+        j = loss_scale * sum(((f - y) ** 2).sum() for f in projs)
         j += config.lambda1 * sum(smoothed_l21(r) for r in norms)
         if config.lambda2 > 0:
             term, blocks, cross = coupling(ws, projs)
@@ -189,7 +199,8 @@ def fit_lcfs(train: PairedMultimodalDataset, config: LcfsConfig | None = None, *
         u, s, _ = np.linalg.svd(np.hstack(projs), full_matrices=False)
         f = 1.0 / np.sqrt(s**2 + EPS_TRACE**2) - 1.0 / EPS_TRACE
         xus = (x @ u for x in xs)
-        blocks = (config.lambda2 * (g / EPS_TRACE + (xu * f) @ xu.T) for xu, g in zip(xus, grams))
+        # Fortran order throughout, as the Grams: adding arrays of mixed memory order is slow
+        blocks = (config.lambda2 * (g / EPS_TRACE + np.asfortranarray((xu * f) @ xu.T)) for xu, g in zip(xus, grams))
         return config.lambda2 * smoothed_trace_norm(s, train.n), blocks, None
 
     return _fit_coupled("lcfs", train, config, start, t0, 0.5, coupling)
@@ -231,11 +242,13 @@ def fit_jfssl(
     config = _own_config(config, SparseCoupledConfig, "jfssl")
     if config.lambda2 > 0:
         c_ab, graph_products = _graph_state(train, min(config.graph_k, max(train.n - 1, 1)), context)
-        graph_terms = [config.lambda2 * product for product in graph_products]
+        # the blocks in Fortran order, as the Grams; the objective's G_p w keeps the C-ordered G_p,
+        # since a product rounds by its operands' memory order
+        graph_terms = [np.asfortranarray(config.lambda2 * product) for product in graph_products]
 
     def coupling(ws, projs):
-        g = sum(np.sum(w * (product @ w)) for w, product in zip(ws, graph_products))
-        return config.lambda2 * float(g + 2.0 * np.sum(ws[1] * (c_ab.T @ ws[0]))), graph_terms, c_ab
+        g = sum((w * (product @ w)).sum() for w, product in zip(ws, graph_products))
+        return config.lambda2 * float(g + 2.0 * (ws[1] * (c_ab.T @ ws[0])).sum()), graph_terms, c_ab
 
     start = _regression_start(train, context)
     return _fit_coupled("jfssl", train, config, start, t0, 1.0, coupling, {"graph_k": config.graph_k})

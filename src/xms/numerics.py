@@ -45,28 +45,38 @@ def default_ridge(b_diagonal: np.ndarray) -> float:
     return 1e-4 * b_diagonal.sum() / b_diagonal.size
 
 
-def solve_gev(a: np.ndarray, b: np.ndarray, k: int, ridge: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def solve_gev(a: np.ndarray, b: np.ndarray | None, k: int, ridge: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Top-k eigenpairs of A v = lambda (B + ridge I) v for symmetric A, B.
 
     Eigenvalues come back non-increasing; eigenvectors satisfy
     v' (B + ridge I) v = 1 and are sign-fixed by their largest entry.
+    ``b=None`` means B = I: one standard ``eigh`` (LAPACK syevd).  The
+    generalized solver (sygvd) runs the same syevd after reducing by B's
+    Cholesky factor, which for B = I changes no bit, so the result is
+    ``b=np.eye(m)``'s.  A nonzero ridge with ``b=None`` is a ``ConfigError``.
     """
     a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ConfigError("shape_mismatch", f"A and B must be square and equal-sized, got {a.shape} and {b.shape}")
+    if b is not None:
+        b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or (b is not None and a.shape != b.shape):
+        raise ConfigError("shape_mismatch", f"A and B must be square and equal-sized, got {a.shape} and {np.shape(b)}")
     m = a.shape[0]
     if not 1 <= k <= m:
         raise ConfigError("bad_k", f"k must lie in 1..{m}, got {k}")
 
-    breg = b + ridge * np.eye(m)
-    bw = la.eigvalsh(breg)
-    if bw[0] <= 0 or bw[-1] / bw[0] > COND_LIMIT:
-        raise NumericalError(
-            "singular_b",
-            f"constraint matrix is numerically singular (cond ~ {bw[-1] / max(bw[0], 1e-300):.2e}); increase ridge",
-        )
-    w, v = la.eigh(a, breg)  # ascending
+    if b is None:
+        if ridge != 0:
+            raise ConfigError("bad_hyperparam", "a ridge needs a constraint matrix B; b=None means B = I")
+        w, v = la.eigh(a, driver="evd")  # ascending
+    else:
+        breg = b + ridge * np.eye(m)
+        bw = la.eigvalsh(breg)
+        if bw[0] <= 0 or bw[-1] / bw[0] > COND_LIMIT:
+            raise NumericalError(
+                "singular_b",
+                f"constraint matrix is numerically singular (cond ~ {bw[-1] / max(bw[0], 1e-300):.2e}); increase ridge",
+            )
+        w, v = la.eigh(a, breg)  # ascending
     return w[::-1][:k], fix_signs(v[:, ::-1][:, :k])
 
 

@@ -1,5 +1,6 @@
 import copy
 import csv
+import ctypes
 import dataclasses
 import json
 import math
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -777,6 +779,49 @@ def test_errors_survive_pickle(cls):
     back = pickle.loads(pickle.dumps(error))
     assert type(back) is cls
     assert (back.code, str(back), back.exit_code) == ("some_code", "what went wrong", cls.exit_code)
+
+
+def _openblas_thread_functions() -> list:
+    """(setter, getter) of each loaded OpenBLAS that has both, found as the workers' pin finds them."""
+    with open("/proc/self/maps") as fh:
+        libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line})
+    pairs = []
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for name in xms.bench._BLAS_THREAD_SETTERS:
+            getter = name.replace("_set_", "_get_")
+            if hasattr(handle, name) and hasattr(handle, getter):
+                set_threads, get_threads = getattr(handle, name), getattr(handle, getter)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                pairs.append((set_threads, get_threads))
+                break
+    return pairs
+
+
+def _openblas_thread_counts() -> list:
+    return [get() for _, get in _openblas_thread_functions()]
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and os.path.exists("/proc/self/maps")), reason="needs fork and /proc")
+def test_worker_start_pins_every_openblas_to_one_thread():
+    # the setters are resolved in the parent; a forked worker only calls them
+    functions = _openblas_thread_functions()
+    if not functions:
+        pytest.skip("no OpenBLAS with thread-count functions is loaded")
+    before = [get() for _, get in functions]
+    try:
+        for set_threads, _ in functions:
+            set_threads(2)
+        if _openblas_thread_counts() != [2] * len(functions):
+            pytest.skip("OpenBLAS cannot be raised above one thread here")
+        args = (None, None, None, xms.bench._blas_thread_setters())
+        with ProcessPoolExecutor(1, multiprocessing.get_context("fork"), xms.bench._start_worker, args) as pool:
+            assert pool.submit(_openblas_thread_counts).result(timeout=60) == [1] * len(functions)
+        assert _openblas_thread_counts() == [2] * len(functions)  # the parent keeps its own count
+    finally:
+        for (set_threads, _), count in zip(functions, before):
+            set_threads(count)
 
 
 def test_worker_count_follows_affinity_mask(monkeypatch):

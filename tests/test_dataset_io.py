@@ -55,6 +55,21 @@ def test_label_out_of_range():
     assert err.value.code == "label_range"
 
 
+@pytest.mark.parametrize("bad", [1.5, np.nan, np.inf, -np.inf, 2.0**63])
+def test_non_integer_labels_rejected(bad):
+    # a cast would truncate 1.5 to 1 without a word
+    x = FeatureMatrix(np.zeros((2, 3)))
+    with pytest.raises(DataError) as err:
+        PairedMultimodalDataset(x, x, [bad, 2.0, 1.0], 2)
+    assert err.value.code == "non_integer_label"
+
+
+def test_integral_float_labels_accepted():
+    x = FeatureMatrix(np.zeros((2, 3)))
+    ds = PairedMultimodalDataset(x, x, [2.0, 1.0, 2.0], 2)
+    assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [2, 1, 2]
+
+
 def test_empty_class_rejected_when_strict():
     with pytest.raises(DataError) as err:
         PairedMultimodalDataset(
@@ -280,6 +295,25 @@ def test_load_declared_c_with_an_empty_class(tmp_path):
     with pytest.raises(DataError) as err:
         load_dataset(d)
     assert err.value.code == "empty_class"
+
+
+@pytest.mark.parametrize("declared_c", [None, 3])
+@pytest.mark.parametrize("bad", ["1.5", "nan", "inf"])
+def test_load_non_integer_labels(tmp_path, declared_c, bad):
+    # checked before the labels are remapped, by the constructor's rule
+    d = tmp_path / "bad"
+    d.mkdir()
+    np.savetxt(d / "features_a.csv", np.zeros((3, 2)), delimiter=",")
+    np.savetxt(d / "features_b.csv", np.zeros((3, 2)), delimiter=",")
+    (d / "labels.csv").write_text(f"1\n{bad}\n3\n")
+    if declared_c is not None:
+        (d / "manifest.json").write_text(json.dumps({"c": declared_c}))
+    with pytest.raises(DataError) as err:
+        load_dataset(d)
+    assert err.value.code == "non_integer_label"
+    with pytest.raises(DataError) as err:
+        _normalize_labels(np.array([[1.0], [float(bad)], [3.0]]), declared_c)
+    assert err.value.code == "non_integer_label"
 
 
 def test_load_malformed_file(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import scipy.linalg as la
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from xms.cli import DEFAULT_GRID
 from xms.dataset_io import encode_labels, random_split, subset
@@ -493,3 +494,87 @@ def test_solve_psd_non_finite_raises(rng, bad, where):
     with pytest.raises(NumericalError) as err:
         _solve_psd(system["a"], system["rhs"], "test")
     assert err.value.code == "divergence"
+
+
+def triangles_apart(rng, d):
+    """An SPD matrix whose upper triangle is one ulp above its lower one, as JFSSL's systems
+    (a sum of general products) can be; LAPACK reads the upper triangle only."""
+    x = rng.standard_normal((d, d + 5))
+    a = x @ x.T + np.eye(d)
+    upper = np.triu_indices(d, 1)
+    a[upper] = np.nextafter(a[upper], np.inf)
+    assert d == 1 or not np.array_equal(a, a.T)
+    return a
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 40, 128])
+def test_solve_psd_reads_the_upper_triangle_in_either_memory_order(rng, d):
+    # the Fortran-ordered systems of the coupled loop give the bits the C-ordered ones gave
+    for _ in range(5):
+        a, rhs = triangles_apart(rng, d), rng.standard_normal((d, 3))
+        expected = cho_solve(a, rhs)
+        for copy in (np.ascontiguousarray(a), np.asfortranarray(a)):
+            assert np.array_equal(_solve_psd(copy, rhs, "test"), expected)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_solve_psd_leaves_the_system_unmodified(rng, order):
+    a, rhs = np.array(triangles_apart(rng, 12), order=order), rng.standard_normal((12, 2))
+    saved = a.copy(order="K"), rhs.copy()
+    _solve_psd(a, rhs, "test")
+    assert np.array_equal(a, saved[0]) and np.array_equal(rhs, saved[1])
+    # the singular case: the failed factorization leaves a for the min-norm lstsq fallback
+    x = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 1.0]])
+    a, rhs = np.array(x @ x.T, order=order), x @ np.array([[1.0, -1.0], [0.5, 2.0]])
+    saved = a.copy(order="K")
+    w = _solve_psd(a, rhs, "test")
+    assert np.array_equal(a, saved)
+    assert np.array_equal(w, np.linalg.lstsq(saved, rhs, rcond=None)[0])
+
+
+@pytest.mark.parametrize("fitter", [fit_lcfs, fit_jfssl])
+def test_coupled_systems_reach_lapack_in_fortran_order(rng, monkeypatch, fitter):
+    # a C-ordered system would cost a transposing copy before every factorization, and a C-ordered
+    # Gram or block a slow mixed-order addition into the Fortran-ordered system
+    ds = random_paired_dataset(rng, n=45, d_a=7, d_b=6, c=3)
+    systems, handed = [], []
+    solve, fit_coupled = coupled._solve_psd, coupled._fit_coupled
+
+    def recording_solve(a, rhs, where):
+        systems.append(a)
+        return solve(a, rhs, where)
+
+    def recording_fit(method, train, config, start, t0, loss_scale, coupling, echo=None):
+        def recording_coupling(ws, projs):
+            term, blocks, cross = coupling(ws, projs)
+            blocks = list(blocks)
+            handed.extend(blocks)
+            return term, blocks, cross
+
+        handed.extend(start[2])  # the Grams
+        return fit_coupled(method, train, config, start, t0, loss_scale, recording_coupling, echo)
+
+    monkeypatch.setattr(coupled, "_solve_psd", recording_solve)
+    monkeypatch.setattr(coupled, "_fit_coupled", recording_fit)
+    context = SplitContext(ds)
+    for l1, l2 in ((0.1, 0.5), (0.0, 0.3), (0.2, 0.0)):
+        model = fitter(ds, SparseCoupledConfig(lambda1=l1, lambda2=l2, max_iters=5), context=context)
+        assert model.hyperparams["iterations"] >= 1
+    assert len(systems) > 2 and len(handed) > 6
+    assert all(a.flags.f_contiguous for a in systems + handed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(1, 12), st.integers(1, 6)),
+        elements=st.floats(allow_nan=False, allow_infinity=False, width=64),
+    ),
+    st.sampled_from(["C", "F"]),
+)
+def test_row_norms_equal_linalg_norm(w, order):
+    # extreme magnitudes included: squares that overflow to inf or underflow to 0 agree too
+    w = np.array(w, order=order)
+    with np.errstate(over="ignore", under="ignore"):
+        assert np.array_equal(coupled._row_norms(w), np.linalg.norm(w, axis=1))

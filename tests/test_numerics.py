@@ -130,6 +130,35 @@ def test_solve_gev_tied_eigenvalues_keep_the_stable_argsort_order():
     assert tied >= 30  # most draws hold a tie
 
 
+def test_solve_gev_without_b_equals_identity_b_bit_for_bit():
+    # b=None solves the standard problem; the generalized solver's reduction by I changes no bit
+    r = np.random.default_rng(11)
+    for trial in range(120):
+        size = int(r.integers(1, 70))
+        if trial % 3 == 0:  # tied eigenvalues, exactly
+            a = np.diag(r.integers(-2, 3, size).astype(float))
+        elif trial % 3 == 1:  # tied eigenvalues up to rounding, in a rotated basis
+            q = np.linalg.qr(r.standard_normal((size, size)))[0]
+            a = (q * r.integers(-2, 3, size)) @ q.T
+            a = 0.5 * (a + a.T)
+        else:
+            a = r.standard_normal((size, size))
+            a = a + a.T
+        for k in {1, int(r.integers(1, size + 1)), size}:
+            vals, vecs = solve_gev(a, None, k)
+            ref_vals, ref_vecs = solve_gev(a, np.eye(size), k)
+            assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+
+
+def test_solve_gev_without_b_refuses_a_ridge():
+    with pytest.raises(ConfigError) as err:
+        solve_gev(np.eye(3), None, 1, ridge=1e-3)
+    assert err.value.code == "bad_hyperparam"
+    with pytest.raises(ConfigError) as err:
+        solve_gev(np.ones((3, 2)), None, 1)
+    assert err.value.code == "shape_mismatch"
+
+
 def test_solve_gev_singular_b_errors():
     with pytest.raises(NumericalError) as err:
         solve_gev(np.eye(3), np.zeros((3, 3)), 1, ridge=0.0)
