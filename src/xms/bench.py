@@ -35,7 +35,7 @@ from .dataset_io import (
     subset,
 )
 from .errors import ConfigError, DataError, XmsError, is_int
-from .methods import SplitContext, _check_dim, _pca_options, fit_method, method_config, normalize_method_name, project
+from .methods import SplitContext, check_request, fit_method, method_config, normalize_method_name, project
 from .retrieval_eval import evaluate_direction, unit_columns
 from .synthetic import make_synthetic_dataset
 
@@ -75,11 +75,9 @@ class MethodSpec:
             raise ConfigError(
                 "bad_config", f"{self.label}: hyperparams_by_metric keys must be 'map' or 'acc_at_k', got {unknown}"
             )
-        _pca_options(self.pca)
-        method_config(self.name, self.hyperparams)
+        check_request(self.name, self.dim, self.pca, self.hyperparams)
         for metric_mode in by_metric:
             method_config(self.name, self.resolved_hyperparams(metric_mode))
-        _check_dim(normalize_method_name(self.name), self.dim)
 
     def resolved_hyperparams(self, metric_mode: str) -> dict:
         merged = dict(self.hyperparams)

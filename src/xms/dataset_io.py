@@ -118,7 +118,7 @@ class PairedMultimodalDataset:
 
 def encode_labels(labels, c: int) -> np.ndarray:
     """One-hot encode 1-based labels into an n x c matrix (row i has a 1 at labels[i])."""
-    labels = np.asarray(labels, dtype=np.int64).ravel()
+    labels = _integer_labels(labels)
     if labels.size and (labels.min() < 1 or labels.max() > c):
         raise DataError("label_range", f"labels must lie in 1..{c}")
     out = np.zeros((labels.size, c))
@@ -142,7 +142,7 @@ def stratified_split(labels, n_train: int, seed: int) -> tuple[np.ndarray, np.nd
     the largest remainders get one sample more, and equal remainders are
     taken in an order drawn from the RNG.
     """
-    labels = np.asarray(labels, dtype=np.int64).ravel()
+    labels = _integer_labels(labels)
     n = labels.size
     if not 0 < n_train < n:
         raise ConfigError("bad_split", f"need 0 < n_train < n, got n_train={n_train}, n={n}")

@@ -11,7 +11,7 @@ from ..preprocess import pca_apply, pca_fit
 from .cca import _RidgeConfig, fit_cca, fit_cca3v
 from .cdfe import CdfeConfig, fit_cdfe
 from .coupled import LcfsConfig, SparseCoupledConfig, fit_jfssl, fit_lcfs
-from .gma import GmaConfig, GmmfaConfig, fit_gma
+from .gma import VARIANTS, GmaConfig, GmmfaConfig, fit_gma
 from .model import METHOD_NAMES, SubspaceModel, load_model, project, save_model
 from .pls import fit_pls
 
@@ -23,6 +23,7 @@ __all__ = [
     "LcfsConfig",
     "SparseCoupledConfig",
     "SubspaceModel",
+    "check_request",
     "fit_cca",
     "fit_cca3v",
     "fit_cdfe",
@@ -114,20 +115,14 @@ class _NoConfig:
 _METHODS = {
     "cca": (_RidgeConfig, lambda ctx, dim, cfg: fit_cca(ctx.train, d=dim, ridge=cfg.ridge), True),
     "pls": (_NoConfig, lambda ctx, dim, cfg: fit_pls(ctx.train, d=dim), True),
-    "blm": (GmaConfig, lambda ctx, dim, cfg: fit_gma(ctx.train, "blm", dim, cfg), True),
-    "gmlda": (GmaConfig, lambda ctx, dim, cfg: fit_gma(ctx.train, "gmlda", dim, cfg), True),
-    "gmmfa": (GmmfaConfig, lambda ctx, dim, cfg: fit_gma(ctx.train, "gmmfa", dim, cfg), True),
+    "blm": (VARIANTS["blm"][0], lambda ctx, dim, cfg: fit_gma(ctx.train, "blm", dim, cfg), True),
+    "gmlda": (VARIANTS["gmlda"][0], lambda ctx, dim, cfg: fit_gma(ctx.train, "gmlda", dim, cfg), True),
+    "gmmfa": (VARIANTS["gmmfa"][0], lambda ctx, dim, cfg: fit_gma(ctx.train, "gmmfa", dim, cfg), True),
     "cdfe": (CdfeConfig, lambda ctx, dim, cfg: fit_cdfe(ctx.train, d=dim, config=cfg), True),
     "cca3v": (_RidgeConfig, lambda ctx, dim, cfg: fit_cca3v(ctx.train, d=dim, ridge=cfg.ridge), True),
     "lcfs": (LcfsConfig, lambda ctx, dim, cfg: fit_lcfs(ctx.train, config=cfg, context=ctx), False),
     "jfssl": (SparseCoupledConfig, lambda ctx, dim, cfg: fit_jfssl(ctx.train, config=cfg, context=ctx), False),
 }
-
-
-def _check_dim(method: str, dim: int | None) -> None:
-    """Refuse a ``dim`` for a (normalized) method whose dimension is fixed; its range needs the data."""
-    if dim is not None and not _METHODS[method][2]:
-        raise ConfigError("bad_dim", f"{method} projects into the label space; its dimension is fixed at c")
 
 
 def method_config(method: str, hyperparams: dict | None = None):
@@ -139,6 +134,18 @@ def method_config(method: str, hyperparams: dict | None = None):
         return _METHODS[method][0](**(hyperparams or {}))
     except TypeError as exc:
         raise ConfigError("bad_hyperparam", f"{method}: {exc}") from exc
+
+
+def check_request(method: str, dim: int | None = None, pca: dict | None = None, hyperparams: dict | None = None):
+    """``(normalized name, config)`` of a fit request, checked without the data in one order: the PCA spec
+    (``bad_pca``), the name (``bad_method``), the hyperparameters (``bad_hyperparam``), and whether the method
+    takes a ``dim`` (``bad_dim``).  The range of ``dim`` needs the data; the fitter checks it."""
+    _pca_options(pca)
+    method = normalize_method_name(method)
+    config = method_config(method, hyperparams)
+    if dim is not None and not _METHODS[method][2]:
+        raise ConfigError("bad_dim", f"{method} projects into the label space; its dimension is fixed at c")
+    return method, config
 
 
 def fit_method(
@@ -158,9 +165,7 @@ def fit_method(
     lets several fits on one split share its PCA and derived state; without
     one, nothing outlives the call.
     """
-    method = normalize_method_name(method)
-    _check_dim(method, dim)
-    config = method_config(method, hyperparams)
+    method, config = check_request(method, dim, pca, hyperparams)
     if context is None:
         context = SplitContext(train)
     elif context.train is not train:

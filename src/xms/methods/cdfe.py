@@ -10,11 +10,11 @@ eigenbasis of the assembled matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..dataset_io import PairedMultimodalDataset
+from ..dataset_io import PairedMultimodalDataset, _integer_labels
 from ..errors import ConfigError, NumericalError, is_int, is_real
 from ..numerics import knn_graph, laplacian_per_weight, solve_gev
 from .model import SubspaceModel, _fit_closed_form, _own_config
@@ -35,7 +35,7 @@ class CdfeConfig:
 
 def pair_weights(labels, alpha: float) -> np.ndarray:
     """Signed n x n cross-modal pair weights: same-class/N1 - alpha * diff-class/N2."""
-    labels = np.asarray(labels, dtype=np.int64).ravel()
+    labels = _integer_labels(labels)
     same = labels[:, None] == labels[None, :]
     n1 = int(same.sum())
     n2 = same.size - n1
@@ -77,10 +77,9 @@ def fit_cdfe(train: PairedMultimodalDataset, d: int | None = None, config: CdfeC
         # smallest eigenpairs of q under stacked orthonormality
         neg_vals, vecs = solve_gev(-q, None, d)
 
-        # objective at a deterministic feasible start vs. at the optimum
-        w0 = np.eye(d_total)[:, :d]
-        trace = [float(np.trace(w0.T @ q @ w0)), float(-neg_vals.sum())]
-        hyperparams = {"alpha": config.alpha, "beta": config.beta, "knn_k": config.knn_k}
+        # objective at the feasible start W0 = I[:, :d] (tr(W0' q W0) is tr(q[:d, :d]) bit for bit) vs. at the optimum
+        trace = [float(np.trace(q[:d, :d])), float(-neg_vals.sum())]
+        hyperparams = asdict(config)
         wa, wb = np.ascontiguousarray(vecs[: train.d_a]), np.ascontiguousarray(vecs[train.d_a :])
         return wa, wb, hyperparams, {"objective_trace": trace}
 

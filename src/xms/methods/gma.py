@@ -51,32 +51,26 @@ class GmmfaConfig(GmaConfig):
             raise ConfigError("bad_k", "mfa_k_intrinsic and mfa_k_penalty must be positive integers")
 
 
-# variant -> the config class it reads
-VARIANTS = {"blm": GmaConfig, "gmlda": GmaConfig, "gmmfa": GmmfaConfig}
+def _blm_blocks(x, labels, config):
+    return x @ x.T / x.shape[1], np.eye(x.shape[0]), x
 
 
-def _variant_blocks(variant: str, config: GmaConfig, views, labels, n):
-    """Per-view (A_i, B_i, cross_i) for the variant."""
-    blocks = []
-    for x in views:
-        if variant == "blm":
-            blocks.append((x @ x.T / n, np.eye(x.shape[0]), x))
-        elif variant == "gmlda":
-            within, between, class_means = scatter(FeatureMatrix(x), labels)
-            # cross term sees the class-mean matrix: every sample column
-            # replaced by its class mean (keeps the n-sample scale)
-            positions = np.unique(labels, return_inverse=True)[1]
-            blocks.append((between, within, class_means[:, positions]))
-        else:
-            # margin-Fisher scatters on edge-weight-averaged Laplacians, and a
-            # per-sample-scaled cross term, so beta ~ 1 balances the blocks
-            intrinsic, penalty = class_knn_graphs(
-                FeatureMatrix(x), labels, config.mfa_k_intrinsic, config.mfa_k_penalty
-            )
-            lap_pen = laplacian_per_weight(penalty)
-            lap_int = laplacian_per_weight(intrinsic)
-            blocks.append((x @ lap_pen @ x.T, x @ lap_int @ x.T, x / np.sqrt(n)))
-    return blocks
+def _gmlda_blocks(x, labels, config):
+    within, between, class_means = scatter(FeatureMatrix(x), labels)
+    # cross term: every sample column replaced by its class mean (keeps the n-sample scale)
+    positions = np.unique(labels, return_inverse=True)[1]
+    return between, within, class_means[:, positions]
+
+
+def _gmmfa_blocks(x, labels, config):
+    # margin-Fisher scatters on edge-weight-averaged Laplacians, and a
+    # per-sample-scaled cross term, so beta ~ 1 balances the blocks
+    intrinsic, penalty = class_knn_graphs(FeatureMatrix(x), labels, config.mfa_k_intrinsic, config.mfa_k_penalty)
+    return x @ laplacian_per_weight(penalty) @ x.T, x @ laplacian_per_weight(intrinsic) @ x.T, x / np.sqrt(x.shape[1])
+
+
+# variant -> (the config class it reads, one view's (A_i, B_i, cross_i) from (x, labels, config))
+VARIANTS = {"blm": (GmaConfig, _blm_blocks), "gmlda": (GmaConfig, _gmlda_blocks), "gmmfa": (GmmfaConfig, _gmmfa_blocks)}
 
 
 def fit_gma(
@@ -87,15 +81,13 @@ def fit_gma(
     otherwise), or None for its defaults; any other raises ``bad_hyperparam``."""
     if variant not in VARIANTS:
         raise ConfigError("bad_variant", f"variant must be one of {tuple(VARIANTS)}, got {variant!r}")
-    config_class = VARIANTS[variant]
+    config_class, view_blocks = VARIANTS[variant]
     config = config_class() if config is None else config
     if type(config) is not config_class:
         raise ConfigError("bad_hyperparam", f"{variant} reads a {config_class.__name__}, got a {type(config).__name__}")
 
     def solve(xa, xb, d):
-        (a_a, b_a, cross_a), (a_b, b_b, cross_b) = _variant_blocks(
-            variant, config, [xa.values, xb.values], train.labels, train.n
-        )
+        (a_a, b_a, cross_a), (a_b, b_b, cross_b) = (view_blocks(x.values, train.labels, config) for x in (xa, xb))
         if config.beta == 0.0:
             # block-diagonal problem: each view keeps its own top-d directions
             ridge = default_ridge(np.concatenate([np.diagonal(b_a), config.alpha * np.diagonal(b_b)]))

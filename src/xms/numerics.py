@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as la
 
-from .dataset_io import FeatureMatrix, PairedMultimodalDataset
+from .dataset_io import FeatureMatrix, PairedMultimodalDataset, _integer_labels
 from .errors import ConfigError, NumericalError
 from .preprocess import fix_signs
 
@@ -88,7 +88,7 @@ def scatter(x: FeatureMatrix, labels) -> tuple[np.ndarray, np.ndarray, np.ndarra
     between = sum_c n_c (m_c - m)(m_c - m)'
     so within + between equals the total scatter about the global mean.
     """
-    labels = np.asarray(labels, dtype=np.int64).ravel()
+    labels = _integer_labels(labels)
     if labels.size != x.n:
         raise ConfigError("n_mismatch", "labels length must match sample count")
     classes = np.unique(labels)
@@ -169,7 +169,9 @@ def class_knn_graphs(x: FeatureMatrix, labels, k_intrinsic: int, k_penalty: int)
     """
     if k_intrinsic <= 0 or k_penalty <= 0:
         raise ConfigError("bad_k", "graph neighbour counts must be positive")
-    labels = np.asarray(labels, dtype=np.int64).ravel()
+    labels = _integer_labels(labels)
+    if labels.size != x.n:
+        raise ConfigError("n_mismatch", "labels length must match sample count")
     d2 = _pairwise_sq_dists(x.values)
     np.fill_diagonal(d2, np.inf)
     same = labels[:, None] == labels[None, :]

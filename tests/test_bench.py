@@ -622,6 +622,33 @@ def test_config_rejects_acc_k_below_one():
 
 
 @pytest.mark.parametrize(
+    "fields",
+    [
+        pytest.param({"reps": 0}, id="repetitions-zero"),
+        pytest.param({"metric_mode": "mrr"}, id="metric-mode-unknown"),
+    ],
+)
+def test_config_rejects_values_out_of_range(fields):
+    with pytest.raises(ConfigError) as err:
+        small_config((MethodSpec("pls", "pls", dim=2),), **fields)
+    assert err.value.code == "bad_config"
+
+
+@pytest.mark.parametrize("n_train", [60, 61])
+def test_run_benchmark_needs_a_test_side(n_train):
+    # the range of n_train needs the data: the synthetic spec has n = 60
+    with pytest.raises(ConfigError, match="n_train must lie in 1..59") as err:
+        run_benchmark(small_config((MethodSpec("pls", "pls", dim=2),), n_train=n_train))
+    assert err.value.code == "bad_config"
+
+
+def test_lambda_sweep_refuses_a_method_without_lambdas():
+    with pytest.raises(ConfigError, match="lcfs and jfssl") as err:
+        lambda_sweep(small_config((MethodSpec("cca", "cca", dim=2),)), "cca", [0.0], [0.0])
+    assert err.value.code == "bad_config"
+
+
+@pytest.mark.parametrize(
     "key, value",
     [
         ("stratified", "false"),

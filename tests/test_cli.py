@@ -11,7 +11,8 @@ import pytest
 import yaml
 
 import xms
-from xms.bench import config_from_dict
+from xms.bench import MethodSpec, compute_ttests, config_from_dict, method_spec_from_dict
+from xms.errors import ConfigError
 from xms.cli import build_parser, main
 from xms.dataset_io import save_dataset
 from xms.methods import load_model, save_model
@@ -148,6 +149,35 @@ def test_fit_bad_hyperparams_exit_2(tmp_path, dataset_dir, capsys, text, code):
     assert not model_path.exists()
 
 
+@pytest.mark.parametrize(
+    "request_fields, code",
+    [
+        pytest.param({"name": "lcfs", "dim": 2, "hyperparams": {"lamda1": 0.1}}, "bad_hyperparam", id="lcfs-dim-key"),
+        pytest.param({"name": "cca", "pca": {"mode": "x"}, "hyperparams": {"zz": 1}}, "bad_pca", id="cca-pca-key"),
+        pytest.param({"name": "jfssl", "dim": 2, "pca": {"mode": "dim", "value": 0}}, "bad_pca", id="jfssl-dim-pca"),
+    ],
+)
+def test_two_fault_request_gets_one_code_at_every_entrance(tmp_path, dataset_dir, capsys, request_fields, code):
+    # MethodSpec, a config file's method entry, fit_method and xms fit all check a request in one order
+    request = {"dim": None, "pca": None, "hyperparams": {}, **request_fields}
+    entrances = {
+        "MethodSpec": lambda: MethodSpec(label="x", **request),
+        "method entry": lambda: method_spec_from_dict(request),
+        "fit_method": lambda: xms.fit_method(xms.load_dataset(dataset_dir), request["name"], request["dim"],
+                                             request["pca"], request["hyperparams"]),
+    }
+    codes = {}
+    for entrance, call in entrances.items():
+        with pytest.raises(ConfigError) as err:
+            call()
+        codes[entrance] = err.value.code
+    argv = ["fit", "--dataset", str(dataset_dir), "--method", request["name"], "--out", str(tmp_path / "m.xms"),
+            "--pca", json.dumps(request["pca"]), "--hyperparams", json.dumps(request["hyperparams"])]
+    assert main(argv + (["--dim", str(request["dim"])] if request["dim"] is not None else [])) == 2
+    codes["xms fit"] = re.match(r"error \[(\w+)\]", capsys.readouterr().err).group(1)
+    assert codes == dict.fromkeys(codes, code)
+
+
 def test_missing_dataset_exit_3(tmp_path, capsys):
     code = main([
         "fit", "--dataset", str(tmp_path / "nope"), "--method", "cca",
@@ -258,8 +288,9 @@ def test_sweep_bad_grid_exit_2(tmp_path, dataset_dir, capsys):
     config_path = tmp_path / "sweep.yaml"
     config_path.write_text(yaml.safe_dump({"dataset": str(dataset_dir), "n_train": 35, "methods": [{"name": "jfssl"}]}))
     argv = ["sweep", "--config", str(config_path), "--method", "jfssl", "--out", str(tmp_path / "s.json")]
-    assert main(argv + ["--grid", "0,x"]) == 2
-    assert capsys.readouterr().err.startswith("error [bad_config]")
+    for grid in ("0,x", ","):
+        assert main(argv + ["--grid", grid]) == 2
+        assert capsys.readouterr().err.startswith("error [bad_config]")
 
 
 @pytest.mark.parametrize(
@@ -276,6 +307,42 @@ def test_bad_hyperparams_exit_2(tmp_path, dataset_dir, capsys, command, hyperpar
     out_path = tmp_path / "out.json"
     assert main([command[0], "--config", str(config_path), "--out", str(out_path), *command[1:]]) == 2
     assert capsys.readouterr().err.startswith("error [bad_hyperparam]")
+    assert not out_path.exists()
+
+
+def test_bench_baseline_writes_the_ttests_of_its_report(tmp_path, dataset_dir):
+    methods = [{"name": "cca", "dim": 2}, {"name": "pls", "dim": 2}]
+    config_path = tmp_path / "bench.yaml"
+    config_path.write_text(yaml.safe_dump({"dataset": str(dataset_dir), "n_train": 35, "repetitions": 3, "methods": methods}))
+    report_path = tmp_path / "r.json"
+    assert main(["bench", "--config", str(config_path), "--out", str(report_path), "--baseline", "pls"]) == 0
+    report = json.loads(report_path.read_text())
+    assert len(report["ttests"]) == 3
+    assert report["ttests"] == compute_ttests(report, "pls")
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        pytest.param(None, None, id="absent"),
+        pytest.param("bench.yaml", "dataset: [x\n", id="yaml-malformed"),
+        pytest.param("bench.json", '{"dataset": ', id="json-malformed"),
+    ],
+)
+def test_bench_unreadable_config_file_exit_2(tmp_path, capsys, name, text):
+    config_path = tmp_path / (name or "absent.yaml")
+    if text is not None:
+        config_path.write_text(text)
+    out_path = tmp_path / "r.json"
+    assert main(["bench", "--config", str(config_path), "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error [bad_config]: {config_path}")
+    assert not out_path.exists()
+
+
+def test_ttest_missing_report_exit_2(tmp_path, capsys):
+    out_path = tmp_path / "t.json"
+    assert main(["ttest", "--report", str(tmp_path / "absent.json"), "--baseline", "cca", "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err.startswith("error [bad_config]")
     assert not out_path.exists()
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -11,12 +12,17 @@ from xms.dataset_io import (
     load_dataset,
     random_split,
     read_matrix,
+    read_matrix_binary,
     save_dataset,
     stratified_split,
     subset,
     write_matrix_binary,
+    write_matrix_stream,
 )
 from xms.errors import ConfigError, DataError
+from xms.methods.cdfe import pair_weights
+from xms.numerics import class_knn_graphs, scatter
+from xms.synthetic import make_synthetic_dataset
 
 
 def make_dataset(rng, n, c, d_a=4, d_b=3):
@@ -64,10 +70,47 @@ def test_non_integer_labels_rejected(bad):
     assert err.value.code == "non_integer_label"
 
 
+LABEL_READERS = {
+    "encode_labels": lambda labels: encode_labels(labels, 3),
+    "stratified_split": lambda labels: stratified_split(labels, 2, 0),
+    "scatter": lambda labels: scatter(FeatureMatrix(np.arange(8.0).reshape(2, 4)), labels),
+    "class_knn_graphs": lambda labels: class_knn_graphs(FeatureMatrix(np.arange(8.0).reshape(2, 4)), labels, 1, 1),
+    "pair_weights": lambda labels: pair_weights(labels, 0.5),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, np.nan, np.inf])
+@pytest.mark.parametrize("reader", sorted(LABEL_READERS))
+def test_public_label_readers_apply_the_label_rule(reader, bad):
+    # each would cast [1.5, 1.2, 2.9, 2.1] to [1, 1, 2, 2] without a word
+    with pytest.raises(DataError) as err:
+        LABEL_READERS[reader]([bad, 1.2, 2.9, 2.1])
+    assert err.value.code == "non_integer_label"
+    LABEL_READERS[reader]([1.0, 1.0, 2.0, 2.0])
+
+
 def test_integral_float_labels_accepted():
     x = FeatureMatrix(np.zeros((2, 3)))
     ds = PairedMultimodalDataset(x, x, [2.0, 1.0, 2.0], 2)
     assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [2, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "build, code",
+    [
+        pytest.param(lambda x: FeatureMatrix(np.zeros(3)), "bad_shape", id="feature-matrix-1d"),
+        pytest.param(lambda x: PairedMultimodalDataset(x, x, [1, 1, 1], 0), "bad_class_count", id="c-zero"),
+        pytest.param(
+            lambda x: PairedMultimodalDataset(x, x, [1, 1, 1], 1, sample_ids=("a", "b")),
+            "pair_count_mismatch",
+            id="sample-ids-length",
+        ),
+    ],
+)
+def test_constructors_refuse_bad_shapes_and_counts(build, code):
+    with pytest.raises(DataError) as err:
+        build(FeatureMatrix(np.zeros((2, 3))))
+    assert err.value.code == code
 
 
 def test_empty_class_rejected_when_strict():
@@ -129,6 +172,14 @@ def test_random_split_bad_sizes():
         random_split(10, 10, 0)
     with pytest.raises(ConfigError):
         random_split(10, 0, 0)
+
+
+def test_split_sizes_must_leave_both_sides_non_empty():
+    for split in (lambda n_train: random_split(5, n_train, 0), lambda n_train: stratified_split([1, 2, 1, 2, 1], n_train, 0)):
+        for n_train in (0, 5):
+            with pytest.raises(ConfigError) as err:
+                split(n_train)
+            assert err.value.code == "bad_split"
 
 
 def test_stratified_split_preserves_class_balance():
@@ -391,3 +442,82 @@ def test_csv_header_row_skipped(tmp_path):
     back = load_dataset(d)
     assert back.n == 2
     assert back.xa.values.T.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_load_refuses_a_missing_matrix_file(tmp_path):
+    with pytest.raises(DataError) as err:
+        read_matrix(tmp_path / "absent.csv")
+    assert err.value.code == "missing_file"
+
+
+def test_matrix_block_refuses_a_3d_array():
+    with pytest.raises(DataError) as err:
+        write_matrix_stream(io.BytesIO(), np.zeros((2, 2, 2)))
+    assert err.value.code == "bad_shape"
+
+
+def _block(values):
+    stream = io.BytesIO()
+    write_matrix_stream(stream, values)
+    return stream.getvalue()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        pytest.param(b"XMS2" + _block(np.ones((2, 3)))[4:], "missing XMS1 magic", id="wrong-magic"),
+        pytest.param(_block(np.ones((2, 3)))[:-8], "truncated matrix block", id="truncated"),
+        pytest.param(_block(np.ones((2, 3))) + b"\0", "trailing bytes", id="trailing-bytes"),
+    ],
+)
+def test_binary_matrix_file_refuses_bad_bytes(tmp_path, content, message):
+    path = tmp_path / "m.bin"
+    path.write_bytes(content)
+    with pytest.raises(DataError, match=message) as err:
+        read_matrix_binary(path)
+    assert err.value.code == "malformed_file"
+
+
+def _set_manifest(directory, **entries):
+    manifest = json.loads((directory / "manifest.json").read_text())
+    (directory / "manifest.json").write_text(json.dumps({**manifest, **entries}))
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data:UserWarning")
+@pytest.mark.parametrize(
+    "breakage, code",
+    [
+        pytest.param(lambda d: (d / "features_a.csv").write_text(""), "malformed_file", id="empty-csv"),
+        pytest.param(lambda d: _set_manifest(d, features_b="gone.csv"), "missing_file", id="manifest-file-absent"),
+        pytest.param(lambda d: _set_manifest(d, sample_ids="ids.txt"), "missing_file", id="manifest-ids-absent"),
+        pytest.param(lambda d: (d / "manifest.json").write_text("{not json"), "malformed_file", id="manifest-not-json"),
+        pytest.param(lambda d: (d / "labels.csv").write_text("1,1\n2,2\n1,1\n2,2\n"), "malformed_file", id="labels-2-cols"),
+    ],
+)
+def test_load_refuses_broken_directories(rng, tmp_path, breakage, code):
+    save_dataset(make_dataset(rng, 4, 2), tmp_path)
+    breakage(tmp_path)
+    with pytest.raises(DataError) as err:
+        load_dataset(tmp_path)
+    assert err.value.code == code
+
+
+def test_save_dataset_refuses_an_unknown_format(rng, tmp_path):
+    with pytest.raises(ConfigError) as err:
+        save_dataset(make_dataset(rng, 4, 2), tmp_path, fmt="npz")
+    assert err.value.code == "bad_format"
+    assert not any(tmp_path.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# synthetic datasets
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [pytest.param({"d_b": 27}, id="d_b-below-latent"), pytest.param({"n": 2, "c": 3}, id="n-below-c")],
+)
+def test_synthetic_dataset_refuses_too_few_dims_or_samples(counts):
+    with pytest.raises(ConfigError) as err:
+        make_synthetic_dataset(**{"n": 30, "c": 3, "d_a": 28, "d_b": 28, **counts})
+    assert err.value.code == "bad_dims"

@@ -1,5 +1,5 @@
-"""Source checks: unused imports, orphaned private helpers, and the module attributes the
-benchmark's tracer patches."""
+"""Source checks: unused imports, orphaned private helpers, private names taken from
+``xms.methods`` by other modules, and the module attributes the benchmark's tracer patches."""
 
 import ast
 import importlib
@@ -114,6 +114,51 @@ def test_no_orphaned_private_helpers():
     sources = {str(path.relative_to(PACKAGE)): path.read_text() for path in sorted(PACKAGE.rglob("*.py"))}
     assert len(sources) > 10
     assert orphaned_private_helpers(sources) == []
+
+
+def private_method_imports(sources: dict[str, str]) -> list[str]:
+    """Underscore-prefixed names that a module outside ``xms.methods`` imports from ``xms.methods``
+    or one of its submodules; ``sources`` maps paths under ``src/``, such as ``xms/bench.py``, to
+    their source.  Every other module reaches the method layer through its public names."""
+    found = []
+    for path, source in sources.items():
+        package = path.split("/")[:-1]
+        if package[:2] == ["xms", "methods"]:
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            base = package[: len(package) + 1 - node.level] if node.level else []
+            module = ".".join(base + (node.module.split(".") if node.module else []))
+            if module == "xms.methods" or module.startswith("xms.methods."):
+                found += [f"{path}: {module}.{alias.name}" for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+def test_private_method_import_check_sees_its_cases():
+    sources = {
+        "xms/bench.py": (
+            "from .methods import SplitContext, _check_dim\n"
+            "from .methods.model import _own_config\n"
+            "from .dataset_io import _integer_labels\n"
+            "from . import methods\n"
+        ),
+        "xms/methods/gma.py": "from .model import _fit_closed_form\nfrom ..methods import _pca_options\n",
+        "xms/tools/probe.py": "from ..methods import _pca_options, fit_method\nfrom xms.methods.gma import _blm_blocks\n",
+    }
+    assert private_method_imports(sources) == [
+        "xms/bench.py: xms.methods._check_dim",
+        "xms/bench.py: xms.methods.model._own_config",
+        "xms/tools/probe.py: xms.methods._pca_options",
+        "xms/tools/probe.py: xms.methods.gma._blm_blocks",
+    ]
+
+
+def test_no_private_method_imports():
+    # a fit request is checked by one public function, check_request, at every entrance
+    sources = {str(path.relative_to(PACKAGE.parent)): path.read_text() for path in sorted(PACKAGE.rglob("*.py"))}
+    assert len(sources) > 10
+    assert private_method_imports(sources) == []
 
 
 def test_every_trace_patch_point_resolves():

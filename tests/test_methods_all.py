@@ -1,5 +1,7 @@
 """Cross-cutting invariants that every fitter must satisfy."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,17 @@ from xms.methods import (
     METHOD_NAMES,
     CdfeConfig,
     GmaConfig,
+    GmmfaConfig,
     LcfsConfig,
     SplitContext,
+    check_request,
     fit_cca,
     fit_cca3v,
     fit_cdfe,
     fit_jfssl,
     fit_lcfs,
     fit_method,
+    method_config,
     normalize_method_name,
     project,
 )
@@ -179,3 +184,35 @@ def test_fit_method_rejects_context_of_another_split(rng):
     other = random_paired_dataset(rng, n=30, d_a=5, d_b=4, c=2)
     with pytest.raises(ConfigError):
         fit_method(ds, "cca", context=SplitContext(other))
+
+
+# one fault per part of a fit request, in the order check_request reports them
+REQUEST_FAULTS = {
+    "bad_pca": {"pca": {"mode": "x"}},
+    "bad_method": {"method": "lcfz"},
+    "bad_hyperparam": {"hyperparams": {"lamda1": 0.1}},
+    "bad_dim": {"dim": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [faults for size in range(1, 5) for faults in combinations(REQUEST_FAULTS, size)],
+    ids="+".join,
+)
+def test_check_request_reports_the_first_fault_in_order(rng, faults):
+    # LCFS takes no dim, so a dim on it is the fourth fault; the first fault present wins at both entrances
+    request = {"method": "lcfs", "dim": None, "pca": None, "hyperparams": None}
+    for fault in faults:
+        request.update(REQUEST_FAULTS[fault])
+    ds = random_paired_dataset(rng, n=20, d_a=4, d_b=3, c=2)
+    for check in (lambda: check_request(**request), lambda: fit_method(ds, **request)):
+        with pytest.raises(ConfigError) as err:
+            check()
+        assert err.value.code == faults[0]
+
+
+def test_check_request_returns_the_name_and_config():
+    request = ("CCA-3V", 2, {"mode": "dim", "value": 3}, {"ridge": 0.5})
+    assert check_request(*request) == ("cca3v", method_config("cca3v", {"ridge": 0.5}))
+    assert check_request("gmmfa") == ("gmmfa", GmmfaConfig())

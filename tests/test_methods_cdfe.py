@@ -108,3 +108,11 @@ def test_config_rejects_non_finite_and_non_integer_values(field, value, code):
     with pytest.raises(ConfigError) as err:
         CdfeConfig(**{field: value})
     assert err.value.code == code
+
+
+def test_inter_class_weight_needs_two_classes(rng):
+    ds = paired_dataset(rng.standard_normal((3, 6)), rng.standard_normal((2, 6)), np.ones(6, dtype=int))
+    with pytest.raises(ConfigError) as err:
+        fit_cdfe(ds, config=CdfeConfig(alpha=0.5))
+    assert err.value.code == "bad_hyperparam"
+    assert fit_cdfe(ds, config=CdfeConfig(alpha=0.0)).d == 1

@@ -136,6 +136,20 @@ def test_model_refuses_shapes_that_disagree(fields):
     assert err.value.code == "dim_mismatch"
 
 
+@pytest.mark.parametrize(
+    "fields, code",
+    [
+        pytest.param({"method": "lda"}, "bad_method", id="unknown-method"),
+        pytest.param({"wa": np.diag([1.0, np.nan, 1.0])}, "non_finite", id="nan-weight"),
+        pytest.param({"wb": np.diag([1.0, 1.0, np.inf])}, "non_finite", id="inf-weight"),
+    ],
+)
+def test_model_refuses_unknown_methods_and_non_finite_weights(fields, code):
+    with pytest.raises(ConfigError) as err:
+        SubspaceModel(**{**vars(identity_model(3)), **fields})
+    assert err.value.code == code
+
+
 def test_objective_trace_accessor(rng):
     ds = random_paired_dataset(rng, n=30, d_a=5, d_b=4, c=2)
     model = fit_method(ds, "lcfs", hyperparams={"lambda1": 0.1, "lambda2": 0.1})

@@ -71,6 +71,20 @@ def test_covariances_count_mismatch(rng):
         covariances(fm(rng.standard_normal((2, 5))), fm(rng.standard_normal((2, 6))))
 
 
+def test_covariances_need_two_samples():
+    with pytest.raises(ConfigError) as err:
+        covariances(fm([[1.0], [2.0]]), fm([[3.0]]))
+    assert err.value.code == "n_mismatch"
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_solve_gev_k_out_of_range(k):
+    for b in (np.eye(2), None):
+        with pytest.raises(ConfigError) as err:
+            solve_gev(np.diag([2.0, 1.0]), b, k)
+        assert err.value.code == "bad_k"
+
+
 # ---------------------------------------------------------------------------
 # solve_gev
 
@@ -257,6 +271,27 @@ def test_class_knn_graphs_structure():
     assert np.abs(intrinsic[:2, 2:]).max() == 0.0
     assert penalty[1, 2] == 1.0  # closest cross-class pair
     assert np.abs(penalty[0, 1]) == 0.0
+
+
+@pytest.mark.parametrize("k_intrinsic, k_penalty", [(0, 1), (1, 0), (-1, 2)])
+def test_class_knn_graphs_invalid_k(k_intrinsic, k_penalty):
+    with pytest.raises(ConfigError) as err:
+        class_knn_graphs(fm([[0.0, 1.0, 10.0, 11.0]]), [1, 1, 2, 2], k_intrinsic, k_penalty)
+    assert err.value.code == "bad_k"
+
+
+def test_class_knn_graphs_need_one_label_per_sample():
+    # like scatter: 4 labels for 5 samples are refused, not broadcast
+    with pytest.raises(ConfigError) as err:
+        class_knn_graphs(fm([[0.0, 1.0, 10.0, 11.0, 12.0]]), [1, 1, 2, 2], 1, 1)
+    assert err.value.code == "n_mismatch"
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_multimodal_graph_invalid_k(rng, k):
+    with pytest.raises(ConfigError) as err:
+        multimodal_graph(paired_dataset(rng.standard_normal((2, 6)), rng.standard_normal((2, 6)), [1, 2] * 3), k)
+    assert err.value.code == "bad_k"
 
 
 def test_multimodal_graph_two_distinct_classes_identity_inter(rng):

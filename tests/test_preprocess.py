@@ -61,6 +61,24 @@ def test_pca_k_exceeds_bound():
         pca_fit(x, k=5)
 
 
+@pytest.mark.parametrize(
+    "n, target",
+    [
+        pytest.param(10, {"k": 2, "energy": 0.9}, id="k-and-energy"),
+        pytest.param(10, {}, id="neither"),
+        pytest.param(1, {"k": 1}, id="one-sample"),
+        pytest.param(10, {"energy": 0.0}, id="energy-zero"),
+        pytest.param(10, {"energy": 1.5}, id="energy-above-one"),
+        pytest.param(10, {"k": 0}, id="k-zero"),
+    ],
+)
+def test_pca_refuses_targets_it_cannot_meet(n, target):
+    x = FeatureMatrix(np.random.default_rng(0).standard_normal((3, n)))
+    with pytest.raises(ConfigError) as err:
+        pca_fit(x, **target)
+    assert err.value.code == "pca_target"
+
+
 def test_pca_full_rank_round_trip(rng):
     x = FeatureMatrix(rng.standard_normal((4, 20)))
     model = pca_fit(x, k=4)
