@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import struct
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -231,9 +232,15 @@ def write_matrix_csv(path, values) -> None:
 
 
 def read_matrix_text(path) -> np.ndarray:
-    """Read a CSV matrix; a single leading row starting with ``#`` is skipped."""
+    """Read a CSV matrix.  ``#`` starts a comment, as in ``np.loadtxt``: a line
+    that starts with ``#`` is skipped wherever it stands, as is the rest of a
+    data line from a ``#`` on, and so are blank lines.  A file with no data
+    row is ``DataError("malformed_file")``."""
     try:
-        values = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        with warnings.catch_warnings():
+            # the typed error below says it, without numpy's warning first
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     except ValueError as exc:
         raise DataError("malformed_file", f"{path}: {exc}") from exc
     if values.size == 0:

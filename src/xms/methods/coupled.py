@@ -77,12 +77,54 @@ def _solve_psd(a: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
     if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
         raise NumericalError("divergence", f"{context}: non-finite normal system")
     _, w, info = la.lapack.dposv(a, rhs, lower=False)
-    if info == 0:
-        return w
+    return w if info == 0 else _min_norm(a, rhs, context)
+
+
+def _min_norm(a, rhs, context):
+    """The min-norm least-squares solution of a w = rhs, for a system Cholesky could not factor."""
     w = np.linalg.lstsq(a, rhs, rcond=None)[0]
     if not np.isfinite(w).all():
         raise NumericalError("singular_system", f"{context}: singular system; use lambda1 > 0 or add ridge")
     return w
+
+
+class _FixedSystem:
+    """A block's normal system whose matrix, apart from the l21 diagonal, is
+    the same at every step of a fit: the Gram G plus a block B fixed for the
+    fit, or G alone.
+
+    G + B is formed and checked for non-finite entries once.  A step solves
+    a fresh copy of it in place, with its diagonal rewritten as (G_ii + d_i)
+    + B_ii when there is an l21 diagonal d: the rounding of adding d to a
+    copy of G and then B.  So a step checks only that diagonal and the
+    right-hand side.
+    """
+
+    def __init__(self, gram, block, context):
+        self.base = gram if block is None else gram + block
+        if not np.isfinite(self.base).all():
+            raise NumericalError("divergence", f"{context}: non-finite normal system")
+        self.diagonals = gram.diagonal().copy(), None if block is None else block.diagonal().copy()
+        self.context = context
+
+    def _matrix(self, diagonal):
+        a = self.base.copy(order="K")
+        if diagonal is not None:
+            a.ravel(order="K")[:: a.shape[0] + 1] = diagonal  # the flat memory-order view of the contiguous copy
+        return a
+
+    def solve(self, l21_diagonal, rhs):
+        """w for the right-hand side ``rhs`` and the l21 diagonal, None at lambda1 = 0."""
+        diagonal = None
+        if l21_diagonal is not None:
+            gram_diagonal, block_diagonal = self.diagonals
+            diagonal = gram_diagonal + l21_diagonal
+            if block_diagonal is not None:
+                diagonal += block_diagonal
+        if not (np.isfinite(rhs).all() and (diagonal is None or np.isfinite(diagonal).all())):
+            raise NumericalError("divergence", f"{self.context}: non-finite normal system")
+        _, w, info = la.lapack.dposv(self._matrix(diagonal), rhs, lower=False, overwrite_a=True)
+        return w if info == 0 else _min_norm(self._matrix(diagonal), rhs, self.context)
 
 
 def _shared(train: PairedMultimodalDataset, context, key, build):
@@ -108,7 +150,9 @@ def _regression_start(train: PairedMultimodalDataset, context):
     return _shared(train, context, "regression_start", build)
 
 
-def _fit_coupled(method, train, config, start, t0, loss_scale, coupling, echo=None) -> SubspaceModel:
+def _fit_coupled(
+    method, train, config, start, t0, loss_scale, coupling, echo=None, fixed_blocks=(None, None)
+) -> SubspaceModel:
     """The half-quadratic iteration LCFS and JFSSL share.
 
     It minimizes loss_scale * sum_p ||x_p' w_p - y||^2 + lambda1 * sum_p
@@ -118,35 +162,44 @@ def _fit_coupled(method, train, config, start, t0, loss_scale, coupling, echo=No
     its previous value, or ``max_iters`` times.  The model's metadata holds the
     objective trace and ``at_max_iters``: whether all ``max_iters`` steps ran.
 
-    The fitter's coupling is used only when lambda2 > 0.  ``coupling(ws,
-    projs)`` returns the iterate's coupling term, the two diagonal blocks the
-    next step adds to the normal systems (iterated once, and only if that
-    step runs, so a generator forms none after the last step), and a λ-free
-    cross block C_ab or None.  Block p's right-hand side then loses lambda2
-    C_{p,1-p} w_{1-p}, with C_ba = C_ab', so block b reads the new w_a
-    (Gauss–Seidel); without a cross block both blocks depend on the previous
-    iterate only (Jacobi).
+    ``fixed_blocks`` are the two diagonal blocks (or None) that every step
+    adds to the normal systems; each block's system is then built and
+    checked once per fit (``_FixedSystem``).  The fitter's coupling is used
+    only when lambda2 > 0.  ``coupling(ws, projs)`` returns the iterate's
+    coupling term, the two diagonal blocks the next step adds instead of the
+    fixed ones (None for none), and a λ-free cross block C_ab or None.  The
+    iterate's blocks are iterated once, and only if that step runs, so a
+    generator forms none after the last step; each step adds them to its
+    reweighted Gram and checks the sum.  Block p's right-hand side loses
+    lambda2 C_{p,1-p} w_{1-p}, with C_ba = C_ab', so block b reads the new
+    w_a (Gauss–Seidel); without a cross block both blocks depend on the
+    previous iterate only (Jacobi).
     """
     xs, y, grams, rhs, ws = start
     ws = list(ws)
     projs = [x.T @ w for x, w in zip(xs, ws)]
-    blocks, cross = (None, None), None
+    systems = [_FixedSystem(g, block, method) for g, block in zip(grams, fixed_blocks)]
+    blocks, cross = None, None
     trace = []
 
     for it in range(config.max_iters + 1):
         if it:
-            for p, block in enumerate(blocks):
-                a, b = grams[p].copy(order="K"), rhs[p]
-                if config.lambda1 > 0:
-                    # smoothed_l21's half-quadratic majorizer at the current rows, with the same EPS_L21,
-                    # added through the flat memory-order view of the contiguous copy, a view of a
-                    l21_diagonal = config.lambda1 / loss_scale * (1.0 / (2.0 * np.maximum(norms[p], EPS_L21)))
-                    a.ravel(order="K")[:: a.shape[0] + 1] += l21_diagonal
-                if block is not None:
-                    a += block
+            for p, block in enumerate(blocks or (None, None)):
+                b, l21_diagonal = rhs[p], None
                 if cross is not None:
                     b = b - config.lambda2 * ((cross.T if p else cross) @ ws[1 - p])
-                ws[p] = _solve_psd(a, b, method)
+                if config.lambda1 > 0:
+                    # smoothed_l21's half-quadratic majorizer at the current rows, with the same EPS_L21
+                    l21_diagonal = config.lambda1 / loss_scale * (1.0 / (2.0 * np.maximum(norms[p], EPS_L21)))
+                if block is None:
+                    ws[p] = systems[p].solve(l21_diagonal, b)
+                else:
+                    # the diagonal through the flat memory-order view of the contiguous copy, then the block
+                    a = grams[p].copy(order="K")
+                    if l21_diagonal is not None:
+                        a.ravel(order="K")[:: a.shape[0] + 1] += l21_diagonal
+                    a += block
+                    ws[p] = _solve_psd(a, b, method)
                 projs[p] = xs[p].T @ ws[p]
         norms = [_row_norms(w) for w in ws]
         j = loss_scale * sum(((f - y) ** 2).sum() for f in projs)
@@ -232,14 +285,16 @@ def fit_jfssl(
     The graph term tr(F L F') of the projected points F = [w_a' x_a, w_b' x_b]
     is evaluated in feature space as sum_p tr(w_p' G_p w_p) + 2 tr(w_b' C_ba w_a),
     from the λ-free G_p = x_p L_pp x_p' and cross block C_ba = C_ab' = x_b L_ba x_a'
-    that the split's graph state holds.  Its coupling hands ``_fit_coupled`` the
-    fixed diagonal blocks lambda2 G_p and the cross block C_ab.
+    that the split's graph state holds.  ``_fit_coupled`` gets the diagonal
+    blocks lambda2 G_p once, as they are fixed for the fit, and the coupling
+    hands it the cross block C_ab.
 
     ``context`` (a ``SplitContext`` of ``train``) shares the λ-free start and
     the graph state with other fits on the same split.
     """
     t0 = time.perf_counter()
     config = _own_config(config, SparseCoupledConfig, "jfssl")
+    graph_terms = (None, None)
     if config.lambda2 > 0:
         c_ab, graph_products = _graph_state(train, min(config.graph_k, max(train.n - 1, 1)), context)
         # the blocks in Fortran order, as the Grams; the objective's G_p w keeps the C-ordered G_p,
@@ -248,7 +303,7 @@ def fit_jfssl(
 
     def coupling(ws, projs):
         g = sum((w * (product @ w)).sum() for w, product in zip(ws, graph_products))
-        return config.lambda2 * float(g + 2.0 * (ws[1] * (c_ab.T @ ws[0])).sum()), graph_terms, c_ab
+        return config.lambda2 * float(g + 2.0 * (ws[1] * (c_ab.T @ ws[0])).sum()), None, c_ab
 
     start = _regression_start(train, context)
-    return _fit_coupled("jfssl", train, config, start, t0, 1.0, coupling, {"graph_k": config.graph_k})
+    return _fit_coupled("jfssl", train, config, start, t0, 1.0, coupling, {"graph_k": config.graph_k}, graph_terms)

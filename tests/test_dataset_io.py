@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -442,6 +443,9 @@ def test_csv_header_row_skipped(tmp_path):
     back = load_dataset(d)
     assert back.n == 2
     assert back.xa.values.T.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    # every # line is skipped wherever it stands, and a data line's tail from its # on
+    (d / "features_b.csv").write_text("1.0,2.0\n# between rows\n\n3.0,4.0 # trailing note\n# last\n")
+    assert load_dataset(d).xb.values.T.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_load_refuses_a_missing_matrix_file(tmp_path):
@@ -483,11 +487,11 @@ def _set_manifest(directory, **entries):
     (directory / "manifest.json").write_text(json.dumps({**manifest, **entries}))
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data:UserWarning")
 @pytest.mark.parametrize(
     "breakage, code",
     [
         pytest.param(lambda d: (d / "features_a.csv").write_text(""), "malformed_file", id="empty-csv"),
+        pytest.param(lambda d: (d / "features_a.csv").write_text("# f0,f1\n\n# f2\n"), "malformed_file", id="comments-only-csv"),
         pytest.param(lambda d: _set_manifest(d, features_b="gone.csv"), "missing_file", id="manifest-file-absent"),
         pytest.param(lambda d: _set_manifest(d, sample_ids="ids.txt"), "missing_file", id="manifest-ids-absent"),
         pytest.param(lambda d: (d / "manifest.json").write_text("{not json"), "malformed_file", id="manifest-not-json"),
@@ -497,8 +501,10 @@ def _set_manifest(directory, **entries):
 def test_load_refuses_broken_directories(rng, tmp_path, breakage, code):
     save_dataset(make_dataset(rng, 4, 2), tmp_path)
     breakage(tmp_path)
-    with pytest.raises(DataError) as err:
-        load_dataset(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the typed error alone, without a warning before it
+        with pytest.raises(DataError) as err:
+            load_dataset(tmp_path)
     assert err.value.code == code
 
 

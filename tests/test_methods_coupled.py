@@ -538,23 +538,25 @@ def test_coupled_systems_reach_lapack_in_fortran_order(rng, monkeypatch, fitter)
     # Gram or block a slow mixed-order addition into the Fortran-ordered system
     ds = random_paired_dataset(rng, n=45, d_a=7, d_b=6, c=3)
     systems, handed = [], []
-    solve, fit_coupled = coupled._solve_psd, coupled._fit_coupled
+    dposv, fit_coupled = la.lapack.dposv, coupled._fit_coupled
 
-    def recording_solve(a, rhs, where):
+    def recording_dposv(a, *args, **kwargs):
         systems.append(a)
-        return solve(a, rhs, where)
+        return dposv(a, *args, **kwargs)
 
-    def recording_fit(method, train, config, start, t0, loss_scale, coupling, echo=None):
+    def recording_fit(method, train, config, start, t0, loss_scale, coupling, echo=None, fixed_blocks=(None, None)):
         def recording_coupling(ws, projs):
             term, blocks, cross = coupling(ws, projs)
-            blocks = list(blocks)
-            handed.extend(blocks)
+            if blocks is not None:
+                blocks = list(blocks)
+                handed.extend(blocks)
             return term, blocks, cross
 
         handed.extend(start[2])  # the Grams
-        return fit_coupled(method, train, config, start, t0, loss_scale, recording_coupling, echo)
+        handed.extend(block for block in fixed_blocks if block is not None)
+        return fit_coupled(method, train, config, start, t0, loss_scale, recording_coupling, echo, fixed_blocks)
 
-    monkeypatch.setattr(coupled, "_solve_psd", recording_solve)
+    monkeypatch.setattr(la.lapack, "dposv", recording_dposv)
     monkeypatch.setattr(coupled, "_fit_coupled", recording_fit)
     context = SplitContext(ds)
     for l1, l2 in ((0.1, 0.5), (0.0, 0.3), (0.2, 0.0)):
@@ -562,6 +564,156 @@ def test_coupled_systems_reach_lapack_in_fortran_order(rng, monkeypatch, fitter)
         assert model.hyperparams["iterations"] >= 1
     assert len(systems) > 2 and len(handed) > 6
     assert all(a.flags.f_contiguous for a in systems + handed)
+
+
+def fit_adding_blocks_each_step(monkeypatch, fitter, ds, cfg):
+    """The fit with its fixed blocks handed over by the coupling at every iterate instead, which the
+    loop adds to each step's reweighted Gram and checks whole before one posv call on a copy: the
+    path whose bits a fixed system must reproduce.  At lambda2 = 0 there is no coupling to hand them
+    over, and the fit is the plain one."""
+    fit_coupled = coupled._fit_coupled
+
+    def adding_fit(method, train, config, start, t0, loss_scale, coupling, echo=None, fixed_blocks=(None, None)):
+        def adding_coupling(ws, projs):
+            term, blocks, cross = coupling(ws, projs)
+            return term, list(fixed_blocks) if blocks is None else blocks, cross
+
+        return fit_coupled(method, train, config, start, t0, loss_scale, adding_coupling, echo)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(coupled, "_fit_coupled", adding_fit)
+        return fitter(ds, cfg)
+
+
+def count_calls(monkeypatch, module, names, fortran=None):
+    """Count the calls to ``module``'s routines ``names``; ``fortran`` collects whether each call's
+    matrix came Fortran-contiguous, the layout LAPACK reads without a transposing copy."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+
+        def counting(*args, _name=name, _routine=getattr(module, name), **kwargs):
+            counts[_name] += 1
+            if fortran is not None:
+                fortran.append(args[0].flags.f_contiguous)
+            return _routine(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+def assert_same_fit(model, expected):
+    assert np.array_equal(model.wa, expected.wa) and np.array_equal(model.wb, expected.wb)
+    assert model.metadata["objective_trace"] == expected.metadata["objective_trace"]
+
+
+# (fitter, lambda1, lambda2): fixed systems (JFSSL's, and either fitter's at lambda2 = 0) with and
+# without the l21 diagonal, and LCFS's blocks, which change with every iterate
+SOLVE_CASES = [
+    (fit_jfssl, 0.0, 0.5),
+    (fit_jfssl, 0.0, 0.0),
+    (fit_lcfs, 0.0, 0.0),
+    (fit_jfssl, 0.1, 0.5),
+    (fit_jfssl, 0.1, 0.0),
+    (fit_lcfs, 0.0, 0.5),
+    (fit_lcfs, 0.1, 0.5),
+    (fit_lcfs, 0.1, 0.0),
+]
+
+
+@pytest.mark.parametrize("fitter, lambda1, lambda2", SOLVE_CASES)
+def test_each_step_solves_each_block_with_one_posv_call(rng, monkeypatch, fitter, lambda1, lambda2):
+    # a fixed system's copy with its diagonal rewritten must give the bits of the system summed afresh
+    ds = random_paired_dataset(rng, n=45, d_a=7, d_b=6, c=3)
+    cfg = SparseCoupledConfig(lambda1=lambda1, lambda2=lambda2, max_iters=12, tol=1e-12)
+    expected = fit_adding_blocks_each_step(monkeypatch, fitter, ds, cfg)
+    context = SplitContext(ds)
+    coupled._regression_start(ds, context)  # the least-squares start's two solves, outside the count
+    fortran = []
+    counts = count_calls(monkeypatch, la.lapack, ("dposv",), fortran)
+    model = fitter(ds, cfg, context=context)
+    steps = model.hyperparams["iterations"]
+    assert steps >= 1 and (steps > 1 or lambda1 == lambda2 == 0)
+    assert counts["dposv"] == len(fortran) == 2 * steps and all(fortran)
+    assert_same_fit(model, expected)
+    if fitter is fit_jfssl:
+        assert_jfssl_matches_reference(ds, cfg)
+    if lambda1 == lambda2 == 0:
+        start = coupled._regression_start(ds, None)[4]
+        assert np.array_equal(model.wa, start[0]) and np.array_equal(model.wb, start[1])
+
+
+@pytest.mark.parametrize("fitter, lambda2", [(fit_jfssl, 0.5), (fit_jfssl, 0.0), (fit_lcfs, 0.5), (fit_lcfs, 0.0)])
+def test_singular_systems_take_the_min_norm_fallback_at_every_step(monkeypatch, fitter, lambda2):
+    # d > n_train: the Grams have rank at most n, so at lambda1 = 0 every system is singular; the
+    # fallback's weights vary with the BLAS kernel, so the add-and-check path is the oracle
+    ds = random_paired_dataset(np.random.default_rng(0), n=9, d_a=14, d_b=12, c=3)
+    cfg = SparseCoupledConfig(lambda1=0.0, lambda2=lambda2)
+    expected = fit_adding_blocks_each_step(monkeypatch, fitter, ds, cfg)
+    context = SplitContext(ds)
+    coupled._regression_start(ds, context)
+    counts = count_calls(monkeypatch, la.lapack, ("dposv",))
+    fallbacks = count_calls(monkeypatch, np.linalg, ("lstsq",))
+    model = fitter(ds, cfg, context=context)
+    steps = model.hyperparams["iterations"]
+    assert steps > 1 or lambda2 == 0
+    assert counts["dposv"] == fallbacks["lstsq"] == 2 * steps
+    assert_same_fit(model, expected)
+
+
+def poison_start(monkeypatch, part):
+    """Put an inf in one Gram or one x_p y of every least-squares start, after the start is solved."""
+    start = coupled._regression_start
+
+    def poisoned(train, context):
+        xs, y, grams, rhs, ws = start(train, context)
+        grams, rhs = [np.array(g, order="K") for g in grams], [r.copy() for r in rhs]
+        {"gram": grams, "rhs": rhs}[part][1][1, 1] = np.inf
+        return xs, y, grams, rhs, ws
+
+    monkeypatch.setattr(coupled, "_regression_start", poisoned)
+
+
+@pytest.mark.parametrize("part", ["gram", "rhs"])
+@pytest.mark.parametrize("lambda1, lambda2", [(0.0, 0.5), (0.1, 0.5), (0.1, 0.0), (0.0, 0.0)])
+@pytest.mark.parametrize("fitter", [fit_lcfs, fit_jfssl])
+def test_non_finite_normal_system_raises_divergence(rng, monkeypatch, fitter, lambda1, lambda2, part):
+    # the objective never reads the Grams or x_p y, so only a step's system check can see the inf:
+    # fixed systems check G_p + B_p once, each step its diagonal and right-hand side
+    ds = random_paired_dataset(rng, n=30, d_a=5, d_b=4, c=2)
+    poison_start(monkeypatch, part)
+    with pytest.raises(NumericalError, match="non-finite normal system") as err:
+        fitter(ds, SparseCoupledConfig(lambda1=lambda1, lambda2=lambda2))
+    assert err.value.code == "divergence"
+
+
+@pytest.mark.parametrize("lambda1", [0.0, 0.1])
+def test_non_finite_graph_state_raises_divergence(rng, monkeypatch, lambda1):
+    ds = random_paired_dataset(rng, n=30, d_a=5, d_b=4, c=2)
+    graph_state = coupled._graph_state
+
+    def poisoned(train, k, context):
+        c_ab, (g_a, g_b) = graph_state(train, k, context)
+        g_a = g_a.copy()
+        g_a[0, 0] = np.inf
+        return c_ab, [g_a, g_b]
+
+    monkeypatch.setattr(coupled, "_graph_state", poisoned)
+    with pytest.raises(NumericalError) as err:
+        fit_jfssl(ds, SparseCoupledConfig(lambda1=lambda1, lambda2=0.5))
+    assert err.value.code == "divergence"
+
+
+@pytest.mark.parametrize("lambda2", [0.0, 0.5])
+@pytest.mark.parametrize("fitter", [fit_lcfs, fit_jfssl])
+def test_overflowing_l21_diagonal_raises_divergence(rng, fitter, lambda2):
+    # large features give rows of norm about 1e-3, so the objective stays finite at lambda1 = 1e308
+    # while the l21 diagonal, lambda1 / (2 ||w_i||), overflows: only the diagonal check sees it (the
+    # overflow also makes numpy warn, hence the errstate)
+    ds = random_paired_dataset(rng, n=30, d_a=5, d_b=4, c=2)
+    ds = paired_dataset(1e3 * ds.xa.values, 1e3 * ds.xb.values, ds.labels, ds.c)
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite normal system") as err:
+        fitter(ds, SparseCoupledConfig(lambda1=1e308, lambda2=lambda2))
+    assert err.value.code == "divergence"
 
 
 @settings(max_examples=200, deadline=None)
