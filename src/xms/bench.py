@@ -15,7 +15,6 @@ import ctypes
 import datetime
 import inspect
 import json
-import math
 import os
 import platform
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -34,7 +33,7 @@ from .dataset_io import (
     stratified_split,
     subset,
 )
-from .errors import ConfigError, DataError, XmsError, is_int
+from .errors import ConfigError, DataError, XmsError, is_int, is_real
 from .methods import SplitContext, check_request, fit_method, method_config, normalize_method_name, project
 from .retrieval_eval import evaluate_direction, unit_columns
 from .synthetic import make_synthetic_dataset
@@ -489,10 +488,10 @@ def lambda_sweep(config: BenchmarkConfig, method: str, grid1, grid2, dataset=Non
     method = normalize_method_name(method)
     if method not in ("lcfs", "jfssl"):
         raise ConfigError("bad_config", f"lambda_sweep supports lcfs and jfssl, got {method}")
-    grid1 = [float(v) for v in grid1]
-    grid2 = [float(v) for v in grid2]
-    if not all(math.isfinite(v) and v >= 0 for v in grid1 + grid2):
-        raise ConfigError("bad_config", "lambda grid values must be finite and >= 0")
+    grid1, grid2 = list(grid1), list(grid2)
+    if not (grid1 and grid2 and all(is_real(v) and v >= 0 for v in grid1 + grid2)):
+        raise ConfigError("bad_config", "each lambda grid must list one or more finite real numbers >= 0")
+    grid1, grid2 = [float(v) for v in grid1], [float(v) for v in grid2]
     template = next(
         (spec for spec in config.methods if normalize_method_name(spec.name) == method), MethodSpec(method, method)
     )

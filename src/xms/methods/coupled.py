@@ -69,35 +69,18 @@ def smoothed_trace_norm(s: np.ndarray, n: int) -> float:
     return float(np.sqrt(s**2 + EPS_TRACE**2).sum() + (n - s.size) * EPS_TRACE)
 
 
-def _solve_psd(a: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
-    """Solve the symmetric PSD normal system a w = rhs by Cholesky (one LAPACK
-    posv call, which is potrf then potrs, on the upper triangle); min-norm
-    fallback if singular.  ``a`` is left as it is; a Fortran-ordered ``a``
-    reaches LAPACK without a transposing copy."""
-    if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
-        raise NumericalError("divergence", f"{context}: non-finite normal system")
-    _, w, info = la.lapack.dposv(a, rhs, lower=False)
-    return w if info == 0 else _min_norm(a, rhs, context)
+class _NormalSystem:
+    """A block's normal system (G + B + diag(d)) w = rhs: the Gram G, a block B
+    or None, and at each solve an l21 diagonal d or None.
 
-
-def _min_norm(a, rhs, context):
-    """The min-norm least-squares solution of a w = rhs, for a system Cholesky could not factor."""
-    w = np.linalg.lstsq(a, rhs, rcond=None)[0]
-    if not np.isfinite(w).all():
-        raise NumericalError("singular_system", f"{context}: singular system; use lambda1 > 0 or add ridge")
-    return w
-
-
-class _FixedSystem:
-    """A block's normal system whose matrix, apart from the l21 diagonal, is
-    the same at every step of a fit: the Gram G plus a block B fixed for the
-    fit, or G alone.
-
-    G + B is formed and checked for non-finite entries once.  A step solves
-    a fresh copy of it in place, with its diagonal rewritten as (G_ii + d_i)
-    + B_ii when there is an l21 diagonal d: the rounding of adding d to a
-    copy of G and then B.  So a step checks only that diagonal and the
-    right-hand side.
+    G + B is formed and checked for non-finite entries once, when the system
+    is built.  A solve copies it, rewrites the copy's diagonal as (G_ii + d_i)
+    + B_ii, the rounding of adding d to a copy of G and then B, and so checks
+    only that diagonal and the right-hand side.  One LAPACK posv call (potrf
+    then potrs, on the upper triangle) then factors and solves the copy in
+    place; if Cholesky fails, a fresh copy gets the min-norm least-squares
+    solution.  G and B are left as they are, and Fortran-ordered ones reach
+    LAPACK without a transposing copy.
     """
 
     def __init__(self, gram, block, context):
@@ -124,7 +107,12 @@ class _FixedSystem:
         if not (np.isfinite(rhs).all() and (diagonal is None or np.isfinite(diagonal).all())):
             raise NumericalError("divergence", f"{self.context}: non-finite normal system")
         _, w, info = la.lapack.dposv(self._matrix(diagonal), rhs, lower=False, overwrite_a=True)
-        return w if info == 0 else _min_norm(self._matrix(diagonal), rhs, self.context)
+        if info == 0:
+            return w
+        w = np.linalg.lstsq(self._matrix(diagonal), rhs, rcond=None)[0]
+        if not np.isfinite(w).all():
+            raise NumericalError("singular_system", f"{self.context}: singular system; use lambda1 > 0 or add ridge")
+        return w
 
 
 def _shared(train: PairedMultimodalDataset, context, key, build):
@@ -145,7 +133,7 @@ def _regression_start(train: PairedMultimodalDataset, context):
         xs = (train.xa.values, train.xb.values)
         y = encode_labels(train.labels, train.c)
         grams, rhs = [np.asfortranarray(x @ x.T) for x in xs], [x @ y for x in xs]
-        return xs, y, grams, rhs, [_solve_psd(g, r, "least squares") for g, r in zip(grams, rhs)]
+        return xs, y, grams, rhs, [_NormalSystem(g, None, "least squares").solve(None, r) for g, r in zip(grams, rhs)]
 
     return _shared(train, context, "regression_start", build)
 
@@ -163,43 +151,39 @@ def _fit_coupled(
     objective trace and ``at_max_iters``: whether all ``max_iters`` steps ran.
 
     ``fixed_blocks`` are the two diagonal blocks (or None) that every step
-    adds to the normal systems; each block's system is then built and
-    checked once per fit (``_FixedSystem``).  The fitter's coupling is used
-    only when lambda2 > 0.  ``coupling(ws, projs)`` returns the iterate's
-    coupling term, the two diagonal blocks the next step adds instead of the
-    fixed ones (None for none), and a λ-free cross block C_ab or None.  The
-    iterate's blocks are iterated once, and only if that step runs, so a
-    generator forms none after the last step; each step adds them to its
-    reweighted Gram and checks the sum.  Block p's right-hand side loses
-    lambda2 C_{p,1-p} w_{1-p}, with C_ba = C_ab', so block b reads the new
-    w_a (Gauss–Seidel); without a cross block both blocks depend on the
-    previous iterate only (Jacobi).
+    adds to the normal systems; each block's ``_NormalSystem`` is then built
+    and checked once per fit.  The fitter's coupling is used only when
+    lambda2 > 0.  ``coupling(ws, projs)`` returns the iterate's coupling term,
+    the two diagonal blocks the next step adds instead of the fixed ones (None
+    for none), and a λ-free cross block C_ab or None.  The iterate's blocks
+    are iterated once, and only if that step runs, so a generator forms none
+    after the last step; the step builds a ``_NormalSystem`` on each of them
+    for itself.  Block p's right-hand side loses lambda2 C_{p,1-p} w_{1-p},
+    with C_ba = C_ab', so block b reads the new w_a (Gauss–Seidel); without a
+    cross block both blocks depend on the previous iterate only (Jacobi).
     """
     xs, y, grams, rhs, ws = start
     ws = list(ws)
     projs = [x.T @ w for x, w in zip(xs, ws)]
-    systems = [_FixedSystem(g, block, method) for g, block in zip(grams, fixed_blocks)]
+    fixed_systems = [_NormalSystem(g, block, method) for g, block in zip(grams, fixed_blocks)]
     blocks, cross = None, None
     trace = []
 
     for it in range(config.max_iters + 1):
         if it:
-            for p, block in enumerate(blocks or (None, None)):
+            systems = fixed_systems
+            if blocks is not None:
+                systems = (_NormalSystem(g, block, method) for g, block in zip(grams, blocks))
+            for p, system in enumerate(systems):
                 b, l21_diagonal = rhs[p], None
                 if cross is not None:
                     b = b - config.lambda2 * ((cross.T if p else cross) @ ws[1 - p])
                 if config.lambda1 > 0:
-                    # smoothed_l21's half-quadratic majorizer at the current rows, with the same EPS_L21
-                    l21_diagonal = config.lambda1 / loss_scale * (1.0 / (2.0 * np.maximum(norms[p], EPS_L21)))
-                if block is None:
-                    ws[p] = systems[p].solve(l21_diagonal, b)
-                else:
-                    # the diagonal through the flat memory-order view of the contiguous copy, then the block
-                    a = grams[p].copy(order="K")
-                    if l21_diagonal is not None:
-                        a.ravel(order="K")[:: a.shape[0] + 1] += l21_diagonal
-                    a += block
-                    ws[p] = _solve_psd(a, b, method)
+                    # smoothed_l21's half-quadratic majorizer at the current rows, with the same EPS_L21;
+                    # where it overflows, the inf is left to the system's diagonal check
+                    with np.errstate(over="ignore"):
+                        l21_diagonal = config.lambda1 / loss_scale * (1.0 / (2.0 * np.maximum(norms[p], EPS_L21)))
+                ws[p] = system.solve(l21_diagonal, b)
                 projs[p] = xs[p].T @ ws[p]
         norms = [_row_norms(w) for w in ws]
         j = loss_scale * sum(((f - y) ** 2).sum() for f in projs)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset_io import FeatureMatrix
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, is_int
 
 
 # Query rows ranked at once by evaluate_direction; bounds its working memory to
@@ -147,13 +147,13 @@ def evaluate_direction(queries: FeatureMatrix, gallery: FeatureMatrix, labels, *
     An item whose similarity equals another in its row is ranked by a stable
     sort of that row instead, ties going to the lower gallery index.
     """
+    if not (ap_cutoff is None or (is_int(ap_cutoff) and ap_cutoff >= 1)):
+        raise ConfigError("bad_k", f"ap_cutoff must be None or an integer >= 1, got {ap_cutoff!r}")
     labels = np.asarray(labels).ravel()
     sims = cosine_similarities(queries, gallery)
     nq, ng = sims.shape
     if labels.size != ng:
         raise DataError("index_range", f"{labels.size} labels for a gallery of {ng}")
-    if ap_cutoff is not None and ap_cutoff < 1:
-        raise ConfigError("bad_k", f"ap_cutoff must be at least 1, got {ap_cutoff}")
     if nq > ng:
         raise DataError("missing_match", f"{nq} queries for {ng} gallery items: query {ng} has no true match")
     # each query's relevant columns are one run of the gallery grouped by label

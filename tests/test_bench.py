@@ -743,10 +743,11 @@ def test_config_from_dict_requires_mappings(raw):
     assert err.value.code == "bad_config"
 
 
-@pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf"), "x", None, True, "empty"])
 def test_lambda_sweep_rejects_bad_grid_values(bad):
     config = small_config((MethodSpec("jfssl", "jfssl"),))
-    for grid1, grid2 in (([bad], [0.0]), ([0.0], [bad])):
+    bad_grid = [] if bad == "empty" else [bad]
+    for grid1, grid2 in ((bad_grid, [0.0]), ([0.0], bad_grid)):
         with pytest.raises(ConfigError) as err:
             lambda_sweep(config, "jfssl", grid1, grid2)
         assert err.value.code == "bad_config"

@@ -11,7 +11,7 @@ import pytest
 
 from xms.methods import SparseCoupledConfig, SplitContext, fit_jfssl, fit_lcfs, load_model, save_model
 from xms.methods import coupled
-from xms.methods.coupled import EPS_L21, EPS_TRACE, _solve_psd
+from xms.methods.coupled import EPS_L21, EPS_TRACE, _NormalSystem
 from xms.numerics import _knn_mask, _pairwise_sq_dists, _symmetrized, knn_graph, laplacian, multimodal_graph
 from xms.synthetic import make_synthetic_dataset
 from tests.conftest import paired_dataset, random_paired_dataset
@@ -467,12 +467,17 @@ def test_graph_state_equals_dense_laplacian_slices(n, d_a, d_b):
         assert np.array_equal(g_b, xb @ lap[n:, n:] @ xb.T)
 
 
+def solve_psd(a, rhs):
+    """w for the normal system a w = rhs with no block and no l21 diagonal, as the least-squares start solves it."""
+    return _NormalSystem(a, None, "test").solve(None, rhs)
+
+
 def test_solve_psd_equals_cho_solve(rng):
     for d in (1, 3, 8, 40):
         for _ in range(20):
             x = rng.standard_normal((d, d + 5))
             a, rhs = x @ x.T, rng.standard_normal((d, 3))
-            assert np.array_equal(_solve_psd(a, rhs, "test"), cho_solve(a, rhs))
+            assert np.array_equal(solve_psd(a, rhs), cho_solve(a, rhs))
 
 
 def test_solve_psd_singular_takes_min_norm_lstsq():
@@ -480,7 +485,7 @@ def test_solve_psd_singular_takes_min_norm_lstsq():
     a, rhs = x @ x.T, x @ np.array([[1.0, -1.0], [0.5, 2.0]])
     with pytest.raises(la.LinAlgError):
         la.cho_factor(a)
-    w = _solve_psd(a, rhs, "test")
+    w = solve_psd(a, rhs)
     np.testing.assert_array_equal(w, np.linalg.lstsq(a, rhs, rcond=None)[0])
     np.testing.assert_allclose(a @ w, rhs, atol=1e-12)
 
@@ -492,7 +497,7 @@ def test_solve_psd_non_finite_raises(rng, bad, where):
     system = {"a": x @ x.T, "rhs": rng.standard_normal((4, 2))}
     system[where][1, 1] = bad
     with pytest.raises(NumericalError) as err:
-        _solve_psd(system["a"], system["rhs"], "test")
+        solve_psd(system["a"], system["rhs"])
     assert err.value.code == "divergence"
 
 
@@ -514,22 +519,33 @@ def test_solve_psd_reads_the_upper_triangle_in_either_memory_order(rng, d):
         a, rhs = triangles_apart(rng, d), rng.standard_normal((d, 3))
         expected = cho_solve(a, rhs)
         for copy in (np.ascontiguousarray(a), np.asfortranarray(a)):
-            assert np.array_equal(_solve_psd(copy, rhs, "test"), expected)
+            assert np.array_equal(solve_psd(copy, rhs), expected)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_solve_psd_leaves_the_system_unmodified(rng, order):
     a, rhs = np.array(triangles_apart(rng, 12), order=order), rng.standard_normal((12, 2))
     saved = a.copy(order="K"), rhs.copy()
-    _solve_psd(a, rhs, "test")
+    solve_psd(a, rhs)
     assert np.array_equal(a, saved[0]) and np.array_equal(rhs, saved[1])
     # the singular case: the failed factorization leaves a for the min-norm lstsq fallback
     x = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 1.0]])
     a, rhs = np.array(x @ x.T, order=order), x @ np.array([[1.0, -1.0], [0.5, 2.0]])
     saved = a.copy(order="K")
-    w = _solve_psd(a, rhs, "test")
+    w = solve_psd(a, rhs)
     assert np.array_equal(a, saved)
     assert np.array_equal(w, np.linalg.lstsq(saved, rhs, rcond=None)[0])
+    # with a block and an l21 diagonal: the split's memoized Gram and the block stay as they were
+    ds = random_paired_dataset(rng, n=20, d_a=12, d_b=5, c=2)
+    context = SplitContext(ds)
+    gram = coupled._regression_start(ds, context)[2][0]
+    block, rhs = np.array(triangles_apart(rng, 12), order=order), rng.standard_normal((12, 2))
+    saved = gram.copy(order="K"), block.copy(order="K"), rhs.copy()
+    system = _NormalSystem(gram, block, "test")
+    for l21_diagonal in (rng.random(12), None):
+        system.solve(l21_diagonal, rhs)
+    assert coupled._regression_start(ds, context)[2][0] is gram
+    assert all(np.array_equal(now, then) for now, then in zip((gram, block, rhs), saved))
 
 
 @pytest.mark.parametrize("fitter", [fit_lcfs, fit_jfssl])
@@ -566,22 +582,31 @@ def test_coupled_systems_reach_lapack_in_fortran_order(rng, monkeypatch, fitter)
     assert all(a.flags.f_contiguous for a in systems + handed)
 
 
+class AddingSystem:
+    """A stand-in for ``_NormalSystem`` that sums the system afresh at every solve: the l21 diagonal
+    added to a copy of the Gram, then the block, the sum checked whole, and one posv call on a copy
+    of it, which stays for the min-norm lstsq fallback.  These are the bits a ``_NormalSystem``,
+    built once and its diagonal rewritten at each solve, must reproduce."""
+
+    def __init__(self, gram, block, context):
+        self.gram, self.block, self.context = gram, block, context
+
+    def solve(self, l21_diagonal, rhs):
+        a = self.gram.copy(order="K")
+        if l21_diagonal is not None:
+            a.ravel(order="K")[:: a.shape[0] + 1] += l21_diagonal
+        if self.block is not None:
+            a += self.block
+        if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
+            raise NumericalError("divergence", f"{self.context}: non-finite normal system")
+        _, w, info = la.lapack.dposv(a, rhs, lower=False)
+        return w if info == 0 else np.linalg.lstsq(a, rhs, rcond=None)[0]
+
+
 def fit_adding_blocks_each_step(monkeypatch, fitter, ds, cfg):
-    """The fit with its fixed blocks handed over by the coupling at every iterate instead, which the
-    loop adds to each step's reweighted Gram and checks whole before one posv call on a copy: the
-    path whose bits a fixed system must reproduce.  At lambda2 = 0 there is no coupling to hand them
-    over, and the fit is the plain one."""
-    fit_coupled = coupled._fit_coupled
-
-    def adding_fit(method, train, config, start, t0, loss_scale, coupling, echo=None, fixed_blocks=(None, None)):
-        def adding_coupling(ws, projs):
-            term, blocks, cross = coupling(ws, projs)
-            return term, list(fixed_blocks) if blocks is None else blocks, cross
-
-        return fit_coupled(method, train, config, start, t0, loss_scale, adding_coupling, echo)
-
+    """The fit, least-squares start included, with every normal system summed afresh at each solve."""
     with monkeypatch.context() as patch:
-        patch.setattr(coupled, "_fit_coupled", adding_fit)
+        patch.setattr(coupled, "_NormalSystem", AddingSystem)
         return fitter(ds, cfg)
 
 
@@ -645,7 +670,7 @@ def test_each_step_solves_each_block_with_one_posv_call(rng, monkeypatch, fitter
 @pytest.mark.parametrize("fitter, lambda2", [(fit_jfssl, 0.5), (fit_jfssl, 0.0), (fit_lcfs, 0.5), (fit_lcfs, 0.0)])
 def test_singular_systems_take_the_min_norm_fallback_at_every_step(monkeypatch, fitter, lambda2):
     # d > n_train: the Grams have rank at most n, so at lambda1 = 0 every system is singular; the
-    # fallback's weights vary with the BLAS kernel, so the add-and-check path is the oracle
+    # fallback's weights vary with the BLAS kernel, so the system summed afresh is the oracle
     ds = random_paired_dataset(np.random.default_rng(0), n=9, d_a=14, d_b=12, c=3)
     cfg = SparseCoupledConfig(lambda1=0.0, lambda2=lambda2)
     expected = fit_adding_blocks_each_step(monkeypatch, fitter, ds, cfg)
@@ -707,11 +732,11 @@ def test_non_finite_graph_state_raises_divergence(rng, monkeypatch, lambda1):
 @pytest.mark.parametrize("fitter", [fit_lcfs, fit_jfssl])
 def test_overflowing_l21_diagonal_raises_divergence(rng, fitter, lambda2):
     # large features give rows of norm about 1e-3, so the objective stays finite at lambda1 = 1e308
-    # while the l21 diagonal, lambda1 / (2 ||w_i||), overflows: only the diagonal check sees it (the
-    # overflow also makes numpy warn, hence the errstate)
+    # while the l21 diagonal, lambda1 / (2 ||w_i||), overflows: only the diagonal check sees it, and
+    # numpy must not warn first (pyproject turns its RuntimeWarning into an error)
     ds = random_paired_dataset(rng, n=30, d_a=5, d_b=4, c=2)
     ds = paired_dataset(1e3 * ds.xa.values, 1e3 * ds.xb.values, ds.labels, ds.c)
-    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite normal system") as err:
+    with pytest.raises(NumericalError, match="non-finite normal system") as err:
         fitter(ds, SparseCoupledConfig(lambda1=1e308, lambda2=lambda2))
     assert err.value.code == "divergence"
 

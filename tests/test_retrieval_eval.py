@@ -299,7 +299,7 @@ def test_evaluate_direction_ap_cutoff(rng):
     cut = evaluate_direction(fm(queries), fm(gallery), labels, ap_cutoff=2)
     assert cut["per_query_ap"].shape == full["per_query_ap"].shape
     assert np.all(cut["per_query_ap"] <= 1.0)
-    for bad in (0, -1):
+    for bad in (0, -1, 2.5, True, "3"):
         with pytest.raises(ConfigError) as info:
             evaluate_direction(fm(queries), fm(gallery), labels, ap_cutoff=bad)
         assert info.value.code == "bad_k"
