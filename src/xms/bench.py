@@ -39,6 +39,7 @@ from .retrieval_eval import evaluate_direction, unit_columns
 from .synthetic import make_synthetic_dataset
 
 DIRECTIONS = ("a2b", "b2a")
+SWEEP_METHODS = ("lcfs", "jfssl")  # the methods lambda_sweep takes, and xms sweep's --method choices
 METRIC_MODES = ("map", "acc_at_k")
 DEFAULT_PCA = {"mode": "energy", "value": 0.98}  # the protocol's PCA, and xms fit's default
 
@@ -249,6 +250,13 @@ def _prepared_data(config: BenchmarkConfig, data) -> PairedMultimodalDataset:
     return data
 
 
+def direction_views(model, data: PairedMultimodalDataset) -> dict:
+    """Each direction's ``(queries, gallery)``: ``model``'s projections of ``data``'s aligned pairs,
+    modality a querying modality b's gallery in ``a2b`` and the other way round in ``b2a``."""
+    proj_a, proj_b = project(model, data.xa, "a"), project(model, data.xb, "b")
+    return {"a2b": (proj_a, proj_b), "b2a": (proj_b, proj_a)}
+
+
 def _outcome(spec: MethodSpec, context: SplitContext, test, config: BenchmarkConfig, r: int) -> dict:
     """Fit ``spec`` on the context's split and evaluate both directions on ``test``: the fit seconds
     and each direction's ``{"metric", "cmc"}``, or ``{"failure": {...}}`` for a typed error."""
@@ -261,9 +269,7 @@ def _outcome(spec: MethodSpec, context: SplitContext, test, config: BenchmarkCon
             hyperparams=spec.resolved_hyperparams(config.metric_mode),
             context=context,
         )
-        proj_a = project(model, test.xa, "a")
-        proj_b = project(model, test.xb, "b")
-        views = {"a2b": (proj_a, proj_b), "b2a": (proj_b, proj_a)}
+        views = direction_views(model, test)
         evaluations = {d: evaluate_direction(*views[d], test.labels, ap_cutoff=config.ap_cutoff) for d in DIRECTIONS}
     except XmsError as exc:
         return {"failure": {"repetition": r, "code": exc.code, "message": str(exc)}}
@@ -486,8 +492,8 @@ def lambda_sweep(config: BenchmarkConfig, method: str, grid1, grid2, dataset=Non
     state is alive per worker at a time.
     """
     method = normalize_method_name(method)
-    if method not in ("lcfs", "jfssl"):
-        raise ConfigError("bad_config", f"lambda_sweep supports lcfs and jfssl, got {method}")
+    if method not in SWEEP_METHODS:
+        raise ConfigError("bad_config", f"lambda_sweep supports {' and '.join(SWEEP_METHODS)}, got {method}")
     grid1, grid2 = list(grid1), list(grid2)
     if not (grid1 and grid2 and all(is_real(v) and v >= 0 for v in grid1 + grid2)):
         raise ConfigError("bad_config", "each lambda grid must list one or more finite real numbers >= 0")

@@ -17,7 +17,7 @@ from . import bench as bench_mod
 from ._version import __version__
 from .dataset_io import load_dataset
 from .errors import ConfigError, DataError, XmsError
-from .methods import fit_method, load_model, project, save_model
+from .methods import fit_method, load_model, save_model
 from .retrieval_eval import evaluate_direction
 
 DEFAULT_GRID = "0,0.0001,0.001,0.01,0.1,1,10,100"
@@ -43,24 +43,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    metrics = {m.strip() for m in args.metrics.split(",")} - {""}
-    if not metrics or not metrics <= {"map", "cmc"}:
-        raise ConfigError("bad_config", f"--metrics must list map, cmc or both, got {args.metrics!r}")
     model = load_model(args.model)
     dataset = load_dataset(args.dataset)
-    proj_a = project(model, dataset.xa, "a")
-    proj_b = project(model, dataset.xb, "b")
-    queries, gallery = (proj_a, proj_b) if args.direction == "a2b" else (proj_b, proj_a)
-    evaluation = evaluate_direction(queries, gallery, dataset.labels)
+    evaluation = evaluate_direction(*bench_mod.direction_views(model, dataset)[args.direction], dataset.labels)
     payload = {"direction": args.direction, "model": str(args.model), "dataset": str(args.dataset)}
-    if "map" in metrics:
-        payload["map"] = evaluation["map"]
-        payload["per_query_ap"] = evaluation["per_query_ap"].tolist()
-    if "cmc" in metrics:
-        payload["cmc"] = evaluation["cmc"].tolist()
+    payload.update(map=evaluation["map"], per_query_ap=evaluation["per_query_ap"].tolist(), cmc=evaluation["cmc"].tolist())
     _write_json(payload, args.out)
-    shown = {k: payload[k] for k in ("map",) if k in payload}
-    print(f"evaluated {args.direction}: {shown or 'cmc written'} -> {args.out}")
+    print(f"evaluated {args.direction}: map={evaluation['map']:.4f} -> {args.out}")
     return 0
 
 
@@ -145,8 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="evaluate a saved model on a dataset directory")
     ev.add_argument("--model", required=True)
     ev.add_argument("--dataset", required=True)
-    ev.add_argument("--direction", choices=("a2b", "b2a"), required=True)
-    ev.add_argument("--metrics", default="map,cmc")
+    ev.add_argument("--direction", choices=bench_mod.DIRECTIONS, required=True)
     ev.add_argument("--out", required=True)
     ev.set_defaults(func=cmd_eval)
 
@@ -157,9 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--baseline", default=None, help="also emit t-tests against this method label")
     be.set_defaults(func=cmd_bench)
 
-    sw = sub.add_parser("sweep", help="lambda1 x lambda2 sweep for lcfs or jfssl")
+    sw = sub.add_parser("sweep", help="lambda1 x lambda2 sweep of a sparse coupled method")
     sw.add_argument("--config", required=True)
-    sw.add_argument("--method", choices=("lcfs", "jfssl"), required=True)
+    sw.add_argument("--method", choices=bench_mod.SWEEP_METHODS, required=True)
     sw.add_argument("--grid", default=DEFAULT_GRID)
     sw.add_argument("--out", required=True)
     sw.set_defaults(func=cmd_sweep)

@@ -30,7 +30,7 @@ def solve_block_gev(b_blocks, cross, d: int, ridge: float | None = None, a_block
     B is block-diagonal with one block per view, ``b_blocks``.  A holds
     ``a_blocks`` on its diagonal (zero blocks when there are none) and, for
     each ``(i, j): block`` of ``cross`` with i < j, the block at (i, j) and
-    its transpose at (j, i).  A ``ridge`` of None means ``default_ridge(B)``.
+    its transpose at (j, i).  A ``ridge`` of None means ``default_ridge(b_blocks)``.
     Returns the eigenvalues, the eigenvectors' rows split into one block per
     view, and the ridge.
     """
@@ -46,7 +46,7 @@ def solve_block_gev(b_blocks, cross, d: int, ridge: float | None = None, a_block
         a[views[i], views[j]] = block
         a[views[j], views[i]] = block.T
     if ridge is None:
-        ridge = default_ridge(np.diagonal(b))
+        ridge = default_ridge(b_blocks)
     eigvals, vecs = solve_gev(a, b, d, ridge)
     return eigvals, [vecs[v] for v in views], ridge
 
@@ -78,8 +78,7 @@ def fit_cca(train: PairedMultimodalDataset, d: int | None = None, ridge: float |
         }
         return wa, wb, {"ridge": float(fitted_ridge)}, metadata
 
-    d_max = min(train.d_a, train.d_b, train.n - 1)
-    return _fit_closed_form(train, "cca", d, d_max, min(30, d_max), solve)
+    return _fit_closed_form(train, "cca", d, min(train.d_a, train.d_b, train.n - 1), solve)
 
 
 def label_view(train: PairedMultimodalDataset) -> FeatureMatrix:
@@ -119,5 +118,4 @@ def fit_cca3v(train: PairedMultimodalDataset, d: int | None = None, ridge: float
         }
         return ws[0], ws[1], {"ridge": float(fitted_ridge)}, metadata
 
-    d_max = min(train.d_a, train.d_b, train.n - 1)
-    return _fit_closed_form(train, "cca3v", d, d_max, max(min(train.c - 1, 30, d_max), 1), solve)
+    return _fit_closed_form(train, "cca3v", d, min(train.d_a, train.d_b, train.n - 1), solve, supervised=True)

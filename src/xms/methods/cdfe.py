@@ -49,7 +49,6 @@ def fit_cdfe(train: PairedMultimodalDataset, d: int | None = None, config: CdfeC
     config = _own_config(config, CdfeConfig, "cdfe")
     if config.alpha > 0 and train.c < 2:
         raise ConfigError("bad_hyperparam", "inter-class weight alpha > 0 needs at least 2 classes")
-    d_total = train.d_a + train.d_b
 
     def solve(xa, xb, d):
         s = pair_weights(train.labels, config.alpha)
@@ -83,4 +82,4 @@ def fit_cdfe(train: PairedMultimodalDataset, d: int | None = None, config: CdfeC
         wa, wb = np.ascontiguousarray(vecs[: train.d_a]), np.ascontiguousarray(vecs[train.d_a :])
         return wa, wb, hyperparams, {"objective_trace": trace}
 
-    return _fit_closed_form(train, "cdfe", d, d_total, max(min(train.c - 1, 30, train.d_a, train.d_b), 1), solve)
+    return _fit_closed_form(train, "cdfe", d, train.d_a + train.d_b, solve, supervised=True)

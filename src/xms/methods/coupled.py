@@ -80,7 +80,8 @@ class _NormalSystem:
     then potrs, on the upper triangle) then factors and solves the copy in
     place; if Cholesky fails, a fresh copy gets the min-norm least-squares
     solution.  G and B are left as they are, and Fortran-ordered ones reach
-    LAPACK without a transposing copy.
+    LAPACK without a transposing copy.  A diagonal sum that overflows fails
+    the check (``divergence``); the caller silences numpy's warning for it.
     """
 
     def __init__(self, gram, block, context):
@@ -175,15 +176,17 @@ def _fit_coupled(
             if blocks is not None:
                 systems = (_NormalSystem(g, block, method) for g, block in zip(grams, blocks))
             for p, system in enumerate(systems):
-                b, l21_diagonal = rhs[p], None
+                b = rhs[p]
                 if cross is not None:
                     b = b - config.lambda2 * ((cross.T if p else cross) @ ws[1 - p])
                 if config.lambda1 > 0:
-                    # smoothed_l21's half-quadratic majorizer at the current rows, with the same EPS_L21;
-                    # where it overflows, the inf is left to the system's diagonal check
+                    # smoothed_l21's half-quadratic majorizer at the current rows, with the same EPS_L21; where
+                    # it or its sum with the system's diagonal overflows, the inf is left to the system's check
                     with np.errstate(over="ignore"):
                         l21_diagonal = config.lambda1 / loss_scale * (1.0 / (2.0 * np.maximum(norms[p], EPS_L21)))
-                ws[p] = system.solve(l21_diagonal, b)
+                        ws[p] = system.solve(l21_diagonal, b)
+                else:
+                    ws[p] = system.solve(None, b)
                 projs[p] = xs[p].T @ ws[p]
         norms = [_row_norms(w) for w in ws]
         j = loss_scale * sum(((f - y) ** 2).sum() for f in projs)

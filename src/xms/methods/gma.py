@@ -88,21 +88,17 @@ def fit_gma(
 
     def solve(xa, xb, d):
         (a_a, b_a, cross_a), (a_b, b_b, cross_b) = (view_blocks(x.values, train.labels, config) for x in (xa, xb))
+        a_blocks, b_blocks = [a_a, config.mu * a_b], [b_a, config.alpha * b_b]
         if config.beta == 0.0:
             # block-diagonal problem: each view keeps its own top-d directions
-            ridge = default_ridge(np.concatenate([np.diagonal(b_a), config.alpha * np.diagonal(b_b)]))
-            _, wa = solve_gev(a_a, b_a, d, ridge)
-            _, wb = solve_gev(config.mu * a_b, config.alpha * b_b, d, ridge)
+            ridge = default_ridge(b_blocks)
+            (_, wa), (_, wb) = (solve_gev(a, b, d, ridge) for a, b in zip(a_blocks, b_blocks))
             eigvals = []
         else:
             cross = 0.5 * config.beta * (cross_a @ cross_b.T)
-            vals, (wa, wb), ridge = solve_block_gev(
-                [b_a, config.alpha * b_b], {(0, 1): cross}, d, a_blocks=[a_a, config.mu * a_b]
-            )
+            vals, (wa, wb), ridge = solve_block_gev(b_blocks, {(0, 1): cross}, d, a_blocks=a_blocks)
             eigvals = [float(v) for v in vals]
         hyperparams = {**asdict(config), "ridge": float(ridge)}
         return np.ascontiguousarray(wa), np.ascontiguousarray(wb), hyperparams, {"gev_eigenvalues": eigvals}
 
-    d_max = min(train.d_a, train.d_b)
-    d_default = min(30, d_max) if variant == "blm" else max(min(train.c - 1, 30, d_max), 1)
-    return _fit_closed_form(train, variant, d, d_max, d_default, solve)
+    return _fit_closed_form(train, variant, d, min(train.d_a, train.d_b), solve, supervised=variant != "blm")

@@ -70,20 +70,24 @@ def _own_config(config, config_class, method: str):
 
 
 def _fit_closed_form(
-    train: PairedMultimodalDataset, method: str, d: int | None, d_max: int, default_d: int, solve
+    train: PairedMultimodalDataset, method: str, d: int | None, d_max: int, solve, supervised: bool = False
 ) -> SubspaceModel:
     """The front end of the closed-form fitters.
 
-    It centers both training views, takes ``default_d`` when ``d`` is None,
-    checks 1 <= d <= ``d_max`` (``bad_dim``), and calls ``solve(xa, xb, d)``
-    on the centered views, which returns ``(wa, wb, hyperparams, metadata)``.
-    The model keeps the training means as its centers, and ``fit_seconds``
-    covers all of it.
+    It centers both training views; for ``d`` None takes the one default,
+    min(30, ``d_max``, d_a, d_b), which a ``supervised`` method (one that reads
+    labels) caps at c - 1 but not below 1; checks 1 <= d <= ``d_max``
+    (``bad_dim``); and calls ``solve(xa, xb, d)`` on the centered views, which
+    returns ``(wa, wb, hyperparams, metadata)``.  The model keeps the training
+    means as its centers, and ``fit_seconds`` covers all of it.
     """
     t0 = time.perf_counter()
     mean_a, xa = center_fit(train.xa)
     mean_b, xb = center_fit(train.xb)
-    d = default_d if d is None else d
+    if d is None:
+        d = min(30, d_max, train.d_a, train.d_b)
+        if supervised:
+            d = max(min(train.c - 1, d), 1)
     if not 1 <= d <= d_max:
         raise ConfigError("bad_dim", f"d must lie in 1..{d_max}, got {d}")
     wa, wb, hyperparams, metadata = solve(xa, xb, d)

@@ -27,11 +27,12 @@ def fit_pls(train: PairedMultimodalDataset, d: int | None = None) -> SubspaceMod
 
     def solve(xa, xb, d):
         c = xa.values @ xb.values.T / (train.n - 1)
+        if not np.isfinite(c).all():
+            raise NumericalError("divergence", "cross-covariance holds a NaN or infinity; are the features too large?")
         u, sigmas, vt = np.linalg.svd(c, full_matrices=False)
         if sigmas[0] < 1e-12:
             raise NumericalError("no_covariance", "cross-covariance has no structure (all singular values < 1e-12)")
         signs = column_signs(u[:, :d])
         return u[:, :d] * signs, vt[:d].T * signs, {}, {"score_covariances": sigmas[:d].tolist()}
 
-    d_max = min(train.d_a, train.d_b, train.n - 1)  # rank(C) <= n - 1
-    return _fit_closed_form(train, "pls", d, d_max, min(30, d_max), solve)
+    return _fit_closed_form(train, "pls", d, min(train.d_a, train.d_b, train.n - 1), solve)  # rank(C) <= n - 1

@@ -40,9 +40,10 @@ def covariances(xa: FeatureMatrix, xb: FeatureMatrix) -> tuple[np.ndarray, np.nd
     return f * (xa.values @ xa.values.T), f * (xb.values @ xb.values.T), f * (xa.values @ xb.values.T)
 
 
-def default_ridge(b_diagonal: np.ndarray) -> float:
-    """Ridge scale used by all GEV-based fitters, from B's diagonal: 1e-4 * trace(B)/size(B)."""
-    return 1e-4 * b_diagonal.sum() / b_diagonal.size
+def default_ridge(b_blocks) -> float:
+    """Ridge scale of all GEV-based fitters from B's diagonal blocks: 1e-4 * trace(B)/size(B), summed as one array."""
+    diagonal = np.concatenate([np.diagonal(block) for block in b_blocks])
+    return 1e-4 * diagonal.sum() / diagonal.size
 
 
 def solve_gev(a: np.ndarray, b: np.ndarray | None, k: int, ridge: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -53,7 +54,8 @@ def solve_gev(a: np.ndarray, b: np.ndarray | None, k: int, ridge: float = 0.0) -
     ``b=None`` means B = I: one standard ``eigh`` (LAPACK syevd).  The
     generalized solver (sygvd) runs the same syevd after reducing by B's
     Cholesky factor, which for B = I changes no bit, so the result is
-    ``b=np.eye(m)``'s.  A nonzero ridge with ``b=None`` is a ``ConfigError``.
+    ``b=np.eye(m)``'s.  A nonzero ridge with ``b=None`` is a ``ConfigError``; a NaN
+    or infinity in A or B + ridge I is ``NumericalError("divergence")``.
     """
     a = np.asarray(a, dtype=np.float64)
     if b is not None:
@@ -64,12 +66,14 @@ def solve_gev(a: np.ndarray, b: np.ndarray | None, k: int, ridge: float = 0.0) -
     if not 1 <= k <= m:
         raise ConfigError("bad_k", f"k must lie in 1..{m}, got {k}")
 
-    if b is None:
-        if ridge != 0:
-            raise ConfigError("bad_hyperparam", "a ridge needs a constraint matrix B; b=None means B = I")
+    if b is None and ridge != 0:
+        raise ConfigError("bad_hyperparam", "a ridge needs a constraint matrix B; b=None means B = I")
+    breg = None if b is None else b + ridge * np.eye(m)
+    if not (np.isfinite(a).all() and (breg is None or np.isfinite(breg).all())):
+        raise NumericalError("divergence", "A or B + ridge I holds a NaN or infinity; are the features too large?")
+    if breg is None:
         w, v = la.eigh(a, driver="evd")  # ascending
     else:
-        breg = b + ridge * np.eye(m)
         bw = la.eigvalsh(breg)
         if bw[0] <= 0 or bw[-1] / bw[0] > COND_LIMIT:
             raise NumericalError(
@@ -112,6 +116,8 @@ def _pairwise_sq_dists(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray
     sq_x = (x**2).sum(axis=0)
     sq_y = (y**2).sum(axis=0)
     d2 = sq_x[:, None] + sq_y[None, :] - 2.0 * (x.T @ y)
+    if not np.isfinite(d2).all():  # an overflow, which would leave the k-NN masks empty
+        raise NumericalError("divergence", "a squared distance overflowed; are the features too large?")
     return np.maximum(d2, 0.0)
 
 

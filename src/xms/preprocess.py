@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset_io import FeatureMatrix
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def pca_fit(x: FeatureMatrix, k: int | None = None, energy: float | None = None)
     where a thin SVD of Xc would give eps * sigma_1 / gap in singular
     values.  So directions whose variance is below about 1e-8 lambda_1 are
     less accurate than an SVD's, and eigenvalues below about eps * lambda_1
-    may come out as 0.
+    may come out as 0.  An overflowed scatter is ``NumericalError("divergence")``.
     """
     if (k is None) == (energy is None):
         raise ConfigError("pca_target", "specify exactly one of k and energy")
@@ -80,7 +80,10 @@ def pca_fit(x: FeatureMatrix, k: int | None = None, energy: float | None = None)
 
     mean, centered = center_fit(x)
     xc = centered.values
-    w, u = np.linalg.eigh(xc @ xc.T)  # ascending
+    scatter = xc @ xc.T
+    if not np.isfinite(scatter).all():
+        raise NumericalError("divergence", "PCA scatter holds a NaN or infinity; are the features too large?")
+    w, u = np.linalg.eigh(scatter)  # ascending
     u, eigenvalues = u[:, ::-1], np.maximum(w[::-1], 0.0) / (x.n - 1)
 
     if energy is not None:

@@ -21,12 +21,14 @@ import pytest
 from scipy import integrate
 
 from xms.bench import (
+    DIRECTIONS,
     BenchmarkConfig,
     MethodSpec,
     box_stats,
     compute_ttests,
     config_from_dict,
     default_method_specs,
+    direction_views,
     lambda_sweep,
     run_benchmark,
     students_t_test,
@@ -39,6 +41,7 @@ import xms.cli
 import xms.methods
 from xms.dataset_io import FeatureMatrix, PairedMultimodalDataset, random_split, subset
 from xms.errors import ConfigError, DataError, NumericalError, XmsError
+from xms.retrieval_eval import evaluate_direction
 from xms.synthetic import make_synthetic_dataset
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -270,6 +273,63 @@ def test_benchmark_records_failures_and_flags_incomplete():
         assert bad["directions"]["a2b"]["summary"] is None
     good = report["methods"]["pls"]
     assert good["complete"] and len(good["directions"]["a2b"]["map_runs"]) == 2
+
+
+def test_benchmark_records_a_typed_failure_where_a_product_overflows():
+    # modality a scaled by 1e200: CCA's covariances overflow, and the fit raises NumericalError("divergence")
+    # before LAPACK could raise an untyped ValueError, which would escape the run
+    data = small_dataset()
+    big = dataclasses.replace(data, xa=FeatureMatrix(1e200 * data.xa.values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = run_benchmark(small_config((MethodSpec("cca", "cca"),), reps=1), big)
+    entry = report["methods"]["cca"]
+    assert not entry["complete"]
+    assert [(f["repetition"], f["code"]) for f in entry["failures"]] == [(0, "divergence")]
+
+
+def test_direction_views_query_modality_a_in_a2b():
+    data = small_dataset()
+    model = xms.methods.fit_method(data, "cca", dim=2)
+    proj_a, proj_b = (xms.methods.project(model, x, m).values for x, m in ((data.xa, "a"), (data.xb, "b")))
+    views = direction_views(model, data)
+    assert tuple(views) == DIRECTIONS
+    for direction, (queries, gallery) in (("a2b", (proj_a, proj_b)), ("b2a", (proj_b, proj_a))):
+        assert np.array_equal(views[direction][0].values, queries)
+        assert np.array_equal(views[direction][1].values, gallery)
+
+
+def _lineup_maps(train, test):
+    """Each default spec's MAP per direction, fitted on ``train`` and evaluated on ``test``."""
+    context = xms.methods.SplitContext(train)
+    maps = {}
+    for spec in default_method_specs():
+        model = xms.methods.fit_method(train, spec.name, pca=spec.pca, hyperparams=spec.hyperparams, context=context)
+        views = direction_views(model, test)
+        maps[spec.label] = {d: evaluate_direction(*views[d], test.labels)["map"] for d in DIRECTIONS}
+    return maps
+
+
+@pytest.mark.parametrize("d_a, d_b", [(128, 128), (128, 96)])
+def test_lineup_maps_under_sample_permutation_and_modality_swap(d_a, d_b):
+    # metamorphic relations of the nine default specs on criterion-7-sized data, exact to the last bit:
+    # permuting the training samples changes no MAP, and swapping modalities a and b in training and test
+    # data turns a2b into b2a. Every spec is symmetric in a and b (GMA's mu = alpha = 1, CDFE's symmetric
+    # pair weights); JFSSL's Gauss-Seidel step solves block a first, and still gives the same MAPs.
+    # d_a == d_b adds JFSSL's cross-modal k-NN pairs.
+    data = make_synthetic_dataset(n=400, c=3, d_a=d_a, d_b=d_b, seed=7)
+    train_idx, test_idx = random_split(data.n, 304, 0)
+    train, test = subset(data, train_idx), subset(data, test_idx)
+    base = _lineup_maps(train, test)
+    assert len({round(maps["a2b"], 6) for maps in base.values()}) > 3  # the relations are not held by MAP = 1
+
+    permuted = subset(train, np.random.default_rng(5).permutation(train.n))
+    assert _lineup_maps(permuted, test) == base
+
+    def swap(ds):
+        return dataclasses.replace(ds, xa=ds.xb, xb=ds.xa)
+
+    swapped = _lineup_maps(swap(train), swap(test))
+    assert {label: {"a2b": maps["b2a"], "b2a": maps["a2b"]} for label, maps in swapped.items()} == base
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -646,6 +706,9 @@ def test_lambda_sweep_refuses_a_method_without_lambdas():
     with pytest.raises(ConfigError, match="lcfs and jfssl") as err:
         lambda_sweep(small_config((MethodSpec("cca", "cca", dim=2),)), "cca", [0.0], [0.0])
     assert err.value.code == "bad_config"
+    assert xms.bench.SWEEP_METHODS == ("lcfs", "jfssl")
+    with pytest.raises(SystemExit):
+        xms.cli.build_parser().parse_args(["sweep", "--config", "c.yaml", "--method", "cca", "--out", "s.json"])
 
 
 @pytest.mark.parametrize(

@@ -14,8 +14,9 @@ import xms
 from xms.bench import MethodSpec, compute_ttests, config_from_dict, method_spec_from_dict
 from xms.errors import ConfigError
 from xms.cli import build_parser, main
-from xms.dataset_io import save_dataset
-from xms.methods import load_model, save_model
+from xms.dataset_io import load_dataset, save_dataset
+from xms.methods import load_model, project, save_model
+from xms.retrieval_eval import evaluate_direction
 from xms.synthetic import make_synthetic_dataset
 
 
@@ -38,24 +39,33 @@ def test_fit_then_eval(tmp_path, dataset_dir, capsys):
     out_path = tmp_path / "eval.json"
     assert main([
         "eval", "--model", str(model_path), "--dataset", str(dataset_dir),
-        "--direction", "a2b", "--metrics", "map,cmc", "--out", str(out_path),
+        "--direction", "a2b", "--out", str(out_path),
     ]) == 0
     payload = json.loads(out_path.read_text())
+    assert set(payload) == {"direction", "model", "dataset", "map", "per_query_ap", "cmc"}
     assert 0.0 <= payload["map"] <= 1.0
+    assert payload["map"] == np.mean(payload["per_query_ap"])
+    assert len(payload["per_query_ap"]) == 50
     assert len(payload["cmc"]) == 50
     assert payload["cmc"][-1] == 1.0
 
 
-def test_eval_without_a_known_metric_exit_2(tmp_path, dataset_dir, capsys):
+def test_eval_directions_equal_evaluate_direction_of_the_projections(tmp_path, dataset_dir):
     model_path = tmp_path / "model.xms"
     assert main(["fit", "--dataset", str(dataset_dir), "--method", "cca", "--out", str(model_path)]) == 0
-    out_path = tmp_path / "eval.json"
-    argv = ["eval", "--model", str(model_path), "--dataset", str(dataset_dir), "--direction", "a2b", "--out", str(out_path)]
-    capsys.readouterr()
-    for metrics in ("", " , ", "map,ndcg"):
-        assert main(argv + ["--metrics", metrics]) == 2
-        assert capsys.readouterr().err.startswith("error [bad_config]")
-        assert not out_path.exists()
+    model, data = load_model(model_path), load_dataset(dataset_dir)
+    proj_a, proj_b = project(model, data.xa, "a"), project(model, data.xb, "b")
+    payloads = {}
+    for direction, (queries, gallery) in (("a2b", (proj_a, proj_b)), ("b2a", (proj_b, proj_a))):
+        out_path = tmp_path / f"{direction}.json"
+        argv = ["eval", "--model", str(model_path), "--dataset", str(dataset_dir), "--direction", direction]
+        assert main(argv + ["--out", str(out_path)]) == 0
+        payloads[direction] = json.loads(out_path.read_text())
+        expected = evaluate_direction(queries, gallery, data.labels)
+        assert payloads[direction]["map"] == expected["map"]
+        assert payloads[direction]["per_query_ap"] == expected["per_query_ap"].tolist()
+        assert payloads[direction]["cmc"] == expected["cmc"].tolist()
+    assert payloads["a2b"]["per_query_ap"] != payloads["b2a"]["per_query_ap"]  # the directions differ here
 
 
 def test_eval_model_whose_center_disagrees_with_its_pca_exit_3(tmp_path, dataset_dir, capsys):

@@ -23,7 +23,8 @@ from xms.methods import (
     normalize_method_name,
     project,
 )
-from xms.errors import ConfigError
+from xms.errors import ConfigError, NumericalError
+from xms.bench import DEFAULT_PCA
 from tests.conftest import paired_dataset, random_paired_dataset
 
 HYPERPARAMS = {
@@ -92,6 +93,46 @@ def test_closed_form_dimension_contract(name):
         with pytest.raises(ConfigError) as err:
             fit_method(ds, name, dim=dim)
         assert err.value.code == "bad_dim"
+
+
+# default d of each closed-form method on edge shapes (n, d_a, d_b, c): min(30, bound, d_a, d_b), and for the
+# supervised ones (cca3v, gmlda, gmmfa, cdfe) at most c - 1 of those, but at least 1
+EDGE_DEFAULT_DIMS = {
+    # c - 1 = 5 lies between d_a and d_b; CDFE's bound d_a + d_b = 11 does not lift its default above d_a
+    (40, 3, 8, 6): {"cca": 3, "pls": 3, "blm": 3, "cca3v": 3, "gmlda": 3, "gmmfa": 3, "cdfe": 3},
+    # n - 1 = 11 below 30 bounds CCA, PLS and CCA-3V, but not the GMA family or CDFE
+    (12, 40, 35, 4): {"cca": 11, "pls": 11, "blm": 30, "cca3v": 3, "gmlda": 3, "gmmfa": 3, "cdfe": 3},
+    # d_a != d_b: the smaller view bounds the unsupervised methods
+    (80, 45, 20, 3): {"cca": 20, "pls": 20, "blm": 20, "cca3v": 2, "gmlda": 2, "gmmfa": 2, "cdfe": 2},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(EDGE_DEFAULT_DIMS))
+def test_closed_form_default_dimension_on_edge_shapes(shape):
+    n, d_a, d_b, c = shape
+    ds = random_paired_dataset(np.random.default_rng(5), n=n, d_a=d_a, d_b=d_b, c=c)
+    assert {name: fit_method(ds, name).d for name in EDGE_DEFAULT_DIMS[shape]} == EDGE_DEFAULT_DIMS[shape]
+
+
+@pytest.mark.parametrize("pca", [None, DEFAULT_PCA], ids=["raw", "pca"])
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_features_whose_products_overflow_raise_divergence(name, pca):
+    # finite features whose Grams, scatters or cross-covariances may overflow: every fitter either fits or
+    # raises the typed NumericalError("divergence") before LAPACK sees an inf (which it refuses untyped)
+    ds = random_paired_dataset(np.random.default_rng(4), n=30, d_a=8, d_b=6, c=3)
+    outcomes = []
+    for scale_a, scale_b in ((1e300, 1e300), (1e200, 1.0), (1.0, 1e160), (1e150, 1e150)):
+        big = paired_dataset(scale_a * ds.xa.values, scale_b * ds.xb.values, ds.labels, ds.c)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                model = fit_method(big, name, pca=pca)
+        except NumericalError as err:
+            outcomes.append(err.code)
+        else:
+            outcomes.append("fitted")
+            assert np.isfinite(project(model, big.xa, "a").values).all()
+    assert set(outcomes) <= {"divergence", "fitted"}
+    assert outcomes[0] == "divergence"  # at 1e300 every product of two features overflows
 
 
 def test_gev_fitters_eigenvalues_non_increasing(rng):

@@ -741,6 +741,20 @@ def test_overflowing_l21_diagonal_raises_divergence(rng, fitter, lambda2):
     assert err.value.code == "divergence"
 
 
+@pytest.mark.parametrize("fitter", [fit_lcfs, fit_jfssl])
+def test_overflowing_diagonal_sum_raises_divergence(rng, fitter):
+    # features scaled so that the Grams' largest diagonal entry is 1.5e308 give least-squares rows far
+    # below EPS_L21, so at lambda1 = 1e302 the l21 diagonal is finite (5e307 for JFSSL, 1e308 for LCFS)
+    # and only its sum with the Gram's diagonal overflows: the system's diagonal check must see it
+    # before numpy warns (pyproject turns the warning into an error)
+    ds = random_paired_dataset(rng, n=30, d_a=5, d_b=4, c=2)
+    scale = np.sqrt(1.5e308 / max((x.values**2).sum(axis=1).max() for x in (ds.xa, ds.xb)))
+    ds = paired_dataset(scale * ds.xa.values, scale * ds.xb.values, ds.labels, ds.c)
+    with pytest.raises(NumericalError, match="non-finite normal system") as err:
+        fitter(ds, SparseCoupledConfig(lambda1=1e302, lambda2=0.0))
+    assert err.value.code == "divergence"
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     arrays(

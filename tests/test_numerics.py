@@ -10,6 +10,7 @@ from xms.numerics import (
     _knn_mask,
     class_knn_graphs,
     covariances,
+    default_ridge,
     knn_graph,
     laplacian,
     laplacian_per_weight,
@@ -179,6 +180,28 @@ def test_solve_gev_singular_b_errors():
     assert "ridge" in str(err.value)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_solve_gev_refuses_a_non_finite_a_or_b_before_lapack(bad):
+    # LAPACK would refuse them with an untyped error; a product of large finite features gets there
+    spoiled = np.eye(3)
+    spoiled[1, 2] = spoiled[2, 1] = bad
+    for a, b in ((spoiled, np.eye(3)), (np.eye(3), spoiled), (spoiled, None)):
+        with pytest.raises(NumericalError) as err:
+            solve_gev(a, b, 1)
+        assert err.value.code == "divergence"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 130), min_size=1, max_size=3), st.integers(0, 2**32 - 1))
+def test_default_ridge_of_the_blocks_equals_that_of_the_assembled_b(sizes, seed):
+    # solve_block_gev and GMA's per-view solves take the ridge from B's diagonal blocks; it is the ridge
+    # of the block-diagonal B, 1e-4 * trace(B) / size(B), bit for bit, its diagonal summed in place
+    r = np.random.default_rng(seed)
+    blocks = [r.standard_normal((size, size)) * 10.0 ** r.integers(-3, 4) for size in sizes]
+    b = la.block_diag(*blocks)
+    assert default_ridge(blocks) == 1e-4 * np.diagonal(b).sum() / b.shape[0]
+
+
 # ---------------------------------------------------------------------------
 # scatter
 
@@ -187,6 +210,12 @@ def test_scatter_every_sample_own_class(rng):
     x = fm(rng.standard_normal((3, 5)))
     within, _, _ = scatter(x, np.arange(1, 6))
     assert np.abs(within).max() < 1e-12
+
+
+def test_scatter_needs_one_label_per_sample():
+    with pytest.raises(ConfigError) as err:
+        scatter(fm([[0.0, 1.0, 2.0]]), [1, 2])
+    assert err.value.code == "n_mismatch"
 
 
 def test_scatter_single_class(rng):
@@ -285,6 +314,20 @@ def test_class_knn_graphs_need_one_label_per_sample():
     with pytest.raises(ConfigError) as err:
         class_knn_graphs(fm([[0.0, 1.0, 10.0, 11.0, 12.0]]), [1, 1, 2, 2], 1, 1)
     assert err.value.code == "n_mismatch"
+
+
+def test_graph_builders_refuse_distances_that_overflow(rng):
+    # an inf or NaN squared distance would drop out of every k-NN mask and leave an empty graph
+    x = 1e200 * rng.standard_normal((3, 6))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for build in (
+            lambda: knn_graph(fm(x), 2),
+            lambda: class_knn_graphs(fm(x), [1, 2] * 3, 1, 1),
+            lambda: multimodal_graph(paired_dataset(x, x / 1e200, [1, 2] * 3), 1),
+        ):
+            with pytest.raises(NumericalError) as err:
+                build()
+            assert err.value.code == "divergence"
 
 
 @pytest.mark.parametrize("k", [0, -1])

@@ -63,6 +63,12 @@ def test_matches_brute_force_on_random_instances(rng):
         assert rl.gallery_order.tolist() == brute_force_order(queries[:, i], gallery)
 
 
+def test_cosine_similarities_need_equal_dimensions(rng):
+    with pytest.raises(ConfigError) as err:
+        cosine_similarities(fm(rng.standard_normal((3, 4))), fm(rng.standard_normal((2, 4))))
+    assert err.value.code == "dim_mismatch"
+
+
 def test_similarities_non_increasing(rng):
     ranked = rank_by_cosine(fm(rng.standard_normal((3, 5))), fm(rng.standard_normal((3, 20))))
     for rl in ranked:
@@ -192,6 +198,13 @@ def test_ap_empty_relevant_errors():
     ranked, _ = ranked_from_pattern([0, 0])
     with pytest.raises(ConfigError):
         average_precision(ranked, set())
+
+
+def test_ap_relevant_item_outside_the_gallery_errors():
+    ranked, _ = ranked_from_pattern([1, 0, 0])
+    with pytest.raises(DataError) as err:
+        average_precision(ranked, {0, 3})
+    assert err.value.code == "index_range"
 
 
 def test_ap_range_and_extremes(rng):
