@@ -311,9 +311,9 @@ def _entry(spec: MethodSpec, outcomes, metric_name: str) -> dict:
     }
 
 
-def _split_runs(r: int, data: PairedMultimodalDataset, config: BenchmarkConfig, specs) -> list[dict]:
-    """Repetition r: split with seed base_seed + r, then fit and evaluate every spec against one
-    ``SplitContext``, which is dropped on return; one outcome per spec."""
+def _split_runs(r: int, data: PairedMultimodalDataset, config: BenchmarkConfig) -> list[dict]:
+    """Repetition r: split with seed base_seed + r, then fit and evaluate every spec of the lineup
+    against one ``SplitContext``, which is dropped on return; one outcome per spec."""
     seed = config.base_seed + r
     if config.stratified:
         train_idx, test_idx = stratified_split(data.labels, config.n_train, seed)
@@ -321,7 +321,7 @@ def _split_runs(r: int, data: PairedMultimodalDataset, config: BenchmarkConfig, 
         train_idx, test_idx = random_split(data.n, config.n_train, seed)
     train, test = subset(data, train_idx), subset(data, test_idx)
     context = SplitContext(train)
-    return [_outcome(spec, context, test, config, r) for spec in specs]
+    return [_outcome(spec, context, test, config, r) for spec in config.methods]
 
 
 def _worker_count(repetitions: int) -> int:
@@ -373,12 +373,12 @@ def _blas_thread_setters() -> list:
     return setters
 
 
-_worker_args = None  # (data, config, specs), inherited from the parent when the pool forks
+_worker_args = None  # (data, config), inherited from the parent when the pool forks
 
 
-def _start_worker(data, config, specs, blas_setters) -> None:
+def _start_worker(data, config, blas_setters) -> None:
     global _worker_args
-    _worker_args = (data, config, specs)
+    _worker_args = (data, config)
     for setter in blas_setters:  # workers already share the CPUs; BLAS threads on top would oversubscribe them
         setter(1)
 
@@ -387,33 +387,31 @@ def _worker_split_runs(r: int) -> list[dict]:
     return _split_runs(r, *_worker_args)
 
 
-def _all_runs(data: PairedMultimodalDataset, config: BenchmarkConfig, specs, workers: int) -> list[tuple]:
-    """Every spec's outcomes over all repetitions, in repetition order.
+def _all_runs(data: PairedMultimodalDataset, config: BenchmarkConfig, workers: int) -> dict:
+    """The report's ``methods`` entry of every spec in ``config.methods``, by label: the one path
+    from a lineup to its entries, for the benchmark and the sweep alike.
 
     With more than one worker, the repetitions run on a pool of that many
-    forked processes, started for this call.  The data, config and specs
-    reach them by inheritance; only repetition numbers go out and only outcomes
-    come back, in repetition order, so they equal a serial run's.
+    forked processes, started for this call.  The data and config reach them
+    by inheritance; only repetition numbers go out and only outcomes come
+    back, in repetition order, so they equal a serial run's.
     An error in a repetition is raised here once the workers have finished
     the repetitions they hold; a worker that dies raises ``BrokenProcessPool``.
     """
     if workers == 1:
-        splits = [_split_runs(r, data, config, specs) for r in range(config.repetitions)]
+        splits = [_split_runs(r, data, config) for r in range(config.repetitions)]
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        args = (data, config, specs, _blas_thread_setters())
+        args = (data, config, _blas_thread_setters())
         pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _start_worker, args)
         try:
             splits = list(pool.map(_worker_split_runs, range(config.repetitions)))
         finally:
             pool.shutdown(cancel_futures=True)
-    return list(zip(*splits))
-
-
-def _metric_name(config: BenchmarkConfig) -> str:
-    return "map" if config.metric_mode == "map" else f"acc@{config.acc_k}"
+    metric_name = "map" if config.metric_mode == "map" else f"acc@{config.acc_k}"
+    return {spec.label: _entry(spec, outcomes, metric_name) for spec, outcomes in zip(config.methods, zip(*splits))}
 
 
 def run_benchmark(config: BenchmarkConfig, dataset: PairedMultimodalDataset | None = None) -> dict:
@@ -426,16 +424,11 @@ def run_benchmark(config: BenchmarkConfig, dataset: PairedMultimodalDataset | No
     """
     data = _prepared_data(config, dataset)
     workers = _worker_count(config.repetitions)
-    runs = _all_runs(data, config, config.methods, workers)
-
-    methods_out = {}
-    box_out = {}
-    for spec, outcomes in zip(config.methods, runs):
-        entry = methods_out[spec.label] = _entry(spec, outcomes, _metric_name(config))
-        box_out[spec.label] = {
-            d: box_stats(out["map_runs"]) for d, out in entry["directions"].items() if out["map_runs"]
-        }
-
+    methods_out = _all_runs(data, config, workers)
+    box_out = {
+        label: {d: box_stats(out["map_runs"]) for d, out in entry["directions"].items() if out["map_runs"]}
+        for label, entry in methods_out.items()
+    }
     return {
         "config": asdict(config),
         "methods": methods_out,
@@ -483,13 +476,14 @@ def compute_ttests(report: dict, baseline: str, welch: bool = False) -> list[dic
 def lambda_sweep(config: BenchmarkConfig, method: str, grid1, grid2, dataset=None) -> dict:
     """Mean-metric surface over a (lambda1, lambda2) grid for lcfs or jfssl.
 
-    Every cell runs the repeated protocol on the same splits, so cells are
-    comparable across methods and grids, and each cell's numbers equal a
-    ``run_benchmark`` of that cell alone.  The sweep runs split by split: all
+    The grid is a lineup: one spec per cell, labelled ``template[i,j]``, run
+    by the benchmark's own runner (``_all_runs``), so every cell runs the
+    repeated protocol on the same splits and each cell's numbers equal a
+    ``run_benchmark`` of that cell alone.  The runner goes split by split: all
     cells are fitted against one ``SplitContext``, which is dropped before the
     next split, so the PCA, Grams, least-squares start and graph are built once
-    per split.  Splits run in parallel as in ``run_benchmark``, so one split's
-    state is alive per worker at a time.
+    per split, and one split's state is alive per worker at a time.  A cell
+    whose every repetition failed is listed in ``failed_cells`` and reads None.
     """
     method = normalize_method_name(method)
     if method not in SWEEP_METHODS:
@@ -504,20 +498,20 @@ def lambda_sweep(config: BenchmarkConfig, method: str, grid1, grid2, dataset=Non
     data = _prepared_data(config, dataset)
 
     base = template.resolved_hyperparams(config.metric_mode)
-    cells = [(i, j) for i in range(len(grid1)) for j in range(len(grid2))]
-    specs = [
-        MethodSpec(
-            method, template.label, pca=template.pca, hyperparams={**base, "lambda1": grid1[i], "lambda2": grid2[j]}
+    cells = {
+        (i, j): MethodSpec(
+            method, f"{template.label}[{i},{j}]", pca=template.pca, hyperparams={**base, "lambda1": l1, "lambda2": l2}
         )
-        for i, j in cells
-    ]
-    runs = _all_runs(data, config, specs, _worker_count(config.repetitions))
+        for i, l1 in enumerate(grid1)
+        for j, l2 in enumerate(grid2)
+    }
+    entries = _all_runs(data, replace(config, methods=tuple(cells.values())), _worker_count(config.repetitions))
 
     surfaces = {d: [[None] * len(grid2) for _ in grid1] for d in DIRECTIONS}
     failed_cells = []
-    for (i, j), spec, outcomes in zip(cells, specs, runs):
-        entry = _entry(spec, outcomes, _metric_name(config))
-        if all("failure" in outcome for outcome in outcomes):
+    for (i, j), spec in cells.items():
+        entry = entries[spec.label]
+        if entry["directions"]["a2b"]["summary"] is None:
             failed_cells.append({"lambda1": grid1[i], "lambda2": grid2[j], "failures": entry["failures"]})
             continue
         for d in DIRECTIONS:

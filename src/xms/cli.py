@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -53,6 +54,19 @@ def cmd_eval(args) -> int:
     return 0
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, which follows YAML 1.1 and so reads ``1e-3`` (no dot) as text, taught
+    YAML 1.2's exponent floats: ``1e-3``, ``1E4``, ``.5e3`` and ``1.0e3`` are numbers.  Quoted
+    scalars stay text, and PyYAML's own loaders are left as they are."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
 def _load_config_file(path) -> dict:
     path = Path(path)
     if not path.is_file():
@@ -61,7 +75,7 @@ def _load_config_file(path) -> dict:
     try:
         if path.suffix.lower() == ".json":
             return json.loads(text)
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=_ConfigLoader)
     except (json.JSONDecodeError, yaml.YAMLError) as exc:
         raise ConfigError("bad_config", f"{path}: {exc}") from exc
 

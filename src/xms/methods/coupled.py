@@ -81,7 +81,7 @@ class _NormalSystem:
     place; if Cholesky fails, a fresh copy gets the min-norm least-squares
     solution.  G and B are left as they are, and Fortran-ordered ones reach
     LAPACK without a transposing copy.  A diagonal sum that overflows fails
-    the check (``divergence``); the caller silences numpy's warning for it.
+    the check (``divergence``); the fitters' errstate silences numpy's warning.
     """
 
     def __init__(self, gram, block, context):
@@ -182,9 +182,8 @@ def _fit_coupled(
                 if config.lambda1 > 0:
                     # smoothed_l21's half-quadratic majorizer at the current rows, with the same EPS_L21; where
                     # it or its sum with the system's diagonal overflows, the inf is left to the system's check
-                    with np.errstate(over="ignore"):
-                        l21_diagonal = config.lambda1 / loss_scale * (1.0 / (2.0 * np.maximum(norms[p], EPS_L21)))
-                        ws[p] = system.solve(l21_diagonal, b)
+                    l21_diagonal = config.lambda1 / loss_scale * (1.0 / (2.0 * np.maximum(norms[p], EPS_L21)))
+                    ws[p] = system.solve(l21_diagonal, b)
                 else:
                     ws[p] = system.solve(None, b)
                 projs[p] = xs[p].T @ ws[p]
@@ -220,6 +219,9 @@ def _fit_coupled(
     )
 
 
+# a product that overflows leaves an inf or NaN without numpy's warning; the fit's finiteness checks
+# (the normal systems, the graph's distances, the objective) raise it as NumericalError("divergence")
+@np.errstate(over="ignore", invalid="ignore")
 def fit_lcfs(train: PairedMultimodalDataset, config: LcfsConfig | None = None, *, context=None) -> SubspaceModel:
     """Coupled regression onto one-hot labels with l21 row sparsity and a
     trace-norm coupling of the two projected blocks: half the squared
@@ -263,6 +265,7 @@ def _graph_state(train: PairedMultimodalDataset, k: int, context):
     return _shared(train, context, ("multimodal_graph", k), build)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as fit_lcfs
 def fit_jfssl(
     train: PairedMultimodalDataset, config: SparseCoupledConfig | None = None, *, context=None
 ) -> SubspaceModel:

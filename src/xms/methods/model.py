@@ -90,7 +90,8 @@ def _fit_closed_form(
             d = max(min(train.c - 1, d), 1)
     if not 1 <= d <= d_max:
         raise ConfigError("bad_dim", f"d must lie in 1..{d_max}, got {d}")
-    wa, wb, hyperparams, metadata = solve(xa, xb, d)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing product fails a finiteness check instead
+        wa, wb, hyperparams, metadata = solve(xa, xb, d)
     return SubspaceModel(
         wa=wa,
         wb=wb,

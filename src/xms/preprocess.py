@@ -80,7 +80,8 @@ def pca_fit(x: FeatureMatrix, k: int | None = None, energy: float | None = None)
 
     mean, centered = center_fit(x)
     xc = centered.values
-    scatter = xc @ xc.T
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed scatter fails the check below instead
+        scatter = xc @ xc.T
     if not np.isfinite(scatter).all():
         raise NumericalError("divergence", "PCA scatter holds a NaN or infinity; are the features too large?")
     w, u = np.linalg.eigh(scatter)  # ascending

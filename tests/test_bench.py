@@ -280,8 +280,7 @@ def test_benchmark_records_a_typed_failure_where_a_product_overflows():
     # before LAPACK could raise an untyped ValueError, which would escape the run
     data = small_dataset()
     big = dataclasses.replace(data, xa=FeatureMatrix(1e200 * data.xa.values))
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = run_benchmark(small_config((MethodSpec("cca", "cca"),), reps=1), big)
+    report = run_benchmark(small_config((MethodSpec("cca", "cca"),), reps=1), big)
     entry = report["methods"]["cca"]
     assert not entry["complete"]
     assert [(f["repetition"], f["code"]) for f in entry["failures"]] == [(0, "divergence")]
@@ -298,11 +297,11 @@ def test_direction_views_query_modality_a_in_a2b():
         assert np.array_equal(views[direction][1].values, gallery)
 
 
-def _lineup_maps(train, test):
-    """Each default spec's MAP per direction, fitted on ``train`` and evaluated on ``test``."""
+def _lineup_maps(train, test, specs=default_method_specs()):
+    """Each spec's MAP per direction, fitted on ``train`` and evaluated on ``test``."""
     context = xms.methods.SplitContext(train)
     maps = {}
-    for spec in default_method_specs():
+    for spec in specs:
         model = xms.methods.fit_method(train, spec.name, pca=spec.pca, hyperparams=spec.hyperparams, context=context)
         views = direction_views(model, test)
         maps[spec.label] = {d: evaluate_direction(*views[d], test.labels)["map"] for d in DIRECTIONS}
@@ -330,6 +329,32 @@ def test_lineup_maps_under_sample_permutation_and_modality_swap(d_a, d_b):
 
     swapped = _lineup_maps(swap(train), swap(test))
     assert {label: {"a2b": maps["b2a"], "b2a": maps["a2b"]} for label, maps in swapped.items()} == base
+
+
+@pytest.mark.parametrize("d_a, d_b", [(128, 128), (128, 96)])
+def test_lineup_maps_under_rotation_of_modality_a(d_a, d_b):
+    # a random orthogonal rotation Q of modality a, in training and test data alike, leaves every projection
+    # x' w of the PCA-fronted specs and of the unregularized least-squares start unchanged in exact arithmetic,
+    # and their MAPs to the last bit on criterion-7-sized data: the seven PCA-fronted default specs and LCFS
+    # at lambda1 = 0. The l21 norm of w is not rotation invariant, so default LCFS and JFSSL move; JFSSL at
+    # lambda1 = 0 is invariant only when d_a != d_b, since with d_a == d_b its cross-modal k-NN links compare
+    # raw a and b features
+    data = make_synthetic_dataset(n=400, c=3, d_a=d_a, d_b=d_b, seed=7)
+    train_idx, test_idx = random_split(data.n, 304, 0)
+    train, test = subset(data, train_idx), subset(data, test_idx)
+    specs = default_method_specs() + tuple(
+        MethodSpec(name, f"{name}[lambda1=0]", hyperparams={"lambda1": 0.0}) for name in ("lcfs", "jfssl")
+    )
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((d_a, d_a)))
+
+    def rotate(ds):
+        return dataclasses.replace(ds, xa=FeatureMatrix(q @ ds.xa.values))
+
+    base = _lineup_maps(train, test, specs)
+    rotated = _lineup_maps(rotate(train), rotate(test), specs)
+    invariant = [spec.label for spec in specs if spec.pca] + ["lcfs[lambda1=0]"] + ["jfssl[lambda1=0]"] * (d_a != d_b)
+    assert sorted(label for label in base if rotated[label] == base[label]) == sorted(invariant)
+    assert len({round(maps["a2b"], 6) for maps in base.values()}) > 3  # the relations are not held by MAP = 1
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -906,7 +931,7 @@ def test_worker_start_pins_every_openblas_to_one_thread():
             set_threads(2)
         if _openblas_thread_counts() != [2] * len(functions):
             pytest.skip("OpenBLAS cannot be raised above one thread here")
-        args = (None, None, None, xms.bench._blas_thread_setters())
+        args = (None, None, xms.bench._blas_thread_setters())
         with ProcessPoolExecutor(1, multiprocessing.get_context("fork"), xms.bench._start_worker, args) as pool:
             assert pool.submit(_openblas_thread_counts).result(timeout=60) == [1] * len(functions)
         assert _openblas_thread_counts() == [2] * len(functions)  # the parent keeps its own count

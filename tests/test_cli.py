@@ -13,7 +13,7 @@ import yaml
 import xms
 from xms.bench import MethodSpec, compute_ttests, config_from_dict, method_spec_from_dict
 from xms.errors import ConfigError
-from xms.cli import build_parser, main
+from xms.cli import _load_config_file, build_parser, main
 from xms.dataset_io import load_dataset, save_dataset
 from xms.methods import load_model, project, save_model
 from xms.retrieval_eval import evaluate_direction
@@ -282,6 +282,42 @@ def test_bench_bad_config_exit_2(tmp_path, capsys):
         config_path.write_text(text)
         assert main(["bench", "--config", str(config_path), "--out", str(tmp_path / "r.json")]) == 2
         assert capsys.readouterr().err.startswith("error [bad_config]")
+
+
+HAND_WRITTEN_CONFIG = """\
+dataset: {dataset}
+n_train: 35
+repetitions: 2
+methods:
+  - {{name: cca, dim: 2, hyperparams: {{ridge: 1e-4}}}}
+  - name: lcfs
+    hyperparams:
+      lambda1: {lambda1}
+      lambda2: 1E-3
+"""
+
+
+def test_yaml_config_reads_exponent_floats(tmp_path, dataset_dir):
+    # YAML 1.1, which PyYAML follows, reads 1e-3 (no dot) as text; config files read it as a number
+    config_path = tmp_path / "bench.yaml"
+    config_path.write_text(HAND_WRITTEN_CONFIG.format(dataset=dataset_dir, lambda1="1e-3"))
+    assert yaml.safe_load(config_path.read_text())["methods"][0]["hyperparams"] == {"ridge": "1e-4"}
+    report_path = tmp_path / "report.json"
+    assert main(["bench", "--config", str(config_path), "--out", str(report_path)]) == 0
+    methods = json.loads(report_path.read_text())["config"]["methods"]
+    assert [spec["hyperparams"] for spec in methods] == [{"ridge": 1e-4}, {"lambda1": 1e-3, "lambda2": 1e-3}]
+    sweep_path = tmp_path / "surface.json"
+    argv = ["sweep", "--config", str(config_path), "--method", "lcfs", "--grid", "0,1e-3", "--out", str(sweep_path)]
+    assert main(argv) == 0
+    assert json.loads(sweep_path.read_text())["lambda1_grid"] == [0.0, 1e-3]
+
+
+def test_yaml_config_keeps_quoted_exponents_as_text(tmp_path, dataset_dir, capsys):
+    config_path = tmp_path / "bench.yaml"
+    config_path.write_text(HAND_WRITTEN_CONFIG.format(dataset=dataset_dir, lambda1="'1e-3'"))
+    assert _load_config_file(config_path)["methods"][1]["hyperparams"]["lambda1"] == "1e-3"
+    assert main(["bench", "--config", str(config_path), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.startswith("error [bad_hyperparam]")
 
 
 def test_bench_dim_on_label_space_method_exit_2(tmp_path, dataset_dir, capsys):

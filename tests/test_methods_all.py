@@ -124,8 +124,7 @@ def test_features_whose_products_overflow_raise_divergence(name, pca):
     for scale_a, scale_b in ((1e300, 1e300), (1e200, 1.0), (1.0, 1e160), (1e150, 1e150)):
         big = paired_dataset(scale_a * ds.xa.values, scale_b * ds.xb.values, ds.labels, ds.c)
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                model = fit_method(big, name, pca=pca)
+            model = fit_method(big, name, pca=pca)
         except NumericalError as err:
             outcomes.append(err.code)
         else:

@@ -755,6 +755,16 @@ def test_overflowing_diagonal_sum_raises_divergence(rng, fitter):
     assert err.value.code == "divergence"
 
 
+@pytest.mark.parametrize("fitter", [fit_lcfs, fit_jfssl])
+def test_overflowing_objective_raises_divergence(fitter):
+    # at lambda1 = 1e308 the start's smoothed l21 term overflows the objective before any step runs,
+    # while every normal system is still finite: only the objective check sees it, at iteration 0
+    ds = random_paired_dataset(np.random.default_rng(0), n=30, d_a=5, d_b=4, c=2)
+    with pytest.raises(NumericalError, match="non-finite objective at iteration 0") as err:
+        fitter(ds, SparseCoupledConfig(lambda1=1e308, lambda2=0.0))
+    assert err.value.code == "divergence"
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     arrays(

@@ -266,6 +266,21 @@ def test_acc_at_k_missing_match_errors():
         acc_at_k(ranked, {0: 99}, 1)
 
 
+def test_acc_at_k_refuses_k_outside_the_gallery():
+    ranked = ranked_lists_with_match_ranks([1, 2], 4)
+    for k in (0, 5):
+        with pytest.raises(ConfigError) as err:
+            acc_at_k(ranked, np.arange(2), k)
+        assert err.value.code == "bad_k"
+
+
+@pytest.mark.parametrize("call", [lambda: acc_at_k([], np.arange(0), 1), lambda: cmc_curve([], np.arange(0))])
+def test_acc_at_k_and_cmc_refuse_no_ranked_lists(call):
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert err.value.code == "empty_relevant"
+
+
 def test_cmc_examples():
     ranked = ranked_lists_with_match_ranks([1, 2], 4)
     np.testing.assert_allclose(cmc_curve(ranked, np.arange(2)), [0.5, 1.0, 1.0, 1.0])
