@@ -17,9 +17,9 @@ from .errors import ConfigError, DataError, is_int
 
 
 # Query rows ranked at once by evaluate_direction; bounds its working memory to
-# a few _ROW_BLOCK x gallery arrays: the block sorted by value (padded to at most
-# twice the gallery width), the stable order of rows with a tied item, and the
-# rows of relevant ranks.
+# a few _ROW_BLOCK x gallery arrays: the block's similarities, the block sorted by
+# value (padded to at most twice the gallery width), the stable order of rows with
+# a tied item, and the rows of relevant ranks.
 _ROW_BLOCK = 128
 
 
@@ -55,8 +55,12 @@ def unit_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values / np.where(dead, 1.0, norms), dead
 
 
-def cosine_similarities(queries: FeatureMatrix, gallery: FeatureMatrix) -> np.ndarray:
-    """Query x gallery cosine similarity matrix; zero-norm vectors give -1."""
+def _similarity_blocks(queries: FeatureMatrix, gallery: FeatureMatrix):
+    """The query x gallery cosine similarities as an iterator of ``_ROW_BLOCK``-row blocks, each
+    formed when it is asked for; zero-norm vectors give -1.  The dimension check, the unit columns
+    of both sides and one ZeroNormWarning with the total count come at the call, before any block.
+    BLAS picks its kernel by shape, so a product of all rows at once can differ from these blocks
+    in the last bit: every similarity in this module comes from them."""
     if queries.d != gallery.d:
         raise ConfigError("dim_mismatch", f"query dim {queries.d} != gallery dim {gallery.d}")
     unit_q, dead_q = unit_columns(queries.values)
@@ -64,10 +68,21 @@ def cosine_similarities(queries: FeatureMatrix, gallery: FeatureMatrix) -> np.nd
     n_dead = int(dead_q.sum() + dead_g.sum())
     if n_dead:
         warnings.warn(ZeroNormWarning(f"{n_dead} zero-norm vectors ranked last (similarity -1)"))
-    sims = unit_q.T @ unit_g
-    sims[dead_q, :] = -1.0
-    sims[:, dead_g] = -1.0
-    return sims
+
+    def block(rows: slice) -> np.ndarray:
+        sims = unit_q[:, rows].T @ unit_g
+        sims[dead_q[rows], :] = -1.0
+        sims[:, dead_g] = -1.0
+        return sims
+
+    return (block(slice(start, start + _ROW_BLOCK)) for start in range(0, queries.n, _ROW_BLOCK))
+
+
+def cosine_similarities(queries: FeatureMatrix, gallery: FeatureMatrix) -> np.ndarray:
+    """Query x gallery cosine similarity matrix; zero-norm vectors give -1.  It is the matrix of the
+    per-query oracle ``rank_by_cosine``, stacked from the blocks ``evaluate_direction`` ranks, so the
+    two agree bit for bit."""
+    return np.concatenate(list(_similarity_blocks(queries, gallery)))
 
 
 def rank_by_cosine(queries: FeatureMatrix, gallery: FeatureMatrix) -> list[RankedList]:
@@ -139,9 +154,10 @@ def evaluate_direction(queries: FeatureMatrix, gallery: FeatureMatrix, labels, *
     query has at least one relevant item.  ``ap_cutoff`` optionally truncates the
     ranked lists before AP, for MAP@R-style evaluation.
 
-    Works on the query x gallery similarity matrix ``_ROW_BLOCK`` query rows
-    at a time and gives bit-for-bit the results of ``rank_by_cosine`` +
-    ``average_precision`` + ``cmc_curve``.  It builds no gallery permutation:
+    Forms and ranks the query x gallery similarities ``_ROW_BLOCK`` query rows
+    at a time, never the whole matrix, and gives bit-for-bit the results of
+    ``rank_by_cosine`` + ``average_precision`` + ``cmc_curve``, whose matrix
+    stacks the same blocks.  It builds no gallery permutation:
     it sorts each block by value alone and finds only the ranks AP and the CMC
     need, those of the relevant items and of the true match, by binary search.
     An item whose similarity equals another in its row is ranked by a stable
@@ -150,8 +166,8 @@ def evaluate_direction(queries: FeatureMatrix, gallery: FeatureMatrix, labels, *
     if not (ap_cutoff is None or (is_int(ap_cutoff) and ap_cutoff >= 1)):
         raise ConfigError("bad_k", f"ap_cutoff must be None or an integer >= 1, got {ap_cutoff!r}")
     labels = np.asarray(labels).ravel()
-    sims = cosine_similarities(queries, gallery)
-    nq, ng = sims.shape
+    blocks = _similarity_blocks(queries, gallery)
+    nq, ng = queries.n, gallery.n
     if labels.size != ng:
         raise DataError("index_range", f"{labels.size} labels for a gallery of {ng}")
     if nq > ng:
@@ -176,8 +192,7 @@ def evaluate_direction(queries: FeatureMatrix, gallery: FeatureMatrix, labels, *
     flat = padded.ravel()
     per_query_ap = np.empty(nq)
     match_counts = np.zeros(ng, dtype=np.int64)
-    for start in range(0, nq, _ROW_BLOCK):
-        block = sims[start : start + _ROW_BLOCK]
+    for start, block in zip(range(0, nq, _ROW_BLOCK), blocks):
         nb = len(block)
         ascending = padded[:nb, 1 : ng + 1]
         ascending[...] = block

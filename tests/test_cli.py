@@ -445,9 +445,10 @@ def test_ttest_malformed_report_exit_3(tmp_path, capsys, text):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs most of the import time; p-values come from scipy.special.stdtr
+    # scipy.stats costs most of the import time; p-values come from scipy.special.stdtr, which is
+    # loaded only by the first t-test
     src = str(Path(xms.__file__).resolve().parents[1])
-    code = "import sys, xms.cli; assert 'scipy.stats' not in sys.modules"
+    code = "import sys, xms.cli; assert 'scipy.stats' not in sys.modules and 'scipy.special' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -349,6 +350,45 @@ def test_evaluate_direction_length_mismatch_errors(rng):
         with pytest.raises(DataError) as info:
             evaluate_direction(queries, gallery, labels)
         assert info.value.code == "index_range"
+
+
+def test_evaluate_direction_needs_equal_dimensions_before_checking_labels(rng):
+    queries, gallery = fm(rng.standard_normal((3, 4))), fm(rng.standard_normal((2, 4)))
+    for labels in ([1, 1, 2, 2], [1, 2]):  # the second also has the wrong length
+        with pytest.raises(ConfigError) as err:
+            evaluate_direction(queries, gallery, labels)
+        assert err.value.code == "dim_mismatch"
+
+
+def test_evaluate_direction_warns_once_with_the_total_zero_norm_count(rng):
+    # zero-norm queries in each of three row blocks, and one zero-norm gallery item
+    n = 2 * _ROW_BLOCK + 1
+    queries, gallery = rng.standard_normal((3, n)), rng.standard_normal((3, n))
+    queries[:, [3, _ROW_BLOCK + 5, n - 1]] = 0.0
+    gallery[:, 10] = 0.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        evaluate_direction(fm(queries), fm(gallery), rng.integers(1, 4, n))
+    assert [type(w.message) for w in caught] == [ZeroNormWarning]
+    assert str(caught[0].message).startswith("4 zero-norm vectors ranked last")
+
+
+def test_evaluate_direction_memory_is_bounded_by_row_blocks():
+    # the whole 3000 x 3000 similarity matrix would take 72 MB; the bound allows eight arrays of
+    # _ROW_BLOCK rows at the width of the padded sort buffer, 33.5 MB
+    rng = np.random.default_rng(3000)
+    queries, gallery = fm(rng.standard_normal((8, 3000))), fm(rng.standard_normal((8, 3000)))
+    labels = rng.integers(1, 21, 3000)
+    width = 1 << gallery.n.bit_length()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        evaluate_direction(queries, gallery, labels)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * _ROW_BLOCK * width * 8
 
 
 def test_evaluate_direction_returns_report_keys_and_takes_options_by_keyword(rng):
