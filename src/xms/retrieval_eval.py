@@ -16,10 +16,10 @@ from .dataset_io import FeatureMatrix
 from .errors import ConfigError, DataError, is_int
 
 
-# Query rows ranked at once by evaluate_direction; bounds its working memory to
-# a few _ROW_BLOCK x gallery arrays: the block's similarities, the block sorted by
-# value (padded to at most twice the gallery width), the stable order of rows with
-# a tied item, and the rows of relevant ranks.
+# Query rows ranked at once by evaluate_direction; bounds its working memory to one padded
+# _ROW_BLOCK x gallery buffer, in which each block is formed and sorted, beside the unit columns of
+# both sides and the block's searched cells.  A block with a tied item adds a fresh copy of the
+# block and the stable order of its tied rows.
 _ROW_BLOCK = 128
 
 
@@ -55,12 +55,14 @@ def unit_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values / np.where(dead, 1.0, norms), dead
 
 
-def _similarity_blocks(queries: FeatureMatrix, gallery: FeatureMatrix):
-    """The query x gallery cosine similarities as an iterator of ``_ROW_BLOCK``-row blocks, each
-    formed when it is asked for; zero-norm vectors give -1.  The dimension check, the unit columns
-    of both sides and one ZeroNormWarning with the total count come at the call, before any block.
-    BLAS picks its kernel by shape, so a product of all rows at once can differ from these blocks
-    in the last bit: every similarity in this module comes from them."""
+def _cosine_blocks(queries: FeatureMatrix, gallery: FeatureMatrix):
+    """The first step of every similarity in this module: the dimension check, the unit columns of
+    both sides and one ZeroNormWarning with the total count, once per call.  Returns the second,
+    ``block(start, out=None)``, which forms the query x gallery cosine similarities of the
+    ``_ROW_BLOCK`` query rows from ``start``, into ``out`` if given; zero-norm vectors give -1.
+    BLAS picks its kernel by shape, so a product of all rows at once, or of a block's tied rows
+    alone, can differ from these blocks in the last bit; where a block is written does not change
+    it.  Every similarity in this module comes from these blocks."""
     if queries.d != gallery.d:
         raise ConfigError("dim_mismatch", f"query dim {queries.d} != gallery dim {gallery.d}")
     unit_q, dead_q = unit_columns(queries.values)
@@ -69,20 +71,22 @@ def _similarity_blocks(queries: FeatureMatrix, gallery: FeatureMatrix):
     if n_dead:
         warnings.warn(ZeroNormWarning(f"{n_dead} zero-norm vectors ranked last (similarity -1)"))
 
-    def block(rows: slice) -> np.ndarray:
-        sims = unit_q[:, rows].T @ unit_g
+    def block(start: int, out: np.ndarray | None = None) -> np.ndarray:
+        rows = slice(start, start + _ROW_BLOCK)
+        sims = np.matmul(unit_q[:, rows].T, unit_g, out=out)
         sims[dead_q[rows], :] = -1.0
         sims[:, dead_g] = -1.0
         return sims
 
-    return (block(slice(start, start + _ROW_BLOCK)) for start in range(0, queries.n, _ROW_BLOCK))
+    return block
 
 
 def cosine_similarities(queries: FeatureMatrix, gallery: FeatureMatrix) -> np.ndarray:
     """Query x gallery cosine similarity matrix; zero-norm vectors give -1.  It is the matrix of the
-    per-query oracle ``rank_by_cosine``, stacked from the blocks ``evaluate_direction`` ranks, so the
-    two agree bit for bit."""
-    return np.concatenate(list(_similarity_blocks(queries, gallery)))
+    per-query oracle ``rank_by_cosine``, stacked from fresh copies of the blocks
+    ``evaluate_direction`` ranks, so the two agree bit for bit."""
+    block = _cosine_blocks(queries, gallery)
+    return np.concatenate([block(start) for start in range(0, queries.n, _ROW_BLOCK)])
 
 
 def rank_by_cosine(queries: FeatureMatrix, gallery: FeatureMatrix) -> list[RankedList]:
@@ -157,16 +161,17 @@ def evaluate_direction(queries: FeatureMatrix, gallery: FeatureMatrix, labels, *
     Forms and ranks the query x gallery similarities ``_ROW_BLOCK`` query rows
     at a time, never the whole matrix, and gives bit-for-bit the results of
     ``rank_by_cosine`` + ``average_precision`` + ``cmc_curve``, whose matrix
-    stacks the same blocks.  It builds no gallery permutation:
-    it sorts each block by value alone and finds only the ranks AP and the CMC
-    need, those of the relevant items and of the true match, by binary search.
-    An item whose similarity equals another in its row is ranked by a stable
-    sort of that row instead, ties going to the lower gallery index.
+    stacks the same blocks.  It builds no gallery permutation: it forms each
+    block in the buffer where it sorts the block by value alone, and finds only
+    the ranks AP and the CMC need, those of the relevant items and of the true
+    match, by binary search.  An item whose similarity equals another in its
+    row is ranked by a stable sort of that row instead, from the block formed
+    again, ties going to the lower gallery index.
     """
     if not (ap_cutoff is None or (is_int(ap_cutoff) and ap_cutoff >= 1)):
         raise ConfigError("bad_k", f"ap_cutoff must be None or an integer >= 1, got {ap_cutoff!r}")
     labels = np.asarray(labels).ravel()
-    blocks = _similarity_blocks(queries, gallery)
+    block = _cosine_blocks(queries, gallery)
     nq, ng = queries.n, gallery.n
     if labels.size != ng:
         raise DataError("index_range", f"{labels.size} labels for a gallery of {ng}")
@@ -178,13 +183,14 @@ def evaluate_direction(queries: FeatureMatrix, gallery: FeatureMatrix, labels, *
     first = np.searchsorted(grouped, labels[:nq])
     n_relevant = np.searchsorted(grouped, labels[:nq], side="right") - first
 
-    # Each block's rows are sorted by value alone into buffer rows laid out as [-inf, ascending
-    # similarities, +inf padding], of the smallest power-of-two width above ng.  Similarities are
-    # finite (FeatureMatrix rejects NaN and Inf), so no NaN enters the sort and the sentinels bound
-    # every search.  For each relevant item and true match, a branchless binary search finds the last
-    # column holding a value <= the item's own; the count of values after it, ng - column, is the
-    # item's 0-based rank.  An equal value in the column before is a tie, settled by a stable sort of
-    # that row (ties to the lower gallery index).
+    # Each block is formed in, and its rows sorted by value alone into, buffer rows laid out as
+    # [-inf, ascending similarities, +inf padding], of the smallest power-of-two width above ng.
+    # Similarities are finite (FeatureMatrix rejects NaN and Inf), so no NaN enters the sort and the
+    # sentinels bound every search.  The searched items' values are read before the sort.  For each
+    # relevant item and true match, a branchless binary search finds the last column holding a value
+    # <= the item's own; the count of values after it, ng - column, is the item's 0-based rank.  An
+    # equal value in the column before is a tie, settled by a stable sort of that row (ties to the
+    # lower gallery index) in the block formed again, since the buffer holds it sorted.
     width = 1 << ng.bit_length()
     steps = [width >> s for s in range(1, width.bit_length())]
     padded = np.full((min(nq, _ROW_BLOCK), width), np.inf)
@@ -192,11 +198,9 @@ def evaluate_direction(queries: FeatureMatrix, gallery: FeatureMatrix, labels, *
     flat = padded.ravel()
     per_query_ap = np.empty(nq)
     match_counts = np.zeros(ng, dtype=np.int64)
-    for start, block in zip(range(0, nq, _ROW_BLOCK), blocks):
-        nb = len(block)
-        ascending = padded[:nb, 1 : ng + 1]
-        ascending[...] = block
-        ascending.sort(axis=1)
+    for start in range(0, nq, _ROW_BLOCK):
+        nb = min(nq - start, _ROW_BLOCK)
+        ascending = block(start, out=padded[:nb, 1 : ng + 1])
         # the searched cells: each row's relevant columns, numbered by `hit` within the row, then
         # each row's true match
         counts = n_relevant[start : start + nb]
@@ -205,7 +209,8 @@ def evaluate_direction(queries: FeatureMatrix, gallery: FeatureMatrix, labels, *
         hit = np.arange(n_pairs) - np.repeat(np.cumsum(counts) - counts, counts)
         relevant = by_label[np.repeat(first[start : start + nb], counts) + hit]
         col = np.concatenate([relevant, np.arange(start, start + nb)])
-        value = block.ravel().take(row * ng + col)
+        value = flat.take(row * width + 1 + col)
+        ascending.sort(axis=1)
         pos = row * width
         end = pos + ng
         for step in steps:
@@ -214,7 +219,7 @@ def evaluate_direction(queries: FeatureMatrix, gallery: FeatureMatrix, labels, *
         tied = np.flatnonzero(flat.take(pos - 1) == value)
         if tied.size:
             tied_rows, slot = np.unique(row[tied], return_inverse=True)
-            stable_order = np.argsort(-block[tied_rows], axis=1, kind="stable")
+            stable_order = np.argsort(-block(start)[tied_rows], axis=1, kind="stable")
             stable_rank = np.empty_like(stable_order)
             np.put_along_axis(stable_rank, stable_order, np.arange(ng), axis=1)
             rank[tied] = stable_rank[slot, col[tied]]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xms import retrieval_eval
 from xms.dataset_io import FeatureMatrix
 from xms.errors import ConfigError, DataError
 from xms.retrieval_eval import (
@@ -391,6 +392,23 @@ def test_evaluate_direction_memory_is_bounded_by_row_blocks():
     assert peak < 8 * _ROW_BLOCK * width * 8
 
 
+def test_evaluate_direction_forms_each_block_in_its_sort_buffer():
+    # at gallery2k's shape the padded sort buffer takes 2.1 MB and the unit columns 1 MB; the bound
+    # leaves room for the searched cells, not for a second 2 MB block-sized array beside the buffer
+    rng = np.random.default_rng(2000)
+    queries, gallery = fm(rng.standard_normal((30, 2000))), fm(rng.standard_normal((30, 2000)))
+    labels = rng.integers(1, 21, 2000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        evaluate_direction(queries, gallery, labels)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5e6
+
+
 def test_evaluate_direction_returns_report_keys_and_takes_options_by_keyword(rng):
     x = fm(rng.standard_normal((3, 4)))
     labels = np.array([1, 1, 2, 2])
@@ -514,6 +532,49 @@ def test_evaluate_direction_equals_blocked_reference_at_gallery2k_size(ap_cutoff
         warnings.simplefilter("ignore", ZeroNormWarning)
         result = evaluate_direction(queries, gallery, labels, ap_cutoff=ap_cutoff)
         aps, mean_ap, cmc = blocked_reference(queries, gallery, labels, ap_cutoff)
+    assert np.array_equal(result["per_query_ap"], aps)
+    assert result["map"] == mean_ap
+    assert np.array_equal(result["cmc"], cmc)
+
+
+def tied_query_rows(sims, labels):
+    """The queries with a searched item, relevant or true match, whose similarity another item
+    of their row shares."""
+    tied = []
+    for qi in range(sims.shape[0]):
+        searched = sims[qi, np.append(np.flatnonzero(labels == labels[qi]), qi)]
+        if np.any(np.count_nonzero(sims[qi][:, None] == searched, axis=0) > 1):
+            tied.append(qi)
+    return tied
+
+
+@pytest.mark.parametrize("ap_cutoff", [None, 40])
+def test_evaluate_direction_settles_ties_outside_the_first_block(monkeypatch, ap_cutoff):
+    # three row blocks; duplicated gallery columns that only queries of the second and the last
+    # block search, each under a label of its own, and a zero-norm query in the last block
+    n = 2 * _ROW_BLOCK + 44
+    rng = np.random.default_rng(300)
+    queries, gallery = rng.standard_normal((5, n)), rng.standard_normal((5, n))
+    labels = rng.integers(1, 6, n)
+    gallery[:, 140], labels[[130, 140]] = gallery[:, 130], 6
+    gallery[:, 270], labels[[260, 270]] = gallery[:, 260], 7
+    queries[:, 290] = 0.0
+    queries, gallery = fm(queries), fm(gallery)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroNormWarning)
+        assert tied_query_rows(cosine_similarities(queries, gallery), labels) == [130, 140, 260, 270, 290]
+        aps, mean_ap, cmc = oracle_evaluation(queries, gallery, labels, ap_cutoff)
+
+    def oracle_called(*args, **kwargs):
+        raise AssertionError("evaluate_direction called a per-query oracle function")
+
+    for name in ("cosine_similarities", "rank_by_cosine", "average_precision", "cmc_curve"):
+        monkeypatch.setattr(retrieval_eval, name, oracle_called)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = evaluate_direction(queries, gallery, labels, ap_cutoff=ap_cutoff)
+    assert [type(w.message) for w in caught] == [ZeroNormWarning]
+    assert str(caught[0].message).startswith("1 zero-norm vectors ranked last")
     assert np.array_equal(result["per_query_ap"], aps)
     assert result["map"] == mean_ap
     assert np.array_equal(result["cmc"], cmc)
