@@ -9,7 +9,8 @@ On-disk layout of a dataset directory::
 Feature/label files may also use the binary format: magic ``XMS1``, two
 little-endian uint64 (rows, cols), then rows*cols little-endian float64
 values in row-major order.  An optional ``manifest.json`` can rename the
-files and declare the class count ``c``.
+three files and declare the class count ``c``; it is read for those four keys
+only, and any other key is ignored.
 
 In memory, feature matrices are column-per-sample (d x n); the CSV/binary
 files are row-per-sample and are transposed on load.
@@ -18,6 +19,7 @@ files are row-per-sample and are transposed on load.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -29,7 +31,9 @@ from .errors import ConfigError, DataError, is_int
 
 _MAGIC = b"XMS1"
 
-DEFAULT_FILES = {"features_a": "features_a", "features_b": "features_b", "labels": "labels"}
+# the three files of a dataset directory, in manifest order; one that the manifest
+# does not name is ``<role>.csv`` or ``<role>.bin``
+ROLES = ("features_a", "features_b", "labels")
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,6 @@ class PairedMultimodalDataset:
     xb: FeatureMatrix
     labels: np.ndarray
     c: int
-    sample_ids: tuple[str, ...] | None = None
     strict: bool = field(default=True, repr=False)
 
     def __post_init__(self):
@@ -101,8 +104,6 @@ class PairedMultimodalDataset:
             if present.size != self.c:
                 missing = sorted(set(range(1, self.c + 1)) - set(present.tolist()))
                 raise DataError("empty_class", f"classes without samples: {missing}")
-        if self.sample_ids is not None and len(self.sample_ids) != labels.size:
-            raise DataError("pair_count_mismatch", "sample_ids length does not match sample count")
 
     @property
     def n(self) -> int:
@@ -166,15 +167,11 @@ def subset(dataset: PairedMultimodalDataset, indices) -> PairedMultimodalDataset
     indices = np.asarray(indices, dtype=np.int64).ravel()
     if indices.size and (indices.min() < 0 or indices.max() >= dataset.n):
         raise DataError("index_range", f"indices must lie in 0..{dataset.n - 1}")
-    ids = None
-    if dataset.sample_ids is not None:
-        ids = tuple(dataset.sample_ids[i] for i in indices)
     return PairedMultimodalDataset(
         FeatureMatrix(dataset.xa.values[:, indices]),
         FeatureMatrix(dataset.xb.values[:, indices]),
         dataset.labels[indices],
         dataset.c,
-        sample_ids=ids,
         strict=False,
     )
 
@@ -201,14 +198,25 @@ def write_matrix_stream(fh, values) -> None:
     fh.write(values.astype("<f8").tobytes(order="C"))
 
 
+def read_exact(fh, size: int, message: str) -> bytes:
+    """The next ``size`` bytes of the seekable binary stream ``fh``.  A size field read from a file is
+    checked against the bytes left before anything is read or allocated: one that runs past the end is
+    ``DataError("malformed_file", message)``."""
+    here = fh.tell()
+    if size > fh.seek(0, os.SEEK_END) - here:
+        raise DataError("malformed_file", message)
+    fh.seek(here)
+    return fh.read(size)
+
+
 def read_matrix_stream(fh, name: str = "block") -> np.ndarray:
     head = fh.read(20)
     if len(head) < 20 or head[:4] != _MAGIC:
         raise DataError("malformed_file", f"{name}: missing XMS1 magic")
     rows, cols = struct.unpack("<QQ", head[4:20])
-    payload = fh.read(rows * cols * 8)
-    if len(payload) != rows * cols * 8:
-        raise DataError("malformed_file", f"{name}: truncated matrix block ({rows}x{cols})")
+    if max(rows, cols) > np.iinfo(np.intp).max // 8:  # numpy's limit, which holds for an empty array too
+        raise DataError("malformed_file", f"{name}: matrix block shape {rows}x{cols} is beyond any array")
+    payload = read_exact(fh, rows * cols * 8, f"{name}: truncated matrix block ({rows}x{cols})")
     return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
 
 
@@ -271,10 +279,10 @@ def _resolve(directory: Path, manifest: dict, role: str) -> Path:
             raise DataError("missing_file", f"{path}: named by manifest but absent")
         return path
     for ext in (".csv", ".bin"):
-        path = directory / (DEFAULT_FILES[role] + ext)
+        path = directory / (role + ext)
         if path.is_file():
             return path
-    raise DataError("missing_file", f"{directory}: no {DEFAULT_FILES[role]}.csv or .bin")
+    raise DataError("missing_file", f"{directory}: no {role}.csv or .bin")
 
 
 def _normalize_labels(raw: np.ndarray, declared_c: int | None) -> tuple[np.ndarray, int]:
@@ -298,17 +306,14 @@ def load_dataset(path) -> PairedMultimodalDataset:
             manifest = json.loads(manifest_path.read_text())
         except json.JSONDecodeError as exc:
             raise DataError("malformed_file", f"{manifest_path}: {exc}") from exc
-        names = (*DEFAULT_FILES, "sample_ids")
         if not (
             isinstance(manifest, dict)
-            and all(isinstance(manifest.get(role, ""), str) for role in names)
+            and all(isinstance(manifest.get(role, ""), str) for role in ROLES)
             and (manifest.get("c") is None or is_int(manifest["c"]))
         ):
-            raise DataError("malformed_file", f"{manifest_path}: must map {names} to file names and c to an integer")
+            raise DataError("malformed_file", f"{manifest_path}: must map {ROLES} to file names and c to an integer")
 
-    xa_rows = read_matrix(_resolve(directory, manifest, "features_a"))
-    xb_rows = read_matrix(_resolve(directory, manifest, "features_b"))
-    raw_labels = read_matrix(_resolve(directory, manifest, "labels"))
+    xa_rows, xb_rows, raw_labels = (read_matrix(_resolve(directory, manifest, role)) for role in ROLES)
     if raw_labels.shape[1] != 1:
         raise DataError("malformed_file", "labels file must have one value per row")
     if xa_rows.shape[0] != xb_rows.shape[0] or xa_rows.shape[0] != raw_labels.shape[0]:
@@ -317,17 +322,7 @@ def load_dataset(path) -> PairedMultimodalDataset:
             f"row counts differ: features_a={xa_rows.shape[0]}, features_b={xb_rows.shape[0]}, labels={raw_labels.shape[0]}",
         )
     labels, c = _normalize_labels(raw_labels, manifest.get("c"))
-
-    sample_ids = None
-    if "sample_ids" in manifest:
-        ids_path = directory / manifest["sample_ids"]
-        if not ids_path.is_file():
-            raise DataError("missing_file", f"{ids_path}: named by manifest but absent")
-        sample_ids = tuple(line.strip() for line in ids_path.read_text().splitlines() if line.strip())
-
-    return PairedMultimodalDataset(
-        FeatureMatrix(xa_rows.T), FeatureMatrix(xb_rows.T), labels, c, sample_ids=sample_ids
-    )
+    return PairedMultimodalDataset(FeatureMatrix(xa_rows.T), FeatureMatrix(xb_rows.T), labels, c)
 
 
 def save_dataset(dataset: PairedMultimodalDataset, path, fmt: str = "csv") -> None:
@@ -338,16 +333,8 @@ def save_dataset(dataset: PairedMultimodalDataset, path, fmt: str = "csv") -> No
     directory.mkdir(parents=True, exist_ok=True)
     ext = ".csv" if fmt == "csv" else ".bin"
     write = write_matrix_csv if fmt == "csv" else write_matrix_binary
-    write(directory / ("features_a" + ext), dataset.xa.values.T)
-    write(directory / ("features_b" + ext), dataset.xb.values.T)
-    write(directory / ("labels" + ext), dataset.labels.reshape(-1, 1).astype(np.float64))
-    manifest = {
-        "features_a": "features_a" + ext,
-        "features_b": "features_b" + ext,
-        "labels": "labels" + ext,
-        "c": int(dataset.c),
-    }
-    if dataset.sample_ids is not None:
-        (directory / "sample_ids.txt").write_text("\n".join(dataset.sample_ids) + "\n")
-        manifest["sample_ids"] = "sample_ids.txt"
+    rows = (dataset.xa.values.T, dataset.xb.values.T, dataset.labels.reshape(-1, 1).astype(np.float64))
+    for role, values in zip(ROLES, rows):
+        write(directory / (role + ext), values)
+    manifest = {**{role: role + ext for role in ROLES}, "c": int(dataset.c)}
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")

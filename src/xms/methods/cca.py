@@ -106,16 +106,11 @@ def fit_cca3v(train: PairedMultimodalDataset, d: int | None = None, ridge: float
     ridge = _RidgeConfig(ridge).ridge
 
     def solve(xa, xb, d):
-        mean_c, xc = center_fit(label_view(train))
+        _, xc = center_fit(label_view(train))
         views = [xa.values, xb.values, xc.values]
         f = 1.0 / (train.n - 1)
         cross = {(i, j): f * (views[i] @ views[j].T) for i in range(3) for j in range(i + 1, 3)}
         _, ws, fitted_ridge = solve_block_gev([f * (x @ x.T) for x in views], cross, d, ridge)
-        metadata = {
-            "wc": ws[2].tolist(),
-            "label_view_mean": mean_c.tolist(),
-            "objective": cca3v_objective(views, ws),
-        }
-        return ws[0], ws[1], {"ridge": float(fitted_ridge)}, metadata
+        return ws[0], ws[1], {"ridge": float(fitted_ridge)}, {"wc": ws[2].tolist()}
 
     return _fit_closed_form(train, "cca3v", d, min(train.d_a, train.d_b, train.n - 1), solve, supervised=True)

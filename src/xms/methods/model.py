@@ -9,7 +9,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dataset_io import FeatureMatrix, PairedMultimodalDataset, json_default, read_matrix_stream, write_matrix_stream
+from ..dataset_io import (
+    FeatureMatrix,
+    PairedMultimodalDataset,
+    json_default,
+    read_exact,
+    read_matrix_stream,
+    write_matrix_stream,
+)
 from ..errors import ConfigError, DataError
 from ..preprocess import PcaModel, center_fit, pca_apply
 
@@ -169,7 +176,7 @@ def load_model(path) -> SubspaceModel:
             raise DataError("malformed_file", f"{path}: not an xms model file")
         (header_len,) = struct.unpack("<Q", head[4:])
         try:
-            header = json.loads(fh.read(header_len).decode("utf-8"))
+            header = json.loads(read_exact(fh, header_len, f"{path}: truncated model header").decode("utf-8"))
             return _model_from(header, {name: read_matrix_stream(fh, name) for name in header["blocks"]})
         # ValueError covers bad UTF-8 and JSON; ConfigError, a header that contradicts its blocks
         except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:

@@ -297,15 +297,24 @@ def test_direction_views_query_modality_a_in_a2b():
         assert np.array_equal(views[direction][1].values, gallery)
 
 
+def _lineup_models(train, specs=default_method_specs()):
+    """Each spec's model, fitted on ``train``."""
+    context = xms.methods.SplitContext(train)
+    return {
+        spec.label: xms.methods.fit_method(train, spec.name, pca=spec.pca, hyperparams=spec.hyperparams, context=context)
+        for spec in specs
+    }
+
+
+def _model_maps(model, test):
+    """A model's MAP per direction on ``test``."""
+    views = direction_views(model, test)
+    return {d: evaluate_direction(*views[d], test.labels)["map"] for d in DIRECTIONS}
+
+
 def _lineup_maps(train, test, specs=default_method_specs()):
     """Each spec's MAP per direction, fitted on ``train`` and evaluated on ``test``."""
-    context = xms.methods.SplitContext(train)
-    maps = {}
-    for spec in specs:
-        model = xms.methods.fit_method(train, spec.name, pca=spec.pca, hyperparams=spec.hyperparams, context=context)
-        views = direction_views(model, test)
-        maps[spec.label] = {d: evaluate_direction(*views[d], test.labels)["map"] for d in DIRECTIONS}
-    return maps
+    return {label: _model_maps(model, test) for label, model in _lineup_models(train, specs).items()}
 
 
 @pytest.mark.parametrize("d_a, d_b", [(128, 128), (128, 96)])
@@ -329,6 +338,28 @@ def test_lineup_maps_under_sample_permutation_and_modality_swap(d_a, d_b):
 
     swapped = _lineup_maps(swap(train), swap(test))
     assert {label: {"a2b": maps["b2a"], "b2a": maps["a2b"]} for label, maps in swapped.items()} == base
+
+
+@pytest.mark.parametrize("d_a, d_b", [(128, 128), (128, 96)])
+def test_lineup_maps_under_permuted_training_labels(d_a, d_b):
+    # the unsupervised specs never read the training labels, so permuting them leaves their weights and MAPs
+    # unchanged to the last bit; each of the other six default specs reads them, and on criterion-7-sized data
+    # its weights change and its MAP falls in both directions, the class structure it learned being gone
+    data = make_synthetic_dataset(n=400, c=3, d_a=d_a, d_b=d_b, seed=7)
+    train_idx, test_idx = random_split(data.n, 304, 0)
+    train, test = subset(data, train_idx), subset(data, test_idx)
+    shuffled = dataclasses.replace(train, labels=train.labels[np.random.default_rng(5).permutation(train.n)])
+    assert not np.array_equal(shuffled.labels, train.labels)
+    base, permuted = _lineup_models(train), _lineup_models(shuffled)
+    unsupervised = ["pca+cca", "pca+pls", "pca+blm"]
+    for label in base:
+        same = np.array_equal(base[label].wa, permuted[label].wa) and np.array_equal(base[label].wb, permuted[label].wb)
+        assert same == (label in unsupervised), label
+        before, after = _model_maps(base[label], test), _model_maps(permuted[label], test)
+        if label in unsupervised:
+            assert after == before
+        else:
+            assert all(after[d] < before[d] for d in DIRECTIONS), label
 
 
 @pytest.mark.parametrize("d_a, d_b", [(128, 128), (128, 96)])

@@ -1,5 +1,6 @@
 import io
 import json
+import struct
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from xms.errors import ConfigError, DataError
 from xms.methods.cdfe import pair_weights
 from xms.numerics import class_knn_graphs, scatter
 from xms.synthetic import make_synthetic_dataset
+from tests.conftest import refused_without_allocating
 
 
 def make_dataset(rng, n, c, d_a=4, d_b=3):
@@ -101,11 +103,6 @@ def test_integral_float_labels_accepted():
     [
         pytest.param(lambda x: FeatureMatrix(np.zeros(3)), "bad_shape", id="feature-matrix-1d"),
         pytest.param(lambda x: PairedMultimodalDataset(x, x, [1, 1, 1], 0), "bad_class_count", id="c-zero"),
-        pytest.param(
-            lambda x: PairedMultimodalDataset(x, x, [1, 1, 1], 1, sample_ids=("a", "b")),
-            "pair_count_mismatch",
-            id="sample-ids-length",
-        ),
     ],
 )
 def test_constructors_refuse_bad_shapes_and_counts(build, code):
@@ -266,22 +263,6 @@ def test_save_load_round_trip(rng, tmp_path, fmt):
     assert np.array_equal(back.labels, ds.labels)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "binary"])
-def test_sample_ids_round_trip(rng, tmp_path, fmt):
-    base = make_dataset(rng, 6, 2)
-    ids = ("s0", "s1", "s2", "s3", "s4", "s5")
-    ds = PairedMultimodalDataset(base.xa, base.xb, base.labels, base.c, sample_ids=ids)
-    save_dataset(ds, tmp_path / "ds", fmt=fmt)
-    assert load_dataset(tmp_path / "ds").sample_ids == ids
-
-
-def test_subset_keeps_sample_ids_in_index_order(rng):
-    base = make_dataset(rng, 6, 2)
-    ds = PairedMultimodalDataset(base.xa, base.xb, base.labels, base.c, sample_ids=tuple(f"s{i}" for i in range(6)))
-    assert subset(ds, [4, 1, 5]).sample_ids == ("s4", "s1", "s5")
-    assert subset(base, [4, 1]).sample_ids is None
-
-
 def test_binary_round_trip_bit_exact(rng, tmp_path):
     values = rng.standard_normal((7, 5)) * 1e-7
     write_matrix_binary(tmp_path / "m.bin", values)
@@ -386,7 +367,6 @@ def test_load_malformed_file(tmp_path):
         pytest.param({"c": "3"}, id="c-str"),
         pytest.param({"c": 3.0}, id="c-float"),
         pytest.param({"features_a": 5}, id="file-int"),
-        pytest.param({"sample_ids": ["ids.txt"]}, id="sample-ids-list"),
     ],
 )
 def test_load_malformed_manifest(tmp_path, manifest):
@@ -466,20 +446,31 @@ def _block(values):
     return stream.getvalue()
 
 
+def _header(rows, cols):
+    """A block header declaring ``rows x cols``, followed by 64 bytes of payload."""
+    return b"XMS1" + struct.pack("<QQ", rows, cols) + bytes(64)
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
         pytest.param(b"XMS2" + _block(np.ones((2, 3)))[4:], "missing XMS1 magic", id="wrong-magic"),
         pytest.param(_block(np.ones((2, 3)))[:-8], "truncated matrix block", id="truncated"),
         pytest.param(_block(np.ones((2, 3))) + b"\0", "trailing bytes", id="trailing-bytes"),
+        # a declared shape whose payload runs past the end of the file, or that no array can hold even when
+        # empty, is refused from the header, before anything of its size is read
+        pytest.param(_header(2**63, 2**63), "beyond any array", id="size-overflows-2x"),
+        pytest.param(_header(2**40, 2**20), "truncated matrix block", id="size-2^63-bytes"),
+        pytest.param(_header(1, 2**61), "beyond any array", id="size-2^64-bytes"),
+        pytest.param(_header(0, 2**63), "beyond any array", id="empty-cols-beyond-numpy"),
+        pytest.param(_header(2**64 - 1, 0), "beyond any array", id="empty-rows-beyond-numpy"),
     ],
 )
 def test_binary_matrix_file_refuses_bad_bytes(tmp_path, content, message):
     path = tmp_path / "m.bin"
     path.write_bytes(content)
-    with pytest.raises(DataError, match=message) as err:
-        read_matrix_binary(path)
-    assert err.value.code == "malformed_file"
+    err = refused_without_allocating(read_matrix_binary, path)
+    assert err.code == "malformed_file" and message in str(err)
 
 
 def _set_manifest(directory, **entries):
@@ -493,7 +484,6 @@ def _set_manifest(directory, **entries):
         pytest.param(lambda d: (d / "features_a.csv").write_text(""), "malformed_file", id="empty-csv"),
         pytest.param(lambda d: (d / "features_a.csv").write_text("# f0,f1\n\n# f2\n"), "malformed_file", id="comments-only-csv"),
         pytest.param(lambda d: _set_manifest(d, features_b="gone.csv"), "missing_file", id="manifest-file-absent"),
-        pytest.param(lambda d: _set_manifest(d, sample_ids="ids.txt"), "missing_file", id="manifest-ids-absent"),
         pytest.param(lambda d: (d / "manifest.json").write_text("{not json"), "malformed_file", id="manifest-not-json"),
         pytest.param(lambda d: (d / "labels.csv").write_text("1,1\n2,2\n1,1\n2,2\n"), "malformed_file", id="labels-2-cols"),
     ],
@@ -506,6 +496,18 @@ def test_load_refuses_broken_directories(rng, tmp_path, breakage, code):
         with pytest.raises(DataError) as err:
             load_dataset(tmp_path)
     assert err.value.code == code
+
+
+@pytest.mark.parametrize("sample_ids", ["ids.txt", ["ids.txt"], "absent.txt"], ids=["string", "list", "absent-file"])
+def test_manifest_keys_beyond_the_files_and_c_are_ignored(rng, tmp_path, sample_ids):
+    # a sample-id entry, which older datasets carry, is one more ignored key, whatever its value
+    save_dataset(make_dataset(rng, 6, 2), tmp_path)
+    (tmp_path / "ids.txt").write_text("s0\ns1\ns2\ns3\ns4\ns5\n")
+    expected = load_dataset(tmp_path)
+    _set_manifest(tmp_path, sample_ids=sample_ids, notes="hand-made")
+    back = load_dataset(tmp_path)
+    assert np.array_equal(back.xa.values, expected.xa.values) and np.array_equal(back.xb.values, expected.xb.values)
+    assert np.array_equal(back.labels, expected.labels) and back.c == expected.c
 
 
 def test_save_dataset_refuses_an_unknown_format(rng, tmp_path):

@@ -8,7 +8,7 @@ from xms.dataset_io import FeatureMatrix
 from xms.errors import ConfigError, DataError
 from xms.methods import SubspaceModel, fit_method, load_model, project, save_model
 from xms.preprocess import PcaModel
-from tests.conftest import random_paired_dataset
+from tests.conftest import random_paired_dataset, refused_without_allocating
 
 
 def identity_model(d):
@@ -96,14 +96,18 @@ def model_file(header) -> bytes:
         pytest.param(model_file({"method": "cca", "d": 1}), id="no-blocks"),
         pytest.param(model_file(["method", "cca"]), id="header-list"),
         pytest.param(model_file({"method": "cca", "d": 1, "blocks": []}), id="no-projections"),
+        # size fields beyond the end of the file, refused before anything of their size is read
+        pytest.param(b"XMSM" + struct.pack("<Q", 2**63) + b"{}", id="header-length-2^63"),
+        pytest.param(
+            model_file({"method": "cca", "d": 1, "blocks": ["wa"]}) + b"XMS1" + struct.pack("<QQ", 2**62, 4),
+            id="block-2^62x4",
+        ),
     ],
 )
 def test_load_rejects_malformed_model_files(tmp_path, content):
     path = tmp_path / "bad.xms"
     path.write_bytes(content)
-    with pytest.raises(DataError) as err:
-        load_model(path)
-    assert err.value.code == "malformed_file"
+    assert refused_without_allocating(load_model, path).code == "malformed_file"
 
 
 def test_load_rejects_header_that_contradicts_its_blocks(tmp_path):
