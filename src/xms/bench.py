@@ -32,21 +32,20 @@ from .dataset_io import (
     stratified_split,
     subset,
 )
-from .errors import ConfigError, DataError, XmsError, is_int, is_real
+from .errors import ConfigError, DataError, XmsError, is_int
 from .methods import SplitContext, check_request, fit_method, method_config, normalize_method_name, project
 from .retrieval_eval import evaluate_direction, unit_columns
 from .synthetic import make_synthetic_dataset
 
 DIRECTIONS = ("a2b", "b2a")
-SWEEP_METHODS = ("lcfs", "jfssl")  # the methods lambda_sweep takes, and xms sweep's --method choices
 METRIC_MODES = ("map", "acc_at_k")
 DEFAULT_PCA = {"mode": "energy", "value": 0.98}  # the protocol's PCA, and xms fit's default
 
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One benchmark entry: a method, its hyperparameters and PCA setting, checked at construction
-    as far as they do not depend on the data (the range of ``dim`` is checked when the method is fitted)."""
+    """One benchmark entry: a labelled fit request, checked at construction by ``check_request`` (the range of
+    ``dim`` needs the data), and per-metric hyperparameters.  Once the label is a string, every error starts with it."""
 
     name: str
     label: str
@@ -56,32 +55,23 @@ class MethodSpec:
     hyperparams_by_metric: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (isinstance(self.name, str) and isinstance(self.label, str)):
-            raise ConfigError("bad_config", f"method name and label must be strings, got {self.name!r}, {self.label!r}")
-        if not (self.dim is None or is_int(self.dim)):
-            raise ConfigError("bad_config", f"{self.label}: dim must be an integer or None, got {self.dim!r}")
+        if not isinstance(self.label, str):
+            raise ConfigError("bad_config", f"method label must be a string, got {self.label!r}")
         by_metric = self.hyperparams_by_metric
-        if not (
-            isinstance(self.hyperparams, dict)
-            and isinstance(by_metric, dict)
-            and all(isinstance(block, dict) for block in by_metric.values())
-        ):
-            raise ConfigError(
-                "bad_config", f"{self.label}: hyperparams and hyperparams_by_metric and its blocks must be mappings"
-            )
-        unknown = sorted(set(by_metric) - set(METRIC_MODES), key=repr)
-        if unknown:
-            raise ConfigError(
-                "bad_config", f"{self.label}: hyperparams_by_metric keys must be 'map' or 'acc_at_k', got {unknown}"
-            )
-        check_request(self.name, self.dim, self.pca, self.hyperparams)
-        for metric_mode in by_metric:
-            method_config(self.name, self.resolved_hyperparams(metric_mode))
+        try:
+            mappings = isinstance(by_metric, dict) and all(isinstance(block, dict) for block in by_metric.values())
+            if not (mappings and set(by_metric) <= set(METRIC_MODES)):
+                raise ConfigError(
+                    "bad_config", f"hyperparams_by_metric must map 'map' or 'acc_at_k' to mappings, got {by_metric!r}"
+                )
+            check_request(self.name, self.dim, self.pca, self.hyperparams)
+            for metric_mode in by_metric:
+                method_config(self.name, self.resolved_hyperparams(metric_mode))
+        except ConfigError as exc:
+            raise ConfigError(exc.code, f"{self.label}: {exc}") from exc
 
     def resolved_hyperparams(self, metric_mode: str) -> dict:
-        merged = dict(self.hyperparams)
-        merged.update(self.hyperparams_by_metric.get(metric_mode, {}))
-        return merged
+        return {**(self.hyperparams or {}), **self.hyperparams_by_metric.get(metric_mode, {})}
 
 
 @dataclass(frozen=True)
@@ -477,27 +467,24 @@ def compute_ttests(report: dict, baseline: str, welch: bool = False) -> list[dic
 def lambda_sweep(config: BenchmarkConfig, method: str, grid1, grid2, dataset=None) -> dict:
     """Mean-metric surface over a (lambda1, lambda2) grid for lcfs or jfssl.
 
-    The grid is a lineup: one spec per cell, labelled ``template[i,j]``, run
-    by the benchmark's own runner (``_all_runs``), so every cell runs the
-    repeated protocol on the same splits and each cell's numbers equal a
-    ``run_benchmark`` of that cell alone.  The runner goes split by split: all
-    cells are fitted against one ``SplitContext``, which is dropped before the
-    next split, so the PCA, Grams, least-squares start and graph are built once
-    per split, and one split's state is alive per worker at a time.  A cell
-    whose every repetition failed is listed in ``failed_cells`` and reads None.
+    The grid is a lineup: one spec per cell, labelled ``template[i,j]``, whose
+    construction checks the values as given (a method without lambdas, or a bad
+    lambda, is ``bad_hyperparam``).  The benchmark's own runner (``_all_runs``)
+    runs it, so every cell runs the repeated protocol on the same splits and
+    each cell's numbers equal a ``run_benchmark`` of that cell alone.  The
+    runner goes split by split: all cells are fitted against one
+    ``SplitContext``, which is dropped before the next split, so the PCA,
+    Grams, least-squares start and graph are built once per split, and one
+    split's state is alive per worker at a time.  A cell whose every
+    repetition failed is listed in ``failed_cells`` and reads None.
     """
     method = normalize_method_name(method)
-    if method not in SWEEP_METHODS:
-        raise ConfigError("bad_config", f"lambda_sweep supports {' and '.join(SWEEP_METHODS)}, got {method}")
     grid1, grid2 = list(grid1), list(grid2)
-    if not (grid1 and grid2 and all(is_real(v) and v >= 0 for v in grid1 + grid2)):
-        raise ConfigError("bad_config", "each lambda grid must list one or more finite real numbers >= 0")
-    grid1, grid2 = [float(v) for v in grid1], [float(v) for v in grid2]
+    if not (grid1 and grid2):
+        raise ConfigError("bad_config", "each lambda grid must list one or more values")
     template = next(
         (spec for spec in config.methods if normalize_method_name(spec.name) == method), MethodSpec(method, method)
     )
-    data = _prepared_data(config, dataset)
-
     base = template.resolved_hyperparams(config.metric_mode)
     cells = {
         (i, j): MethodSpec(
@@ -506,6 +493,8 @@ def lambda_sweep(config: BenchmarkConfig, method: str, grid1, grid2, dataset=Non
         for i, l1 in enumerate(grid1)
         for j, l2 in enumerate(grid2)
     }
+    grid1, grid2 = [float(v) for v in grid1], [float(v) for v in grid2]
+    data = _prepared_data(config, dataset)
     entries = _all_runs(data, replace(config, methods=tuple(cells.values())), _worker_count(config.repetitions))
 
     surfaces = {d: [[None] * len(grid2) for _ in grid1] for d in DIRECTIONS}
@@ -550,7 +539,7 @@ def method_spec_from_dict(entry: dict) -> MethodSpec:
     """A config's method entry; the name is made canonical, and the label
     defaults to it, with ``pca+`` in front when the entry sets a PCA."""
     entry = _field_mapping(entry, MethodSpec, "method entry", defaulted=("label",))
-    name = normalize_method_name(entry["name"]) if isinstance(entry["name"], str) else entry["name"]
+    name = normalize_method_name(entry["name"])
     label = entry.get("label") or (f"pca+{name}" if entry.get("pca") else name)
     return MethodSpec(**{**entry, "name": name, "label": label})
 

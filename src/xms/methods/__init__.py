@@ -39,8 +39,15 @@ __all__ = [
 ]
 
 
+def _method_key(name) -> str:
+    """``name`` stripped, in lower case and without ``-`` and ``_``; a name that is not a string is ``bad_config``."""
+    if not isinstance(name, str):
+        raise ConfigError("bad_config", f"method name must be a string, got {name!r}")
+    return name.strip().lower().replace("-", "").replace("_", "")
+
+
 def normalize_method_name(name: str) -> str:
-    canonical = name.strip().lower().replace("-", "").replace("_", "")
+    canonical = _method_key(name)
     if canonical not in METHOD_NAMES:
         raise ConfigError("bad_method", f"unknown method {name!r}; choose from {', '.join(METHOD_NAMES)}")
     return canonical
@@ -137,11 +144,16 @@ def method_config(method: str, hyperparams: dict | None = None):
 
 
 def check_request(method: str, dim: int | None = None, pca: dict | None = None, hyperparams: dict | None = None):
-    """``(normalized name, config)`` of a fit request, checked without the data in one order: the PCA spec
-    (``bad_pca``), the name (``bad_method``), the hyperparameters (``bad_hyperparam``), and whether the method
-    takes a ``dim`` (``bad_dim``).  The range of ``dim`` needs the data; the fitter checks it."""
+    """``(normalized name, config)`` of a fit request, checked without the data in one order: the types
+    (``bad_config``: the name is a string, ``dim`` None or an integer, ``hyperparams`` None or a mapping),
+    the PCA spec (``bad_pca``), the name (``bad_method``), the hyperparameters (``bad_hyperparam``), and
+    whether the method takes a ``dim`` (``bad_dim``).  The range of ``dim`` needs the data; the fitter checks it."""
+    method = _method_key(method)
+    if not (dim is None or is_int(dim)):
+        raise ConfigError("bad_config", f"dim must be an integer or None, got {dim!r}")
+    if not (hyperparams is None or isinstance(hyperparams, dict)):
+        raise ConfigError("bad_config", f"hyperparams must be a mapping, got {hyperparams!r}")
     _pca_options(pca)
-    method = normalize_method_name(method)
     config = method_config(method, hyperparams)
     if dim is not None and not _METHODS[method][2]:
         raise ConfigError("bad_dim", f"{method} projects into the label space; its dimension is fixed at c")

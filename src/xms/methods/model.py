@@ -17,7 +17,7 @@ from ..dataset_io import (
     read_matrix_stream,
     write_matrix_stream,
 )
-from ..errors import ConfigError, DataError
+from ..errors import ConfigError, DataError, is_int
 from ..preprocess import PcaModel, center_fit, pca_apply
 
 METHOD_NAMES = ("cca", "pls", "blm", "gmlda", "gmmfa", "cdfe", "cca3v", "lcfs", "jfssl")
@@ -95,7 +95,7 @@ def _fit_closed_form(
         d = min(30, d_max, train.d_a, train.d_b)
         if supervised:
             d = max(min(train.c - 1, d), 1)
-    if not 1 <= d <= d_max:
+    if not (is_int(d) and 1 <= d <= d_max):
         raise ConfigError("bad_dim", f"d must lie in 1..{d_max}, got {d}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing product fails a finiteness check instead
         wa, wb, hyperparams, metadata = solve(xa, xb, d)

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .dataset_io import FeatureMatrix, PairedMultimodalDataset, _integer_labels
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, is_int
 from .preprocess import fix_signs
 
 COND_LIMIT = 1e12
@@ -63,7 +63,7 @@ def solve_gev(a: np.ndarray, b: np.ndarray | None, k: int, ridge: float = 0.0) -
     if a.ndim != 2 or a.shape[0] != a.shape[1] or (b is not None and a.shape != b.shape):
         raise ConfigError("shape_mismatch", f"A and B must be square and equal-sized, got {a.shape} and {np.shape(b)}")
     m = a.shape[0]
-    if not 1 <= k <= m:
+    if not (is_int(k) and 1 <= k <= m):
         raise ConfigError("bad_k", f"k must lie in 1..{m}, got {k}")
 
     if b is None and ridge != 0:

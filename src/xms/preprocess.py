@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset_io import FeatureMatrix
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, is_int, is_real
 
 
 @dataclass(frozen=True)
@@ -88,18 +88,18 @@ def pca_fit(x: FeatureMatrix, k: int | None = None, energy: float | None = None)
     u, eigenvalues = u[:, ::-1], np.maximum(w[::-1], 0.0) / (x.n - 1)
 
     if energy is not None:
-        if not 0 < energy <= 1:
-            raise ConfigError("pca_target", f"energy must be in (0, 1], got {energy}")
+        if not (is_real(energy) and 0 < energy <= 1):
+            raise ConfigError("pca_target", f"energy must be a number in (0, 1], got {energy!r}")
         total = eigenvalues[:k_max].sum()
         if total <= 0:
             k = 1
         else:
             frac = np.cumsum(eigenvalues[:k_max]) / total
             k = int(np.searchsorted(frac, energy - 1e-12) + 1)
+    if not (is_int(k) and k >= 1):
+        raise ConfigError("pca_target", f"k must be an integer >= 1, got {k!r}")
     if k > k_max:
         raise ConfigError("pca_target", f"k={k} exceeds min(d, n-1)={k_max}")
-    if k < 1:
-        raise ConfigError("pca_target", f"k must be >= 1, got {k}")
 
     return PcaModel(mean=mean, basis=fix_signs(u[:, :k]), eigenvalues=eigenvalues[:k].copy())
 

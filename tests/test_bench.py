@@ -759,12 +759,13 @@ def test_run_benchmark_needs_a_test_side(n_train):
 
 
 def test_lambda_sweep_refuses_a_method_without_lambdas():
-    with pytest.raises(ConfigError, match="lcfs and jfssl") as err:
+    # the cell's own config check refuses it, named by the cell; the parser takes any method name
+    with pytest.raises(ConfigError, match=r"^cca\[0,0\]: ") as err:
         lambda_sweep(small_config((MethodSpec("cca", "cca", dim=2),)), "cca", [0.0], [0.0])
-    assert err.value.code == "bad_config"
-    assert xms.bench.SWEEP_METHODS == ("lcfs", "jfssl")
-    with pytest.raises(SystemExit):
-        xms.cli.build_parser().parse_args(["sweep", "--config", "c.yaml", "--method", "cca", "--out", "s.json"])
+    assert err.value.code == "bad_hyperparam"
+    assert not hasattr(xms.bench, "SWEEP_METHODS")
+    args = xms.cli.build_parser().parse_args(["sweep", "--config", "c.yaml", "--method", "cca", "--out", "s.json"])
+    assert args.method == "cca"
 
 
 @pytest.mark.parametrize(
@@ -864,12 +865,14 @@ def test_config_from_dict_requires_mappings(raw):
 
 @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf"), "x", None, True, "empty"])
 def test_lambda_sweep_rejects_bad_grid_values(bad):
+    # an empty grid is the sweep's own refusal; a bad value is the cell's, through JFSSL's config
     config = small_config((MethodSpec("jfssl", "jfssl"),))
     bad_grid = [] if bad == "empty" else [bad]
     for grid1, grid2 in ((bad_grid, [0.0]), ([0.0], bad_grid)):
         with pytest.raises(ConfigError) as err:
             lambda_sweep(config, "jfssl", grid1, grid2)
-        assert err.value.code == "bad_config"
+        assert err.value.code == ("bad_config" if bad == "empty" else "bad_hyperparam")
+        assert bad == "empty" or str(err.value).startswith("jfssl[0,0]: ")
 
 
 def test_config_rejects_duplicate_labels():

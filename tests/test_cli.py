@@ -159,16 +159,9 @@ def test_fit_bad_hyperparams_exit_2(tmp_path, dataset_dir, capsys, text, code):
     assert not model_path.exists()
 
 
-@pytest.mark.parametrize(
-    "request_fields, code",
-    [
-        pytest.param({"name": "lcfs", "dim": 2, "hyperparams": {"lamda1": 0.1}}, "bad_hyperparam", id="lcfs-dim-key"),
-        pytest.param({"name": "cca", "pca": {"mode": "x"}, "hyperparams": {"zz": 1}}, "bad_pca", id="cca-pca-key"),
-        pytest.param({"name": "jfssl", "dim": 2, "pca": {"mode": "dim", "value": 0}}, "bad_pca", id="jfssl-dim-pca"),
-    ],
-)
-def test_two_fault_request_gets_one_code_at_every_entrance(tmp_path, dataset_dir, capsys, request_fields, code):
-    # MethodSpec, a config file's method entry, fit_method and xms fit all check a request in one order
+def entrance_codes(tmp_path, dataset_dir, capsys, request_fields, cli=True) -> dict:
+    """The error code of one fit request at MethodSpec, a config file's method entry, fit_method and,
+    with ``cli``, xms fit."""
     request = {"dim": None, "pca": None, "hyperparams": {}, **request_fields}
     entrances = {
         "MethodSpec": lambda: MethodSpec(label="x", **request),
@@ -181,11 +174,56 @@ def test_two_fault_request_gets_one_code_at_every_entrance(tmp_path, dataset_dir
         with pytest.raises(ConfigError) as err:
             call()
         codes[entrance] = err.value.code
-    argv = ["fit", "--dataset", str(dataset_dir), "--method", request["name"], "--out", str(tmp_path / "m.xms"),
-            "--pca", json.dumps(request["pca"]), "--hyperparams", json.dumps(request["hyperparams"])]
-    assert main(argv + (["--dim", str(request["dim"])] if request["dim"] is not None else [])) == 2
-    codes["xms fit"] = re.match(r"error \[(\w+)\]", capsys.readouterr().err).group(1)
+    if cli:
+        argv = ["fit", "--dataset", str(dataset_dir), "--method", request["name"], "--out", str(tmp_path / "m.xms"),
+                "--pca", json.dumps(request["pca"]), "--hyperparams", json.dumps(request["hyperparams"])]
+        assert main(argv + (["--dim", str(request["dim"])] if request["dim"] is not None else [])) == 2
+        codes["xms fit"] = re.match(r"error \[(\w+)\]", capsys.readouterr().err).group(1)
+        assert not (tmp_path / "m.xms").exists()
+    return codes
+
+
+@pytest.mark.parametrize(
+    "request_fields, code",
+    [
+        pytest.param({"name": "lcfs", "dim": 2, "hyperparams": {"lamda1": 0.1}}, "bad_hyperparam", id="lcfs-dim-key"),
+        pytest.param({"name": "cca", "pca": {"mode": "x"}, "hyperparams": {"zz": 1}}, "bad_pca", id="cca-pca-key"),
+        pytest.param({"name": "jfssl", "dim": 2, "pca": {"mode": "dim", "value": 0}}, "bad_pca", id="jfssl-dim-pca"),
+    ],
+)
+def test_two_fault_request_gets_one_code_at_every_entrance(tmp_path, dataset_dir, capsys, request_fields, code):
+    # MethodSpec, a config file's method entry, fit_method and xms fit all check a request in one order
+    codes = entrance_codes(tmp_path, dataset_dir, capsys, request_fields)
     assert codes == dict.fromkeys(codes, code)
+
+
+@pytest.mark.parametrize(
+    "request_fields, cli",
+    [
+        # xms fit's --dim is parsed as an integer and --method is text, so only the hyperparameters reach it
+        pytest.param({"name": "cca", "dim": "3"}, False, id="dim-str"),
+        pytest.param({"name": "cca", "dim": 2.0}, False, id="dim-float"),
+        pytest.param({"name": "cca", "dim": True}, False, id="dim-bool"),
+        pytest.param({"name": 3}, False, id="name-int"),
+        pytest.param({"name": "gmlda", "hyperparams": []}, True, id="hyperparams-list"),
+        pytest.param({"name": "gmlda", "hyperparams": 0}, True, id="hyperparams-zero"),
+        pytest.param({"name": "gmlda", "hyperparams": 4.0}, True, id="hyperparams-number"),
+    ],
+)
+def test_mistyped_request_is_a_config_error_at_every_entrance(tmp_path, dataset_dir, capsys, request_fields, cli):
+    # check_request checks the types first, so every entrance refuses them alike, and none fits a model
+    codes = entrance_codes(tmp_path, dataset_dir, capsys, request_fields, cli)
+    assert codes == dict.fromkeys(codes, "bad_config")
+
+
+def test_method_entry_errors_start_with_a_label_that_differs_from_the_name():
+    # the label, not the method name, leads every error of the request, the config class's own included
+    spec = {"name": "cca", "pca": {"mode": "energy", "value": 0.98}, "hyperparams": {"ridge": -1}}
+    for make in (lambda: MethodSpec(label="pca+cca", **spec), lambda: method_spec_from_dict(spec)):
+        with pytest.raises(ConfigError) as err:
+            make()
+        assert err.value.code == "bad_hyperparam"
+        assert str(err.value).startswith("pca+cca: ridge must be finite")
 
 
 def test_missing_dataset_exit_3(tmp_path, capsys):

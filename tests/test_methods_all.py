@@ -18,7 +18,9 @@ from xms.methods import (
     fit_cdfe,
     fit_jfssl,
     fit_lcfs,
+    fit_gma,
     fit_method,
+    fit_pls,
     method_config,
     normalize_method_name,
     project,
@@ -93,6 +95,20 @@ def test_closed_form_dimension_contract(name):
         with pytest.raises(ConfigError) as err:
             fit_method(ds, name, dim=dim)
         assert err.value.code == "bad_dim"
+
+
+@pytest.mark.parametrize("d", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize(
+    "fitter",
+    [fit_cca, fit_pls, fit_cca3v, fit_cdfe] + [lambda ds, d, v=v: fit_gma(ds, v, d) for v in ("blm", "gmlda", "gmmfa")],
+    ids=["cca", "pls", "cca3v", "cdfe", "blm", "gmlda", "gmmfa"],
+)
+def test_public_closed_form_fitters_refuse_a_dimension_that_is_not_an_integer(fitter, d):
+    # these fitters bypass check_request: _fit_closed_form's range check also checks the type
+    ds = random_paired_dataset(np.random.default_rng(12), n=30, d_a=5, d_b=4, c=3)
+    with pytest.raises(ConfigError) as err:
+        fitter(ds, d=d)
+    assert err.value.code == "bad_dim"
 
 
 # default d of each closed-form method on edge shapes (n, d_a, d_b, c): min(30, bound, d_a, d_b), and for the

@@ -123,3 +123,86 @@ def test_gma_eigenvalues_non_increasing(rng):
     model = fit_gma(ds, "gmlda", d=4, config=GmaConfig(beta=2.0))
     eigs = model.metadata["gev_eigenvalues"]
     assert all(eigs[i] >= eigs[i + 1] - 1e-10 for i in range(len(eigs) - 1))
+
+
+# ---------------------------------------------------------------------------
+# objective oracles at beta > 0: A and B summed per sample, per class and per graph edge, as the module
+# docstring states them, on centered views; no matrix product is shared with the fitter
+
+
+def _oracle_knn(x, labels, k, same_class):
+    """Binary symmetrized k-NN graph: each sample's k nearest among its own class (or among the other
+    classes), by direct squared distance, ties to the lower index (a stable argsort)."""
+    n = x.shape[1]
+    w = np.zeros((n, n))
+    for i in range(n):
+        others = [j for j in range(n) if j != i and (labels[j] == labels[i]) == same_class]
+        dists = [np.sum((x[:, i] - x[:, j]) ** 2) for j in others]
+        for pos in np.argsort(dists, kind="stable")[:k]:
+            w[i, others[pos]] = 1.0
+    return np.maximum(w, w.T)
+
+
+def _oracle_edge_scatter(x, w):
+    """sum over edges of w_ij (x_i - x_j)(x_i - x_j)' / 2, over the total edge weight: X L X' / sum(W)."""
+    total = np.zeros((x.shape[0], x.shape[0]))
+    for i, j in zip(*np.nonzero(w)):
+        total += w[i, j] * np.outer(x[:, i] - x[:, j], x[:, i] - x[:, j])
+    return total / 2 / w.sum()
+
+
+def _oracle_view(variant, x, labels, config):
+    """One view's (A_i, B_i, cross columns) by the docstring's sums."""
+    n = x.shape[1]
+    if variant == "gmlda":
+        mean = x.mean(axis=1)
+        means = {cls: x[:, labels == cls].mean(axis=1) for cls in np.unique(labels)}
+        between = sum(np.sum(labels == cls) * np.outer(m - mean, m - mean) for cls, m in means.items())
+        within = sum(np.outer(x[:, i] - means[labels[i]], x[:, i] - means[labels[i]]) for i in range(n))
+        return between, within, [means[labels[i]] for i in range(n)]
+    intrinsic = _oracle_knn(x, labels, config.mfa_k_intrinsic, same_class=True)
+    penalty = _oracle_knn(x, labels, config.mfa_k_penalty, same_class=False)
+    cross = [x[:, i] / np.sqrt(n) for i in range(n)]
+    return _oracle_edge_scatter(x, penalty), _oracle_edge_scatter(x, intrinsic), cross
+
+
+def _oracle_pair(variant, ds, config):
+    """The block pair (A, B) of the docstring's problem, with C the cross columns:
+    wa' Aa wa + mu wb' Ab wb + beta wa' Ca Cb' wb  s.t.  wa' Ba wa + alpha wb' Bb wb = 1."""
+    centered = (x - x.mean(axis=1, keepdims=True) for x in (ds.xa.values, ds.xb.values))
+    (a_a, b_a, cross_a), (a_b, b_b, cross_b) = (_oracle_view(variant, x, ds.labels, config) for x in centered)
+    cross = sum(np.outer(ca, cb) for ca, cb in zip(cross_a, cross_b))
+    a = np.block([[a_a, 0.5 * config.beta * cross], [0.5 * config.beta * cross.T, config.mu * a_b]])
+    b = la.block_diag(b_a, config.alpha * b_b)
+    return a, b
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "variant, config",
+    [
+        ("gmlda", GmaConfig(mu=1.5, beta=4.0, alpha=0.7)),
+        ("gmmfa", GmmfaConfig(mu=0.8, beta=2.0, alpha=1.3, mfa_k_intrinsic=3, mfa_k_penalty=6)),
+    ],
+    ids=["gmlda", "gmmfa"],
+)
+def test_gma_at_positive_beta_reaches_the_documented_optimum(variant, config, seed):
+    rng = np.random.default_rng(seed)
+    ds = random_paired_dataset(rng, n=36, d_a=6, d_b=4, c=3)
+    d = 3
+    model = fit_gma(ds, variant, d=d, config=config)
+    a, b = _oracle_pair(variant, ds, config)
+    ridge = model.hyperparams["ridge"]
+    assert ridge == pytest.approx(1e-4 * np.trace(b) / b.shape[0], rel=1e-9)
+    breg = b + ridge * np.eye(b.shape[0])
+    w = np.vstack([model.wa, model.wb])
+    assert np.abs(w.T @ breg @ w - np.eye(d)).max() < 1e-10
+    best = la.eigh(a, breg, eigvals_only=True)[::-1][:d].sum()
+    objective = np.trace(w.T @ a @ w)
+    assert objective == pytest.approx(best, rel=1e-9)
+    # no feasible W, drawn at random or near the optimum, scores higher
+    for scale in [None] * 100 + [1e-3] * 100:
+        v = rng.standard_normal(w.shape) if scale is None else w + scale * rng.standard_normal(w.shape)
+        r = la.cholesky(v.T @ breg @ v)  # upper: V'(B + ridge I)V = R'R, so V R^-1 is feasible
+        feasible = la.solve_triangular(r, v.T, trans="T").T
+        assert np.trace(feasible.T @ a @ feasible) <= objective + 1e-9 * abs(objective)

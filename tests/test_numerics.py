@@ -78,7 +78,7 @@ def test_covariances_need_two_samples():
     assert err.value.code == "n_mismatch"
 
 
-@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("k", [0, 3, True, 2.0])
 def test_solve_gev_k_out_of_range(k):
     for b in (np.eye(2), None):
         with pytest.raises(ConfigError) as err:

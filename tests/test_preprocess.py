@@ -70,6 +70,11 @@ def test_pca_k_exceeds_bound():
         pytest.param(10, {"energy": 0.0}, id="energy-zero"),
         pytest.param(10, {"energy": 1.5}, id="energy-above-one"),
         pytest.param(10, {"k": 0}, id="k-zero"),
+        pytest.param(10, {"k": True}, id="k-bool"),
+        pytest.param(10, {"k": 2.0}, id="k-float"),
+        pytest.param(10, {"k": "2"}, id="k-str"),
+        pytest.param(10, {"energy": True}, id="energy-bool"),
+        pytest.param(10, {"energy": "0.9"}, id="energy-str"),
     ],
 )
 def test_pca_refuses_targets_it_cannot_meet(n, target):
