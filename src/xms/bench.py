@@ -10,6 +10,7 @@ parallel, one forked worker process per usable CPU (``_all_runs``).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import ctypes
 import datetime
@@ -536,11 +537,14 @@ def _field_mapping(raw, cls, what: str, defaulted=()) -> dict:
 
 
 def method_spec_from_dict(entry: dict) -> MethodSpec:
-    """A config's method entry; the name is made canonical, and the label
-    defaults to it, with ``pca+`` in front when the entry sets a PCA."""
+    """A config's method entry; a name that names a method is made canonical, and the label
+    defaults to the name, with ``pca+`` in front when the entry sets a PCA.  Any other name
+    reaches ``MethodSpec`` as given, which refuses the request in ``check_request``'s order."""
     entry = _field_mapping(entry, MethodSpec, "method entry", defaulted=("label",))
-    name = normalize_method_name(entry["name"])
-    label = entry.get("label") or (f"pca+{name}" if entry.get("pca") else name)
+    name = entry["name"]
+    with contextlib.suppress(ConfigError):
+        name = normalize_method_name(name)
+    label = entry.get("label") or f"{'pca+' if entry.get('pca') else ''}{name}"
     return MethodSpec(**{**entry, "name": name, "label": label})
 
 

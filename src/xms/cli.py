@@ -18,7 +18,7 @@ from . import bench as bench_mod
 from ._version import __version__
 from .dataset_io import load_dataset
 from .errors import ConfigError, DataError, XmsError
-from .methods import fit_method, load_model, save_model
+from .methods import check_request, fit_method, load_model, save_model
 from .retrieval_eval import evaluate_direction
 
 DEFAULT_GRID = "0,0.0001,0.001,0.01,0.1,1,10,100"
@@ -34,6 +34,7 @@ def _json_option(flag: str, text: str):
 def cmd_fit(args) -> int:
     hyperparams = _json_option("--hyperparams", args.hyperparams)
     pca = _json_option("--pca", args.pca)
+    check_request(args.method, args.dim, pca, hyperparams)  # a malformed request is refused before any data is read
     dataset = load_dataset(args.dataset)
     model = fit_method(dataset, args.method, dim=args.dim, pca=pca, hyperparams=hyperparams)
     save_model(model, args.out)

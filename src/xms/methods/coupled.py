@@ -71,41 +71,37 @@ def smoothed_trace_norm(s: np.ndarray, n: int) -> float:
 
 class _NormalSystem:
     """A block's normal system (G + B + diag(d)) w = rhs: the Gram G, a block B
-    or None, and at each solve an l21 diagonal d or None.
+    or None, and at each solve an l21 diagonal d, zero at lambda1 = 0 and for the start.
 
     G + B is formed and checked for non-finite entries once, when the system
     is built.  A solve copies it, rewrites the copy's diagonal as (G_ii + d_i)
-    + B_ii, the rounding of adding d to a copy of G and then B, and so checks
-    only that diagonal and the right-hand side.  One LAPACK posv call (potrf
-    then potrs, on the upper triangle) then factors and solves the copy in
-    place; if Cholesky fails, a fresh copy gets the min-norm least-squares
-    solution.  G and B are left as they are, and Fortran-ordered ones reach
-    LAPACK without a transposing copy.  A diagonal sum that overflows fails
-    the check (``divergence``); the fitters' errstate silences numpy's warning.
+    + B_ii (B_ii = 0 without a block), the rounding of adding d to a copy of G
+    and then B, and so checks only that diagonal and the right-hand side.  One
+    LAPACK posv call (potrf then potrs, on the upper triangle) then factors and
+    solves the copy in place; if Cholesky fails, a fresh copy gets the min-norm
+    least-squares solution.  G and B are left as they are, and Fortran-ordered
+    ones reach LAPACK without a transposing copy.  A diagonal sum that
+    overflows fails the check (``divergence``); the fitters' errstate silences
+    numpy's warning.
     """
 
     def __init__(self, gram, block, context):
         self.base = gram if block is None else gram + block
         if not np.isfinite(self.base).all():
             raise NumericalError("divergence", f"{context}: non-finite normal system")
-        self.diagonals = gram.diagonal().copy(), None if block is None else block.diagonal().copy()
+        self.diagonals = gram.diagonal().copy(), 0.0 if block is None else block.diagonal().copy()
         self.context = context
 
     def _matrix(self, diagonal):
         a = self.base.copy(order="K")
-        if diagonal is not None:
-            a.ravel(order="K")[:: a.shape[0] + 1] = diagonal  # the flat memory-order view of the contiguous copy
+        a.ravel(order="K")[:: a.shape[0] + 1] = diagonal  # the flat memory-order view of the contiguous copy
         return a
 
     def solve(self, l21_diagonal, rhs):
-        """w for the right-hand side ``rhs`` and the l21 diagonal, None at lambda1 = 0."""
-        diagonal = None
-        if l21_diagonal is not None:
-            gram_diagonal, block_diagonal = self.diagonals
-            diagonal = gram_diagonal + l21_diagonal
-            if block_diagonal is not None:
-                diagonal += block_diagonal
-        if not (np.isfinite(rhs).all() and (diagonal is None or np.isfinite(diagonal).all())):
+        """w for the right-hand side ``rhs`` and the l21 diagonal, zero at lambda1 = 0 and for the start."""
+        gram_diagonal, block_diagonal = self.diagonals
+        diagonal = gram_diagonal + l21_diagonal + block_diagonal
+        if not (np.isfinite(rhs).all() and np.isfinite(diagonal).all()):
             raise NumericalError("divergence", f"{self.context}: non-finite normal system")
         _, w, info = la.lapack.dposv(self._matrix(diagonal), rhs, lower=False, overwrite_a=True)
         if info == 0:
@@ -134,7 +130,7 @@ def _regression_start(train: PairedMultimodalDataset, context):
         xs = (train.xa.values, train.xb.values)
         y = encode_labels(train.labels, train.c)
         grams, rhs = [np.asfortranarray(x @ x.T) for x in xs], [x @ y for x in xs]
-        return xs, y, grams, rhs, [_NormalSystem(g, None, "least squares").solve(None, r) for g, r in zip(grams, rhs)]
+        return xs, y, grams, rhs, [_NormalSystem(g, None, "least squares").solve(0.0, r) for g, r in zip(grams, rhs)]
 
     return _shared(train, context, "regression_start", build)
 
@@ -179,13 +175,10 @@ def _fit_coupled(
                 b = rhs[p]
                 if cross is not None:
                     b = b - config.lambda2 * ((cross.T if p else cross) @ ws[1 - p])
-                if config.lambda1 > 0:
-                    # smoothed_l21's half-quadratic majorizer at the current rows, with the same EPS_L21; where
-                    # it or its sum with the system's diagonal overflows, the inf is left to the system's check
-                    l21_diagonal = config.lambda1 / loss_scale * (1.0 / (2.0 * np.maximum(norms[p], EPS_L21)))
-                    ws[p] = system.solve(l21_diagonal, b)
-                else:
-                    ws[p] = system.solve(None, b)
+                # smoothed_l21's half-quadratic majorizer at the current rows, with the same EPS_L21 (+0.0 at
+                # lambda1 = 0); where it or its sum with the system's diagonal overflows, the system's check raises
+                l21_diagonal = config.lambda1 / loss_scale * (1.0 / (2.0 * np.maximum(norms[p], EPS_L21)))
+                ws[p] = system.solve(l21_diagonal, b)
                 projs[p] = xs[p].T @ ws[p]
         norms = [_row_norms(w) for w in ws]
         j = loss_scale * sum(((f - y) ** 2).sum() for f in projs)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import struct
 import time
 from dataclasses import dataclass, field
@@ -169,7 +170,10 @@ def save_model(model: SubspaceModel, path) -> None:
 
 
 def load_model(path) -> SubspaceModel:
-    """Read a ``save_model`` file; a truncated or malformed one raises ``DataError("malformed_file")``."""
+    """Read a ``save_model`` file; a path that is not a file raises ``DataError("missing_file")``, as
+    ``read_matrix`` does, and a truncated or malformed file ``DataError("malformed_file")``."""
+    if not os.path.isfile(path):
+        raise DataError("missing_file", f"{path}: no such file")
     with open(path, "rb") as fh:
         head = fh.read(12)
         if len(head) < 12 or head[:4] != _MODEL_MAGIC:

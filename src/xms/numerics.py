@@ -154,8 +154,8 @@ def knn_graph(x: FeatureMatrix, k: int) -> np.ndarray:
     duplicate samples (distance 0) get weight 1.  Symmetrization keeps
     max(w_ij, w_ji).
     """
-    if k <= 0:
-        raise ConfigError("bad_k", f"k must be positive, got {k}")
+    if not is_int(k) or k <= 0:
+        raise ConfigError("bad_k", f"k must be a positive integer, got {k!r}")
     if k >= x.n:
         raise ConfigError("bad_k", f"k must be < n ({x.n})")
     d2 = _pairwise_sq_dists(x.values)
@@ -173,8 +173,8 @@ def class_knn_graphs(x: FeatureMatrix, labels, k_intrinsic: int, k_penalty: int)
     nearest neighbours of the same class and, in the penalty graph, to its
     k_penalty nearest neighbours among other classes.  Both symmetrized.
     """
-    if k_intrinsic <= 0 or k_penalty <= 0:
-        raise ConfigError("bad_k", "graph neighbour counts must be positive")
+    if not (is_int(k_intrinsic) and is_int(k_penalty)) or k_intrinsic <= 0 or k_penalty <= 0:
+        raise ConfigError("bad_k", "graph neighbour counts must be positive integers")
     labels = _integer_labels(labels)
     if labels.size != x.n:
         raise ConfigError("n_mismatch", "labels length must match sample count")
@@ -198,8 +198,8 @@ def multimodal_graph(dataset: PairedMultimodalDataset, k: int) -> np.ndarray:
     already symmetric, the inter block goes above the diagonal and its
     transpose below, so no 2n x 2n symmetrization runs.
     """
-    if k <= 0:
-        raise ConfigError("bad_k", f"k must be positive, got {k}")
+    if not is_int(k) or k <= 0:
+        raise ConfigError("bad_k", f"k must be a positive integer, got {k!r}")
     n = dataset.n
     inter = np.eye(n, dtype=bool)  # rows index modality a, columns modality b
     if dataset.d_a == dataset.d_b:

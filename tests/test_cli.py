@@ -189,6 +189,7 @@ def entrance_codes(tmp_path, dataset_dir, capsys, request_fields, cli=True) -> d
         pytest.param({"name": "lcfs", "dim": 2, "hyperparams": {"lamda1": 0.1}}, "bad_hyperparam", id="lcfs-dim-key"),
         pytest.param({"name": "cca", "pca": {"mode": "x"}, "hyperparams": {"zz": 1}}, "bad_pca", id="cca-pca-key"),
         pytest.param({"name": "jfssl", "dim": 2, "pca": {"mode": "dim", "value": 0}}, "bad_pca", id="jfssl-dim-pca"),
+        pytest.param({"name": "cka", "pca": {"mode": "x"}}, "bad_pca", id="unknown-name-pca"),
     ],
 )
 def test_two_fault_request_gets_one_code_at_every_entrance(tmp_path, dataset_dir, capsys, request_fields, code):
@@ -232,6 +233,26 @@ def test_missing_dataset_exit_3(tmp_path, capsys):
         "--out", str(tmp_path / "m.xms"),
     ])
     assert code == 3
+
+
+def test_malformed_request_exit_2_before_the_dataset_is_read(tmp_path, capsys):
+    # the request alone is refused, so a missing dataset is not reported first
+    code = main([
+        "fit", "--dataset", str(tmp_path / "nope"), "--method", "cca", "--hyperparams", "[]",
+        "--out", str(tmp_path / "m.xms"),
+    ])
+    assert code == 2
+    assert "error [bad_config]" in capsys.readouterr().err
+
+
+def test_eval_missing_model_exit_3(tmp_path, dataset_dir, capsys):
+    code = main([
+        "eval", "--model", str(tmp_path / "nope.xms"), "--dataset", str(dataset_dir),
+        "--direction", "a2b", "--out", str(tmp_path / "eval.json"),
+    ])
+    assert code == 3
+    assert "error [missing_file]" in capsys.readouterr().err
+    assert not (tmp_path / "eval.json").exists()
 
 
 def test_numerical_failure_exit_4(tmp_path, capsys):

@@ -468,8 +468,8 @@ def test_graph_state_equals_dense_laplacian_slices(n, d_a, d_b):
 
 
 def solve_psd(a, rhs):
-    """w for the normal system a w = rhs with no block and no l21 diagonal, as the least-squares start solves it."""
-    return _NormalSystem(a, None, "test").solve(None, rhs)
+    """w for the normal system a w = rhs with no block and a zero l21 diagonal, as the least-squares start solves it."""
+    return _NormalSystem(a, None, "test").solve(0.0, rhs)
 
 
 def test_solve_psd_equals_cho_solve(rng):
@@ -542,7 +542,7 @@ def test_solve_psd_leaves_the_system_unmodified(rng, order):
     block, rhs = np.array(triangles_apart(rng, 12), order=order), rng.standard_normal((12, 2))
     saved = gram.copy(order="K"), block.copy(order="K"), rhs.copy()
     system = _NormalSystem(gram, block, "test")
-    for l21_diagonal in (rng.random(12), None):
+    for l21_diagonal in (rng.random(12), 0.0):
         system.solve(l21_diagonal, rhs)
     assert coupled._regression_start(ds, context)[2][0] is gram
     assert all(np.array_equal(now, then) for now, then in zip((gram, block, rhs), saved))

@@ -154,6 +154,9 @@ def _oracle_edge_scatter(x, w):
 def _oracle_view(variant, x, labels, config):
     """One view's (A_i, B_i, cross columns) by the docstring's sums."""
     n = x.shape[1]
+    if variant == "blm":
+        covariance = sum(np.outer(x[:, i], x[:, i]) for i in range(n)) / n
+        return covariance, np.eye(x.shape[0]), [x[:, i] for i in range(n)]
     if variant == "gmlda":
         mean = x.mean(axis=1)
         means = {cls: x[:, labels == cls].mean(axis=1) for cls in np.unique(labels)}
@@ -183,8 +186,9 @@ def _oracle_pair(variant, ds, config):
     [
         ("gmlda", GmaConfig(mu=1.5, beta=4.0, alpha=0.7)),
         ("gmmfa", GmmfaConfig(mu=0.8, beta=2.0, alpha=1.3, mfa_k_intrinsic=3, mfa_k_penalty=6)),
+        ("blm", GmaConfig(mu=1.2, beta=3.0, alpha=0.8)),
     ],
-    ids=["gmlda", "gmmfa"],
+    ids=["gmlda", "gmmfa", "blm"],
 )
 def test_gma_at_positive_beta_reaches_the_documented_optimum(variant, config, seed):
     rng = np.random.default_rng(seed)

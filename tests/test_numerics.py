@@ -292,6 +292,14 @@ def test_knn_graph_invalid_k(rng):
         knn_graph(fm(rng.standard_normal((2, 5))), k=5)
 
 
+@pytest.mark.parametrize("k", [True, 2.0, "2"])
+def test_knn_graph_refuses_a_count_that_is_not_an_integer(rng, k):
+    # the method configs refuse these too, but the kernel is public: k=True is not k = 1
+    with pytest.raises(ConfigError) as err:
+        knn_graph(fm(rng.standard_normal((2, 5))), k)
+    assert err.value.code == "bad_k"
+
+
 def test_class_knn_graphs_structure():
     x = fm([[0.0, 1.0, 10.0, 11.0]])
     labels = [1, 1, 2, 2]
@@ -302,7 +310,9 @@ def test_class_knn_graphs_structure():
     assert np.abs(penalty[0, 1]) == 0.0
 
 
-@pytest.mark.parametrize("k_intrinsic, k_penalty", [(0, 1), (1, 0), (-1, 2)])
+@pytest.mark.parametrize(
+    "k_intrinsic, k_penalty", [(0, 1), (1, 0), (-1, 2), (True, 1), (1, True), (2.0, 1), (1, 2.0), ("2", 1), (1, "2")]
+)
 def test_class_knn_graphs_invalid_k(k_intrinsic, k_penalty):
     with pytest.raises(ConfigError) as err:
         class_knn_graphs(fm([[0.0, 1.0, 10.0, 11.0]]), [1, 1, 2, 2], k_intrinsic, k_penalty)
@@ -330,7 +340,7 @@ def test_graph_builders_refuse_distances_that_overflow(rng):
             assert err.value.code == "divergence"
 
 
-@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("k", [0, -1, True, 2.0, "2"])
 def test_multimodal_graph_invalid_k(rng, k):
     with pytest.raises(ConfigError) as err:
         multimodal_graph(paired_dataset(rng.standard_normal((2, 6)), rng.standard_normal((2, 6)), [1, 2] * 3), k)
