@@ -27,6 +27,7 @@ from ._version import __version__
 from .dataset_io import (
     FeatureMatrix,
     PairedMultimodalDataset,
+    fork_cpu_count,
     json_default,
     load_dataset,
     random_split,
@@ -317,18 +318,9 @@ def _split_runs(r: int, data: PairedMultimodalDataset, config: BenchmarkConfig) 
 
 
 def _worker_count(repetitions: int) -> int:
-    """Processes to run the repetitions in: one per CPU in this process's affinity mask, at most one
-    per repetition.  1 runs them in this process; so do platforms without fork or an affinity mask,
-    and daemonic processes (pool workers), which may not start processes of their own."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    workers = min(len(os.sched_getaffinity(0)), repetitions)
-    if workers > 1:
-        import multiprocessing
-
-        if multiprocessing.current_process().daemon:
-            return 1
-    return workers
+    """Processes to run the repetitions in: one per CPU that ``fork_cpu_count`` allows, at most one
+    per repetition.  1 runs them in this process."""
+    return max(1, min(fork_cpu_count(), repetitions))
 
 
 _BLAS_THREAD_SETTERS = (
@@ -339,30 +331,57 @@ _BLAS_THREAD_SETTERS = (
 )
 
 
-def _blas_thread_setters() -> list:
-    """The thread-count setter of every OpenBLAS loaded in this process.
+def _loaded_openblas() -> list:
+    """``(path, handle, setter name)`` of every OpenBLAS loaded in this process with a known
+    thread-count setter.
 
     numpy and scipy each load their own OpenBLAS, and ``scipy.linalg``'s
-    LAPACK runs on scipy's, so both are found.  A library without a known
-    setter, or a system without ``/proc/self/maps``, is left out.  Resolved
-    once, before a pool forks: the workers inherit the loaded libraries.
+    LAPACK runs on scipy's, so both are found.  A system without
+    ``/proc/self/maps`` has none.  The other functions of a library carry the
+    setter's prefix and suffix.
     """
     try:
         with open("/proc/self/maps") as fh:
             libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line})
     except OSError:
         return []
-    setters = []
+    found = []
     for lib in libs:
         try:
             handle = ctypes.CDLL(lib)
         except OSError:
             continue
-        setter = next((getattr(handle, name) for name in _BLAS_THREAD_SETTERS if hasattr(handle, name)), None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setters.append(setter)
+        name = next((name for name in _BLAS_THREAD_SETTERS if hasattr(handle, name)), None)
+        if name is not None:
+            found.append((lib, handle, name))
+    return found
+
+
+def _blas_thread_setters() -> list:
+    """The thread-count setter of every loaded OpenBLAS.  Resolved once, before a pool forks: the
+    workers inherit the loaded libraries."""
+    setters = []
+    for _, handle, name in _loaded_openblas():
+        setter = getattr(handle, name)
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setters.append(setter)
     return setters
+
+
+def _openblas_stamp() -> list[dict]:
+    """The file name, core and thread count of every loaded OpenBLAS; None for a getter it lacks."""
+    stamp = []
+    for lib, handle, name in _loaded_openblas():
+        core = getattr(handle, name.replace("set_num_threads", "get_corename"), None)
+        threads = getattr(handle, name.replace("set_num_threads", "get_num_threads"), None)  # returns int
+        if core is not None:
+            core.restype = ctypes.c_char_p
+        stamp.append({
+            "library": os.path.basename(lib),
+            "core": None if core is None else core().decode(),
+            "threads": None if threads is None else threads(),
+        })
+    return stamp
 
 
 _worker_args = None  # (data, config), inherited from the parent when the pool forks
@@ -564,9 +583,11 @@ def _json_float(value: float):
 
 
 def environment_stamp(workers: int) -> dict:
-    """Versions, platform and time of a run, and the processes its repetitions ran in."""
+    """Versions, platform and time of a run, the processes its repetitions ran in, and the core and
+    thread count of each loaded OpenBLAS."""
     return {
         "workers": workers,
+        "openblas": _openblas_stamp(),
         "xms_version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -14,20 +14,31 @@ only, and any other key is ignored.
 
 In memory, feature matrices are column-per-sample (d x n); the CSV/binary
 files are row-per-sample and are transposed on load.
+
+Where this process may fork onto two or more CPUs and runs no other Python
+thread, ``load_dataset`` parses a text ``features_b`` in a forked child while
+it reads ``features_a`` and the labels itself (``fork_cpu_count`` owns the
+CPU rule for every process xms forks).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import pickle
+import signal
 import struct
+import sys
+import threading
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
-from .errors import ConfigError, DataError, is_int
+from .errors import ConfigError, DataError, XmsError, is_int
 
 _MAGIC = b"XMS1"
 
@@ -256,16 +267,66 @@ def read_matrix_text(path) -> np.ndarray:
     return values
 
 
+def _is_binary(path) -> bool:
+    with open(path, "rb") as fh:
+        return fh.read(4) == _MAGIC
+
+
 def read_matrix(path) -> np.ndarray:
     """Read a matrix file, sniffing binary vs text by the magic bytes."""
     path = Path(path)
     if not path.is_file():
         raise DataError("missing_file", f"{path}: no such file")
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head == _MAGIC:
-        return read_matrix_binary(path)
-    return read_matrix_text(path)
+    return read_matrix_binary(path) if _is_binary(path) else read_matrix_text(path)
+
+
+# ---------------------------------------------------------------------------
+# forked processes
+
+
+def fork_cpu_count() -> int:
+    """The CPUs that processes forked from this one may run on: those of this process's affinity
+    mask.  0 where it may not fork: a platform without fork or an affinity mask, or a daemonic
+    process (a pool worker), which may not start processes of its own."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 0
+    multiprocessing = sys.modules.get("multiprocessing")  # a process that never loaded it is no pool worker
+    if multiprocessing is not None and multiprocessing.current_process().daemon:
+        return 0
+    return len(os.sched_getaffinity(0))
+
+
+def _fork_read(path: Path) -> tuple[int, BinaryIO] | None:
+    """Fork a child that runs ``read_matrix(path)`` and sends back, as one pickle on a pipe,
+    the array or the ``XmsError`` it raised; returns ``(pid, read end of the pipe)``, or None where
+    no process can be started.
+
+    The child calls nothing but ``read_matrix`` and leaves by ``os._exit``: no
+    atexit hook runs and no inherited stdio buffer is flushed twice.  It exits
+    0 only once the whole pickle is written.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # say, the process limit is reached
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            try:
+                outcome = read_matrix(path)
+            except XmsError as exc:
+                outcome = exc
+            with open(write_end, "wb") as pipe:
+                pickle.dump(outcome, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +355,59 @@ def _normalize_labels(raw: np.ndarray, declared_c: int | None) -> tuple[np.ndarr
     return codes + 1, uniq.size
 
 
+def _read_roles(directory: Path, manifest: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of each file in ``ROLES``, with the error of the first file that fails in the serial
+    order: resolve ``features_a``, read it, resolve ``features_b``, read it, then the labels.
+
+    Where this process may fork onto two or more CPUs, runs no other Python
+    thread and ``features_b`` is a text file, a child parses ``features_b``
+    (``_fork_read``) while this process reads ``features_a`` and then the labels; an error of the labels is raised
+    only after ``features_b``'s outcome.  A fork of a process that runs other
+    threads can leave the child waiting on a lock one of them held (OpenBLAS
+    stops its own threads before a fork).  A binary file is a copy, which a
+    child would only slow down.  The child is reaped on every path; if it
+    sends no whole result, this process reads the file itself.
+    """
+
+    def read(role: str) -> np.ndarray:
+        return read_matrix(_resolve(directory, manifest, role))
+
+    child = None
+    if fork_cpu_count() > 1 and threading.active_count() == 1:
+        with contextlib.suppress(DataError, OSError):  # raised by the serial read, in its turn
+            xb_path = _resolve(directory, manifest, "features_b")
+            if not _is_binary(xb_path):
+                child = _fork_read(xb_path)
+    if child is None:
+        return tuple(read(role) for role in ROLES)
+
+    pid, pipe = child
+    xb_rows = raw_labels = labels_error = None
+    received = False
+    try:
+        xa_rows = read("features_a")
+        try:
+            raw_labels = read("labels")
+        except Exception as exc:  # raised below, after features_b's outcome
+            labels_error = exc
+        with contextlib.suppress(Exception):  # cut short (the child died) or unreadable: read again below
+            xb_rows = pickle.load(pipe)  # read straight from the pipe: no second copy of the array
+        received = True
+    finally:
+        pipe.close()
+        with contextlib.suppress(ProcessLookupError, ChildProcessError):  # reaped elsewhere (SIGCHLD ignored)
+            if not received:  # leaving early: the child's result is not wanted
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if xb_rows is None:  # no whole result from the child
+        xb_rows = read_matrix(xb_path)
+    if isinstance(xb_rows, XmsError):
+        raise xb_rows
+    if labels_error is not None:
+        raise labels_error
+    return xa_rows, xb_rows, raw_labels
+
+
 def load_dataset(path) -> PairedMultimodalDataset:
     """Load and validate a dataset directory; pairing is by row order."""
     directory = Path(path)
@@ -313,7 +427,7 @@ def load_dataset(path) -> PairedMultimodalDataset:
         ):
             raise DataError("malformed_file", f"{manifest_path}: must map {ROLES} to file names and c to an integer")
 
-    xa_rows, xb_rows, raw_labels = (read_matrix(_resolve(directory, manifest, role)) for role in ROLES)
+    xa_rows, xb_rows, raw_labels = _read_roles(directory, manifest)
     if raw_labels.shape[1] != 1:
         raise DataError("malformed_file", "labels file must have one value per row")
     if xa_rows.shape[0] != xb_rows.shape[0] or xa_rows.shape[0] != raw_labels.shape[0]:

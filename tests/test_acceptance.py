@@ -192,7 +192,7 @@ def _validate_report_schema(report, n_methods, reps, gallery_size):
             assert len(block["cmc_mean"]) == gallery_size
             assert all(0.0 <= v <= 1.0 for v in block["map_runs"])
         assert set(report["box_stats"][label]) == {"a2b", "b2a"}
-    assert {"python", "numpy", "scipy", "platform", "timestamp", "xms_version", "workers"} == set(report["environment"])
+    assert {"python", "numpy", "scipy", "platform", "timestamp", "xms_version", "workers", "openblas"} == set(report["environment"])
 
 
 def test_criterion_7_full_protocol_run():

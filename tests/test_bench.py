@@ -627,7 +627,7 @@ def test_report_schema_keys():
     assert {"min", "max", "mean", "var", "std"} == set(block["summary"])
     box = report["box_stats"]["cca"]["a2b"]
     assert {"median", "q25", "q75", "whisker_low", "whisker_high", "outliers"} == set(box)
-    assert {"python", "numpy", "scipy", "platform", "timestamp", "xms_version", "workers"} == set(report["environment"])
+    assert {"python", "numpy", "scipy", "platform", "timestamp", "xms_version", "workers", "openblas"} == set(report["environment"])
 
 
 def test_report_json_writes_numpy_scalars(tmp_path):
@@ -674,6 +674,15 @@ def test_environment_stamp_starts_no_process():
         "assert started == [], started\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
+def test_environment_stamp_names_each_openblas():
+    stamp = xms.bench.environment_stamp(1)["openblas"]
+    if not _openblas_thread_functions():
+        pytest.skip("no OpenBLAS with thread-count functions is loaded")
+    assert [entry["threads"] for entry in stamp] == _openblas_thread_counts()
+    assert all(isinstance(entry["core"], str) and entry["core"] for entry in stamp)
+    assert all(".so" in entry["library"] and os.sep not in entry["library"] for entry in stamp)
 
 
 def test_config_round_trip():

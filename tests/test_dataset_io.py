@@ -1,11 +1,16 @@
 import io
 import json
+import os
+import pickle
+import signal
 import struct
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+import xms.dataset_io
 from xms.dataset_io import (
     FeatureMatrix,
     PairedMultimodalDataset,
@@ -248,11 +253,64 @@ def test_subset_index_out_of_range(rng):
 # file round trips
 
 
-@pytest.mark.parametrize("fmt", ["csv", "binary"])
-def test_save_load_round_trip(rng, tmp_path, fmt):
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of each child that ``os.fork`` starts in this process."""
+    pids, real_fork = [], os.fork
+
+    def spy():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def set_cpus(monkeypatch, cpus):
+    """Make the affinity mask read ``cpus``."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _comment_csv(path):
+    """Put # comment lines before, between and after a CSV's rows, and a note after its first row."""
+    rows = path.read_text().splitlines()
+    rows[0] += " # note"
+    path.write_text("\n".join(["# header", rows[0], "# between", "", *rows[1:], "# last"]) + "\n")
+
+
+def _as_binary(directory, role):
+    """Replace the dataset's CSV of ``role`` by a binary file of the same values."""
+    write_matrix_binary(directory / f"{role}.bin", read_matrix(directory / f"{role}.csv"))
+    (directory / f"{role}.csv").unlink()
+    _set_manifest(directory, **{role: f"{role}.bin"})
+
+
+@pytest.mark.parametrize("fmt", ["csv", "binary", "a-binary", "b-binary"])
+def test_save_load_round_trip(rng, tmp_path, monkeypatch, forks, fmt):
     ds = make_dataset(rng, 17, 3)
-    save_dataset(ds, tmp_path / "ds", fmt=fmt)
-    back = load_dataset(tmp_path / "ds")
+    directory = tmp_path / "ds"
+    save_dataset(ds, directory, fmt="binary" if fmt == "binary" else "csv")
+    if fmt in ("a-binary", "b-binary"):
+        _as_binary(directory, "features_a" if fmt == "a-binary" else "features_b")
+    for path in directory.glob("*.csv"):
+        _comment_csv(path)
+    # a text features_b is parsed in a forked child on two CPUs and nowhere else, to the same arrays
+    loads = {}
+    for cpus in ((0,), (0, 1)):
+        set_cpus(monkeypatch, cpus)
+        loads[cpus] = load_dataset(directory)
+        assert len(forks) == (len(cpus) > 1 and fmt in ("csv", "a-binary"))
+        forks.clear()
+    serial, back = loads[(0,)], loads[(0, 1)]
+    assert (back.xa.values == serial.xa.values).all() and (back.xb.values == serial.xb.values).all()
+    assert (back.labels == serial.labels).all() and back.c == serial.c
     assert back.n == ds.n and back.c == ds.c
     if fmt == "binary":
         assert np.array_equal(back.xa.values, ds.xa.values)
@@ -261,6 +319,7 @@ def test_save_load_round_trip(rng, tmp_path, fmt):
         np.testing.assert_allclose(back.xa.values, ds.xa.values, atol=1e-12)
         np.testing.assert_allclose(back.xb.values, ds.xb.values, atol=1e-12)
     assert np.array_equal(back.labels, ds.labels)
+    assert_no_child_left()
 
 
 def test_binary_round_trip_bit_exact(rng, tmp_path):
@@ -496,6 +555,118 @@ def test_load_refuses_broken_directories(rng, tmp_path, breakage, code):
         with pytest.raises(DataError) as err:
             load_dataset(tmp_path)
     assert err.value.code == code
+
+
+MALFORMED_CSV = "1.0,2.0\nnot,numbers\n"
+
+
+@pytest.mark.parametrize(
+    "breakage, culprit, code",
+    [
+        pytest.param({"features_a.csv": MALFORMED_CSV, "labels.csv": None}, "features_a.csv", "malformed_file",
+                     id="a-malformed-labels-missing"),
+        pytest.param({"features_a.csv": MALFORMED_CSV, "features_b.csv": MALFORMED_CSV}, "features_a.csv",
+                     "malformed_file", id="a-and-b-malformed"),
+        pytest.param({"features_b.csv": MALFORMED_CSV, "labels.csv": MALFORMED_CSV}, "features_b.csv",
+                     "malformed_file", id="b-and-labels-malformed"),
+        pytest.param({"features_b.csv": MALFORMED_CSV, "labels.csv": None}, "features_b.csv", "malformed_file",
+                     id="b-malformed-labels-missing"),
+        pytest.param({"manifest": "gone.csv", "labels.csv": MALFORMED_CSV}, "gone.csv", "missing_file",
+                     id="b-absent-labels-malformed"),
+    ],
+)
+@pytest.mark.parametrize("cpus", [(0,), (0, 1)], ids=["one-cpu", "two-cpus"])
+def test_load_errors_keep_the_role_order(rng, tmp_path, monkeypatch, forks, breakage, culprit, code, cpus):
+    # resolve a, read a, resolve b, read b, resolve labels, read labels: the first failure is raised,
+    # with no warning before it, whether or not features_b is parsed in a forked child
+    save_dataset(make_dataset(rng, 4, 2), tmp_path)
+    for name, text in breakage.items():
+        if name == "manifest":
+            _set_manifest(tmp_path, features_b=text)
+        elif text is None:
+            (tmp_path / name).unlink()
+        else:
+            (tmp_path / name).write_text(text)
+    set_cpus(monkeypatch, cpus)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError) as err:
+            load_dataset(tmp_path)
+    assert err.value.code == code
+    assert str(err.value).startswith(str(tmp_path / culprit))
+    assert len(forks) == (len(cpus) > 1 and "manifest" not in breakage)
+    assert_no_child_left()
+
+
+def test_forked_reads_leave_no_child(rng, tmp_path, monkeypatch, forks):
+    save_dataset(make_dataset(rng, 40, 2), tmp_path)
+    set_cpus(monkeypatch, (0, 1))
+    load_dataset(tmp_path)
+    assert_no_child_left()
+    (tmp_path / "features_a.csv").write_text(MALFORMED_CSV)  # raised while the child may still be parsing
+    with pytest.raises(DataError):
+        load_dataset(tmp_path)
+    assert_no_child_left()
+    assert len(forks) == 2
+
+
+def _die(path):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _unreadable(pipe):
+    raise ValueError("cannot reshape array")  # as numpy's _frombuffer may raise on a bad stream
+
+
+@pytest.mark.parametrize("breakage", ["child-killed", "result-unreadable"])
+def test_child_result_that_does_not_arrive_is_read_again(rng, tmp_path, monkeypatch, forks, breakage):
+    save_dataset(make_dataset(rng, 17, 3), tmp_path)
+    set_cpus(monkeypatch, (0,))
+    expected = load_dataset(tmp_path)
+    if breakage == "child-killed":
+        parent, real_read = os.getpid(), xms.dataset_io.read_matrix
+        monkeypatch.setattr(xms.dataset_io, "read_matrix", lambda path: (_die if os.getpid() != parent else real_read)(path))
+    else:
+        monkeypatch.setattr(pickle, "load", _unreadable)
+    set_cpus(monkeypatch, (0, 1))
+    back = load_dataset(tmp_path)
+    assert len(forks) == 1
+    assert (back.xb.values == expected.xb.values).all() and (back.xa.values == expected.xa.values).all()
+    assert (back.labels == expected.labels).all()
+    assert_no_child_left()
+
+
+def test_a_process_running_other_threads_forks_nothing(rng, tmp_path, monkeypatch, forks):
+    # a fork of a multi-threaded process can leave the child waiting on a lock another thread held
+    save_dataset(make_dataset(rng, 17, 3), tmp_path)
+    set_cpus(monkeypatch, (0,))
+    expected = load_dataset(tmp_path)
+    set_cpus(monkeypatch, (0, 1))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        back = load_dataset(tmp_path)
+    finally:
+        stop.set()
+        thread.join()
+    assert not forks
+    assert (back.xb.values == expected.xb.values).all() and (back.xa.values == expected.xa.values).all()
+    assert (back.labels == expected.labels).all()
+
+
+def test_load_reads_every_file_itself_when_fork_fails(rng, tmp_path, monkeypatch):
+    ds = make_dataset(rng, 17, 3)
+    save_dataset(ds, tmp_path / "csv")
+    set_cpus(monkeypatch, (0, 1))
+
+    def fork_refused():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork_refused)
+    back = load_dataset(tmp_path / "csv")
+    np.testing.assert_allclose(back.xb.values, ds.xb.values, atol=1e-12)
+    assert np.array_equal(back.labels, ds.labels)
 
 
 @pytest.mark.parametrize("sample_ids", ["ids.txt", ["ids.txt"], "absent.txt"], ids=["string", "list", "absent-file"])
