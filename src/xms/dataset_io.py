@@ -16,9 +16,10 @@ In memory, feature matrices are column-per-sample (d x n); the CSV/binary
 files are row-per-sample and are transposed on load.
 
 Where this process may fork onto two or more CPUs and runs no other Python
-thread, ``load_dataset`` parses a text ``features_b`` in a forked child while
-it reads ``features_a`` and the labels itself (``fork_cpu_count`` owns the
-CPU rule for every process xms forks).
+thread, ``load_dataset`` reads a text ``features_b`` and then the labels in a
+forked child while it reads ``features_a`` itself, so both paths read the
+files in the same order (``fork_cpu_count`` owns the CPU rule for every
+process xms forks).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import threading
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -142,8 +143,8 @@ def encode_labels(labels, c: int) -> np.ndarray:
 def random_split(n: int, n_train: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform split without replacement into sorted 0-based ``(train_indices, test_indices)``;
     deterministic for a fixed seed."""
-    if not 0 < n_train < n:
-        raise ConfigError("bad_split", f"need 0 < n_train < n, got n_train={n_train}, n={n}")
+    if not (is_int(n_train) and 0 < n_train < n):
+        raise ConfigError("bad_split", f"need an integer 0 < n_train < n, got n_train={n_train!r}, n={n}")
     perm = np.random.default_rng(seed).permutation(n)
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
@@ -157,8 +158,8 @@ def stratified_split(labels, n_train: int, seed: int) -> tuple[np.ndarray, np.nd
     """
     labels = _integer_labels(labels)
     n = labels.size
-    if not 0 < n_train < n:
-        raise ConfigError("bad_split", f"need 0 < n_train < n, got n_train={n_train}, n={n}")
+    if not (is_int(n_train) and 0 < n_train < n):
+        raise ConfigError("bad_split", f"need an integer 0 < n_train < n, got n_train={n_train!r}, n={n}")
     rng = np.random.default_rng(seed)
     frac = n_train / n
     members = [rng.permutation(np.flatnonzero(labels == cls)) for cls in np.unique(labels)]
@@ -174,10 +175,12 @@ def stratified_split(labels, n_train: int, seed: int) -> tuple[np.ndarray, np.nd
 
 
 def subset(dataset: PairedMultimodalDataset, indices) -> PairedMultimodalDataset:
-    """Select columns (pairs) in the given order from both modalities and labels."""
-    indices = np.asarray(indices, dtype=np.int64).ravel()
-    if indices.size and (indices.min() < 0 or indices.max() >= dataset.n):
-        raise DataError("index_range", f"indices must lie in 0..{dataset.n - 1}")
+    """Select columns (pairs) in the given order from both modalities and labels.  A non-empty
+    ``indices`` must hold integers (not a boolean mask, nor floats) in 0..n-1: ``index_range``."""
+    indices = np.asarray(indices).ravel()
+    if indices.size and (indices.dtype.kind not in "iu" or indices.min() < 0 or indices.max() >= dataset.n):
+        raise DataError("index_range", f"indices must be integers in 0..{dataset.n - 1}")
+    indices = indices.astype(np.int64, copy=False)
     return PairedMultimodalDataset(
         FeatureMatrix(dataset.xa.values[:, indices]),
         FeatureMatrix(dataset.xb.values[:, indices]),
@@ -296,14 +299,15 @@ def fork_cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _fork_read(path: Path) -> tuple[int, BinaryIO] | None:
-    """Fork a child that runs ``read_matrix(path)`` and sends back, as one pickle on a pipe,
-    the array or the ``XmsError`` it raised; returns ``(pid, read end of the pipe)``, or None where
-    no process can be started.
+def _fork_call(job: Callable[[], object]) -> tuple[int, BinaryIO] | None:
+    """Fork a child that runs ``job()`` and sends back, as one pickle on a pipe, its result or the
+    ``XmsError`` it raised; returns ``(pid, read end of the pipe)``, or None where no process can be
+    started.
 
-    The child calls nothing but ``read_matrix`` and leaves by ``os._exit``: no
-    atexit hook runs and no inherited stdio buffer is flushed twice.  It exits
-    0 only once the whole pickle is written.
+    The job resolves and reads files only, so no BLAS or LAPACK code runs in
+    the forked copy.  The child leaves by ``os._exit``: no atexit hook runs and
+    no inherited stdio buffer is flushed twice.  Any other exception ends it
+    without a result.
     """
     read_end, write_end = os.pipe()
     try:
@@ -317,7 +321,7 @@ def _fork_read(path: Path) -> tuple[int, BinaryIO] | None:
         try:
             os.close(read_end)
             try:
-                outcome = read_matrix(path)
+                outcome = job()
             except XmsError as exc:
                 outcome = exc
             with open(write_end, "wb") as pipe:
@@ -356,56 +360,49 @@ def _normalize_labels(raw: np.ndarray, declared_c: int | None) -> tuple[np.ndarr
 
 
 def _read_roles(directory: Path, manifest: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of each file in ``ROLES``, with the error of the first file that fails in the serial
-    order: resolve ``features_a``, read it, resolve ``features_b``, read it, then the labels.
+    """The rows of each file in ``ROLES``, read in that order, resolving each file just before it
+    is read; the first failure is raised.
 
     Where this process may fork onto two or more CPUs, runs no other Python
-    thread and ``features_b`` is a text file, a child parses ``features_b``
-    (``_fork_read``) while this process reads ``features_a`` and then the labels; an error of the labels is raised
-    only after ``features_b``'s outcome.  A fork of a process that runs other
-    threads can leave the child waiting on a lock one of them held (OpenBLAS
-    stops its own threads before a fork).  A binary file is a copy, which a
-    child would only slow down.  The child is reaped on every path; if it
-    sends no whole result, this process reads the file itself.
+    thread and ``features_b`` is a text file, the sequence is split after its
+    first file: a child (``_fork_call``) reads ``features_b`` and then the
+    labels while this process reads ``features_a``.  A fork of a process that
+    runs other threads can leave the child waiting on a lock one of them held
+    (OpenBLAS stops its own threads before a fork).  A binary file is a copy,
+    which a child would only slow down.  The child is killed and reaped on
+    every path; if it sends no whole result, this process reads the rest itself.
     """
 
     def read(role: str) -> np.ndarray:
         return read_matrix(_resolve(directory, manifest, role))
 
+    def rest() -> tuple[np.ndarray, ...]:
+        return tuple(read(role) for role in ROLES[1:])
+
     child = None
     if fork_cpu_count() > 1 and threading.active_count() == 1:
         with contextlib.suppress(DataError, OSError):  # raised by the serial read, in its turn
-            xb_path = _resolve(directory, manifest, "features_b")
-            if not _is_binary(xb_path):
-                child = _fork_read(xb_path)
+            if not _is_binary(_resolve(directory, manifest, ROLES[1])):
+                child = _fork_call(rest)
     if child is None:
-        return tuple(read(role) for role in ROLES)
+        return (read(ROLES[0]), *rest())
 
     pid, pipe = child
-    xb_rows = raw_labels = labels_error = None
-    received = False
+    outcome = None
     try:
-        xa_rows = read("features_a")
-        try:
-            raw_labels = read("labels")
-        except Exception as exc:  # raised below, after features_b's outcome
-            labels_error = exc
+        first = read(ROLES[0])
         with contextlib.suppress(Exception):  # cut short (the child died) or unreadable: read again below
-            xb_rows = pickle.load(pipe)  # read straight from the pipe: no second copy of the array
-        received = True
+            outcome = pickle.load(pipe)  # read straight from the pipe: no second copy of the arrays
     finally:
         pipe.close()
         with contextlib.suppress(ProcessLookupError, ChildProcessError):  # reaped elsewhere (SIGCHLD ignored)
-            if not received:  # leaving early: the child's result is not wanted
-                os.kill(pid, signal.SIGKILL)
+            os.kill(pid, signal.SIGKILL)  # one that sent its whole result is exiting anyway
             os.waitpid(pid, 0)
-    if xb_rows is None:  # no whole result from the child
-        xb_rows = read_matrix(xb_path)
-    if isinstance(xb_rows, XmsError):
-        raise xb_rows
-    if labels_error is not None:
-        raise labels_error
-    return xa_rows, xb_rows, raw_labels
+    if outcome is None:  # no whole result from the child
+        outcome = rest()
+    if isinstance(outcome, XmsError):
+        raise outcome
+    return (first, *outcome)
 
 
 def load_dataset(path) -> PairedMultimodalDataset:

@@ -60,6 +60,8 @@ class SubspaceModel:
                 raise ConfigError("dim_mismatch", f"pca_{p} keeps {pca.k} dims, but w{p} has {w.shape[0]} rows")
         if not (np.isfinite(self.wa).all() and np.isfinite(self.wb).all()):
             raise ConfigError("non_finite", "projection matrices contain NaN or Inf")
+        if not (isinstance(self.hyperparams, dict) and isinstance(self.metadata, dict)):
+            raise ConfigError("bad_config", "hyperparams and metadata must be dicts")
 
     @property
     def objective_trace(self) -> np.ndarray | None:

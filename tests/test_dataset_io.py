@@ -185,6 +185,21 @@ def test_split_sizes_must_leave_both_sides_non_empty():
             assert err.value.code == "bad_split"
 
 
+@pytest.mark.parametrize(
+    "split",
+    [
+        pytest.param(lambda: random_split(30, True, 0), id="random-bool"),
+        pytest.param(lambda: random_split(30, 20.0, 0), id="random-float"),
+        pytest.param(lambda: stratified_split(np.arange(30) % 3 + 1, 20.0, 0), id="stratified-float"),
+    ],
+)
+def test_split_sizes_must_be_integers(split):
+    # True would split off one sample, and 20.0 would fail as a slice index with an untyped error
+    with pytest.raises(ConfigError) as err:
+        split()
+    assert err.value.code == "bad_split"
+
+
 def test_stratified_split_preserves_class_balance():
     labels = np.repeat([1, 2, 3], [50, 30, 20])
     train_idx, _ = stratified_split(labels, 60, seed=3)
@@ -246,6 +261,17 @@ def test_subset_index_out_of_range(rng):
     ds = make_dataset(rng, 5, 2)
     with pytest.raises(DataError) as err:
         subset(ds, [0, 5])
+    assert err.value.code == "index_range"
+
+
+@pytest.mark.parametrize(
+    "indices", [pytest.param(lambda ds: ds.labels == 1, id="boolean-mask"), pytest.param(lambda ds: [0.0, 2.7], id="floats")]
+)
+def test_subset_refuses_indices_that_are_not_integers(rng, indices):
+    # a mask read as indices picks samples 0 and 1 over and over, and 2.7 would be truncated to 2
+    ds = make_dataset(rng, 30, 3)
+    with pytest.raises(DataError) as err:
+        subset(ds, indices(ds))
     assert err.value.code == "index_range"
 
 
@@ -573,6 +599,8 @@ MALFORMED_CSV = "1.0,2.0\nnot,numbers\n"
                      id="b-malformed-labels-missing"),
         pytest.param({"manifest": "gone.csv", "labels.csv": MALFORMED_CSV}, "gone.csv", "missing_file",
                      id="b-absent-labels-malformed"),
+        pytest.param({"labels.csv": MALFORMED_CSV}, "labels.csv", "malformed_file", id="labels-malformed"),
+        pytest.param({"labels.csv": None}, "labels.csv", "missing_file", id="labels-missing"),
     ],
 )
 @pytest.mark.parametrize("cpus", [(0,), (0, 1)], ids=["one-cpu", "two-cpus"])

@@ -120,6 +120,25 @@ def test_load_rejects_header_that_contradicts_its_blocks(tmp_path):
     assert err.value.code == "malformed_file"
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        pytest.param(b'"metadata": {}', b'"metadata": []', id="metadata-a-list"),
+        pytest.param(b'"hyperparams": {}', b'"hyperparams": 5 ', id="hyperparams-a-number"),
+    ],
+)
+def test_load_rejects_header_fields_that_are_not_objects(tmp_path, old, new):
+    # the header keeps its length, so only the field's type is wrong
+    path = tmp_path / "m.xms"
+    save_model(identity_model(2), path)
+    content = path.read_bytes()
+    assert old in content
+    path.write_bytes(content.replace(old, new))
+    with pytest.raises(DataError) as err:
+        load_model(path)
+    assert err.value.code == "malformed_file"
+
+
 def pca_model(d, k):
     return PcaModel(mean=np.zeros(d), basis=np.eye(d, k), eigenvalues=np.ones(k))
 
@@ -146,6 +165,8 @@ def test_model_refuses_shapes_that_disagree(fields):
         pytest.param({"method": "lda"}, "bad_method", id="unknown-method"),
         pytest.param({"wa": np.diag([1.0, np.nan, 1.0])}, "non_finite", id="nan-weight"),
         pytest.param({"wb": np.diag([1.0, 1.0, np.inf])}, "non_finite", id="inf-weight"),
+        pytest.param({"metadata": []}, "bad_config", id="metadata-not-a-dict"),
+        pytest.param({"hyperparams": 5}, "bad_config", id="hyperparams-not-a-dict"),
     ],
 )
 def test_model_refuses_unknown_methods_and_non_finite_weights(fields, code):
